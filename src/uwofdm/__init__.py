@@ -6,6 +6,9 @@ receiver, and benchmarks bit error rates against an 802.11a-style
 cyclic-prefix baseline over multipath channels.
 """
 
+# Set before the submodules import, since the sweep metadata records it.
+__version__ = "0.1.0"
+
 from .channel import (ChannelRealization, NoiseSpec, apply_channel_cyclic,
                       apply_channel_stream, load_snapshot, notch_predicate,
                       pinned_snapshot, sample_channel, save_snapshot)
@@ -24,8 +27,6 @@ from .numerics import DftPlan, forward_dft, inverse_dft, solve_linear
 from .rxchain import (RxSymbolResult, WienerEqualizer, build_equalizer,
                       equalize_symbol, measure_subcarrier_mse, zf_only_symbol)
 from .txchain import TxSymbol, UniqueWord, build_unique_word, encode_symbol
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BerPoint", "BerReport", "ChannelRealization", "ConfigError", "ConvCode",

@@ -3,7 +3,9 @@ power profile, Rayleigh tap magnitudes and uniform phases.
 
 Two application modes are provided.  ``apply_channel_cyclic`` is the
 per-symbol receive model (cyclic convolution plus white noise) that the
-receiver algebra assumes.  ``apply_channel_stream`` linearly convolves a
+receiver algebra assumes; a *stacked* realization, taps (channels, taps),
+applies channel c to slice c of a (channels, ..., N) signal.
+``apply_channel_stream`` linearly convolves a
 whole symbol stream; because every symbol ends in the same unique word,
 the steady-state per-symbol windows of the stream coincide with the
 cyclic model whenever the channel fits in the guard.  Tests exercise
@@ -39,11 +41,11 @@ class ChannelRealization:
 
     @property
     def tap_count(self) -> int:
-        return len(self.taps)
+        return self.taps.shape[-1]
 
     def active_response(self, active_indices: np.ndarray) -> np.ndarray:
         """Frequency response restricted to the given subcarrier indices."""
-        return self.freq_response[np.asarray(active_indices, dtype=int)]
+        return self.freq_response[..., np.asarray(active_indices, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,14 @@ def sample_channel(rng: np.random.Generator,
                    sample_rate_hz: float = 20e6,
                    tap_count: int = DEFAULT_TAP_COUNT,
                    dft_size: int = 64,
-                   guard_length: int = 16) -> ChannelRealization:
-    """Draw one channel realization from the given RNG stream."""
+                   guard_length: int = 16,
+                   channels: int | None = None) -> ChannelRealization:
+    """Draw one channel realization from the given RNG stream, or a stack
+    of ``channels``: the same taps as ``channels`` draws in sequence."""
     profile = power_delay_profile(tap_count, rms_delay_spread_s, sample_rate_hz)
-    gains = (rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)) \
-        / np.sqrt(2.0)
+    lead = () if channels is None else (channels,)
+    z = rng.standard_normal(lead + (2, tap_count))
+    gains = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     taps = np.sqrt(profile) * gains
     return _realization_from_taps(taps, sample_rate_hz, rms_delay_spread_s,
                                   dft_size, guard_length)
@@ -89,15 +94,29 @@ def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
                            rms_delay_spread_s: float, dft_size: int,
                            guard_length: int) -> ChannelRealization:
     taps = np.asarray(taps, dtype=complex)
-    padded = np.concatenate([taps, np.zeros(dft_size - len(taps), dtype=complex)])
+    padded = np.zeros(taps.shape[:-1] + (dft_size,), dtype=complex)
+    padded[..., :taps.shape[-1]] = taps
     freq = forward_dft(padded, DftPlan(dft_size))
     return ChannelRealization(
         taps=taps,
         freq_response=freq,
         sample_rate_hz=sample_rate_hz,
         rms_delay_spread_s=rms_delay_spread_s,
-        guard_exceeded=len(taps) - 1 > guard_length,
+        guard_exceeded=taps.shape[-1] - 1 > guard_length,
     )
+
+
+def tap_coefficients(taps: np.ndarray, ndim: int):
+    """Each delay's tap(s) in turn, shaped to broadcast against an
+    ``ndim``-axis signal led by the channel axis of stacked ``taps``."""
+    for h in np.moveaxis(np.asarray(taps), -1, 0):
+        yield h.reshape(h.shape + (1,) * (ndim - h.ndim))
+
+
+def per_symbol(values: np.ndarray) -> np.ndarray:
+    """Per-carrier values, (carriers,) or stacked (channels, carriers),
+    shaped to broadcast against (channels, symbols, carriers) arrays."""
+    return values if values.ndim == 1 else values[:, None, :]
 
 
 def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -105,14 +124,19 @@ def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     domain (the frequency-domain identity is left to the tests)."""
     x = np.asarray(x)
     out = np.zeros_like(x, dtype=complex)
-    for m, h in enumerate(taps):
+    for m, h in enumerate(tap_coefficients(taps, x.ndim)):
         out += h * np.roll(x, m, axis=-1)
     return out
 
 
-def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+def complex_noise(rng: np.random.Generator, shape, variance: float,
+                  stacked: bool = False) -> np.ndarray:
+    """All real parts, then all imaginary ones; ``stacked`` draws one such
+    block per index of the leading (channel) axis, in turn."""
     if variance == 0:
         return np.zeros(shape, dtype=complex)
+    if stacked:
+        return np.stack([complex_noise(rng, shape[1:], variance) for _ in range(shape[0])])
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -124,7 +148,7 @@ def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
     Accepts a single symbol (length N) or a batch (..., N).
     """
     y = cyclic_convolve(x, ch.taps)
-    return y + complex_noise(rng, y.shape, noise.variance)
+    return y + complex_noise(rng, y.shape, noise.variance, stacked=ch.taps.ndim > 1)
 
 
 def apply_channel_stream(symbols: np.ndarray, ch: ChannelRealization,

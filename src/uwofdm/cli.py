@@ -109,11 +109,7 @@ def cmd_mse_probe(args) -> int:
     config = harness.system_config_from(values)
     if not args.channel.startswith("fixed:"):
         raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
-    fixture = args.channel[len("fixed:"):]
-    try:
-        ch = chan.load_snapshot(fixture, guard_length=config.uw_length)
-    except OSError as exc:
-        raise ConfigError(f"cannot read channel fixture {fixture}: {exc}") from exc
+    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config)
     ebn0 = values.get("mse_ebn0_db", 15.0)
     n_symbols = values.get("mse_symbols", 100_000)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_noise
-from .errors import NearSingularChannelError
+from .channel import ChannelRealization, complex_noise, per_symbol, tap_coefficients
 from .numerics import DftPlan, forward_dft, inverse_dft
-from .rxchain import ZF_ABS_FLOOR, ZF_REL_FLOOR
+from .rxchain import zero_forcing_response
 
 # 802.11a layout in FFT-bin terms: DC and bins 27..37 are zero, pilots
 # sit at logical carriers -21, -7, 7, 21 with fixed signs 1, 1, 1, -1.
@@ -95,16 +94,18 @@ def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
     Each 80-sample symbol is convolved in isolation; spill from a
     preceding symbol would fall entirely inside the discarded prefix
     whenever the channel fits the guard, so the isolated model is exact
-    for the decoded window.
+    for the decoded window.  A stacked realization needs (channels, ...,
+    samples) symbols and draws noise per channel.
     """
     symbols = np.asarray(symbols)
     out = np.zeros_like(symbols, dtype=complex)
-    for m, h in enumerate(ch.taps):
+    for m, h in enumerate(tap_coefficients(ch.taps, symbols.ndim)):
         if m == 0:
             out += h * symbols
         else:
             out[..., m:] += h * symbols[..., :-m]
-    return out + complex_noise(rng, out.shape, noise_variance)
+    stacked = ch.taps.ndim > 1
+    return out + complex_noise(rng, out.shape, noise_variance, stacked=stacked)
 
 
 def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
@@ -114,7 +115,10 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     """Drop the prefix, transform and zero-force the data carriers.
 
     Returns (data estimates, per-carrier noise variances) with shapes
-    (..., data_count) and (data_count,).
+    (..., data_count) and (data_count,); a stacked realization takes
+    (channels, symbols, samples) and gives (channels, data_count)
+    variances.  The zero-forcing floor is relative to the largest
+    response over all DFT bins.
     """
     received = np.asarray(received)
     if received.shape[-1] != cfg.symbol_samples:
@@ -123,22 +127,10 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     if ch.tap_count > cfg.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {cfg.cp_length}-sample prefix")
-    h = ch.freq_response[cfg.data_bins]
-    mags = np.abs(h)
-    if floor_response:
-        floor = ZF_REL_FLOOR * np.abs(ch.freq_response).max()
-        weak = mags < floor
-        if np.any(weak):
-            h = h.copy()
-            phases = np.where(mags[weak] > 0, h[weak] / mags[weak], 1.0)
-            h[weak] = phases * floor
-            mags = np.abs(h)
-    elif np.any(mags < ZF_ABS_FLOOR):
-        raise NearSingularChannelError(
-            "channel response below threshold on data carrier(s); "
-            "zero forcing undefined")
+    h = zero_forcing_response(ch, cfg.data_bins, floor_response,
+                              reference=np.arange(cfg.dft_size))
     window = received[..., cfg.cp_length:]
     spectrum = forward_dft(window, cfg.plan)
-    estimates = spectrum[..., cfg.data_bins] / h
-    variances = cfg.dft_size * noise_variance / mags ** 2
+    estimates = spectrum[..., cfg.data_bins] / per_symbol(h)
+    variances = cfg.dft_size * noise_variance / np.abs(h) ** 2
     return estimates, variances

@@ -6,7 +6,8 @@ stream_id])``, with a fixed number of frames per batch and stopping
 decided on the ordered batch sequence.  Results are therefore byte
 identical for any worker count, and two systems swept with the same
 seed and grid consume the same underlying draws at each point (paired
-comparison).
+comparison).  Ensemble frames run in groups, drawing channels and noise
+frame by frame in each stream, so the group size never shows either.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__, cpref, fec, frame, rxchain, txchain
 from . import channel as chan
-from . import cpref, fec, frame, rxchain, txchain
 from .errors import ConfigError
 
 SYSTEMS = ("uw-lmmse", "uw-zf", "cp")
@@ -32,6 +33,10 @@ RATE_VALUE = {"none": 1.0, "1/2": 0.5, "3/4": 0.75}
 #: Frames simulated per batch; fixed so that stopping decisions (and
 #: therefore output bytes) never depend on the worker count.
 BATCH_FRAMES = 256
+
+#: Ensemble frames per group (one stacked channel draw, equalizer build
+#: and Viterbi call); bounds memory, never changes the output.
+ENSEMBLE_GROUP_FRAMES = 16
 
 #: Noise variances below this fraction of the data variance are treated
 #: as exactly zero (noiseless receiver, identity smoother).
@@ -127,7 +132,9 @@ class _SystemContext:
 
     def sigma2(self, ebn0_db: float) -> float:
         eb = self.symbol_energy / (self.bits_per_symbol * RATE_VALUE[self.spec.code_rate])
-        return eb / 10 ** (ebn0_db / 10.0)
+        sigma2 = eb / 10 ** (ebn0_db / 10.0)
+        return 0.0 if sigma2 < NOISE_VARIANCE_EPS * self.spec.config.data_symbol_variance \
+            else sigma2
 
 
 def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
@@ -143,14 +150,27 @@ def cp_interleaver(cfg: cpref.CpConfig) -> fec.InterleaverSpec:
     return fec.InterleaverSpec(block_bits=2 * cfg.data_count, columns=16)
 
 
+def load_fixed_channel(path, config: frame.OfdmSystemConfig) -> chan.ChannelRealization:
+    """Load a channel fixture, refusing (ConfigError) a missing or
+    unreadable file and one made for another DFT size than ``config``'s."""
+    if not os.path.exists(path):
+        raise ConfigError(f"channel fixture not found: {path}")
+    try:
+        ch = chan.load_snapshot(path, guard_length=config.uw_length)
+    except OSError as exc:
+        raise ConfigError(f"cannot read channel fixture {path}: {exc}") from exc
+    if ch.freq_response.shape[-1] != config.dft_size:
+        raise ConfigError(f"channel fixture {path} has dft_size = "
+                          f"{ch.freq_response.shape[-1]}, the config has dft_size = "
+                          f"{config.dft_size}")
+    return ch
+
+
 @lru_cache(maxsize=8)
 def _context(spec: SweepSpec) -> _SystemContext:
     fixed = None
     if spec.channel.startswith("fixed:"):
-        path = spec.channel[len("fixed:"):]
-        if not os.path.exists(path):
-            raise ConfigError(f"channel fixture not found: {path}")
-        fixed = chan.load_snapshot(path, guard_length=spec.config.uw_length)
+        fixed = load_fixed_channel(spec.channel[len("fixed:"):], spec.config)
 
     if spec.system == "cp":
         cp_cfg = cpref.CpConfig(data_symbol_variance=spec.config.data_symbol_variance)
@@ -192,81 +212,52 @@ def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
 @lru_cache(maxsize=64)
 def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer:
     ctx = _context(spec)
-    sigma2 = ctx.sigma2(spec.ebn0_db[point_idx])
-    if sigma2 < NOISE_VARIANCE_EPS * spec.config.data_symbol_variance:
-        sigma2 = 0.0
-    return rxchain.build_equalizer(ctx.fixed_channel, ctx.gen, sigma2,
-                                   floor_response=True)
+    return rxchain.build_equalizer(ctx.fixed_channel, ctx.gen,
+                                   ctx.sigma2(spec.ebn0_db[point_idx]),
+                                   floor_response=True, smoothing=ctx.smoothing)
 
 
 # ---------------------------------------------------------------------------
-# Frame pipelines
+# Frame pipeline
 
-def _uw_frames(ctx: _SystemContext, eq: rxchain.WienerEqualizer,
-               ch: chan.ChannelRealization, sigma2: float, bits: np.ndarray,
-               rng_noise: np.random.Generator) -> np.ndarray:
-    """Run UW frames through encode / channel / receive; returns decided
-    info bits with the shape of ``bits``."""
-    spec, gen, uw = ctx.spec, ctx.gen, ctx.uw
-    n_frames = bits.shape[0]
-    f_sym = spec.frame_symbols
-    noise = chan.NoiseSpec(sigma2)
+def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
+            sigma2: float, rng_noise: np.random.Generator,
+            eq: rxchain.WienerEqualizer | None = None) -> np.ndarray:
+    """Decided bits for (frames, n_info) info bits sent through FEC, QPSK
+    and the modem, over one channel per frame (stacked ``ch``) or one
+    channel for all frames (with ``eq``, its cached UW equalizer)."""
+    spec = ctx.spec
+    n_frames, f_sym, width = bits.shape[0], spec.frame_symbols, ctx.bits_per_symbol
+    coded = spec.code_rate != "none"
+    if coded:
+        blocks = fec.puncture(fec.conv_encode(bits), spec.code_rate) \
+            .reshape(n_frames, f_sym, width)
+        bits = fec.interleave(blocks, ctx.interleaver)
+    channels = ch.taps.shape[0] if ch.taps.ndim > 1 else 1
+    data = fec.qpsk_map(bits.reshape(channels, -1, width))
 
-    if spec.code_rate == "none":
-        tx_bits = bits.reshape(n_frames * f_sym, ctx.bits_per_symbol)
+    if ctx.kind == "cp":
+        x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
+        y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
+        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg,
+                                                      floor_response=True)
     else:
-        coded = fec.conv_encode(bits)
-        punctured = fec.puncture(coded, spec.code_rate)
-        blocks = punctured.reshape(n_frames, f_sym, ctx.bits_per_symbol)
-        tx_bits = fec.interleave(blocks, ctx.interleaver) \
-            .reshape(n_frames * f_sym, ctx.bits_per_symbol)
+        gen, uw = ctx.gen, ctx.uw
+        x = txchain.encode_batch(data, gen, gen.map, uw)
+        y = chan.apply_channel_cyclic(x, ch, chan.NoiseSpec(sigma2), rng_noise)
+        if eq is None:
+            eq = rxchain.build_equalizer(ch, gen, sigma2, floor_response=True,
+                                         smoothing=ctx.smoothing)
+        if ctx.smoothing:
+            words, variances = rxchain.equalize_batch(y, eq, uw), eq.data_error_variances
+        else:
+            words, variances = rxchain.zf_only_symbol(y, eq, uw), eq.data_noise_variances
+        estimates = words[..., gen.map.data_positions]
 
-    data = fec.qpsk_map(tx_bits)
-    x = txchain.encode_batch(data, gen, gen.map, uw)
-    y = chan.apply_channel_cyclic(x, ch, noise, rng_noise)
-    if ctx.smoothing:
-        words = rxchain.equalize_batch(y, eq, uw)
-        variances = eq.data_error_variances
-    else:
-        words = rxchain.zf_only_symbol(y, eq, uw)
-        variances = eq.data_noise_variances
-    estimates = words[:, gen.map.data_positions]
-
-    if spec.code_rate == "none":
+    if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
-
-    llrs = fec.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300)).llrs
-    blocks = llrs.reshape(n_frames, f_sym, ctx.bits_per_symbol)
-    stream = fec.deinterleave(blocks, ctx.interleaver).reshape(n_frames, -1)
-    return fec.viterbi_decode(fec.depuncture(stream, spec.code_rate), ctx.n_info)
-
-
-def _cp_frames(ctx: _SystemContext, ch: chan.ChannelRealization, sigma2: float,
-               bits: np.ndarray, rng_noise: np.random.Generator) -> np.ndarray:
-    spec, cfg = ctx.spec, ctx.cp_cfg
-    n_frames = bits.shape[0]
-    f_sym = spec.frame_symbols
-
-    if spec.code_rate == "none":
-        tx_bits = bits.reshape(n_frames * f_sym, ctx.bits_per_symbol)
-    else:
-        coded = fec.conv_encode(bits)
-        punctured = fec.puncture(coded, spec.code_rate)
-        blocks = punctured.reshape(n_frames, f_sym, ctx.bits_per_symbol)
-        tx_bits = fec.interleave(blocks, ctx.interleaver) \
-            .reshape(n_frames * f_sym, ctx.bits_per_symbol)
-
-    data = fec.qpsk_map(tx_bits)
-    x = cpref.cp_encode_symbol(data, cfg)
-    y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-    estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, cfg,
-                                                  floor_response=True)
-
-    if spec.code_rate == "none":
-        return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
-
-    llrs = fec.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300)).llrs
-    blocks = llrs.reshape(n_frames, f_sym, ctx.bits_per_symbol)
+    variances = np.maximum(chan.per_symbol(variances), 1e-300)
+    blocks = fec.qpsk_soft_demap(estimates, variances).llrs.reshape(n_frames, f_sym, width)
     stream = fec.deinterleave(blocks, ctx.interleaver).reshape(n_frames, -1)
     return fec.viterbi_decode(fec.depuncture(stream, spec.code_rate), ctx.n_info)
 
@@ -278,35 +269,23 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
     execute it independently."""
     ctx = _context(spec)
     sigma2 = ctx.sigma2(spec.ebn0_db[point_idx])
-    if sigma2 < NOISE_VARIANCE_EPS * spec.config.data_symbol_variance:
-        sigma2 = 0.0
-    rng_bits = np.random.default_rng([spec.seed, point_idx, batch_idx, 0])
-    rng_ch = np.random.default_rng([spec.seed, point_idx, batch_idx, 1])
-    rng_noise = np.random.default_rng([spec.seed, point_idx, batch_idx, 2])
+    rng_bits, rng_ch, rng_noise = (
+        np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
 
     bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
 
     if ctx.fixed_channel is not None:
-        if ctx.kind == "uw":
-            eq = _fixed_equalizer(spec, point_idx)
-            decided = _uw_frames(ctx, eq, ctx.fixed_channel, sigma2, bits, rng_noise)
-        else:
-            decided = _cp_frames(ctx, ctx.fixed_channel, sigma2, bits, rng_noise)
+        eq = _fixed_equalizer(spec, point_idx) if ctx.kind == "uw" else None
+        decided = _frames(ctx, bits, ctx.fixed_channel, sigma2, rng_noise, eq)
     else:
         # Ensemble mode: an independent channel draw per frame.
-        decided = np.empty_like(bits)
-        for i in range(n_frames):
-            ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s,
-                                     spec.config.sample_rate_hz,
-                                     spec.channel_taps, spec.config.dft_size,
-                                     spec.config.uw_length)
-            row = bits[i:i + 1]
-            if ctx.kind == "uw":
-                eq = rxchain.build_equalizer(ch, ctx.gen, sigma2,
-                                             floor_response=True)
-                decided[i] = _uw_frames(ctx, eq, ch, sigma2, row, rng_noise)[0]
-            else:
-                decided[i] = _cp_frames(ctx, ch, sigma2, row, rng_noise)[0]
+        cfg, decided = spec.config, np.empty_like(bits)
+        for start in range(0, n_frames, ENSEMBLE_GROUP_FRAMES):
+            group = bits[start:start + ENSEMBLE_GROUP_FRAMES]
+            ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
+                                     spec.channel_taps, cfg.dft_size, cfg.uw_length,
+                                     channels=len(group))
+            decided[start:start + len(group)] = _frames(ctx, group, ch, sigma2, rng_noise)
 
     wrong = decided != bits
     return (bits.size, int(wrong.sum()), n_frames, int(wrong.any(axis=1).sum()))
@@ -369,6 +348,7 @@ def run_ber_sweep(spec: SweepSpec, workers: int | None = None) -> BerReport:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
+    fixed = spec.channel.startswith("fixed:")
     metadata = (
         ("system", spec.system),
         ("code_rate", spec.code_rate),
@@ -380,6 +360,9 @@ def run_ber_sweep(spec: SweepSpec, workers: int | None = None) -> BerReport:
         ("max_bits_per_point", str(spec.max_bits_per_point)),
         ("frame_symbols", str(spec.frame_symbols)),
         ("batch_frames", str(BATCH_FRAMES)),
+        ("channel_taps", "-" if fixed else str(spec.channel_taps)),
+        ("rms_delay_spread_s", "-" if fixed else _fmt(float(spec.rms_delay_spread_s))),
+        ("uwofdm_version", __version__),
     )
     return BerReport(points=tuple(points), metadata=metadata)
 

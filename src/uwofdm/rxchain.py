@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .channel import ChannelRealization, NoiseSpec, apply_channel_cyclic
+from .channel import ChannelRealization, NoiseSpec, apply_channel_cyclic, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator, SubcarrierMap
 from .fec import qpsk_map
@@ -35,34 +34,34 @@ ZF_REL_FLOOR = 1e-6
 class WienerEqualizer:
     """Per-(channel, noise variance) receive operator.
 
-    ``combined`` applies zero forcing and smoothing in one matrix; the
-    diagonals of ``noise_covariance`` (after ZF) and ``error_covariance``
-    (after smoothing) are the analytic per-carrier error statistics.
+    ``noise_covariance`` (after ZF) and ``error_variances`` (after
+    smoothing; None, like ``smoother``, on a ZF-only build) are the
+    diagonals of C_vv and C_ee, the analytic per-carrier error
+    statistics.  A stacked channel adds a leading channel axis to each.
     """
 
     map: SubcarrierMap
     noise_variance: float
     inv_response: np.ndarray        # diagonal of the ZF operator
     noise_covariance: np.ndarray    # diagonal of C_vv (real)
-    smoother: np.ndarray            # W, full matrix
-    error_covariance: np.ndarray    # C_ee, full matrix
-    combined: np.ndarray            # W @ diag(inv_response)
+    smoother: np.ndarray | None     # W, full matrix
+    error_variances: np.ndarray | None  # diagonal of C_ee (real)
 
     @property
-    def error_variances(self) -> np.ndarray:
-        """Real per-carrier error variances after smoothing, active order."""
-        return np.real(np.diag(self.error_covariance))
+    def combined(self) -> np.ndarray:
+        """W @ diag(inv_response): zero forcing and smoothing in one matrix."""
+        return self.smoother * self.inv_response[..., None, :]
 
     @property
     def data_error_variances(self) -> np.ndarray:
         """Error variances on the data carriers, in data order (soft input
         for the decoder)."""
-        return self.error_variances[self.map.data_positions]
+        return self.error_variances[..., self.map.data_positions]
 
     @property
     def data_noise_variances(self) -> np.ndarray:
         """ZF-only noise variances on the data carriers, in data order."""
-        return self.noise_covariance[self.map.data_positions]
+        return self.noise_covariance[..., self.map.data_positions]
 
 
 @dataclass(frozen=True)
@@ -72,52 +71,59 @@ class RxSymbolResult:
     data_noise_variances: np.ndarray  # diag(C_ee) on the data carriers
 
 
-def _checked_response(ch: ChannelRealization, smap: SubcarrierMap,
-                      floor_response: bool) -> np.ndarray:
-    h = ch.active_response(smap.active_carriers)
+def zero_forcing_response(ch: ChannelRealization, carriers, floor_response: bool,
+                          reference=None) -> np.ndarray:
+    """Channel response on ``carriers`` (per stacked channel), checked for
+    zero forcing: below ``ZF_ABS_FLOOR`` it raises, or with
+    ``floor_response`` it is raised to ``ZF_REL_FLOOR`` times the largest
+    magnitude over ``reference`` (default ``carriers``; the CP baseline
+    uses all bins), keeping its phase."""
+    h = ch.active_response(carriers)
     mags = np.abs(h)
     if floor_response:
-        floor = ZF_REL_FLOOR * mags.max()
+        ref = mags if reference is None else np.abs(ch.active_response(reference))
+        floor = np.broadcast_to(ZF_REL_FLOOR * ref.max(axis=-1, keepdims=True), h.shape)
         weak = mags < floor
         if np.any(weak):
-            h = h.copy()
             # keep the phase; a exactly-zero entry gets a real floor
             phases = np.where(mags[weak] > 0, h[weak] / mags[weak], 1.0)
-            h[weak] = phases * floor
+            h[weak] = phases * floor[weak]
         return h
     if np.any(mags < ZF_ABS_FLOOR):
         raise NearSingularChannelError(
-            f"channel response below {ZF_ABS_FLOOR} on active carrier(s) "
-            f"{list(np.nonzero(mags < ZF_ABS_FLOOR)[0])}; zero forcing undefined")
+            f"channel response below {ZF_ABS_FLOOR} on carrier position(s) "
+            f"{np.unique(np.nonzero(mags < ZF_ABS_FLOOR)[-1]).tolist()}; "
+            "zero forcing undefined")
     return h
 
 
 def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
-                    noise_variance: float,
-                    floor_response: bool = False) -> WienerEqualizer:
-    """Assemble the ZF + smoothing operator for one channel realization.
+                    noise_variance: float, floor_response: bool = False,
+                    smoothing: bool = True) -> WienerEqualizer:
+    """Assemble the ZF (+ smoothing) operator for one channel realization,
+    or for every channel of a stacked one at once.
 
     The signal covariance comes precomputed from the generator; only the
     noise covariance and the smoother depend on the channel draw.
     """
     smap = gen.map
     n = smap.config.dft_size
-    h = _checked_response(ch, smap, floor_response)
-    inv_h = 1.0 / h
+    inv_h = 1.0 / zero_forcing_response(ch, smap.active_carriers, floor_response)
     cvv_diag = n * noise_variance * np.abs(inv_h) ** 2
-    css = gen.symbol_covariance
-
-    if noise_variance == 0:
-        dim = css.shape[0]
-        smoother = np.eye(dim, dtype=complex)
-        error_cov = np.zeros_like(css)
-    else:
-        # W = C_ss (C_ss + C_vv)^-1; both factors Hermitian, C_ss + C_vv
-        # positive definite, so solve via Cholesky and conjugate back.
-        a = css + np.diag(cvv_diag).astype(complex)
-        cho = scipy.linalg.cho_factor(a, lower=True)
-        smoother = scipy.linalg.cho_solve(cho, css).conj().T
-        error_cov = (np.eye(css.shape[0]) - smoother) @ css
+    smoother = error_var = None
+    if smoothing:
+        css = gen.symbol_covariance
+        eye = np.eye(css.shape[0])
+        if noise_variance == 0:
+            smoother = np.broadcast_to(eye.astype(complex), inv_h.shape + css.shape[-1:])
+        else:
+            # W = C_ss (C_ss + C_vv)^-1 with both factors Hermitian, so
+            # W = ((C_ss + C_vv)^-1 C_ss)^H: one stacked solve per build.
+            a = css + cvv_diag[..., None] * eye
+            smoother = np.linalg.solve(a, np.broadcast_to(css, a.shape)) \
+                .conj().swapaxes(-1, -2)
+        # diag((I - W) C_ss) without forming the product
+        error_var = np.real(np.diag(css)) - np.real(np.einsum("...ij,ji->...i", smoother, css))
 
     return WienerEqualizer(
         map=smap,
@@ -125,8 +131,7 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
         inv_response=inv_h,
         noise_covariance=cvv_diag,
         smoother=smoother,
-        error_covariance=error_cov,
-        combined=smoother * inv_h[None, :],
+        error_variances=error_var,
     )
 
 
@@ -154,17 +159,14 @@ def equalize_symbol(y_time: np.ndarray, eq: WienerEqualizer,
 
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
-    """Smoothed active-carrier words for (batch, dft_size) samples.
+    """Smoothed active-carrier words for (batch, dft_size) samples, or
+    (channels, batch, dft_size) on a stacked equalizer.
 
     The UW spectrum is subtracted after zero forcing; removing it before
     (scaled by the channel) is algebraically identical and covered by
     tests.
     """
-    smap = eq.map
-    spectrum = _active_spectrum(y_time, smap)
-    uw_active = uw.spectrum[smap.active_carriers]
-    zero_forced = spectrum * eq.inv_response - uw_active
-    return zero_forced @ eq.smoother.T
+    return zf_only_symbol(y_time, eq, uw) @ eq.smoother.swapaxes(-1, -2)
 
 
 def equalize_symbol_uw_first(y_time: np.ndarray, eq: WienerEqualizer,
@@ -182,11 +184,12 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Zero-forced, UW-free word(s) without smoothing: the transmitted
     active word plus enhanced noise.  Used for error probes and as the
-    conventional-OFDM-like reference path."""
+    conventional-OFDM-like reference path.  A stacked equalizer takes
+    (channels, symbols, dft_size) samples."""
     smap = eq.map
     spectrum = _active_spectrum(y_time, smap)
     uw_active = uw.spectrum[smap.active_carriers]
-    return spectrum * eq.inv_response - uw_active
+    return spectrum * per_symbol(eq.inv_response) - uw_active
 
 
 def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,

@@ -91,6 +91,22 @@ class TestLoopback:
         np.testing.assert_allclose(variances, 64 * sigma2 / np.abs(h) ** 2,
                                    rtol=1e-12)
 
+    def test_stacked_channels_match_per_channel(self, cp_cfg):
+        rng = np.random.default_rng(98)
+        stacked = uw.sample_channel(rng, channels=3)
+        x = cpref.cp_encode_symbol(uw.qpsk_map(rng.integers(0, 2, (3, 5, 96))), cp_cfg)
+        y = cpref.cp_apply_channel(x, stacked, 0.05, np.random.default_rng(99))
+        est, variances = cpref.cp_decode_symbol(y, stacked, 0.05, cp_cfg)
+        assert est.shape == (3, 5, 48) and variances.shape == (3, 48)
+        noise_rng = np.random.default_rng(99)
+        for c in range(3):
+            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64, 16)
+            y_c = cpref.cp_apply_channel(x[c], ch, 0.05, noise_rng)
+            np.testing.assert_array_equal(y[c], y_c)
+            est_c, var_c = cpref.cp_decode_symbol(y_c, ch, 0.05, cp_cfg)
+            np.testing.assert_allclose(est[c], est_c, rtol=1e-12)
+            np.testing.assert_allclose(variances[c], var_c, rtol=1e-12)
+
     def test_decode_returns_only_data_carriers(self, cp_cfg):
         """Pilots must never reach the bit decisions."""
         rng = np.random.default_rng(96)

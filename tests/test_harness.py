@@ -6,7 +6,7 @@ import pytest
 
 import uwofdm as uw
 from uwofdm import channel as chan
-from uwofdm import cli, cpref, harness
+from uwofdm import cli, cpref, fec, harness, rxchain, txchain
 from uwofdm.errors import ConfigError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
@@ -116,6 +116,74 @@ class TestDeterminism:
         assert all(u <= z for u, z in zip(bers["uw-lmmse"], bers["uw-zf"]))
 
 
+def per_frame_batch(spec, point_idx, batch_idx, n_frames):
+    """Reference ensemble batch: the per-frame loop, one channel draw,
+    equalizer build and decoder call per frame, with the same streams as
+    ``harness._run_batch``."""
+    ctx = harness._context(spec)
+    cfg, rate = spec.config, spec.code_rate
+    f_sym, width = spec.frame_symbols, ctx.bits_per_symbol
+    sigma2 = ctx.sigma2(spec.ebn0_db[point_idx])
+    rng_bits, rng_ch, rng_noise = (
+        np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
+    bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
+    decided = np.empty_like(bits)
+    for i in range(n_frames):
+        ch = uw.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
+                               spec.channel_taps, cfg.dft_size, cfg.uw_length)
+        tx = bits[i]
+        if rate != "none":
+            tx = fec.interleave(fec.puncture(fec.conv_encode(tx), rate)
+                                .reshape(f_sym, width), ctx.interleaver)
+        data = uw.qpsk_map(tx.reshape(f_sym, width))
+        if ctx.kind == "uw":
+            eq = uw.build_equalizer(ch, ctx.gen, sigma2, floor_response=True)
+            x = txchain.encode_batch(data, ctx.gen, ctx.gen.map, ctx.uw)
+            y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(sigma2), rng_noise)
+            if ctx.smoothing:
+                words = rxchain.equalize_batch(y, eq, ctx.uw)
+                variances = eq.data_error_variances
+            else:
+                words = rxchain.zf_only_symbol(y, eq, ctx.uw)
+                variances = eq.data_noise_variances
+            estimates = words[:, ctx.gen.map.data_positions]
+        else:
+            x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
+            y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
+            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg,
+                                                          floor_response=True)
+        if rate == "none":
+            decided[i] = fec.qpsk_hard_bits(estimates).reshape(-1)
+        else:
+            llrs = uw.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300)).llrs
+            stream = fec.deinterleave(llrs, ctx.interleaver).reshape(-1)
+            decided[i] = fec.viterbi_decode(fec.depuncture(stream, rate), ctx.n_info)
+    wrong = decided != bits
+    return (bits.size, int(wrong.sum()), n_frames, int(wrong.any(axis=1).sum()))
+
+
+class TestEnsembleGroups:
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    @pytest.mark.parametrize("rate, ebn0", [("none", 10.0), ("1/2", 6.0)])
+    def test_matches_per_frame_loop(self, system, rate, ebn0):
+        """40 frames: two full groups of 16 and a partial one."""
+        spec = small_spec(system=system, rate=rate, grid=(ebn0,), seed=7,
+                          channel="ensemble")
+        batched = harness._run_batch(spec, 0, 3, n_frames=40)
+        assert batched == per_frame_batch(spec, 0, 3, n_frames=40)
+        assert batched[1] > 0
+
+    def test_group_size_does_not_change_report(self, monkeypatch):
+        specs = [small_spec(system=system, rate="1/2", grid=(6.0,), seed=5,
+                            channel="ensemble", min_error_events=10 ** 9,
+                            max_bits_per_point=1, frame_symbols=2)
+                 for system in harness.SYSTEMS]
+        expected = [harness.run_ber_sweep(spec) for spec in specs]
+        for group in (1, 7, 256):
+            monkeypatch.setattr(harness, "ENSEMBLE_GROUP_FRAMES", group)
+            assert [harness.run_ber_sweep(spec) for spec in specs] == expected
+
+
 def test_confidence_interval_coverage(flat_fixture):
     """Known-BER synthetic setting (flat channel, closed-form truth):
     the 95% interval must cover the truth in at least 90 of 100 seeded
@@ -156,6 +224,21 @@ class TestCsvFormat:
         keys = [k for k, _ in report.metadata]
         assert "workers" not in keys
         assert "config_hash" in keys and "seed" in keys
+        assert dict(report.metadata)["uwofdm_version"] == uw.__version__
+
+    def test_ensemble_metadata_names_channel_model(self, tmp_path):
+        """Tap count and delay spread change ensemble bytes, so they must
+        change the header too."""
+        headers = []
+        for taps in (16, 8):
+            spec = small_spec(grid=(30.0,), channel="ensemble", channel_taps=taps,
+                              max_bits_per_point=1)
+            out = tmp_path / f"taps{taps}.csv"
+            harness.write_ber_csv(out, harness.run_ber_sweep(spec))
+            headers.append([l for l in out.read_text().splitlines() if l.startswith("#")])
+        assert headers[0] != headers[1]
+        assert "# channel_taps = 8" in headers[1]
+        assert "# rms_delay_spread_s = 1e-07" in headers[1]
 
 
 class TestMseProbe:
@@ -246,6 +329,22 @@ class TestCli:
         text = out.read_text()
         assert text.splitlines()[0].startswith("#")
         assert "ebn0_db,bits," in text
+
+    def test_fixture_size_mismatch_exits_2(self, tmp_path, capsys):
+        """A 64-point fixture under a 32-point config would be read at the
+        wrong carrier indices."""
+        cfg = tmp_path / "n32.cfg"
+        cfg.write_text("dft_size = 32\ndata_count = 16\nuw_length = 8\n"
+                       "zero_indices = [0, 13, 14, 15, 16, 17, 18, 19]\n"
+                       "redundant_indices = [2, 5, 8, 11, 21, 24, 27, 30]\n"
+                       "ebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "dft_size = 64" in err and "dft_size = 32" in err
+        assert not out.exists()
 
     def test_ber_sweep_requires_out(self, tmp_path):
         assert cli.main(["ber-sweep", "--channel",

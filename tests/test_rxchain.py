@@ -34,7 +34,7 @@ class TestBuildEqualizer:
     def test_noiseless_limit_identity(self, ref_gen):
         eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0)
         np.testing.assert_array_equal(eq.smoother, np.eye(52))
-        assert np.abs(eq.error_covariance).max() == 0.0
+        assert np.abs(eq.error_variances).max() == 0.0
 
     def test_error_variances_bounded_by_signal(self, ref_gen):
         rng = np.random.default_rng(70)
@@ -69,6 +69,47 @@ class TestBuildEqualizer:
             uw.build_equalizer(ch, ref_gen, 0.01)
         eq = uw.build_equalizer(ch, ref_gen, 0.01, floor_response=True)
         assert np.isfinite(eq.combined).all()
+
+    @pytest.mark.parametrize("smoothing", [True, False])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.03])
+    def test_stacked_build_matches_per_channel(self, ref_gen, ref_uw, smoothing, sigma2):
+        rng = np.random.default_rng(77)
+        stacked = uw.sample_channel(rng, channels=4)
+        eq = uw.build_equalizer(stacked, ref_gen, sigma2, floor_response=True,
+                                smoothing=smoothing)
+        y = rng.standard_normal((4, 3, 64)) + 1j * rng.standard_normal((4, 3, 64))
+        words = (rxchain.equalize_batch if smoothing else uw.zf_only_symbol)(y, eq, ref_uw)
+        for c in range(4):
+            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64, 16)
+            single = uw.build_equalizer(ch, ref_gen, sigma2, floor_response=True,
+                                        smoothing=smoothing)
+            np.testing.assert_allclose(eq.inv_response[c], single.inv_response, rtol=1e-12)
+            np.testing.assert_allclose(eq.noise_covariance[c], single.noise_covariance,
+                                       rtol=1e-12)
+            single_words = (rxchain.equalize_batch if smoothing
+                            else uw.zf_only_symbol)(y[c], single, ref_uw)
+            np.testing.assert_allclose(words[c], single_words, rtol=1e-12, atol=1e-12)
+            if smoothing:
+                np.testing.assert_allclose(eq.smoother[c], single.smoother,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
+                                           rtol=1e-12, atol=1e-12)
+            else:
+                assert single.smoother is None and single.error_variances is None
+
+    def test_zero_forcing_floor_per_channel(self, ref_gen, ref_map):
+        """Each stacked channel floors against its own largest response."""
+        null = chan._realization_from_taps(
+            np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)]), 20e6, 1e-7, 64, 16)
+        loud = chan._realization_from_taps(np.array([10.0, 0.0]), 20e6, 1e-7, 64, 16)
+        stacked = chan._realization_from_taps(np.stack([null.taps, loud.taps]),
+                                              20e6, 1e-7, 64, 16)
+        h = rxchain.zero_forcing_response(stacked, ref_map.active_carriers, True)
+        for c, ch in enumerate((null, loud)):
+            np.testing.assert_array_equal(
+                h[c], rxchain.zero_forcing_response(ch, ref_map.active_carriers, True))
+        with pytest.raises(NearSingularChannelError):
+            uw.build_equalizer(stacked, ref_gen, 0.01)
 
     def test_noise_vanishing_acts_as_identity_on_codewords(self, ref_gen):
         """At vanishing noise the smoother must pass every valid
