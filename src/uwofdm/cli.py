@@ -8,12 +8,13 @@ Subcommands: ``derive`` (generator diagnostics), ``optimize-placement``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import channel as chan
-from . import frame, harness
+from . import __version__, frame, harness
 from .errors import ConfigError, NearSingularChannelError, NumericallySingularError
 
 EXIT_OK = 0
@@ -64,8 +65,16 @@ def _load_values(args) -> dict:
 
 
 def _require_out(args) -> str:
+    """The ``--out`` path, refused before any work if it cannot be written."""
     if not args.out:
         raise ConfigError("--out is required for this subcommand")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {args.out}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ConfigError(f"--out {args.out}: directory {parent} is not writable")
     return args.out
 
 
@@ -95,16 +104,17 @@ def cmd_optimize_placement(args) -> int:
 
 
 def cmd_ber_sweep(args) -> int:
+    out = _require_out(args)
     values = _load_values(args)
     spec = harness.sweep_spec_from(values, seed=args.seed, channel=args.channel)
     report = harness.run_ber_sweep(spec, workers=args.workers)
-    out = _require_out(args)
     harness.write_ber_csv(out, report)
     print(f"wrote {len(report.points)} points to {out}")
     return EXIT_OK
 
 
 def cmd_mse_probe(args) -> int:
+    out = _require_out(args)
     values = _load_values(args)
     config = harness.system_config_from(values)
     if not args.channel.startswith("fixed:"):
@@ -114,19 +124,21 @@ def cmd_mse_probe(args) -> int:
     n_symbols = values.get("mse_symbols", 100_000)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
                                  n_symbols=n_symbols, seed=args.seed)
-    out = _require_out(args)
     harness.write_mse_csv(out, rows, metadata=(
         ("channel", args.channel),
+        ("channel_fixture_id", harness._fixture_id(args.channel)),
         ("ebn0_db", harness._fmt(float(ebn0))),
         ("symbols", str(n_symbols)),
         ("seed", str(args.seed)),
         ("config_hash", harness.config_hash(config)),
+        ("uwofdm_version", __version__),
     ))
     print(f"wrote {len(rows)} carriers to {out}")
     return EXIT_OK
 
 
 def cmd_snapshot(args) -> int:
+    out = _require_out(args)
     values = _load_values(args)
     config = harness.system_config_from(values)
     predicate = chan.notch_predicate(config.active_indices)
@@ -136,7 +148,6 @@ def cmd_snapshot(args) -> int:
         args.seed, predicate, rms_delay_spread_s=tau,
         sample_rate_hz=config.sample_rate_hz, tap_count=taps,
         dft_size=config.dft_size, guard_length=config.uw_length)
-    out = _require_out(args)
     chan.save_snapshot(out, ch, seed=args.seed, draw=draw,
                        dft_size=config.dft_size)
     power = np.abs(ch.active_response(config.active_indices)) ** 2

@@ -5,8 +5,11 @@ interleaver, Gray QPSK mapping and variance-weighted soft demapping,
 and a frame-terminated soft-decision Viterbi decoder.
 
 All operations act on the last axis, so a leading batch axis of frames
-vectorizes the whole chain (the Viterbi recursion in particular runs
-add-compare-select across the batch at each trellis step).
+vectorizes the whole chain.  The Viterbi recursion runs the radix-2
+add-compare-select butterfly across the batch at each trellis step (the
+two predecessors of a state are adjacent, so no gather is needed) and
+keeps its survivor decisions bit-packed, one 64-bit word per step and
+frame, which the traceback reads with shifts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def _parity(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvCode:
-    """Rate-1/2 mother code with precomputed trellis tables.
+    """Rate-1/2 mother code with its butterfly branch tables.
 
     State is the 6 most recent input bits, newest in the MSB; the 7-bit
     register (current bit in bit 6) is masked with the octal generators,
@@ -43,44 +46,21 @@ class ConvCode:
     g0: int = G0_OCTAL
     g1: int = G1_OCTAL
     constraint_length: int = 7
-    # trellis tables, filled in __post_init__
-    next_state: np.ndarray = field(init=False, repr=False)
-    out0: np.ndarray = field(init=False, repr=False)
-    out1: np.ndarray = field(init=False, repr=False)
-    preds: np.ndarray = field(init=False, repr=False)
+    # Branch signs (+1 for a 0 output bit) indexed (bit, j, k): input bit
+    # ``bit`` moves predecessor 2j + k to state 32 * bit + j.
     branch_w0: np.ndarray = field(init=False, repr=False)
     branch_w1: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def n_states(self) -> int:
-        return 1 << (self.constraint_length - 1)
-
     def __post_init__(self):
-        n_states = self.n_states
-        states = np.arange(n_states, dtype=np.uint32)
-        nxt = np.zeros((n_states, 2), dtype=np.int64)
-        out0 = np.zeros((n_states, 2), dtype=np.uint8)
-        out1 = np.zeros((n_states, 2), dtype=np.uint8)
-        for bit in (0, 1):
-            reg = (bit << 6) | states
-            out0[:, bit] = _parity(reg & self.g0)
-            out1[:, bit] = _parity(reg & self.g1)
-            nxt[:, bit] = (bit << 5) | (states >> 1)
-        # Each destination state has exactly two predecessors; the input
-        # bit that reaches it is its MSB.
-        preds = np.zeros((n_states, 2), dtype=np.int64)
-        bw0 = np.zeros((n_states, 2))
-        bw1 = np.zeros((n_states, 2))
-        for dst in range(n_states):
-            bit = dst >> 5
-            base = (dst & 31) << 1
-            for k, src in enumerate((base, base + 1)):
-                preds[dst, k] = src
-                bw0[dst, k] = 1.0 - 2.0 * out0[src, bit]
-                bw1[dst, k] = 1.0 - 2.0 * out1[src, bit]
-        for name, value in (("next_state", nxt), ("out0", out0), ("out1", out1),
-                            ("preds", preds), ("branch_w0", bw0), ("branch_w1", bw1)):
-            object.__setattr__(self, name, value)
+        # The encoder's tap loop and the decoder's 64-bit survivor words
+        # are both written for 64 states.
+        if self.constraint_length != 7:
+            raise ValueError("only constraint length 7 is implemented")
+        bit = np.arange(2)[:, None, None]
+        src = 2 * np.arange(32)[None, :, None] + np.arange(2)
+        reg = (bit << 6) | src
+        for name, g in (("branch_w0", self.g0), ("branch_w1", self.g1)):
+            object.__setattr__(self, name, 1.0 - 2.0 * _parity(reg & g))
 
 
 DEFAULT_CODE = ConvCode()
@@ -256,7 +236,8 @@ def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int,
     Input is the depunctured LLR stream, 2*(n_info + 6) values on the
     last axis (a leading batch axis decodes frames in parallel); output
     drops the tail bits.  The path metric is the LLR correlation, so any
-    common positive LLR scaling leaves decisions unchanged.
+    common positive LLR scaling leaves decisions unchanged.  A tie keeps
+    the even predecessor.
     """
     llrs = soft.llrs if isinstance(soft, SoftBits) else np.asarray(soft, dtype=float)
     single = llrs.ndim == 1
@@ -266,28 +247,42 @@ def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int,
         raise ValueError(
             f"expected {2 * steps} LLRs for {n_info} info bits, got {llrs.shape[-1]}")
     batch = llrs.shape[0]
-    n_states = code.n_states
 
-    metrics = np.full((batch, n_states), NEG_INF)
-    metrics[:, 0] = 0.0
-    choices = np.empty((steps, batch, n_states), dtype=np.uint8)
-    preds, bw0, bw1 = code.preds, code.branch_w0, code.branch_w1
+    # metrics[b, 0, j, k] belongs to state 2j + k; broadcast against the
+    # (bit, j, k) branch signs it gives both candidates of every state.
+    metrics = np.full((batch, 1, 32, 2), NEG_INF)
+    metrics[:, 0, 0, 0] = 0.0
+    new_metrics = metrics.reshape(batch, 2, 32)
+    cand = np.empty((batch, 2, 32, 2))
+    term = np.empty_like(cand)
+    # An LLR copied across the states and then multiplied by whole sign
+    # arrays costs about half of one broadcast multiply.
+    w0 = np.broadcast_to(code.branch_w0, cand.shape).copy()
+    w1 = np.broadcast_to(code.branch_w1, cand.shape).copy()
+    choice = np.empty((batch, 2, 32), dtype=bool)
+    # Bit s of survivors[t, b] is set when state s took predecessor 2j + 1.
+    survivors = np.empty((steps, batch), dtype="<u8")
+    survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
 
     for t in range(steps):
-        l0 = llrs[:, 2 * t, None, None]
-        l1 = llrs[:, 2 * t + 1, None, None]
-        cand = metrics[:, preds] + bw0 * l0 + bw1 * l1
-        choice = cand[..., 1] > cand[..., 0]
-        choices[t] = choice
-        metrics = np.where(choice, cand[..., 1], cand[..., 0])
+        np.copyto(cand, llrs[:, 2 * t, None, None, None])
+        np.multiply(cand, w0, out=cand)
+        np.add(metrics, cand, out=cand)
+        np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
+        np.multiply(term, w1, out=term)
+        np.add(cand, term, out=cand)
+        np.greater(cand[..., 1], cand[..., 0], out=choice)
+        np.maximum(cand[..., 0], cand[..., 1], out=new_metrics)
+        survivor_bytes[t] = np.packbits(choice.reshape(batch, 64), axis=-1,
+                                        bitorder="little")
 
     # Terminated frames end in the zero state.
-    state = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(batch)
-    decoded = np.empty((batch, steps), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.uint64)
+    five, mask, one = np.uint64(5), np.uint64(31), np.uint64(1)
+    decoded = np.empty((batch, n_info), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
-        decoded[:, t] = (state >> 5).astype(np.uint8)
-        state = preds[state, choices[t][rows, state]]
+        if t < n_info:
+            decoded[:, t] = state >> five
+        state = ((state & mask) << one) | ((survivors[t] >> state) & one)
 
-    out = decoded[:, :n_info]
-    return out[0] if single else out
+    return decoded[0] if single else decoded

@@ -6,8 +6,10 @@ stream_id])``, with a fixed number of frames per batch and stopping
 decided on the ordered batch sequence.  Results are therefore byte
 identical for any worker count, and two systems swept with the same
 seed and grid consume the same underlying draws at each point (paired
-comparison).  Ensemble frames run in groups, drawing channels and noise
-frame by frame in each stream, so the group size never shows either.
+comparison).  Ensemble frames run through the modem in groups, drawing
+channels and noise frame by frame in each stream, so the group size
+never shows; in both channel modes a coded batch then decodes in one
+Viterbi call.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ RATE_VALUE = {"none": 1.0, "1/2": 0.5, "3/4": 0.75}
 #: therefore output bytes) never depend on the worker count.
 BATCH_FRAMES = 256
 
-#: Ensemble frames per group (one stacked channel draw, equalizer build
-#: and Viterbi call); bounds memory, never changes the output.
+#: Ensemble frames per group (one stacked channel draw and equalizer
+#: build); bounds memory, never changes the output.
 ENSEMBLE_GROUP_FRAMES = 16
 
 #: Noise variances below this fraction of the data variance are treated
@@ -69,6 +71,9 @@ class SweepSpec:
             raise ConfigError(f"unknown code rate {self.code_rate!r}")
         if not self.ebn0_db:
             raise ConfigError("Eb/N0 grid must not be empty")
+        for value in self.ebn0_db:
+            if not math.isfinite(value):
+                raise ConfigError(f"Eb/N0 values must be finite, got {value}")
         if not (self.channel == "ensemble" or self.channel.startswith("fixed:")):
             raise ConfigError(
                 f"channel must be 'ensemble' or 'fixed:<path>', got {self.channel!r}")
@@ -223,9 +228,11 @@ def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer
 def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
             sigma2: float, rng_noise: np.random.Generator,
             eq: rxchain.WienerEqualizer | None = None) -> np.ndarray:
-    """Decided bits for (frames, n_info) info bits sent through FEC, QPSK
-    and the modem, over one channel per frame (stacked ``ch``) or one
-    channel for all frames (with ``eq``, its cached UW equalizer)."""
+    """Receive (frames, n_info) info bits sent through FEC, QPSK and the
+    modem, over one channel per frame (stacked ``ch``) or one channel for
+    all frames (with ``eq``, its cached UW equalizer).  Returns the
+    decided bits when uncoded, else the depunctured LLR stream for
+    ``fec.viterbi_decode``."""
     spec = ctx.spec
     n_frames, f_sym, width = bits.shape[0], spec.frame_symbols, ctx.bits_per_symbol
     coded = spec.code_rate != "none"
@@ -259,7 +266,7 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
     variances = np.maximum(chan.per_symbol(variances), 1e-300)
     blocks = fec.qpsk_soft_demap(estimates, variances).llrs.reshape(n_frames, f_sym, width)
     stream = fec.deinterleave(blocks, ctx.interleaver).reshape(n_frames, -1)
-    return fec.viterbi_decode(fec.depuncture(stream, spec.code_rate), ctx.n_info)
+    return fec.depuncture(stream, spec.code_rate)
 
 
 def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
@@ -276,17 +283,24 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
 
     if ctx.fixed_channel is not None:
         eq = _fixed_equalizer(spec, point_idx) if ctx.kind == "uw" else None
-        decided = _frames(ctx, bits, ctx.fixed_channel, sigma2, rng_noise, eq)
+        received = _frames(ctx, bits, ctx.fixed_channel, sigma2, rng_noise, eq)
     else:
-        # Ensemble mode: an independent channel draw per frame.
-        cfg, decided = spec.config, np.empty_like(bits)
+        # Ensemble mode: an independent channel draw per frame.  The groups
+        # fill one batch array (joining a list of parts would hold the
+        # batch twice and raise the peak memory).
+        cfg, received = spec.config, None
         for start in range(0, n_frames, ENSEMBLE_GROUP_FRAMES):
             group = bits[start:start + ENSEMBLE_GROUP_FRAMES]
             ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
                                      spec.channel_taps, cfg.dft_size, cfg.uw_length,
                                      channels=len(group))
-            decided[start:start + len(group)] = _frames(ctx, group, ch, sigma2, rng_noise)
+            part = _frames(ctx, group, ch, sigma2, rng_noise)
+            if received is None:
+                received = np.empty((n_frames,) + part.shape[1:], dtype=part.dtype)
+            received[start:start + len(group)] = part
 
+    decided = received if spec.code_rate == "none" \
+        else fec.viterbi_decode(received, ctx.n_info)
     wrong = decided != bits
     return (bits.size, int(wrong.sum()), n_frames, int(wrong.any(axis=1).sum()))
 

@@ -146,6 +146,93 @@ class TestQpskMapping:
         np.testing.assert_array_equal(a, b)
 
 
+def gather_viterbi(llrs, n_info, g0=fec.G0_OCTAL, g1=fec.G1_OCTAL):
+    """Reference decoder: add-compare-select as a gather over an explicit
+    predecessor table, with one survivor byte per state and a traceback
+    through the same table."""
+    llrs = np.asarray(llrs, dtype=float)
+    single = llrs.ndim == 1
+    llrs = np.atleast_2d(llrs)
+    steps = n_info + fec.TAIL_BITS
+    batch = llrs.shape[0]
+    dst = np.arange(64)
+    preds = ((dst & 31) << 1)[:, None] + np.arange(2)
+    reg = ((dst >> 5) << 6)[:, None] | preds
+    parity = np.vectorize(lambda x: bin(int(x)).count("1") & 1)
+    bw0 = 1.0 - 2.0 * parity(reg & g0)
+    bw1 = 1.0 - 2.0 * parity(reg & g1)
+
+    metrics = np.full((batch, 64), fec.NEG_INF)
+    metrics[:, 0] = 0.0
+    choices = np.empty((steps, batch, 64), dtype=np.uint8)
+    for t in range(steps):
+        l0 = llrs[:, 2 * t, None, None]
+        l1 = llrs[:, 2 * t + 1, None, None]
+        cand = metrics[:, preds] + bw0 * l0 + bw1 * l1
+        choice = cand[..., 1] > cand[..., 0]
+        choices[t] = choice
+        metrics = np.where(choice, cand[..., 1], cand[..., 0])
+
+    state = np.zeros(batch, dtype=np.int64)
+    rows = np.arange(batch)
+    decoded = np.empty((batch, steps), dtype=np.uint8)
+    for t in range(steps - 1, -1, -1):
+        decoded[:, t] = (state >> 5).astype(np.uint8)
+        state = preds[state, choices[t][rows, state]]
+    out = decoded[:, :n_info]
+    return out[0] if single else out
+
+
+def noisy_stream(rng, shape, rate, sigma2):
+    """Depunctured LLRs of random info bits of the given (..., n_info)
+    shape sent at ``rate`` over AWGN."""
+    bits = rng.integers(0, 2, shape).astype(np.uint8)
+    tx = fec.puncture(fec.conv_encode(bits), rate)
+    return fec.depuncture(awgn_llrs(tx, sigma2, rng), rate)
+
+
+class TestViterbiOracle:
+    """The butterfly decoder against ``gather_viterbi``: every decision,
+    ties included, must agree bit for bit."""
+
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    @pytest.mark.parametrize("shape", [(30,), (16, 66), (256, 282)])
+    def test_noisy_frames(self, shape, rate):
+        rng = np.random.default_rng(62)
+        llrs = noisy_stream(rng, shape, rate, 1.5)
+        decoded = fec.viterbi_decode(llrs, shape[-1])
+        assert decoded.shape == shape
+        np.testing.assert_array_equal(decoded, gather_viterbi(llrs, shape[-1]))
+
+    @pytest.mark.parametrize("shape", [(30,), (16, 48)])
+    def test_integer_llrs_tie(self, shape):
+        """Small integers tie path metrics exactly and often."""
+        rng = np.random.default_rng(63)
+        llrs = rng.integers(-2, 3, shape[:-1] + (2 * (shape[-1] + 6),)).astype(float)
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, shape[-1]),
+                                      gather_viterbi(llrs, shape[-1]))
+
+    def test_all_zero_llrs(self):
+        llrs = np.zeros((4, 2 * (40 + 6)))
+        decoded = fec.viterbi_decode(llrs, 40)
+        np.testing.assert_array_equal(decoded, gather_viterbi(llrs, 40))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 9), st.sampled_from([0.3, 1.0, 4.0]),
+           st.booleans(), st.integers(0, 2 ** 31))
+    def test_property(self, n_info, batch, sigma2, integer, seed):
+        rng = np.random.default_rng(seed)
+        llrs = noisy_stream(rng, (batch, n_info), "1/2", sigma2)
+        if integer:
+            llrs = np.round(llrs)
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
+                                      gather_viterbi(llrs, n_info))
+
+    def test_other_constraint_length_rejected(self):
+        with pytest.raises(ValueError, match="constraint length"):
+            fec.ConvCode(constraint_length=5)
+
+
 class TestViterbiDecode:
     @pytest.mark.parametrize("n_info,rate", [(64, "1/2"), (30, "1/2"),
                                              (66, "3/4"), (282, "3/4")])

@@ -42,6 +42,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             small_spec(channel="snapshot.txt")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ebn0(self, value):
+        with pytest.raises(ConfigError, match=f"finite, got {value}"):
+            small_spec(grid=(10.0, value))
+
     def test_missing_fixture_fails_fast(self):
         spec = small_spec(channel="fixed:/nonexistent/chan.txt")
         with pytest.raises(ConfigError, match="fixture not found"):
@@ -346,6 +351,35 @@ class TestCli:
         assert "dft_size = 64" in err and "dft_size = 32" in err
         assert not out.exists()
 
+    def test_nan_ebn0_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("ebn0_db = [nan]\nmax_bits_per_point = 1000\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert "got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe", "snapshot"])
+    def test_out_directory_checked_before_work(self, command, tmp_path, capsys,
+                                                monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+        monkeypatch.setattr(harness, "run_ber_sweep", no_work)
+        monkeypatch.setattr(harness, "run_mse_probe", no_work)
+        monkeypatch.setattr(chan, "pinned_snapshot", no_work)
+        out = tmp_path / "missing" / "out.csv"
+        code = cli.main([command, "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_out_is_directory_exits_2(self, tmp_path, capsys):
+        code = cli.main(["snapshot", "--out", str(tmp_path)])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_ber_sweep_requires_out(self, tmp_path):
         assert cli.main(["ber-sweep", "--channel",
                          f"fixed:{NOTCH_FIXTURE}"]) == 2
@@ -360,6 +394,26 @@ class TestCli:
         header = [l for l in out.read_text().splitlines()
                   if not l.startswith("#")][0]
         assert header == "carrier_index,mse_pre,mse_post,analytic_pre,analytic_post"
+
+    def test_mse_probe_header_names_fixture(self, tmp_path):
+        """The same --channel string over two fixture contents must give
+        two headers."""
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("mse_symbols = 200\n")
+        fixture = tmp_path / "chan.txt"
+        flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        headers = []
+        for write in (lambda: fixture.write_bytes(NOTCH_FIXTURE.read_bytes()),
+                      lambda: chan.save_snapshot(fixture, flat, seed=0, draw=0)):
+            write()
+            out = tmp_path / "mse.csv"
+            assert cli.main(["mse-probe", "--config", str(cfg), "--out", str(out),
+                             "--channel", f"fixed:{fixture}"]) == 0
+            headers.append([l for l in out.read_text().splitlines() if l.startswith("#")])
+        assert headers[0] != headers[1]
+        assert f"# uwofdm_version = {uw.__version__}" in headers[0]
+        assert [l for l in headers[0] if l not in headers[1]] == [
+            f"# channel_fixture_id = {harness._fixture_id(f'fixed:{NOTCH_FIXTURE}')}"]
 
     def test_mse_probe_needs_fixed_channel(self, tmp_path):
         assert cli.main(["mse-probe", "--out", str(tmp_path / "x.csv")]) == 2
