@@ -3,9 +3,11 @@ power profile, Rayleigh tap magnitudes and uniform phases.
 
 Two application modes are provided.  ``apply_channel_cyclic`` is the
 per-symbol receive model (cyclic convolution plus white noise) that the
-receiver algebra assumes; a *stacked* realization, taps (channels, taps),
-applies channel c to slice c of a (channels, ..., N) signal.
-``apply_channel_stream`` linearly convolves a
+receiver algebra assumes.  It applies the channel as one product with
+its circulant matrix (``convolution_matrix``), ``y = x @ M`` over the
+last axis; a *stacked* realization, taps (channels, taps), gives one
+matrix per channel and applies channel c to slice c of a
+(channels, ..., N) signal.  ``apply_channel_stream`` linearly convolves a
 whole symbol stream; because every symbol ends in the same unique word,
 the steady-state per-symbol windows of the stream coincide with the
 cyclic model whenever the channel fits in the guard.  Tests exercise
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .numerics import DftPlan, forward_dft
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
@@ -106,11 +109,32 @@ def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
     )
 
 
-def tap_coefficients(taps: np.ndarray, ndim: int):
-    """Each delay's tap(s) in turn, shaped to broadcast against an
-    ``ndim``-axis signal led by the channel axis of stacked ``taps``."""
-    for h in np.moveaxis(np.asarray(taps), -1, 0):
-        yield h.reshape(h.shape + (1,) * (ndim - h.ndim))
+def convolution_matrix(taps: np.ndarray, size: int, cyclic: bool = True) -> np.ndarray:
+    """The (..., size, size) matrix M for which ``x @ M`` convolves a
+    length-``size`` row with ``taps``, one matrix per channel of stacked
+    taps: M[k, n] = h[(n - k) mod size] when ``cyclic`` (circulant), else
+    h[n - k] with negative lags reading zero and the tail past ``size``
+    dropped (truncated Toeplitz).  One gather from the zero-padded taps."""
+    taps = np.asarray(taps)
+    if not 1 <= taps.shape[-1] <= size:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit a {size}-sample convolution")
+    period = size if cyclic else 2 * size
+    padded = np.zeros(taps.shape[:-1] + (period,), dtype=complex)
+    padded[..., :taps.shape[-1]] = taps
+    lags = np.arange(size)
+    return padded[..., (lags[None, :] - lags[:, None]) % period]
+
+
+def convolve(x: np.ndarray, taps: np.ndarray, cyclic: bool = True) -> np.ndarray:
+    """Convolution of the rows of ``x`` (over the last axis) with one
+    channel, or with channel c for slice c of a (channels, ..., N) ``x``
+    when ``taps`` is stacked (channels, taps); see ``convolution_matrix``."""
+    x = np.asarray(x)
+    taps = np.asarray(taps)
+    m = convolution_matrix(taps, x.shape[-1], cyclic)
+    if taps.ndim == 1:
+        return x @ m
+    return (x.reshape(taps.shape[0], -1, x.shape[-1]) @ m).reshape(x.shape)
 
 
 def per_symbol(values: np.ndarray) -> np.ndarray:
@@ -120,13 +144,10 @@ def per_symbol(values: np.ndarray) -> np.ndarray:
 
 
 def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Cyclic convolution over the last axis, computed directly in time
-    domain (the frequency-domain identity is left to the tests)."""
-    x = np.asarray(x)
-    out = np.zeros_like(x, dtype=complex)
-    for m, h in enumerate(tap_coefficients(taps, x.ndim)):
-        out += h * np.roll(x, m, axis=-1)
-    return out
+    """Cyclic convolution over the last axis: one product with the
+    circulant channel matrix (the frequency-domain identity and the
+    per-tap form are left to the tests)."""
+    return convolve(x, taps)
 
 
 def complex_noise(rng: np.random.Generator, shape, variance: float,
@@ -235,28 +256,30 @@ def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int,
         fh.write("\n".join(lines) + "\n")
 
 
+#: Metadata a fixture load reads, with its type; other ``#`` lines are notes.
+_SNAPSHOT_FIELDS = {"sample_rate_hz": float, "rms_delay_spread_s": float, "dft_size": int}
+
+
 def load_snapshot(path, guard_length: int = 16) -> ChannelRealization:
-    """Load a snapshot fixture written by ``save_snapshot``."""
-    meta: dict[str, str] = {}
+    """Load a snapshot fixture written by ``save_snapshot``; a tap line
+    that is not two numbers, or a metadata value of the wrong type,
+    raises ``ConfigError`` naming its line."""
+    meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
+            "dft_size": 64}
     taps = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            re_part, im_part = line.split()
-            taps.append(complex(float(re_part), float(im_part)))
-    return _realization_from_taps(
-        np.array(taps, dtype=complex),
-        sample_rate_hz=float(meta.get("sample_rate_hz", 20e6)),
-        rms_delay_spread_s=float(meta.get("rms_delay_spread_s",
-                                          DEFAULT_RMS_DELAY_SPREAD_S)),
-        dft_size=int(meta.get("dft_size", 64)),
-        guard_length=guard_length,
-    )
+            try:
+                if line.startswith("#"):
+                    key, _, value = line.lstrip("#").partition("=")
+                    if key.strip() in _SNAPSHOT_FIELDS:
+                        meta[key.strip()] = _SNAPSHOT_FIELDS[key.strip()](value)
+                elif line:
+                    re_part, im_part = line.split()
+                    taps.append(complex(float(re_part), float(im_part)))
+            except ValueError:
+                raise ConfigError(f"channel fixture {path}:{lineno}: "
+                                  f"cannot read {line!r}") from None
+    return _realization_from_taps(np.array(taps, dtype=complex),
+                                  guard_length=guard_length, **meta)

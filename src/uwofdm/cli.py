@@ -119,9 +119,11 @@ def cmd_mse_probe(args) -> int:
     config = harness.system_config_from(values)
     if not args.channel.startswith("fixed:"):
         raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
+    n_symbols = values.get("mse_symbols", 100_000)
+    if n_symbols < 1:
+        raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
     ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config)
     ebn0 = values.get("mse_ebn0_db", 15.0)
-    n_symbols = values.get("mse_symbols", 100_000)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
                                  n_symbols=n_symbols, seed=args.seed)
     harness.write_mse_csv(out, rows, metadata=(
@@ -143,6 +145,7 @@ def cmd_snapshot(args) -> int:
     config = harness.system_config_from(values)
     predicate = chan.notch_predicate(config.active_indices)
     taps = values.get("channel_taps", chan.DEFAULT_TAP_COUNT)
+    harness.check_tap_count("channel_taps", taps, config.uw_length)
     tau = values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S)
     ch, draw = chan.pinned_snapshot(
         args.seed, predicate, rms_delay_spread_s=tau,

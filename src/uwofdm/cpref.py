@@ -2,7 +2,8 @@
 64-point DFT, 48 data carriers, 4 BPSK pilots, 16-sample cyclic prefix,
 per-carrier zero forcing.  Pilots are transmitted (so the energy split
 matches the standard) but ignored at the receiver since channel
-knowledge is perfect.
+knowledge is perfect.  The channel acts on each symbol in isolation, as
+one product with its truncated Toeplitz matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_noise, per_symbol, tap_coefficients
+from .channel import ChannelRealization, complex_noise, convolve, per_symbol
 from .numerics import DftPlan, forward_dft, inverse_dft
 from .rxchain import zero_forcing_response
 
@@ -91,19 +92,15 @@ def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
                      noise_variance: float, rng: np.random.Generator) -> np.ndarray:
     """Per-symbol linear convolution with the channel plus white noise.
 
-    Each 80-sample symbol is convolved in isolation; spill from a
+    Each 80-sample symbol is convolved in isolation, as one product with
+    the truncated Toeplitz channel matrix (``convolution_matrix`` with
+    ``cyclic=False``: the tail past the symbol is dropped).  Spill from a
     preceding symbol would fall entirely inside the discarded prefix
     whenever the channel fits the guard, so the isolated model is exact
     for the decoded window.  A stacked realization needs (channels, ...,
     samples) symbols and draws noise per channel.
     """
-    symbols = np.asarray(symbols)
-    out = np.zeros_like(symbols, dtype=complex)
-    for m, h in enumerate(tap_coefficients(ch.taps, symbols.ndim)):
-        if m == 0:
-            out += h * symbols
-        else:
-            out[..., m:] += h * symbols[..., :-m]
+    out = convolve(symbols, ch.taps, cyclic=False)
     stacked = ch.taps.ndim > 1
     return out + complex_noise(rng, out.shape, noise_variance, stacked=stacked)
 

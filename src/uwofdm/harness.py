@@ -81,6 +81,21 @@ class SweepSpec:
             raise ConfigError("stopping thresholds must be positive")
         if self.frame_symbols < 1:
             raise ConfigError("frame_symbols must be >= 1")
+        if self.channel == "ensemble":
+            check_tap_count("channel_taps", self.channel_taps, self.guard_length)
+
+    @property
+    def guard_length(self) -> int:
+        """Guard samples of the swept modem: the UW or the cyclic prefix."""
+        return cpref.CpConfig.cp_length if self.system == "cp" else self.config.uw_length
+
+
+def check_tap_count(name: str, taps: int, guard: int) -> None:
+    """Refuse (ConfigError) a channel the guard cannot absorb: the cyclic
+    receive model needs 1 <= taps <= guard + 1."""
+    if not 1 <= taps <= guard + 1:
+        raise ConfigError(f"{name} = {taps} does not fit the {guard}-sample guard: "
+                          f"need 1 <= taps <= {guard + 1}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,10 @@ def load_fixed_channel(path, config: frame.OfdmSystemConfig) -> chan.ChannelReal
 def _context(spec: SweepSpec) -> _SystemContext:
     fixed = None
     if spec.channel.startswith("fixed:"):
-        fixed = load_fixed_channel(spec.channel[len("fixed:"):], spec.config)
+        path = spec.channel[len("fixed:"):]
+        fixed = load_fixed_channel(path, spec.config)
+        check_tap_count(f"channel fixture {path}: tap_count", fixed.tap_count,
+                        spec.guard_length)
 
     if spec.system == "cp":
         cp_cfg = cpref.CpConfig(data_symbol_variance=spec.config.data_symbol_variance)

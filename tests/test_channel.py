@@ -3,6 +3,8 @@ and pinned snapshot fixtures."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
@@ -118,6 +120,68 @@ class TestApplyChannelCyclic:
         x = np.zeros((2 ** 14, 64), dtype=complex)  # ~1e6 samples
         y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.25), rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.02)
+
+
+def roll_convolve(x, taps):
+    """Reference cyclic convolution: one ``np.roll`` multiply-add per tap,
+    channel c of stacked (channels, taps) applied to slice c of ``x``."""
+    x, taps = np.asarray(x), np.asarray(taps)
+    out = np.zeros_like(x, dtype=complex)
+    for m in range(taps.shape[-1]):
+        h = taps[..., m]
+        out += h.reshape(h.shape + (1,) * (x.ndim - h.ndim)) * np.roll(x, m, axis=-1)
+    return out
+
+
+def random_taps(rng, count, channels=None):
+    lead = () if channels is None else (channels,)
+    return rng.standard_normal(lead + (count,)) + 1j * rng.standard_normal(lead + (count,))
+
+
+class TestConvolutionMatrix:
+    def test_entries(self):
+        taps = np.arange(1, 4) + 1j
+        cyclic = chan.convolution_matrix(taps, 6)
+        linear = chan.convolution_matrix(taps, 6, cyclic=False)
+        padded = np.concatenate([taps, np.zeros(3)])
+        for k in range(6):
+            for n in range(6):
+                assert cyclic[k, n] == padded[(n - k) % 6]
+                assert linear[k, n] == (padded[n - k] if n >= k else 0)
+
+    def test_stacked_taps_give_one_matrix_per_channel(self):
+        taps = random_taps(np.random.default_rng(47), 5, channels=3)
+        stacked = chan.convolution_matrix(taps, 64)
+        assert stacked.shape == (3, 64, 64)
+        for c in range(3):
+            np.testing.assert_array_equal(stacked[c], chan.convolution_matrix(taps[c], 64))
+
+    @pytest.mark.parametrize("count", [0, 65])
+    def test_taps_must_fit_the_row(self, count):
+        with pytest.raises(ValueError, match="do not fit"):
+            chan.convolution_matrix(np.ones(count), 64)
+
+    @pytest.mark.parametrize("count", [1, 16, 17])
+    @pytest.mark.parametrize("shape, channels", [((64,), None), ((9, 64), None),
+                                                 ((3, 9, 64), 3)])
+    def test_matches_roll_oracle(self, count, shape, channels):
+        rng = np.random.default_rng(48)
+        taps = random_taps(rng, count, channels)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        np.testing.assert_allclose(chan.cyclic_convolve(x, taps), roll_convolve(x, taps),
+                                   rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 17), st.one_of(st.none(), st.integers(1, 4)),
+           st.integers(1, 6), st.integers(0, 2 ** 31))
+    def test_property(self, size, count, channels, symbols, seed):
+        count = min(count, size)
+        rng = np.random.default_rng(seed)
+        taps = random_taps(rng, count, channels)
+        shape = ((channels,) if channels else ()) + (symbols, size)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        np.testing.assert_allclose(chan.cyclic_convolve(x, taps), roll_convolve(x, taps),
+                                   rtol=0, atol=1e-13)
 
 
 class TestApplyChannelStream:

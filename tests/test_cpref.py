@@ -3,6 +3,8 @@ AWGN reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
@@ -118,6 +120,53 @@ class TestLoopback:
         assert variances.shape == (48,)
         # pilots were transmitted, data estimate is still all-zero
         np.testing.assert_allclose(est, 0, atol=1e-12)
+
+
+def shifted_slice_convolve(symbols, taps):
+    """Reference per-symbol linear convolution, tail dropped: one shifted
+    slice multiply-add per tap, channel c of stacked taps on slice c."""
+    symbols, taps = np.asarray(symbols), np.asarray(taps)
+    out = np.zeros_like(symbols, dtype=complex)
+    for m in range(taps.shape[-1]):
+        h = taps[..., m]
+        h = h.reshape(h.shape + (1,) * (symbols.ndim - h.ndim))
+        if m == 0:
+            out += h * symbols
+        else:
+            out[..., m:] += h * symbols[..., :-m]
+    return out
+
+
+class TestChannelMatrix:
+    """``cp_apply_channel`` (truncated Toeplitz product) against the
+    shifted-slice oracle, noiseless."""
+
+    @staticmethod
+    def _case(rng, count, shape, channels):
+        lead = () if channels is None else (channels,)
+        taps = rng.standard_normal(lead + (count,)) + 1j * rng.standard_normal(lead + (count,))
+        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64, 16)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return ch, x
+
+    @pytest.mark.parametrize("count", [1, 16, 17])
+    @pytest.mark.parametrize("shape, channels", [((80,), None), ((9, 80), None),
+                                                 ((3, 9, 80), 3)])
+    def test_matches_shifted_slice_oracle(self, count, shape, channels):
+        rng = np.random.default_rng(100)
+        ch, x = self._case(rng, count, shape, channels)
+        np.testing.assert_allclose(cpref.cp_apply_channel(x, ch, 0.0, rng),
+                                   shifted_slice_convolve(x, ch.taps), rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 17), st.one_of(st.none(), st.integers(1, 4)),
+           st.integers(1, 6), st.integers(0, 2 ** 31))
+    def test_property(self, count, channels, symbols, seed):
+        rng = np.random.default_rng(seed)
+        shape = ((channels,) if channels else ()) + (symbols, 80)
+        ch, x = self._case(rng, count, shape, channels)
+        np.testing.assert_allclose(cpref.cp_apply_channel(x, ch, 0.0, rng),
+                                   shifted_slice_convolve(x, ch.taps), rtol=0, atol=1e-13)
 
 
 def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):

@@ -47,6 +47,18 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match=f"finite, got {value}"):
             small_spec(grid=(10.0, value))
 
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    def test_channel_taps_bounded_by_guard(self, system):
+        """1 <= channel_taps <= guard + 1, the guard being the UW or the
+        cyclic prefix (16 samples for both here); a fixed channel's taps
+        come from its fixture instead."""
+        for taps in (1, 17):
+            small_spec(system=system, channel="ensemble", channel_taps=taps)
+        for taps in (0, 18):
+            with pytest.raises(ConfigError, match=f"channel_taps = {taps} does not fit"):
+                small_spec(system=system, channel="ensemble", channel_taps=taps)
+            small_spec(system=system, channel_taps=taps)
+
     def test_missing_fixture_fails_fast(self):
         spec = small_spec(channel="fixed:/nonexistent/chan.txt")
         with pytest.raises(ConfigError, match="fixture not found"):
@@ -359,6 +371,64 @@ class TestCli:
                          "--channel", f"fixed:{NOTCH_FIXTURE}"])
         assert code == 2
         assert "got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system, taps", [("uw-lmmse", 80), ("uw-lmmse", 20),
+                                              ("cp", 20)])
+    def test_channel_taps_beyond_guard_exits_2(self, system, taps, tmp_path, capsys,
+                                               monkeypatch):
+        """Refused before any channel matrix is built: 80 taps overran the
+        64-sample symbol, 20 taps the 16-sample guard."""
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("channel matrix built for refused taps")
+        monkeypatch.setattr(chan, "convolution_matrix", no_matrix)
+        cfg = tmp_path / "taps.cfg"
+        cfg.write_text(f"system = {system}\nchannel_taps = {taps}\n"
+                       "ebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"channel_taps = {taps}" in err and "16-sample guard" in err
+        assert not out.exists()
+
+    def test_fixture_longer_than_guard_exits_2(self, tmp_path, capsys):
+        fixture = tmp_path / "long.txt"
+        long = chan._realization_from_taps(np.full(18, 0.2 + 0j), 20e6, 1e-7, 64, 16)
+        chan.save_snapshot(fixture, long, seed=0, draw=0)
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--out", str(out), "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert "tap_count = 18 does not fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["0.1 0.2 0.3", "0.1 x", "# dft_size = x64"])
+    def test_malformed_fixture_line_exits_2(self, bad, tmp_path, capsys):
+        fixture = tmp_path / "bad.txt"
+        fixture.write_text(NOTCH_FIXTURE.read_text() + bad + "\n")
+        lineno = len(fixture.read_text().splitlines())
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--out", str(out), "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert f"{fixture}:{lineno}: cannot read {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mse_symbols_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("mse_symbols = 0\n")
+        out = tmp_path / "mse.csv"
+        code = cli.main(["mse-probe", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert "mse_symbols must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_taps_beyond_guard_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text("channel_taps = 80\n")
+        out = tmp_path / "snap.txt"
+        assert cli.main(["snapshot", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "channel_taps = 80" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe", "snapshot"])
