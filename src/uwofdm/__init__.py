@@ -15,33 +15,32 @@ from .channel import (ChannelRealization, NoiseSpec, apply_channel_cyclic,
 from .cpref import CpConfig, cp_decode_symbol, cp_encode_symbol
 from .errors import (ConfigError, NearSingularChannelError,
                      NumericallySingularError, PlacementInfeasibleError)
-from .fec import (ConvCode, InterleaverSpec, SoftBits, conv_encode,
-                  deinterleave, depuncture, interleave, puncture, qpsk_map,
-                  qpsk_soft_demap, viterbi_decode)
+from .fec import (InterleaverSpec, SoftBits, conv_encode, deinterleave,
+                  depuncture, interleave, puncture, qpsk_map, qpsk_soft_demap,
+                  viterbi_decode)
 from .frame import (OfdmSystemConfig, RedundancyGenerator, SubcarrierMap,
                     build_subcarrier_map, derive_generator, optimize_placement,
                     redundant_energy_metric, reference_config)
 from .harness import (BerPoint, BerReport, SweepSpec, run_ber_sweep,
                       run_mse_probe, write_ber_csv, write_mse_csv)
-from .numerics import DftPlan, forward_dft, inverse_dft, solve_linear
-from .rxchain import (RxSymbolResult, WienerEqualizer, build_equalizer,
-                      equalize_symbol, measure_subcarrier_mse, zf_only_symbol)
-from .txchain import TxSymbol, UniqueWord, build_unique_word, encode_symbol
+from .numerics import forward_dft, inverse_dft, solve_linear
+from .rxchain import (WienerEqualizer, build_equalizer, measure_subcarrier_mse,
+                      zf_only_symbol)
+from .txchain import UniqueWord, build_unique_word
 
 __all__ = [
-    "BerPoint", "BerReport", "ChannelRealization", "ConfigError", "ConvCode",
-    "CpConfig", "DftPlan", "InterleaverSpec", "NearSingularChannelError",
-    "NoiseSpec", "NumericallySingularError", "OfdmSystemConfig",
-    "PlacementInfeasibleError", "RedundancyGenerator", "RxSymbolResult",
-    "SoftBits", "SubcarrierMap", "SweepSpec", "TxSymbol", "UniqueWord",
-    "WienerEqualizer", "apply_channel_cyclic", "apply_channel_stream",
-    "build_equalizer", "build_subcarrier_map", "build_unique_word",
-    "conv_encode", "cp_decode_symbol", "cp_encode_symbol", "deinterleave",
-    "depuncture", "derive_generator", "encode_symbol", "equalize_symbol",
-    "forward_dft", "interleave", "inverse_dft", "load_snapshot",
-    "measure_subcarrier_mse", "notch_predicate", "optimize_placement",
-    "pinned_snapshot", "puncture", "qpsk_map", "qpsk_soft_demap",
-    "redundant_energy_metric", "reference_config", "run_ber_sweep",
-    "run_mse_probe", "sample_channel", "save_snapshot", "solve_linear",
-    "viterbi_decode", "write_ber_csv", "write_mse_csv", "zf_only_symbol",
+    "BerPoint", "BerReport", "ChannelRealization", "ConfigError", "CpConfig",
+    "InterleaverSpec", "NearSingularChannelError", "NoiseSpec",
+    "NumericallySingularError", "OfdmSystemConfig", "PlacementInfeasibleError",
+    "RedundancyGenerator", "SoftBits", "SubcarrierMap", "SweepSpec",
+    "UniqueWord", "WienerEqualizer", "apply_channel_cyclic",
+    "apply_channel_stream", "build_equalizer", "build_subcarrier_map",
+    "build_unique_word", "conv_encode", "cp_decode_symbol", "cp_encode_symbol",
+    "deinterleave", "depuncture", "derive_generator", "forward_dft",
+    "interleave", "inverse_dft", "load_snapshot", "measure_subcarrier_mse",
+    "notch_predicate", "optimize_placement", "pinned_snapshot", "puncture",
+    "qpsk_map", "qpsk_soft_demap", "redundant_energy_metric",
+    "reference_config", "run_ber_sweep", "run_mse_probe", "sample_channel",
+    "save_snapshot", "solve_linear", "viterbi_decode", "write_ber_csv",
+    "write_mse_csv", "zf_only_symbol",
 ]

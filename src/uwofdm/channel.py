@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import DftPlan, forward_dft
+from .numerics import forward_dft
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
 DEFAULT_TAP_COUNT = 16
@@ -32,15 +32,15 @@ class ChannelRealization:
     """One draw of the tapped-delay-line channel.
 
     ``freq_response`` is the unnormalized DFT of the zero-padded taps;
-    tap spacing is one sample at ``sample_rate_hz``.  ``guard_exceeded``
-    flags draws whose delay spread the guard interval cannot absorb.
+    tap spacing is one sample at ``sample_rate_hz``.  Whether the taps
+    fit a modem's guard is checked where a sweep is specified
+    (``harness.check_tap_count``), not here.
     """
 
     taps: np.ndarray
     freq_response: np.ndarray
     sample_rate_hz: float
     rms_delay_spread_s: float
-    guard_exceeded: bool = False
 
     @property
     def tap_count(self) -> int:
@@ -80,7 +80,6 @@ def sample_channel(rng: np.random.Generator,
                    sample_rate_hz: float = 20e6,
                    tap_count: int = DEFAULT_TAP_COUNT,
                    dft_size: int = 64,
-                   guard_length: int = 16,
                    channels: int | None = None) -> ChannelRealization:
     """Draw one channel realization from the given RNG stream, or a stack
     of ``channels``: the same taps as ``channels`` draws in sequence."""
@@ -89,23 +88,22 @@ def sample_channel(rng: np.random.Generator,
     z = rng.standard_normal(lead + (2, tap_count))
     gains = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     taps = np.sqrt(profile) * gains
-    return _realization_from_taps(taps, sample_rate_hz, rms_delay_spread_s,
-                                  dft_size, guard_length)
+    return _realization_from_taps(taps, sample_rate_hz, rms_delay_spread_s, dft_size)
 
 
 def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
                            rms_delay_spread_s: float, dft_size: int,
-                           guard_length: int) -> ChannelRealization:
+                           *_unread) -> ChannelRealization:
+    """Realization of the given taps.  Trailing arguments are not read:
+    the acceptance gate still passes a guard length here."""
     taps = np.asarray(taps, dtype=complex)
     padded = np.zeros(taps.shape[:-1] + (dft_size,), dtype=complex)
     padded[..., :taps.shape[-1]] = taps
-    freq = forward_dft(padded, DftPlan(dft_size))
     return ChannelRealization(
         taps=taps,
-        freq_response=freq,
+        freq_response=forward_dft(padded),
         sample_rate_hz=sample_rate_hz,
         rms_delay_spread_s=rms_delay_spread_s,
-        guard_exceeded=taps.shape[-1] - 1 > guard_length,
     )
 
 
@@ -219,7 +217,6 @@ def pinned_snapshot(seed: int, predicate,
                     sample_rate_hz: float = 20e6,
                     tap_count: int = DEFAULT_TAP_COUNT,
                     dft_size: int = 64,
-                    guard_length: int = 16,
                     max_draws: int = 100_000
                     ) -> tuple[ChannelRealization, int]:
     """Deterministically search seeded draws until ``predicate`` holds.
@@ -230,8 +227,7 @@ def pinned_snapshot(seed: int, predicate,
     """
     for draw in range(max_draws):
         rng = np.random.default_rng([seed, draw])
-        ch = sample_channel(rng, rms_delay_spread_s, sample_rate_hz,
-                            tap_count, dft_size, guard_length)
+        ch = sample_channel(rng, rms_delay_spread_s, sample_rate_hz, tap_count, dft_size)
         if predicate(ch):
             return ch, draw
     raise RuntimeError(
@@ -260,7 +256,7 @@ def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int,
 _SNAPSHOT_FIELDS = {"sample_rate_hz": float, "rms_delay_spread_s": float, "dft_size": int}
 
 
-def load_snapshot(path, guard_length: int = 16) -> ChannelRealization:
+def load_snapshot(path) -> ChannelRealization:
     """Load a snapshot fixture written by ``save_snapshot``; a tap line
     that is not two numbers, or a metadata value of the wrong type,
     raises ``ConfigError`` naming its line."""
@@ -281,5 +277,4 @@ def load_snapshot(path, guard_length: int = 16) -> ChannelRealization:
             except ValueError:
                 raise ConfigError(f"channel fixture {path}:{lineno}: "
                                   f"cannot read {line!r}") from None
-    return _realization_from_taps(np.array(taps, dtype=complex),
-                                  guard_length=guard_length, **meta)
+    return _realization_from_taps(np.array(taps, dtype=complex), **meta)

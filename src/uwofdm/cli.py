@@ -122,8 +122,9 @@ def cmd_mse_probe(args) -> int:
     n_symbols = values.get("mse_symbols", 100_000)
     if n_symbols < 1:
         raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
-    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config)
     ebn0 = values.get("mse_ebn0_db", 15.0)
+    harness.check_ebn0("mse_ebn0_db", ebn0)
+    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
                                  n_symbols=n_symbols, seed=args.seed)
     harness.write_mse_csv(out, rows, metadata=(
@@ -147,10 +148,10 @@ def cmd_snapshot(args) -> int:
     taps = values.get("channel_taps", chan.DEFAULT_TAP_COUNT)
     harness.check_tap_count("channel_taps", taps, config.uw_length)
     tau = values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S)
+    frame.check_positive("rms_delay_spread_s", tau)
     ch, draw = chan.pinned_snapshot(
         args.seed, predicate, rms_delay_spread_s=tau,
-        sample_rate_hz=config.sample_rate_hz, tap_count=taps,
-        dft_size=config.dft_size, guard_length=config.uw_length)
+        sample_rate_hz=config.sample_rate_hz, tap_count=taps, dft_size=config.dft_size)
     chan.save_snapshot(out, ch, seed=args.seed, draw=draw,
                        dft_size=config.dft_size)
     power = np.abs(ch.active_response(config.active_indices)) ** 2

@@ -8,56 +8,40 @@ one product with its truncated Toeplitz matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .channel import ChannelRealization, complex_noise, convolve, per_symbol
-from .numerics import DftPlan, forward_dft, inverse_dft
+from .numerics import forward_dft, inverse_dft
 from .rxchain import zero_forcing_response
-
-# 802.11a layout in FFT-bin terms: DC and bins 27..37 are zero, pilots
-# sit at logical carriers -21, -7, 7, 21 with fixed signs 1, 1, 1, -1.
-_PILOT_BINS = (7, 21, 43, 57)
-_PILOT_VALUES = (1.0, -1.0, 1.0, 1.0)
-_ZERO_BINS = tuple([0] + list(range(27, 38)))
-
 
 @dataclass(frozen=True)
 class CpConfig:
-    dft_size: int = 64
-    cp_length: int = 16
-    pilot_bins: tuple = _PILOT_BINS
-    pilot_values: tuple = _PILOT_VALUES
-    zero_bins: tuple = _ZERO_BINS
-    data_symbol_variance: float = 1.0
-    data_bins: np.ndarray = field(init=False, repr=False)
+    """The fixed 802.11a layout in FFT-bin terms: DC and bins 27..37 are
+    zero, pilots sit at logical carriers -21, -7, 7, 21 with fixed signs
+    1, 1, 1, -1, and the other 48 bins carry data.  Only the data
+    variance follows the swept system's config."""
 
-    def __post_init__(self):
-        occupied = set(self.zero_bins) | set(self.pilot_bins)
-        if len(occupied) != len(self.zero_bins) + len(self.pilot_bins):
-            raise ValueError("pilot and zero bins overlap")
-        data = np.array([i for i in range(self.dft_size) if i not in occupied],
-                        dtype=int)
-        object.__setattr__(self, "data_bins", data)
+    dft_size: ClassVar[int] = 64
+    cp_length: ClassVar[int] = 16
+    pilot_bins: ClassVar[tuple] = (7, 21, 43, 57)
+    pilot_values: ClassVar[tuple] = (1.0, -1.0, 1.0, 1.0)
+    zero_bins: ClassVar[tuple] = (0,) + tuple(range(27, 38))
+    data_bins: ClassVar[np.ndarray] = np.setdiff1d(np.arange(dft_size), zero_bins + pilot_bins)
+    symbol_samples: ClassVar[int] = dft_size + cp_length
+    data_symbol_variance: float = 1.0
 
     @property
     def data_count(self) -> int:
         return len(self.data_bins)
 
-    @property
-    def symbol_samples(self) -> int:
-        return self.dft_size + self.cp_length
-
-    @property
-    def plan(self) -> DftPlan:
-        return DftPlan(self.dft_size)
-
 
 def pilot_time_signal(cfg: CpConfig) -> np.ndarray:
     spectrum = np.zeros(cfg.dft_size, dtype=complex)
     spectrum[list(cfg.pilot_bins)] = cfg.pilot_values
-    return inverse_dft(spectrum, cfg.plan)
+    return inverse_dft(spectrum)
 
 
 def mean_symbol_energy(cfg: CpConfig) -> float:
@@ -84,7 +68,7 @@ def cp_encode_symbol(data: np.ndarray, cfg: CpConfig) -> np.ndarray:
     spectrum = np.zeros(data.shape[:-1] + (cfg.dft_size,), dtype=complex)
     spectrum[..., cfg.data_bins] = data
     spectrum[..., list(cfg.pilot_bins)] = np.asarray(cfg.pilot_values, dtype=complex)
-    time = inverse_dft(spectrum, cfg.plan)
+    time = inverse_dft(spectrum)
     return np.concatenate([time[..., -cfg.cp_length:], time], axis=-1)
 
 
@@ -127,7 +111,7 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     h = zero_forcing_response(ch, cfg.data_bins, floor_response,
                               reference=np.arange(cfg.dft_size))
     window = received[..., cfg.cp_length:]
-    spectrum = forward_dft(window, cfg.plan)
+    spectrum = forward_dft(window)
     estimates = spectrum[..., cfg.data_bins] / per_symbol(h)
     variances = cfg.dft_size * noise_variance / np.abs(h) ** 2
     return estimates, variances

@@ -33,54 +33,32 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return (x & 1).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class ConvCode:
-    """Rate-1/2 mother code with its butterfly branch tables.
+# The register holds the current input bit in bit 6 and the six previous
+# ones below it, newest first, so the impulse response of each output
+# branch is exactly the MSB-first binary expansion of its generator.
+_TAPS0 = [d for d in range(7) if (G0_OCTAL >> (6 - d)) & 1]
+_TAPS1 = [d for d in range(7) if (G1_OCTAL >> (6 - d)) & 1]
 
-    State is the 6 most recent input bits, newest in the MSB; the 7-bit
-    register (current bit in bit 6) is masked with the octal generators,
-    so the impulse response of each output branch is exactly the MSB-
-    first binary expansion of its generator.
-    """
-
-    g0: int = G0_OCTAL
-    g1: int = G1_OCTAL
-    constraint_length: int = 7
-    # Branch signs (+1 for a 0 output bit) indexed (bit, j, k): input bit
-    # ``bit`` moves predecessor 2j + k to state 32 * bit + j.
-    branch_w0: np.ndarray = field(init=False, repr=False)
-    branch_w1: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # The encoder's tap loop and the decoder's 64-bit survivor words
-        # are both written for 64 states.
-        if self.constraint_length != 7:
-            raise ValueError("only constraint length 7 is implemented")
-        bit = np.arange(2)[:, None, None]
-        src = 2 * np.arange(32)[None, :, None] + np.arange(2)
-        reg = (bit << 6) | src
-        for name, g in (("branch_w0", self.g0), ("branch_w1", self.g1)):
-            object.__setattr__(self, name, 1.0 - 2.0 * _parity(reg & g))
+# Butterfly branch signs (+1 for a 0 output bit) indexed (bit, j, k):
+# input bit ``bit`` moves predecessor state 2j + k to state 32 * bit + j.
+_REGISTER = (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32)[:, None] + np.arange(2))
+BRANCH_W0 = 1.0 - 2.0 * _parity(_REGISTER & G0_OCTAL)
+BRANCH_W1 = 1.0 - 2.0 * _parity(_REGISTER & G1_OCTAL)
 
 
-DEFAULT_CODE = ConvCode()
-
-
-def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
+def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode info bits (last axis) at rate 1/2 with 6 appended zero tail
     bits; output interleaves the g0 and g1 streams per input bit."""
     bits = np.asarray(bits, dtype=np.uint8)
     padded = np.concatenate(
         [bits, np.zeros(bits.shape[:-1] + (TAIL_BITS,), dtype=np.uint8)], axis=-1)
     n = padded.shape[-1]
-    taps0 = [i for i in range(7) if (code.g0 >> (6 - i)) & 1]
-    taps1 = [i for i in range(7) if (code.g1 >> (6 - i)) & 1]
     out = np.zeros(padded.shape[:-1] + (2 * n,), dtype=np.uint8)
     stream0 = np.zeros(padded.shape, dtype=np.uint8)
     stream1 = np.zeros(padded.shape, dtype=np.uint8)
-    for d in taps0:
+    for d in _TAPS0:
         stream0[..., d:] ^= padded[..., :n - d] if d else padded
-    for d in taps1:
+    for d in _TAPS1:
         stream1[..., d:] ^= padded[..., :n - d] if d else padded
     out[..., 0::2] = stream0
     out[..., 1::2] = stream1
@@ -129,14 +107,14 @@ class InterleaverSpec:
 
     Step one spreads adjacent coded bits across columns,
     ``i = (block_bits/columns) * (k % columns) + k // columns``; step
-    two rotates within modulation symbols and is the identity for QPSK
-    (s = 1).  802.11a uses 16 columns at block 96; the 72-bit block of
-    the UW system keeps the same structure with 12 columns.
+    two rotates within modulation symbols and is the identity for QPSK,
+    the only mapping here, so it is left out.  802.11a uses 16 columns at
+    block 96; the 72-bit block of the UW system keeps the same structure
+    with 12 columns.
     """
 
     block_bits: int
     columns: int
-    bits_per_symbol: int = 2
     forward: np.ndarray = field(init=False, repr=False)
     backward: np.ndarray = field(init=False, repr=False)
 
@@ -145,14 +123,9 @@ class InterleaverSpec:
             raise ValueError(
                 f"columns {self.columns} must divide block size {self.block_bits}")
         k = np.arange(self.block_bits)
-        i = (self.block_bits // self.columns) * (k % self.columns) + k // self.columns
-        s = max(self.bits_per_symbol // 2, 1)
-        j = s * (i // s) + (i + self.block_bits
-                            - (self.columns * i) // self.block_bits) % s
-        forward = np.empty(self.block_bits, dtype=np.int64)
-        forward[k] = j
+        forward = (self.block_bits // self.columns) * (k % self.columns) + k // self.columns
         backward = np.empty(self.block_bits, dtype=np.int64)
-        backward[j] = k
+        backward[forward] = k
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "backward", backward)
 
@@ -229,8 +202,7 @@ def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> SoftB
 NEG_INF = -1e30
 
 
-def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int,
-                   code: ConvCode = DEFAULT_CODE) -> np.ndarray:
+def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int) -> np.ndarray:
     """Maximum-likelihood decode of a zero-state-terminated frame.
 
     Input is the depunctured LLR stream, 2*(n_info + 6) values on the
@@ -257,8 +229,8 @@ def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int,
     term = np.empty_like(cand)
     # An LLR copied across the states and then multiplied by whole sign
     # arrays costs about half of one broadcast multiply.
-    w0 = np.broadcast_to(code.branch_w0, cand.shape).copy()
-    w1 = np.broadcast_to(code.branch_w1, cand.shape).copy()
+    w0 = np.broadcast_to(BRANCH_W0, cand.shape).copy()
+    w1 = np.broadcast_to(BRANCH_W1, cand.shape).copy()
     choice = np.empty((batch, 2, 32), dtype=bool)
     # Bit s of survivors[t, b] is set when state s took predecessor 2j + 1.
     survivors = np.empty((steps, batch), dtype="<u8")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PlacementInfeasibleError
+from .errors import ConfigError, NumericallySingularError, PlacementInfeasibleError
 from .numerics import DftPlan, condition_estimate, inverse_dft, solve_linear
 
 # Reference system parameters: 64-point DFT at 20 MHz with the
@@ -37,6 +37,13 @@ from .numerics import DftPlan, condition_estimate, inverse_dft, solve_linear
 REFERENCE_ZERO_INDICES = (0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37)
 REFERENCE_REDUNDANT_INDICES = (2, 6, 10, 14, 17, 21, 24, 26,
                                38, 40, 43, 47, 50, 54, 58, 62)
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse (ConfigError) a physical quantity that is not a finite
+    positive number."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,10 @@ class OfdmSystemConfig:
         n, nd, l = self.dft_size, self.data_count, self.uw_length
         zeros = frozenset(self.zero_indices)
         redundant = frozenset(self.redundant_indices)
-        if l < 0 or nd < 0 or n < 1:
-            raise ConfigError("sizes must be non-negative (dft_size >= 1)")
+        for name, value, least in (("dft_size", n, 1), ("data_count", nd, 1),
+                                   ("uw_length", l, 0)):
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if nd + l > n:
             raise ConfigError(f"data_count + uw_length = {nd + l} exceeds dft_size {n}")
         if len(zeros) != len(self.zero_indices) or len(redundant) != len(self.redundant_indices):
@@ -72,8 +81,8 @@ class OfdmSystemConfig:
             raise ConfigError(f"subcarrier indices out of range: {sorted(out_of_range)}")
         if zeros & redundant:
             raise ConfigError(f"zero and redundant sets overlap: {sorted(zeros & redundant)}")
-        if self.data_symbol_variance <= 0:
-            raise ConfigError("data_symbol_variance must be positive")
+        check_positive("sample_rate_hz", self.sample_rate_hz)
+        check_positive("data_symbol_variance", self.data_symbol_variance)
         if not 0 <= self.uw_energy_ratio < 1:
             raise ConfigError("uw_energy_ratio must lie in [0, 1)")
 
@@ -116,14 +125,7 @@ class SubcarrierMap:
     selection: np.ndarray
     permutation: np.ndarray
     active_carriers: np.ndarray
-    data_carriers: np.ndarray
-    redundant_carriers: np.ndarray
     data_positions: np.ndarray      # positions of data symbols within the active vector
-    redundant_positions: np.ndarray
-
-    @property
-    def plan(self) -> DftPlan:
-        return DftPlan(self.config.dft_size)
 
 
 def build_subcarrier_map(config: OfdmSystemConfig) -> SubcarrierMap:
@@ -149,10 +151,7 @@ def build_subcarrier_map(config: OfdmSystemConfig) -> SubcarrierMap:
         selection=selection,
         permutation=permutation,
         active_carriers=active,
-        data_carriers=data,
-        redundant_carriers=redundant,
         data_positions=data_positions,
-        redundant_positions=redundant_positions,
     )
 
 
@@ -170,7 +169,6 @@ class RedundancyGenerator:
     redundancy: np.ndarray          # uw_length x data_count
     code_matrix: np.ndarray         # (data_count + uw_length) x data_count
     symbol_covariance: np.ndarray   # Hermitian, rank <= data_count
-    redundant_energy: float         # trace(redundancy @ redundancy^H)
     tail_condition: float           # condition number of the tail system
 
     @property
@@ -186,20 +184,18 @@ class RedundancyGenerator:
         return data @ self.code_matrix.T
 
 
-def derive_generator(smap: SubcarrierMap, config: OfdmSystemConfig | None = None
-                     ) -> RedundancyGenerator:
+def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
     """Derive the redundancy matrices for a subcarrier map.
 
     Raises PlacementInfeasibleError when the tail system is singular,
     which signals an unusable redundant-index placement.
     """
-    config = config or smap.config
+    config = smap.config
     n, nd, l = config.dft_size, config.data_count, config.uw_length
-    plan = DftPlan(n)
 
     # m = F_inv @ selection @ permutation; split its last l rows at the
     # data / redundant column boundary.
-    m = plan.inverse_matrix @ smap.selection @ smap.permutation
+    m = DftPlan(n).inverse_matrix @ smap.selection @ smap.permutation
     m21 = m[n - l:, :nd]
     m22 = m[n - l:, nd:]
 
@@ -217,14 +213,12 @@ def derive_generator(smap: SubcarrierMap, config: OfdmSystemConfig | None = None
 
     code_matrix = smap.permutation @ np.vstack([np.eye(nd, dtype=complex), redundancy])
     symbol_covariance = config.data_symbol_variance * (code_matrix @ code_matrix.conj().T)
-    redundant_energy = float(np.sum(np.abs(redundancy) ** 2))
 
     return RedundancyGenerator(
         map=smap,
         redundancy=redundancy,
         code_matrix=code_matrix,
         symbol_covariance=symbol_covariance,
-        redundant_energy=redundant_energy,
         tail_condition=cond,
     )
 
@@ -238,8 +232,7 @@ def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
     """Zero-tail time-domain symbol(s) for data vector(s): IDFT of the
     mapped active-carrier word."""
     word = gen.encode(data)
-    full = word @ gen.map.selection.T
-    return inverse_dft(full, gen.map.plan)
+    return inverse_dft(word @ gen.map.selection.T)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +251,12 @@ def _tail_metric(tail_rows: np.ndarray, active: np.ndarray, subset: tuple) -> fl
     """
     chosen = set(subset)
     data_cols = [c for c in active if c not in chosen]
-    m22 = tail_rows[:, list(subset)]
-    m21 = tail_rows[:, data_cols]
     if len(subset) == 0:
         return 0.0
-    if condition_estimate(m22) > 1e12:
+    try:
+        t = solve_linear(tail_rows[:, list(subset)], tail_rows[:, data_cols])
+    except NumericallySingularError:
         return math.inf
-    t = np.linalg.solve(m22, m21)
     return float(np.sum(np.abs(t) ** 2))
 
 
@@ -283,8 +275,7 @@ def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
     n, l = config.dft_size, config.uw_length
     zeros = set(config.zero_indices)
     candidates = [i for i in range(n) if i not in zeros]
-    plan = DftPlan(n)
-    inv = plan.inverse_matrix
+    inv = DftPlan(n).inverse_matrix
     active = np.array(candidates, dtype=int)
 
     if l == 0:

@@ -44,6 +44,9 @@ ENSEMBLE_GROUP_FRAMES = 16
 #: as exactly zero (noiseless receiver, identity smoother).
 NOISE_VARIANCE_EPS = 1e-13
 
+#: Largest accepted |Eb/N0| in dB.
+EBN0_LIMIT_DB = 1000.0
+
 ENV_WORKERS = "UWOFDM_WORKERS"
 
 
@@ -72,8 +75,7 @@ class SweepSpec:
         if not self.ebn0_db:
             raise ConfigError("Eb/N0 grid must not be empty")
         for value in self.ebn0_db:
-            if not math.isfinite(value):
-                raise ConfigError(f"Eb/N0 values must be finite, got {value}")
+            check_ebn0("Eb/N0 values", value)
         if not (self.channel == "ensemble" or self.channel.startswith("fixed:")):
             raise ConfigError(
                 f"channel must be 'ensemble' or 'fixed:<path>', got {self.channel!r}")
@@ -83,11 +85,27 @@ class SweepSpec:
             raise ConfigError("frame_symbols must be >= 1")
         if self.channel == "ensemble":
             check_tap_count("channel_taps", self.channel_taps, self.guard_length)
+            frame.check_positive("rms_delay_spread_s", self.rms_delay_spread_s)
 
     @property
     def guard_length(self) -> int:
         """Guard samples of the swept modem: the UW or the cyclic prefix."""
         return cpref.CpConfig.cp_length if self.system == "cp" else self.config.uw_length
+
+    @property
+    def dft_size(self) -> int:
+        """DFT size of the swept modem, at which its channel responses are
+        drawn and its fixture is checked: cp's fixed 64 points or the
+        config's."""
+        return cpref.CpConfig.dft_size if self.system == "cp" else self.config.dft_size
+
+
+def check_ebn0(name: str, value: float) -> None:
+    """Refuse (ConfigError) an Eb/N0 that is not finite or lies beyond
+    EBN0_LIMIT_DB, where the noise variance would over- or underflow."""
+    if not abs(value) <= EBN0_LIMIT_DB:
+        raise ConfigError(f"{name} must lie between -{EBN0_LIMIT_DB:g} and "
+                          f"{EBN0_LIMIT_DB:g} dB and be finite, got {value}")
 
 
 def check_tap_count(name: str, taps: int, guard: int) -> None:
@@ -170,19 +188,19 @@ def cp_interleaver(cfg: cpref.CpConfig) -> fec.InterleaverSpec:
     return fec.InterleaverSpec(block_bits=2 * cfg.data_count, columns=16)
 
 
-def load_fixed_channel(path, config: frame.OfdmSystemConfig) -> chan.ChannelRealization:
+def load_fixed_channel(path, dft_size: int) -> chan.ChannelRealization:
     """Load a channel fixture, refusing (ConfigError) a missing or
-    unreadable file and one made for another DFT size than ``config``'s."""
+    unreadable file and one made for another DFT size than the modem's."""
     if not os.path.exists(path):
         raise ConfigError(f"channel fixture not found: {path}")
     try:
-        ch = chan.load_snapshot(path, guard_length=config.uw_length)
+        ch = chan.load_snapshot(path)
     except OSError as exc:
         raise ConfigError(f"cannot read channel fixture {path}: {exc}") from exc
-    if ch.freq_response.shape[-1] != config.dft_size:
+    if ch.freq_response.shape[-1] != dft_size:
         raise ConfigError(f"channel fixture {path} has dft_size = "
-                          f"{ch.freq_response.shape[-1]}, the config has dft_size = "
-                          f"{config.dft_size}")
+                          f"{ch.freq_response.shape[-1]}, the modem has dft_size = "
+                          f"{dft_size}")
     return ch
 
 
@@ -191,7 +209,7 @@ def _context(spec: SweepSpec) -> _SystemContext:
     fixed = None
     if spec.channel.startswith("fixed:"):
         path = spec.channel[len("fixed:"):]
-        fixed = load_fixed_channel(path, spec.config)
+        fixed = load_fixed_channel(path, spec.dft_size)
         check_tap_count(f"channel fixture {path}: tap_count", fixed.tap_count,
                         spec.guard_length)
 
@@ -306,12 +324,12 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
         # Ensemble mode: an independent channel draw per frame.  The groups
         # fill one batch array (joining a list of parts would hold the
         # batch twice and raise the peak memory).
-        cfg, received = spec.config, None
+        received = None
         for start in range(0, n_frames, ENSEMBLE_GROUP_FRAMES):
             group = bits[start:start + ENSEMBLE_GROUP_FRAMES]
-            ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
-                                     spec.channel_taps, cfg.dft_size, cfg.uw_length,
-                                     channels=len(group))
+            ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s,
+                                     spec.config.sample_rate_hz, spec.channel_taps,
+                                     spec.dft_size, channels=len(group))
             part = _frames(ctx, group, ch, sigma2, rng_noise)
             if received is None:
                 received = np.empty((n_frames,) + part.shape[1:], dtype=part.dtype)

@@ -8,12 +8,14 @@ The whole package is pinned to the unnormalized DFT convention
 Several receiver covariance expressions (notably the factor N in the
 noise covariance after zero forcing) are only correct under this
 convention, so it is frozen here and nowhere else.  Transform sizes stay
-small (N <= 64), so plain dense matrix products are used throughout.
+small (N <= 64), so plain dense matrix products are used throughout: a
+transform takes its size from the last axis of its input and uses the
+matrix cached for that size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,39 +37,27 @@ def _dft_matrix(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DftPlan:
-    """Forward/inverse DFT matrices of a fixed size.
-
-    The matrix is symmetric (F.T == F), so row-stacked batches transform
-    as ``v @ F``.  Matrices are cached per size and shared read-only.
-    """
+    """The inverse DFT matrix of one size, for the placement algebra that
+    works on its rows (the transforms take the size from their input)."""
 
     size: int
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"DFT size must be positive, got {self.size}")
-        object.__setattr__(self, "matrix", _dft_matrix(self.size))
 
     @property
     def inverse_matrix(self) -> np.ndarray:
-        return self.matrix.conj() / self.size
+        return _dft_matrix(self.size).conj() / self.size
 
 
-def forward_dft(v: np.ndarray, plan: DftPlan) -> np.ndarray:
-    """Unnormalized forward DFT of ``v`` (last axis must match the plan size)."""
+def forward_dft(v: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT over the last axis of ``v``."""
     v = np.asarray(v)
-    if v.shape[-1] != plan.size:
-        raise ValueError(f"vector length {v.shape[-1]} != plan size {plan.size}")
-    return v @ plan.matrix  # F is symmetric
+    return v @ _dft_matrix(v.shape[-1])  # F is symmetric
 
 
-def inverse_dft(v: np.ndarray, plan: DftPlan) -> np.ndarray:
-    """Inverse DFT, i.e. ``F^H v / N`` (last axis must match the plan size)."""
+def inverse_dft(v: np.ndarray) -> np.ndarray:
+    """Inverse DFT over the last axis, i.e. ``F^H v / N``."""
     v = np.asarray(v)
-    if v.shape[-1] != plan.size:
-        raise ValueError(f"vector length {v.shape[-1]} != plan size {plan.size}")
-    return v @ plan.matrix.conj() / plan.size
+    n = v.shape[-1]
+    return v @ _dft_matrix(n).conj() / n
 
 
 def condition_estimate(a: np.ndarray) -> float:

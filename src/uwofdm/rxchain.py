@@ -8,7 +8,9 @@ active-carrier word has a known rank-deficient covariance; the smoother
 ``W = C_ss (C_ss + C_vv)^-1`` projects the noisy zero-forced word back
 toward that signal subspace, with per-carrier residual error covariance
 ``C_ee = (I - W) C_ss``.  Both equalizer stages and their analytic
-error statistics are exposed for the Monte-Carlo probes.
+error statistics are exposed for the Monte-Carlo probes.  The receive
+functions take batches of (symbols, dft_size) samples, or (channels,
+symbols, dft_size) on a stacked equalizer; one symbol is a one-row batch.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ class WienerEqualizer:
     error_variances: np.ndarray | None  # diagonal of C_ee (real)
 
     @property
-    def combined(self) -> np.ndarray:
-        """W @ diag(inv_response): zero forcing and smoothing in one matrix."""
-        return self.smoother * self.inv_response[..., None, :]
-
-    @property
     def data_error_variances(self) -> np.ndarray:
         """Error variances on the data carriers, in data order (soft input
         for the decoder)."""
@@ -62,13 +59,6 @@ class WienerEqualizer:
     def data_noise_variances(self) -> np.ndarray:
         """ZF-only noise variances on the data carriers, in data order."""
         return self.noise_covariance[..., self.map.data_positions]
-
-
-@dataclass(frozen=True)
-class RxSymbolResult:
-    smoothed: np.ndarray              # estimate of the active-carrier word
-    data: np.ndarray                  # data-carrier estimates
-    data_noise_variances: np.ndarray  # diag(C_ee) on the data carriers
 
 
 def zero_forcing_response(ch: ChannelRealization, carriers, floor_response: bool,
@@ -135,49 +125,16 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     )
 
 
-def _active_spectrum(y_time: np.ndarray, smap: SubcarrierMap) -> np.ndarray:
-    """DFT of received samples restricted to the active carriers."""
-    return forward_dft(np.asarray(y_time), smap.plan)[..., smap.active_carriers]
-
-
-def equalize_symbol(y_time: np.ndarray, eq: WienerEqualizer,
-                    uw: UniqueWord) -> RxSymbolResult:
-    """Full receive path for one symbol: DFT, UW removal, ZF, smoothing,
-    data extraction."""
-    smap = eq.map
-    y_time = np.asarray(y_time)
-    if y_time.shape != (smap.config.dft_size,):
-        raise ValueError(
-            f"expected {smap.config.dft_size} samples, got shape {y_time.shape}")
-    smoothed = equalize_batch(y_time[None, :], eq, uw)[0]
-    return RxSymbolResult(
-        smoothed=smoothed,
-        data=smoothed[smap.data_positions],
-        data_noise_variances=eq.data_error_variances,
-    )
-
-
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Smoothed active-carrier words for (batch, dft_size) samples, or
     (channels, batch, dft_size) on a stacked equalizer.
 
     The UW spectrum is subtracted after zero forcing; removing it before
-    (scaled by the channel) is algebraically identical and covered by
-    tests.
+    (scaled by the channel) is algebraically identical, which the tests
+    check against that order-exchanged form.
     """
     return zf_only_symbol(y_time, eq, uw) @ eq.smoother.swapaxes(-1, -2)
-
-
-def equalize_symbol_uw_first(y_time: np.ndarray, eq: WienerEqualizer,
-                             uw: UniqueWord) -> np.ndarray:
-    """Order-exchanged variant: subtract the channel-scaled UW from the
-    raw spectrum, then zero-force and smooth."""
-    smap = eq.map
-    spectrum = _active_spectrum(y_time, smap)
-    uw_active = uw.spectrum[smap.active_carriers]
-    h = 1.0 / eq.inv_response
-    return eq.combined @ (spectrum - h * uw_active)
 
 
 def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
@@ -187,7 +144,7 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
     conventional-OFDM-like reference path.  A stacked equalizer takes
     (channels, symbols, dft_size) samples."""
     smap = eq.map
-    spectrum = _active_spectrum(y_time, smap)
+    spectrum = forward_dft(y_time)[..., smap.active_carriers]
     uw_active = uw.spectrum[smap.active_carriers]
     return spectrum * per_symbol(eq.inv_response) - uw_active
 

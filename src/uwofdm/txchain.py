@@ -3,8 +3,8 @@
 A transmit symbol is built in two steps: first a zero-tail symbol (the
 redundant carriers force the last ``uw_length`` time samples to zero),
 then the deterministic unique word is added on top of that zero tail.
-Equivalently the UW spectrum can be added in frequency domain before
-the inverse transform; both forms are exposed and must agree.
+Adding the UW spectrum in frequency domain before the inverse transform
+is equivalent; the tests keep that form as an oracle.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ class UniqueWord:
     samples: np.ndarray    # length uw_length, time domain
     spectrum: np.ndarray   # length dft_size, frequency domain
     energy: float
-    energy_ratio: float    # energy / mean total symbol energy
-
-
-@dataclass(frozen=True)
-class TxSymbol:
-    data: np.ndarray          # data_count frequency-domain symbols
-    active_word: np.ndarray   # data_count + uw_length active-carrier symbols
-    time: np.ndarray          # dft_size samples, tail equals the unique word
 
 
 def mean_data_symbol_energy(gen: RedundancyGenerator) -> float:
@@ -73,42 +65,14 @@ def build_unique_word(uw_length: int, target_ratio: float,
         samples = np.zeros(uw_length, dtype=complex)
 
     padded = np.concatenate([np.zeros(n - uw_length, dtype=complex), samples])
-    spectrum = forward_dft(padded, gen.map.plan)
-    total = data_energy + uw_energy
-    return UniqueWord(
-        samples=samples,
-        spectrum=spectrum,
-        energy=float(np.sum(np.abs(samples) ** 2)),
-        energy_ratio=uw_energy / total if total > 0 else 0.0,
-    )
-
-
-def encode_symbol(data: np.ndarray, gen: RedundancyGenerator,
-                  smap: SubcarrierMap, uw: UniqueWord) -> TxSymbol:
-    """Assemble one transmit symbol from a data vector."""
-    data = np.asarray(data, dtype=complex)
-    if data.shape != (gen.config.data_count,):
-        raise ValueError(
-            f"expected data shape ({gen.config.data_count},), got {data.shape}")
-    word = gen.encode(data)
-    time = inverse_dft(word @ smap.selection.T, smap.plan)
-    time = time.copy()
-    time[-len(uw.samples):] += uw.samples
-    return TxSymbol(data=data, active_word=word, time=time)
-
-
-def encode_symbol_freq(data: np.ndarray, gen: RedundancyGenerator,
-                       smap: SubcarrierMap, uw: UniqueWord) -> np.ndarray:
-    """Alternate construction: add the UW spectrum before the inverse
-    transform.  Must agree with ``encode_symbol`` to numerical precision."""
-    word = gen.encode(np.asarray(data, dtype=complex))
-    return inverse_dft(uw.spectrum + word @ smap.selection.T, smap.plan)
+    return UniqueWord(samples=samples, spectrum=forward_dft(padded),
+                      energy=float(np.sum(np.abs(samples) ** 2)))
 
 
 def encode_batch(data: np.ndarray, gen: RedundancyGenerator,
                  smap: SubcarrierMap, uw: UniqueWord) -> np.ndarray:
     """Time-domain symbols for a (batch, data_count) array of data vectors."""
     word = gen.encode(np.asarray(data, dtype=complex))
-    time = inverse_dft(word @ smap.selection.T, smap.plan)
+    time = inverse_dft(word @ smap.selection.T)
     time[..., -len(uw.samples):] += uw.samples
     return time

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
-from uwofdm.numerics import DftPlan, forward_dft
+from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
 
 
@@ -50,7 +50,7 @@ class TestSampleChannel:
         ch = uw.sample_channel(rng)
         padded = np.concatenate([ch.taps, np.zeros(48, dtype=complex)])
         np.testing.assert_allclose(ch.freq_response,
-                                   forward_dft(padded, DftPlan(64)), atol=1e-10)
+                                   forward_dft(padded), atol=1e-10)
 
     def test_active_response_selection(self, ref_config):
         rng = np.random.default_rng(33)
@@ -58,13 +58,6 @@ class TestSampleChannel:
         idx = ref_config.active_indices
         np.testing.assert_array_equal(ch.active_response(idx),
                                       ch.freq_response[idx])
-
-    def test_guard_flag(self):
-        rng = np.random.default_rng(34)
-        assert not uw.sample_channel(rng, tap_count=16, guard_length=16).guard_exceeded
-        assert uw.sample_channel(rng, tap_count=20, guard_length=16).guard_exceeded
-        stacked = uw.sample_channel(rng, tap_count=20, guard_length=16, channels=3)
-        assert stacked.guard_exceeded and stacked.tap_count == 20
 
     def test_stacked_draw_equals_sequential_draws(self):
         """Same taps bit for bit and the same stream position after.  The
@@ -83,7 +76,7 @@ class TestSampleChannel:
 class TestApplyChannelCyclic:
     def test_impulse_channel_identity(self):
         rng = np.random.default_rng(35)
-        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.0), rng)
         np.testing.assert_array_equal(y, x)
@@ -95,9 +88,8 @@ class TestApplyChannelCyclic:
         ch = uw.sample_channel(rng)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.0), rng)
-        plan = DftPlan(64)
-        np.testing.assert_allclose(forward_dft(y, plan),
-                                   ch.freq_response * forward_dft(x, plan),
+        np.testing.assert_allclose(forward_dft(y),
+                                   ch.freq_response * forward_dft(x),
                                    atol=1e-9)
 
     def test_stacked_channel_equals_per_channel_application(self):
@@ -110,13 +102,13 @@ class TestApplyChannelCyclic:
                                     np.random.default_rng(46))
         noise_rng = np.random.default_rng(46)
         for c in range(3):
-            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64, 16)
+            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             np.testing.assert_array_equal(
                 y[c], uw.apply_channel_cyclic(x[c], ch, uw.NoiseSpec(0.1), noise_rng))
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(37)
-        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = np.zeros((2 ** 14, 64), dtype=complex)  # ~1e6 samples
         y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.25), rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.02)
@@ -192,7 +184,7 @@ class TestApplyChannelStream:
 
     def test_single_tap_equals_cyclic(self, ref_gen, ref_map, ref_uw):
         rng = np.random.default_rng(39)
-        ch = chan._realization_from_taps(np.array([0.8 - 0.1j]), 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(np.array([0.8 - 0.1j]), 20e6, 1e-7, 64)
         symbols = self._symbols(ref_gen, ref_map, ref_uw, 3)
         stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
                                          uw_samples=ref_uw.samples)
@@ -218,7 +210,6 @@ class TestApplyChannelStream:
         """Channel longer than guard + 1: the mismatch must be visible."""
         rng = np.random.default_rng(41)
         ch = uw.sample_channel(rng, tap_count=20)
-        assert ch.guard_exceeded
         symbols = self._symbols(ref_gen, ref_map, ref_uw, 10)
         stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
                                          uw_samples=ref_uw.samples)

@@ -60,7 +60,7 @@ class TestStructure:
 class TestLoopback:
     def test_flat_noiseless_exact(self, cp_cfg):
         rng = np.random.default_rng(92)
-        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         d = uw.qpsk_map(rng.integers(0, 2, 96))
         x = cpref.cp_encode_symbol(d, cp_cfg)
         y = cpref.cp_apply_channel(x, ch, 0.0, rng)
@@ -70,7 +70,7 @@ class TestLoopback:
     def test_multipath_noiseless_recovery(self, cp_cfg):
         """17 taps exactly fill the prefix; recovery must be exact."""
         rng = np.random.default_rng(93)
-        ch = uw.sample_channel(rng, tap_count=17, guard_length=16)
+        ch = uw.sample_channel(rng, tap_count=17)
         d = uw.qpsk_map(rng.integers(0, 2, (10, 96)))
         x = cpref.cp_encode_symbol(d, cp_cfg)
         y = cpref.cp_apply_channel(x, ch, 0.0, rng)
@@ -102,7 +102,7 @@ class TestLoopback:
         assert est.shape == (3, 5, 48) and variances.shape == (3, 48)
         noise_rng = np.random.default_rng(99)
         for c in range(3):
-            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64, 16)
+            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             y_c = cpref.cp_apply_channel(x[c], ch, 0.05, noise_rng)
             np.testing.assert_array_equal(y[c], y_c)
             est_c, var_c = cpref.cp_decode_symbol(y_c, ch, 0.05, cp_cfg)
@@ -112,7 +112,7 @@ class TestLoopback:
     def test_decode_returns_only_data_carriers(self, cp_cfg):
         """Pilots must never reach the bit decisions."""
         rng = np.random.default_rng(96)
-        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         est, variances = cpref.cp_decode_symbol(
             cpref.cp_encode_symbol(np.zeros(48, dtype=complex), cp_cfg),
             ch, 0.0, cp_cfg)
@@ -145,7 +145,7 @@ class TestChannelMatrix:
     def _case(rng, count, shape, channels):
         lead = () if channels is None else (channels,)
         taps = rng.standard_normal(lead + (count,)) + 1j * rng.standard_normal(lead + (count,))
-        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return ch, x
 
@@ -172,7 +172,7 @@ class TestChannelMatrix:
 def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
     """Quick two-point version of the flat-channel sanity criterion; the
     full 0.2 dB scan over BER 1e-2..1e-5 runs in the acceptance suite."""
-    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
     rng = np.random.default_rng(97)
     for ebn0_db in (6.0, 8.0):
         eb = cpref.mean_symbol_energy(cp_cfg) / 96

@@ -228,10 +228,6 @@ class TestViterbiOracle:
         np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
                                       gather_viterbi(llrs, n_info))
 
-    def test_other_constraint_length_rejected(self):
-        with pytest.raises(ValueError, match="constraint length"):
-            fec.ConvCode(constraint_length=5)
-
 
 class TestViterbiDecode:
     @pytest.mark.parametrize("n_info,rate", [(64, "1/2"), (30, "1/2"),

@@ -1,15 +1,26 @@
 """Sweep engine determinism, fairness, confidence intervals, config
 ingestion and the CLI contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
 from uwofdm import cli, cpref, fec, harness, rxchain, txchain
-from uwofdm.errors import ConfigError
+from uwofdm.errors import ConfigError, NumericallySingularError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
+
+#: A 32-point UW system: 16 data carriers, an 8-sample unique word.
+N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
+              "zero_indices": (0, 13, 14, 15, 16, 17, 18, 19),
+              "redundant_indices": (2, 5, 8, 11, 21, 24, 27, 30)}
+N32_CONFIG_TEXT = "".join(f"{k} = {list(v) if isinstance(v, tuple) else v}\n"
+                          for k, v in N32_VALUES.items())
 
 
 def small_spec(system="uw-lmmse", rate="none", grid=(14.0,), seed=1,
@@ -24,7 +35,7 @@ def small_spec(system="uw-lmmse", rate="none", grid=(14.0,), seed=1,
 @pytest.fixture(scope="module")
 def flat_fixture(tmp_path_factory):
     path = tmp_path_factory.mktemp("chan") / "flat.txt"
-    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
     chan.save_snapshot(path, flat, seed=0, draw=0)
     return path
 
@@ -147,7 +158,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
     decided = np.empty_like(bits)
     for i in range(n_frames):
         ch = uw.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
-                               spec.channel_taps, cfg.dft_size, cfg.uw_length)
+                               spec.channel_taps, spec.dft_size)
         tx = bits[i]
         if rate != "none":
             tx = fec.interleave(fec.puncture(fec.conv_encode(tx), rate)
@@ -199,6 +210,20 @@ class TestEnsembleGroups:
         for group in (1, 7, 256):
             monkeypatch.setattr(harness, "ENSEMBLE_GROUP_FRAMES", group)
             assert [harness.run_ber_sweep(spec) for spec in specs] == expected
+
+
+@pytest.mark.parametrize("channel", ["ensemble", f"fixed:{NOTCH_FIXTURE}"])
+def test_cp_rows_do_not_depend_on_config_dft_size(channel):
+    """cp draws its channels at its own 64 points, and the taps are drawn
+    independently of the DFT size, so a 32-point config (whose UW systems
+    use 32 points) gives the reference config's cp rows; a 64-point
+    fixture fits cp under either config."""
+    n32 = harness.system_config_from(N32_VALUES)
+    ref = small_spec(system="cp", grid=(6.0, 10.0), seed=4, channel=channel,
+                     channel_taps=8, min_error_events=10 ** 9, max_bits_per_point=1)
+    points = harness.run_ber_sweep(ref).points
+    assert points == harness.run_ber_sweep(dataclasses.replace(ref, config=n32)).points
+    assert all(p.bit_errors > 0 for p in points)
 
 
 def test_confidence_interval_coverage(flat_fixture):
@@ -351,10 +376,7 @@ class TestCli:
         """A 64-point fixture under a 32-point config would be read at the
         wrong carrier indices."""
         cfg = tmp_path / "n32.cfg"
-        cfg.write_text("dft_size = 32\ndata_count = 16\nuw_length = 8\n"
-                       "zero_indices = [0, 13, 14, 15, 16, 17, 18, 19]\n"
-                       "redundant_indices = [2, 5, 8, 11, 21, 24, 27, 30]\n"
-                       "ebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        cfg.write_text(N32_CONFIG_TEXT + "ebn0_db = [10]\nmax_bits_per_point = 1000\n")
         out = tmp_path / "run.csv"
         code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
                          "--channel", f"fixed:{NOTCH_FIXTURE}"])
@@ -394,7 +416,7 @@ class TestCli:
 
     def test_fixture_longer_than_guard_exits_2(self, tmp_path, capsys):
         fixture = tmp_path / "long.txt"
-        long = chan._realization_from_taps(np.full(18, 0.2 + 0j), 20e6, 1e-7, 64, 16)
+        long = chan._realization_from_taps(np.full(18, 0.2 + 0j), 20e6, 1e-7, 64)
         chan.save_snapshot(fixture, long, seed=0, draw=0)
         out = tmp_path / "run.csv"
         code = cli.main(["ber-sweep", "--out", str(out), "--channel", f"fixed:{fixture}"])
@@ -421,6 +443,45 @@ class TestCli:
                          "--channel", f"fixed:{NOTCH_FIXTURE}"])
         assert code == 2
         assert "mse_symbols must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("ber-sweep", "rms_delay_spread_s = 0", "rms_delay_spread_s must be finite "
+         "and positive, got 0.0"),
+        ("ber-sweep", "rms_delay_spread_s = -1e-7", "got -1e-07"),
+        ("ber-sweep", "rms_delay_spread_s = nan", "rms_delay_spread_s must be "
+         "finite and positive, got nan"),
+        ("snapshot", "rms_delay_spread_s = 0", "rms_delay_spread_s must be finite "
+         "and positive, got 0.0"),
+        ("snapshot", "rms_delay_spread_s = -1e-7", "got -1e-07"),
+        ("ber-sweep", "sample_rate_hz = nan", "sample_rate_hz must be finite and "
+         "positive, got nan"),
+        ("ber-sweep", "sample_rate_hz = 0", "sample_rate_hz must be finite and "
+         "positive, got 0.0"),
+        ("ber-sweep", "sample_rate_hz = -20e6", "sample_rate_hz must be finite and "
+         "positive, got -20000000.0"),
+        ("ber-sweep", "data_symbol_variance = inf", "data_symbol_variance must be "
+         "finite and positive, got inf"),
+        ("ber-sweep", "data_symbol_variance = nan", "data_symbol_variance must be "
+         "finite and positive, got nan"),
+        ("mse-probe", "mse_ebn0_db = nan", "mse_ebn0_db must lie between -1000 and "
+         "1000 dB and be finite, got nan"),
+        ("ber-sweep", "data_count = 0\nzero_indices = [" + ", ".join(map(str, range(48)))
+         + "]\nredundant_indices = [" + ", ".join(map(str, range(48, 64))) + "]",
+         "data_count must be >= 1, got 0"),
+    ])
+    def test_physical_input_out_of_range_exits_2(self, command, text, message,
+                                                 tmp_path, capsys):
+        """Before, these ended in a traceback (exit 1) or in rows of
+        nonsense with exit 0."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\nebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "mse-probe":
+            argv += ["--channel", f"fixed:{NOTCH_FIXTURE}"]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_snapshot_taps_beyond_guard_exits_2(self, tmp_path, capsys):
@@ -471,7 +532,7 @@ class TestCli:
         cfg = tmp_path / "probe.cfg"
         cfg.write_text("mse_symbols = 200\n")
         fixture = tmp_path / "chan.txt"
-        flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+        flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         headers = []
         for write in (lambda: fixture.write_bytes(NOTCH_FIXTURE.read_bytes()),
                       lambda: chan.save_snapshot(fixture, flat, seed=0, draw=0)):
@@ -491,7 +552,7 @@ class TestCli:
     def test_mse_probe_numerical_error_exits_3(self, tmp_path, capsys):
         # exact spectral null on an active carrier: zero forcing undefined
         taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
-        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64, 16)
+        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
         fixture = tmp_path / "null.txt"
         chan.save_snapshot(fixture, ch, seed=0, draw=0)
         code = cli.main(["mse-probe", "--out", str(tmp_path / "x.csv"),
@@ -504,3 +565,36 @@ class TestCli:
         assert cli.main(["snapshot", "--seed", "5", "--out", str(out)]) == 0
         loaded = chan.load_snapshot(out)
         assert loaded.tap_count == 16
+
+
+#: Values that no physical key accepts, or only just: zero, negative,
+#: non-finite, huge, non-numeric and empty.
+HOSTILE_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300",
+                  "x", "", "[]", "[nan]", "[0]", "[-1]", "[1e300]", "[inf]")
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(harness.KNOWN_KEYS) + ["no_such_key"]),
+                          st.sampled_from(HOSTILE_VALUES)),
+                min_size=1, max_size=4, unique_by=lambda line: line[0]),
+       st.sampled_from(harness.SYSTEMS),
+       st.sampled_from(["ensemble", f"fixed:{NOTCH_FIXTURE}"]))
+def test_config_text_runs_or_is_refused(config_dir, lines, system, channel):
+    """1-4 ``key = value`` lines either run a two-frame batch or end in
+    ConfigError (or a refused solve), never in another exception."""
+    path = config_dir / "random.cfg"
+    path.write_text(f"system = {system}\n" * all(k != "system" for k, _ in lines)
+                    + "".join(f"{k} = {v}\n" for k, v in lines))
+    try:
+        spec = harness.sweep_spec_from(harness.parse_config_file(path), seed=0,
+                                       channel=channel)
+        harness._context(spec)
+        bits, errors, frames, _ = harness._run_batch(spec, 0, 0, n_frames=2)
+    except (ConfigError, NumericallySingularError):
+        return
+    assert frames == 2 and 0 <= errors <= bits
