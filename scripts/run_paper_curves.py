@@ -15,12 +15,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from uwofdm import channel as chan
 from uwofdm import harness, reference_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "fixtures" / "notch_snapshot.txt"
 OUT = ROOT / "results"
+MSE_SYMBOLS = 100_000
 
 GRIDS = {
     "none": tuple(float(x) for x in range(12, 37, 4)),
@@ -33,12 +33,11 @@ def main() -> int:
     OUT.mkdir(exist_ok=True)
     cfg = reference_config()
 
-    snapshot = chan.load_snapshot(FIXTURE)
+    snapshot = harness.load_fixed_channel(FIXTURE, cfg.dft_size)
     rows = harness.run_mse_probe(cfg, snapshot, ebn0_db=15.0,
-                                 n_symbols=100_000, seed=1)
-    harness.write_mse_csv(OUT / "mse_probe.csv", rows,
-                          metadata=(("channel", f"fixed:{FIXTURE}"),
-                                    ("ebn0_db", "15"), ("seed", "1")))
+                                 n_symbols=MSE_SYMBOLS, seed=1)
+    harness.write_mse_csv(OUT / "mse_probe.csv", rows, metadata=harness.mse_metadata(
+        f"fixed:{FIXTURE}", cfg, 15.0, MSE_SYMBOLS, 1))
     print("wrote", OUT / "mse_probe.csv")
 
     for rate, grid in GRIDS.items():

@@ -9,15 +9,14 @@ cyclic-prefix baseline over multipath channels.
 # Set before the submodules import, since the sweep metadata records it.
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, NoiseSpec, apply_channel_cyclic,
-                      apply_channel_stream, load_snapshot, notch_predicate,
-                      pinned_snapshot, sample_channel, save_snapshot)
+from .channel import (ChannelRealization, apply_channel_cyclic, load_snapshot,
+                      notch_predicate, pinned_snapshot, sample_channel,
+                      save_snapshot)
 from .cpref import CpConfig, cp_decode_symbol, cp_encode_symbol
 from .errors import (ConfigError, NearSingularChannelError,
                      NumericallySingularError, PlacementInfeasibleError)
-from .fec import (InterleaverSpec, SoftBits, conv_encode, deinterleave,
-                  depuncture, interleave, puncture, qpsk_map, qpsk_soft_demap,
-                  viterbi_decode)
+from .fec import (InterleaverSpec, conv_encode, deinterleave, depuncture,
+                  interleave, puncture, qpsk_map, qpsk_soft_demap, viterbi_decode)
 from .frame import (OfdmSystemConfig, RedundancyGenerator, SubcarrierMap,
                     build_subcarrier_map, derive_generator, optimize_placement,
                     redundant_energy_metric, reference_config)
@@ -30,11 +29,10 @@ from .txchain import UniqueWord, build_unique_word
 
 __all__ = [
     "BerPoint", "BerReport", "ChannelRealization", "ConfigError", "CpConfig",
-    "InterleaverSpec", "NearSingularChannelError", "NoiseSpec",
-    "NumericallySingularError", "OfdmSystemConfig", "PlacementInfeasibleError",
-    "RedundancyGenerator", "SoftBits", "SubcarrierMap", "SweepSpec",
-    "UniqueWord", "WienerEqualizer", "apply_channel_cyclic",
-    "apply_channel_stream", "build_equalizer", "build_subcarrier_map",
+    "InterleaverSpec", "NearSingularChannelError", "NumericallySingularError",
+    "OfdmSystemConfig", "PlacementInfeasibleError", "RedundancyGenerator",
+    "SubcarrierMap", "SweepSpec", "UniqueWord", "WienerEqualizer",
+    "apply_channel_cyclic", "build_equalizer", "build_subcarrier_map",
     "build_unique_word", "conv_encode", "cp_decode_symbol", "cp_encode_symbol",
     "deinterleave", "depuncture", "derive_generator", "forward_dft",
     "interleave", "inverse_dft", "load_snapshot", "measure_subcarrier_mse",

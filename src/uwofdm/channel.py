@@ -1,17 +1,15 @@
 """Multipath channel model: tapped delay line with exponentially decaying
 power profile, Rayleigh tap magnitudes and uniform phases.
 
-Two application modes are provided.  ``apply_channel_cyclic`` is the
-per-symbol receive model (cyclic convolution plus white noise) that the
-receiver algebra assumes.  It applies the channel as one product with
-its circulant matrix (``convolution_matrix``), ``y = x @ M`` over the
-last axis; a *stacked* realization, taps (channels, taps), gives one
-matrix per channel and applies channel c to slice c of a
-(channels, ..., N) signal.  ``apply_channel_stream`` linearly convolves a
-whole symbol stream; because every symbol ends in the same unique word,
-the steady-state per-symbol windows of the stream coincide with the
-cyclic model whenever the channel fits in the guard.  Tests exercise
-that equivalence, the harness uses the cyclic model.
+``apply_channel_cyclic`` is the per-symbol receive model (cyclic
+convolution plus white noise) that the receiver algebra assumes.  It
+applies the channel as one product with its circulant matrix
+(``convolution_matrix``), ``y = x @ M`` over the last axis; a *stacked*
+realization, taps (channels, taps), gives one matrix per channel and
+applies channel c to slice c of a (channels, ..., N) signal.  The cyclic
+model stands for the physical symbol stream because every symbol ends in
+the same unique word: the tests check it against a linear convolution of
+the whole stream.  A noise variance is a float per complex sample.
 """
 
 from __future__ import annotations
@@ -51,17 +49,6 @@ class ChannelRealization:
         return self.freq_response[..., np.asarray(active_indices, dtype=int)]
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Circular complex white Gaussian noise, per-sample variance."""
-
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.variance}")
-
-
 def power_delay_profile(tap_count: int, rms_delay_spread_s: float,
                         sample_rate_hz: float) -> np.ndarray:
     """Exponential tap powers p_k proportional to exp(-k*T_s/tau), normalized
@@ -92,10 +79,8 @@ def sample_channel(rng: np.random.Generator,
 
 
 def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
-                           rms_delay_spread_s: float, dft_size: int,
-                           *_unread) -> ChannelRealization:
-    """Realization of the given taps.  Trailing arguments are not read:
-    the acceptance gate still passes a guard length here."""
+                           rms_delay_spread_s: float, dft_size: int) -> ChannelRealization:
+    """Realization of the given taps, responses at ``dft_size`` points."""
     taps = np.asarray(taps, dtype=complex)
     padded = np.zeros(taps.shape[:-1] + (dft_size,), dtype=complex)
     padded[..., :taps.shape[-1]] = taps
@@ -150,8 +135,11 @@ def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def complex_noise(rng: np.random.Generator, shape, variance: float,
                   stacked: bool = False) -> np.ndarray:
-    """All real parts, then all imaginary ones; ``stacked`` draws one such
-    block per index of the leading (channel) axis, in turn."""
+    """Circular complex white Gaussian noise of the given per-sample
+    variance: all real parts, then all imaginary ones; ``stacked`` draws
+    one such block per index of the leading (channel) axis, in turn."""
+    if variance < 0:
+        raise ValueError(f"noise variance must be >= 0, got {variance}")
     if variance == 0:
         return np.zeros(shape, dtype=complex)
     if stacked:
@@ -161,39 +149,13 @@ def complex_noise(rng: np.random.Generator, shape, variance: float,
 
 
 def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
-                         noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+                         noise_variance: float, rng: np.random.Generator) -> np.ndarray:
     """Per-symbol receive model: cyclic convolution plus white noise.
 
     Accepts a single symbol (length N) or a batch (..., N).
     """
     y = cyclic_convolve(x, ch.taps)
-    return y + complex_noise(rng, y.shape, noise.variance, stacked=ch.taps.ndim > 1)
-
-
-def apply_channel_stream(symbols: np.ndarray, ch: ChannelRealization,
-                         noise: NoiseSpec, rng: np.random.Generator,
-                         uw_samples: np.ndarray | None = None) -> np.ndarray:
-    """Linear convolution of a concatenated symbol stream plus noise.
-
-    ``symbols`` is (count, N); all symbols must carry the same tail
-    (checked against ``uw_samples`` when given).  Returns the stream of
-    length count*N (the convolution tail beyond the last symbol is
-    dropped).
-    """
-    symbols = np.atleast_2d(np.asarray(symbols, dtype=complex))
-    if uw_samples is not None:
-        tail = symbols[:, -len(uw_samples):]
-        if not np.allclose(tail, uw_samples[None, :], atol=1e-9):
-            raise ValueError("all symbols in a stream must carry the same unique word")
-    stream = symbols.reshape(-1)
-    out = np.convolve(stream, ch.taps)[:len(stream)]
-    return out + complex_noise(rng, out.shape, noise.variance)
-
-
-def stream_symbol_windows(stream: np.ndarray, dft_size: int) -> np.ndarray:
-    """Per-symbol receiver windows of a stream, shape (count, dft_size)."""
-    count = len(stream) // dft_size
-    return np.asarray(stream[:count * dft_size]).reshape(count, dft_size)
+    return y + complex_noise(rng, y.shape, noise_variance, stacked=ch.taps.ndim > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +196,7 @@ def pinned_snapshot(seed: int, predicate,
         f"no channel draw satisfied the predicate within {max_draws} attempts")
 
 
-def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int,
-                  dft_size: int = 64) -> None:
+def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int) -> None:
     """Write a snapshot fixture: metadata comments plus one tap per line
     as full-precision real/imag pairs."""
     lines = [
@@ -245,7 +206,7 @@ def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int,
         f"# tap_count = {ch.tap_count}",
         f"# sample_rate_hz = {ch.sample_rate_hz!r}",
         f"# rms_delay_spread_s = {ch.rms_delay_spread_s!r}",
-        f"# dft_size = {dft_size}",
+        f"# dft_size = {ch.freq_response.shape[-1]}",
     ]
     lines += [f"{float(tap.real)!r} {float(tap.imag)!r}" for tap in ch.taps]
     with open(path, "w") as fh:
@@ -259,7 +220,8 @@ _SNAPSHOT_FIELDS = {"sample_rate_hz": float, "rms_delay_spread_s": float, "dft_s
 def load_snapshot(path) -> ChannelRealization:
     """Load a snapshot fixture written by ``save_snapshot``; a tap line
     that is not two numbers, or a metadata value of the wrong type,
-    raises ``ConfigError`` naming its line."""
+    raises ``ConfigError`` naming its line, and a ``dft_size`` below one
+    or below the tap count raises it naming the file."""
     meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
             "dft_size": 64}
     taps = []
@@ -277,4 +239,7 @@ def load_snapshot(path) -> ChannelRealization:
             except ValueError:
                 raise ConfigError(f"channel fixture {path}:{lineno}: "
                                   f"cannot read {line!r}") from None
+    if meta["dft_size"] < max(len(taps), 1):
+        raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
+                          f"must be >= 1 and >= its {len(taps)} taps")
     return _realization_from_taps(np.array(taps, dtype=complex), **meta)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import channel as chan
-from . import __version__, frame, harness
+from . import frame, harness
 from .errors import ConfigError, NearSingularChannelError, NumericallySingularError
 
 EXIT_OK = 0
@@ -127,15 +127,8 @@ def cmd_mse_probe(args) -> int:
     ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
                                  n_symbols=n_symbols, seed=args.seed)
-    harness.write_mse_csv(out, rows, metadata=(
-        ("channel", args.channel),
-        ("channel_fixture_id", harness._fixture_id(args.channel)),
-        ("ebn0_db", harness._fmt(float(ebn0))),
-        ("symbols", str(n_symbols)),
-        ("seed", str(args.seed)),
-        ("config_hash", harness.config_hash(config)),
-        ("uwofdm_version", __version__),
-    ))
+    harness.write_mse_csv(out, rows, metadata=harness.mse_metadata(
+        args.channel, config, ebn0, n_symbols, args.seed))
     print(f"wrote {len(rows)} carriers to {out}")
     return EXIT_OK
 
@@ -152,8 +145,7 @@ def cmd_snapshot(args) -> int:
     ch, draw = chan.pinned_snapshot(
         args.seed, predicate, rms_delay_spread_s=tau,
         sample_rate_hz=config.sample_rate_hz, tap_count=taps, dft_size=config.dft_size)
-    chan.save_snapshot(out, ch, seed=args.seed, draw=draw,
-                       dft_size=config.dft_size)
+    chan.save_snapshot(out, ch, seed=args.seed, draw=draw)
     power = np.abs(ch.active_response(config.active_indices)) ** 2
     depth = 10 * np.log10(power / power.mean())
     print(f"wrote snapshot (seed={args.seed}, draw={draw}) to {out}")

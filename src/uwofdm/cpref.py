@@ -90,16 +90,16 @@ def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
 
 
 def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
-                     noise_variance: float, cfg: CpConfig,
-                     floor_response: bool = False
+                     noise_variance: float, cfg: CpConfig
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the prefix, transform and zero-force the data carriers.
 
     Returns (data estimates, per-carrier noise variances) with shapes
     (..., data_count) and (data_count,); a stacked realization takes
     (channels, symbols, samples) and gives (channels, data_count)
-    variances.  The zero-forcing floor is relative to the largest
-    response over all DFT bins.
+    variances.  A weak response is floored as in the UW receiver
+    (``rxchain.zero_forcing_response``), relative to the largest
+    response on the data carriers.
     """
     received = np.asarray(received)
     if received.shape[-1] != cfg.symbol_samples:
@@ -108,8 +108,7 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     if ch.tap_count > cfg.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {cfg.cp_length}-sample prefix")
-    h = zero_forcing_response(ch, cfg.data_bins, floor_response,
-                              reference=np.arange(cfg.dft_size))
+    h = zero_forcing_response(ch, cfg.data_bins, floor_response=True)
     window = received[..., cfg.cp_length:]
     spectrum = forward_dft(window)
     estimates = spectrum[..., cfg.data_bins] / per_symbol(h)

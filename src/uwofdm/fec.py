@@ -1,8 +1,9 @@
 """Bit-level chain shared by both transceivers: the industry-standard
 rate-1/2 constraint-length-7 convolutional code (generators 133/171
 octal), 802.11a bit-stealing puncturing to rate 3/4, the two-step block
-interleaver, Gray QPSK mapping and variance-weighted soft demapping,
-and a frame-terminated soft-decision Viterbi decoder.
+interleaver, Gray QPSK mapping, variance-weighted soft demapping to an
+array of LLRs, and a frame-terminated soft-decision Viterbi decoder that
+takes that array.
 
 All operations act on the last axis, so a leading batch axis of frames
 vectorizes the whole chain.  The Viterbi recursion runs the radix-2
@@ -173,18 +174,11 @@ def qpsk_hard_bits(symbols: np.ndarray) -> np.ndarray:
     return bits
 
 
-@dataclass(frozen=True)
-class SoftBits:
-    """LLRs with the convention sign > 0 means bit 0; magnitude is the
-    reliability used by the Viterbi path metric."""
-
-    llrs: np.ndarray
-
-
-def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> SoftBits:
+def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> np.ndarray:
     """Per-component LLRs 4*sqrt(1/2)*Re{s}/sigma_i^2 (Im for the
     quadrature bit), with per-symbol noise variances broadcast over the
-    last axis."""
+    last axis.  An LLR's sign > 0 means bit 0; its magnitude is the
+    reliability the Viterbi path metric weighs."""
     symbols = np.asarray(symbols)
     variances = np.asarray(variances, dtype=float)
     if np.any(variances <= 0):
@@ -193,7 +187,7 @@ def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> SoftB
     llrs = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
     llrs[..., 0::2] = symbols.real * scale
     llrs[..., 1::2] = symbols.imag * scale
-    return SoftBits(llrs=llrs)
+    return llrs
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> SoftB
 NEG_INF = -1e30
 
 
-def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int) -> np.ndarray:
+def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
     """Maximum-likelihood decode of a zero-state-terminated frame.
 
     Input is the depunctured LLR stream, 2*(n_info + 6) values on the
@@ -211,7 +205,7 @@ def viterbi_decode(soft: SoftBits | np.ndarray, n_info: int) -> np.ndarray:
     common positive LLR scaling leaves decisions unchanged.  A tie keeps
     the even predecessor.
     """
-    llrs = soft.llrs if isinstance(soft, SoftBits) else np.asarray(soft, dtype=float)
+    llrs = np.asarray(llrs, dtype=float)
     single = llrs.ndim == 1
     llrs = np.atleast_2d(llrs)
     steps = n_info + TAIL_BITS

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericallySingularError, PlacementInfeasibleError
-from .numerics import DftPlan, condition_estimate, inverse_dft, solve_linear
+from .numerics import condition_estimate, inverse_dft, solve_linear
 
 # Reference system parameters: 64-point DFT at 20 MHz with the
 # IEEE-802.11a zero carriers (DC and band edges), 36 data carriers and
@@ -195,7 +195,7 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
 
     # m = F_inv @ selection @ permutation; split its last l rows at the
     # data / redundant column boundary.
-    m = DftPlan(n).inverse_matrix @ smap.selection @ smap.permutation
+    m = inverse_dft(np.eye(n)) @ smap.selection @ smap.permutation
     m21 = m[n - l:, :nd]
     m22 = m[n - l:, nd:]
 
@@ -226,13 +226,6 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
 def redundant_energy_metric(gen: RedundancyGenerator) -> float:
     """Mean redundant-carrier energy per unit data variance, trace(T T^H)."""
     return float(np.sum(np.abs(gen.redundancy) ** 2))
-
-
-def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
-    """Zero-tail time-domain symbol(s) for data vector(s): IDFT of the
-    mapped active-carrier word."""
-    word = gen.encode(data)
-    return inverse_dft(word @ gen.map.selection.T)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +268,7 @@ def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
     n, l = config.dft_size, config.uw_length
     zeros = set(config.zero_indices)
     candidates = [i for i in range(n) if i not in zeros]
-    inv = DftPlan(n).inverse_matrix
+    inv = inverse_dft(np.eye(n))
     active = np.array(candidates, dtype=int)
 
     if l == 0:

@@ -36,6 +36,10 @@ RATE_VALUE = {"none": 1.0, "1/2": 0.5, "3/4": 0.75}
 #: therefore output bytes) never depend on the worker count.
 BATCH_FRAMES = 256
 
+#: Largest accepted ``frame_symbols``: at the reference 64-point DFT one
+#: complex (BATCH_FRAMES, frame_symbols, 64) batch array is then 256 MiB.
+MAX_FRAME_SYMBOLS = 1024
+
 #: Ensemble frames per group (one stacked channel draw and equalizer
 #: build); bounds memory, never changes the output.
 ENSEMBLE_GROUP_FRAMES = 16
@@ -81,8 +85,9 @@ class SweepSpec:
                 f"channel must be 'ensemble' or 'fixed:<path>', got {self.channel!r}")
         if self.min_error_events < 1 or self.max_bits_per_point < 1:
             raise ConfigError("stopping thresholds must be positive")
-        if self.frame_symbols < 1:
-            raise ConfigError("frame_symbols must be >= 1")
+        if not 1 <= self.frame_symbols <= MAX_FRAME_SYMBOLS:
+            raise ConfigError(f"frame_symbols must lie between 1 and "
+                              f"{MAX_FRAME_SYMBOLS}, got {self.frame_symbols}")
         if self.channel == "ensemble":
             check_tap_count("channel_taps", self.channel_taps, self.guard_length)
             frame.check_positive("rms_delay_spread_s", self.rms_delay_spread_s)
@@ -282,12 +287,11 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
     if ctx.kind == "cp":
         x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
         y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg,
-                                                      floor_response=True)
+        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg)
     else:
         gen, uw = ctx.gen, ctx.uw
         x = txchain.encode_batch(data, gen, gen.map, uw)
-        y = chan.apply_channel_cyclic(x, ch, chan.NoiseSpec(sigma2), rng_noise)
+        y = chan.apply_channel_cyclic(x, ch, sigma2, rng_noise)
         if eq is None:
             eq = rxchain.build_equalizer(ch, gen, sigma2, floor_response=True,
                                          smoothing=ctx.smoothing)
@@ -300,7 +304,7 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
     variances = np.maximum(chan.per_symbol(variances), 1e-300)
-    blocks = fec.qpsk_soft_demap(estimates, variances).llrs.reshape(n_frames, f_sym, width)
+    blocks = fec.qpsk_soft_demap(estimates, variances).reshape(n_frames, f_sym, width)
     stream = fec.deinterleave(blocks, ctx.interleaver).reshape(n_frames, -1)
     return fec.depuncture(stream, spec.code_rate)
 
@@ -427,9 +431,10 @@ def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
     after smoothing on one channel realization.
 
     Returns one row per active carrier:
-    (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post).
-    Eb follows the uncoded convention (total mean symbol energy over
-    2 * data_count bits).
+    (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post),
+    both empirical columns measured on the same symbols.  Eb follows the
+    uncoded convention (total mean symbol energy over 2 * data_count
+    bits).
     """
     smap = frame.build_subcarrier_map(config)
     gen = frame.derive_generator(smap)
@@ -438,17 +443,28 @@ def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
     sigma2 = eb / 10 ** (ebn0_db / 10.0)
     eq = rxchain.build_equalizer(ch, gen, sigma2)
 
-    rng_pre = np.random.default_rng([seed, 0])
-    rng_post = np.random.default_rng([seed, 1])
-    mse_pre = rxchain.measure_subcarrier_mse(gen, eq, uw, ch, rng_pre,
-                                             n_symbols, mode="pre")
-    mse_post = rxchain.measure_subcarrier_mse(gen, eq, uw, ch, rng_post,
-                                              n_symbols, mode="post")
+    mse_pre, mse_post = rxchain.measure_subcarrier_mse(
+        gen, eq, uw, ch, np.random.default_rng([seed, 0]), n_symbols)
     analytic_pre = eq.noise_covariance
     analytic_post = eq.error_variances
     return [(i, float(mse_pre[i]), float(mse_post[i]),
              float(analytic_pre[i]), float(analytic_post[i]))
             for i in range(len(smap.active_carriers))]
+
+
+def mse_metadata(channel: str, config: frame.OfdmSystemConfig, ebn0_db: float,
+                 n_symbols: int, seed: int) -> tuple:
+    """The ``write_mse_csv`` header of a ``run_mse_probe`` run: every input
+    that affects its bytes, plus the package version."""
+    return (
+        ("channel", channel),
+        ("channel_fixture_id", _fixture_id(channel)),
+        ("ebn0_db", _fmt(float(ebn0_db))),
+        ("symbols", str(n_symbols)),
+        ("seed", str(seed)),
+        ("config_hash", config_hash(config)),
+        ("uwofdm_version", __version__),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,36 +501,6 @@ def write_mse_csv(path, rows, metadata=()) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Closed-form reference
-
-def qpsk_ber(ebn0_used_linear: float) -> float:
-    """Uncoded Gray-QPSK bit error probability at a given per-bit SNR."""
-    return 0.5 * math.erfc(math.sqrt(max(ebn0_used_linear, 0.0)))
-
-
-def analytic_cp_uncoded_ber(ebn0_db: float, cfg: cpref.CpConfig) -> float:
-    """Closed-form flat-channel BER of the CP system versus *total*
-    Eb/N0, accounting for the energy spent on prefix and pilots (only
-    the data-carrier share steers the decisions)."""
-    eb_total = cpref.mean_symbol_energy(cfg) / (2 * cfg.data_count)
-    sigma2 = eb_total / 10 ** (ebn0_db / 10.0)
-    eb_used = cfg.data_symbol_variance / (2 * cfg.dft_size)
-    return qpsk_ber(eb_used / sigma2)
-
-
-def analytic_cp_required_ebn0_db(ber: float, cfg: cpref.CpConfig) -> float:
-    """Invert ``analytic_cp_uncoded_ber``: total Eb/N0 needed for a BER."""
-    lo, hi = -10.0, 60.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if analytic_cp_uncoded_ber(mid, cfg) > ber:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ matrix cached for that size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,18 +32,6 @@ def _dft_matrix(size: int) -> np.ndarray:
     matrix = w ** np.outer(n, n)
     matrix.flags.writeable = False
     return matrix
-
-
-@dataclass(frozen=True)
-class DftPlan:
-    """The inverse DFT matrix of one size, for the placement algebra that
-    works on its rows (the transforms take the size from their input)."""
-
-    size: int
-
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        return _dft_matrix(self.size).conj() / self.size
 
 
 def forward_dft(v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseSpec, apply_channel_cyclic, per_symbol
+from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator, SubcarrierMap
 from .fec import qpsk_map
@@ -28,7 +28,8 @@ from .txchain import UniqueWord, encode_batch
 
 #: Zero forcing is refused below this absolute response magnitude.
 ZF_ABS_FLOOR = 1e-9
-#: Optional regularization floor, relative to the largest active response.
+#: Optional regularization floor, relative to the largest response on the
+#: zero-forced carriers.
 ZF_REL_FLOOR = 1e-6
 
 
@@ -61,18 +62,16 @@ class WienerEqualizer:
         return self.noise_covariance[..., self.map.data_positions]
 
 
-def zero_forcing_response(ch: ChannelRealization, carriers, floor_response: bool,
-                          reference=None) -> np.ndarray:
+def zero_forcing_response(ch: ChannelRealization, carriers,
+                          floor_response: bool) -> np.ndarray:
     """Channel response on ``carriers`` (per stacked channel), checked for
     zero forcing: below ``ZF_ABS_FLOOR`` it raises, or with
     ``floor_response`` it is raised to ``ZF_REL_FLOOR`` times the largest
-    magnitude over ``reference`` (default ``carriers``; the CP baseline
-    uses all bins), keeping its phase."""
+    magnitude on ``carriers``, keeping its phase."""
     h = ch.active_response(carriers)
     mags = np.abs(h)
     if floor_response:
-        ref = mags if reference is None else np.abs(ch.active_response(reference))
-        floor = np.broadcast_to(ZF_REL_FLOOR * ref.max(axis=-1, keepdims=True), h.shape)
+        floor = np.broadcast_to(ZF_REL_FLOOR * mags.max(axis=-1, keepdims=True), h.shape)
         weak = mags < floor
         if np.any(weak):
             # keep the phase; a exactly-zero entry gets a real floor
@@ -149,31 +148,28 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
     return spectrum * per_symbol(eq.inv_response) - uw_active
 
 
+#: Symbols per pass of ``measure_subcarrier_mse``; bounds its memory.
+MSE_BATCH_SYMBOLS = 4096
+
+
 def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
                            uw: UniqueWord, ch: ChannelRealization,
-                           rng: np.random.Generator, n_symbols: int,
-                           mode: str = "post",
-                           batch: int = 4096) -> np.ndarray:
+                           rng: np.random.Generator,
+                           n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical per-carrier squared error against the matched transmit
-    word, before ('pre') or after ('post') smoothing."""
-    if mode not in ("pre", "post"):
-        raise ValueError(f"mode must be 'pre' or 'post', got {mode!r}")
+    word, (before, after) smoothing, both from the same received
+    symbols."""
     smap = gen.map
     nd = smap.config.data_count
-    noise = NoiseSpec(eq.noise_variance)
-    total = np.zeros(len(smap.active_carriers))
-    done = 0
-    while done < n_symbols:
-        count = min(batch, n_symbols - done)
-        bits = rng.integers(0, 2, size=(count, 2 * nd))
-        data = qpsk_map(bits)
+    pre = np.zeros(len(smap.active_carriers))
+    post = np.zeros_like(pre)
+    for done in range(0, n_symbols, MSE_BATCH_SYMBOLS):
+        count = min(MSE_BATCH_SYMBOLS, n_symbols - done)
+        data = qpsk_map(rng.integers(0, 2, size=(count, 2 * nd)))
         sent = data @ gen.code_matrix.T
-        x = encode_batch(data, gen, smap, uw)
-        y = apply_channel_cyclic(x, ch, noise, rng)
-        if mode == "post":
-            est = equalize_batch(y, eq, uw)
-        else:
-            est = zf_only_symbol(y, eq, uw)
-        total += np.sum(np.abs(est - sent) ** 2, axis=0)
-        done += count
-    return total / n_symbols
+        y = apply_channel_cyclic(encode_batch(data, gen, smap, uw), ch,
+                                 eq.noise_variance, rng)
+        zf = zf_only_symbol(y, eq, uw)
+        pre += np.sum(np.abs(zf - sent) ** 2, axis=0)
+        post += np.sum(np.abs(zf @ eq.smoother.T - sent) ** 2, axis=0)
+    return pre / n_symbols, post / n_symbols

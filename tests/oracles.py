@@ -1,0 +1,85 @@
+"""Reference forms that the tests compare the package against: the
+physical symbol-stream channel, the zero-tail time symbol, an explicit
+inverse DFT matrix and the flat-channel closed form of the cyclic-prefix
+baseline.  The simulator itself never calls them."""
+
+import math
+
+import numpy as np
+
+from uwofdm import cpref
+from uwofdm.channel import ChannelRealization, complex_noise
+from uwofdm.frame import RedundancyGenerator
+from uwofdm.numerics import inverse_dft
+
+
+def inverse_dft_matrix(n: int) -> np.ndarray:
+    """The inverse DFT matrix F^H / n, written out from its definition."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / n
+
+
+def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
+    """Zero-tail time-domain symbol(s) for data vector(s): IDFT of the
+    mapped active-carrier word."""
+    word = gen.encode(data)
+    return inverse_dft(word @ gen.map.selection.T)
+
+
+# ---------------------------------------------------------------------------
+# Physical stream model
+
+def apply_channel_stream(symbols: np.ndarray, ch: ChannelRealization,
+                         noise_variance: float, rng: np.random.Generator,
+                         uw_samples: np.ndarray | None = None) -> np.ndarray:
+    """Linear convolution of a concatenated symbol stream plus noise.
+
+    ``symbols`` is (count, N); all symbols must carry the same tail
+    (checked against ``uw_samples`` when given).  Returns the stream of
+    length count*N (the convolution tail beyond the last symbol is
+    dropped).
+    """
+    symbols = np.atleast_2d(np.asarray(symbols, dtype=complex))
+    if uw_samples is not None:
+        tail = symbols[:, -len(uw_samples):]
+        if not np.allclose(tail, uw_samples[None, :], atol=1e-9):
+            raise ValueError("all symbols in a stream must carry the same unique word")
+    stream = symbols.reshape(-1)
+    out = np.convolve(stream, ch.taps)[:len(stream)]
+    return out + complex_noise(rng, out.shape, noise_variance)
+
+
+def stream_symbol_windows(stream: np.ndarray, dft_size: int) -> np.ndarray:
+    """Per-symbol receiver windows of a stream, shape (count, dft_size)."""
+    count = len(stream) // dft_size
+    return np.asarray(stream[:count * dft_size]).reshape(count, dft_size)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form cyclic-prefix baseline
+
+def qpsk_ber(ebn0_used_linear: float) -> float:
+    """Uncoded Gray-QPSK bit error probability at a given per-bit SNR."""
+    return 0.5 * math.erfc(math.sqrt(max(ebn0_used_linear, 0.0)))
+
+
+def analytic_cp_uncoded_ber(ebn0_db: float, cfg: cpref.CpConfig) -> float:
+    """Closed-form flat-channel BER of the CP system versus *total*
+    Eb/N0, accounting for the energy spent on prefix and pilots (only
+    the data-carrier share steers the decisions)."""
+    eb_total = cpref.mean_symbol_energy(cfg) / (2 * cfg.data_count)
+    sigma2 = eb_total / 10 ** (ebn0_db / 10.0)
+    eb_used = cfg.data_symbol_variance / (2 * cfg.dft_size)
+    return qpsk_ber(eb_used / sigma2)
+
+
+def analytic_cp_required_ebn0_db(ber: float, cfg: cpref.CpConfig) -> float:
+    """Invert ``analytic_cp_uncoded_ber``: total Eb/N0 needed for a BER."""
+    lo, hi = -10.0, 60.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if analytic_cp_uncoded_ber(mid, cfg) > ber:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

@@ -15,11 +15,12 @@ import pytest
 import uwofdm as uw
 from uwofdm import channel as chan
 from uwofdm import cli, cpref, fec, harness
-from uwofdm.frame import optimize_placement, time_symbol
-from uwofdm.numerics import DftPlan
+from uwofdm.frame import optimize_placement
 from uwofdm.txchain import encode_batch
 
 from conftest import NOTCH_FIXTURE
+from oracles import (analytic_cp_required_ebn0_db, apply_channel_stream,
+                     inverse_dft_matrix, stream_symbol_windows, time_symbol)
 
 FIXTURE = f"fixed:{NOTCH_FIXTURE}"
 
@@ -62,7 +63,7 @@ def test_criterion_1_zero_uw_construction(ref_gen):
 
 def test_criterion_2_generator_oracle(toy_config, toy_gen):
     smap = toy_gen.map
-    tail = DftPlan(8).inverse_matrix[6:, :] @ smap.selection @ smap.permutation
+    tail = inverse_dft_matrix(8)[6:, :] @ smap.selection @ smap.permutation
     t_oracle = np.zeros((2, 4), dtype=complex)
     for col in range(4):
         t_oracle[:, col] = np.linalg.solve(tail[:, 4:], -tail[:, col])
@@ -128,10 +129,10 @@ def test_criterion_4_stream_cyclicity(ref_gen, ref_map, ref_uw):
     results = {}
     for taps in (16, 20):
         ch = uw.sample_channel(np.random.default_rng(103), tap_count=taps)
-        stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0),
-                                         rng, uw_samples=ref_uw.samples)
-        windows = chan.stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, uw.NoiseSpec(0.0), rng)
+        stream = apply_channel_stream(symbols, ch, 0.0,
+                                      rng, uw_samples=ref_uw.samples)
+        windows = stream_symbol_windows(stream, 64)
+        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         scale = float(np.sqrt(np.mean(np.abs(cyclic[1:]) ** 2)))
         results[taps] = float(np.abs(windows[1:] - cyclic[1:]).max()) / scale
     ok = results[16] <= 1e-9 and results[20] > 1e-6
@@ -174,12 +175,12 @@ def test_criterion_6_smoothing_dominance(probe_rows, notch_channel, ref_config):
 
 def test_criterion_7_cp_baseline_closed_form(tmp_path):
     cfg = cpref.CpConfig()
-    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64, 16)
+    flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
     fixture = tmp_path / "flat.txt"
     chan.save_snapshot(fixture, flat, seed=0, draw=0)
 
     # grid spanning analytic BER 1e-2 .. 1e-5
-    grid = tuple(round(harness.analytic_cp_required_ebn0_db(10.0 ** -e, cfg), 2)
+    grid = tuple(round(analytic_cp_required_ebn0_db(10.0 ** -e, cfg), 2)
                  for e in (2.0, 2.75, 3.5, 4.25, 5.0))
     spec = harness.SweepSpec(
         config=uw.reference_config(), system="cp", ebn0_db=grid, seed=105,
@@ -188,7 +189,7 @@ def test_criterion_7_cp_baseline_closed_form(tmp_path):
     points = harness.run_ber_sweep(spec).points
     deviations = []
     for point in points:
-        required = harness.analytic_cp_required_ebn0_db(point.ber, cfg)
+        required = analytic_cp_required_ebn0_db(point.ber, cfg)
         deviations.append(abs(required - point.ebn0_db))
     worst = max(deviations)
     report(7, "CP baseline closed form", worst <= 0.2,
@@ -248,7 +249,7 @@ def test_criterion_9_fec_known_answer():
         bits = rng.integers(0, 2, n_info).astype(np.uint8)
         tx = fec.interleave(fec.puncture(fec.conv_encode(bits), rate), spec)
         soft = fec.qpsk_soft_demap(fec.qpsk_map(tx), 0.8)
-        stream = fec.depuncture(fec.deinterleave(soft.llrs, spec), rate)
+        stream = fec.depuncture(fec.deinterleave(soft, spec), rate)
         loopback_ok &= bool(
             np.array_equal(fec.viterbi_decode(stream, n_info), bits))
 

@@ -1,7 +1,11 @@
 """The public API: ``uwofdm.__all__`` lists each name once, and every
-listed name exists."""
+listed name exists; reference forms that only the tests use live in
+``tests/oracles.py``, not in the package."""
+
+import pytest
 
 import uwofdm
+from uwofdm import channel, fec, frame, harness, numerics
 
 
 def test_all_has_no_duplicates():
@@ -16,3 +20,18 @@ def test_star_import():
     namespace: dict = {}
     exec("from uwofdm import *", namespace)
     assert set(uwofdm.__all__) <= namespace.keys()
+
+
+def test_all_size():
+    assert len(uwofdm.__all__) <= 47
+
+
+@pytest.mark.parametrize("module, name", [
+    (fec, "SoftBits"), (numerics, "DftPlan"), (channel, "NoiseSpec"),
+    (channel, "apply_channel_stream"), (channel, "stream_symbol_windows"),
+    (frame, "time_symbol"), (harness, "qpsk_ber"),
+    (harness, "analytic_cp_uncoded_ber"), (harness, "analytic_cp_required_ebn0_db"),
+    (uwofdm, "SoftBits"), (uwofdm, "NoiseSpec"), (uwofdm, "apply_channel_stream"),
+])
+def test_test_only_forms_are_not_in_the_package(module, name):
+    assert not hasattr(module, name)

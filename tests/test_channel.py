@@ -1,5 +1,5 @@
-"""Channel model: power profile, normalization, cyclic/stream equivalence
-and pinned snapshot fixtures."""
+"""Channel model: power profile, normalization, the cyclic model against
+the stream oracle, and pinned snapshot fixtures."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
+from uwofdm import cpref
 from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
+
+from oracles import apply_channel_stream, stream_symbol_windows
 
 
 class TestPowerDelayProfile:
@@ -78,7 +81,7 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(35)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.0), rng)
+        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
         np.testing.assert_array_equal(y, x)
 
     def test_convolution_theorem(self):
@@ -87,7 +90,7 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(36)
         ch = uw.sample_channel(rng)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.0), rng)
+        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
         np.testing.assert_allclose(forward_dft(y),
                                    ch.freq_response * forward_dft(x),
                                    atol=1e-9)
@@ -98,20 +101,28 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(45)
         stacked = uw.sample_channel(rng, channels=3)
         x = rng.standard_normal((3, 4, 64)) + 1j * rng.standard_normal((3, 4, 64))
-        y = uw.apply_channel_cyclic(x, stacked, uw.NoiseSpec(0.1),
-                                    np.random.default_rng(46))
+        y = uw.apply_channel_cyclic(x, stacked, 0.1, np.random.default_rng(46))
         noise_rng = np.random.default_rng(46)
         for c in range(3):
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             np.testing.assert_array_equal(
-                y[c], uw.apply_channel_cyclic(x[c], ch, uw.NoiseSpec(0.1), noise_rng))
+                y[c], uw.apply_channel_cyclic(x[c], ch, 0.1, noise_rng))
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(37)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = np.zeros((2 ** 14, 64), dtype=complex)  # ~1e6 samples
-        y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.25), rng)
+        y = uw.apply_channel_cyclic(x, ch, 0.25, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.02)
+
+    @pytest.mark.parametrize("apply", [uw.apply_channel_cyclic, cpref.cp_apply_channel])
+    def test_negative_noise_variance_rejected(self, apply):
+        """Both modems draw their noise through ``complex_noise``, which
+        refuses a negative variance."""
+        rng = np.random.default_rng(47)
+        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
+        with pytest.raises(ValueError, match="noise variance must be >= 0, got -0.1"):
+            apply(np.zeros((2, 80), dtype=complex), ch, -0.1, rng)
 
 
 def roll_convolve(x, taps):
@@ -186,10 +197,10 @@ class TestApplyChannelStream:
         rng = np.random.default_rng(39)
         ch = chan._realization_from_taps(np.array([0.8 - 0.1j]), 20e6, 1e-7, 64)
         symbols = self._symbols(ref_gen, ref_map, ref_uw, 3)
-        stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
-                                         uw_samples=ref_uw.samples)
-        windows = chan.stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, uw.NoiseSpec(0.0), rng)
+        stream = apply_channel_stream(symbols, ch, 0.0, rng,
+                                      uw_samples=ref_uw.samples)
+        windows = stream_symbol_windows(stream, 64)
+        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         np.testing.assert_allclose(windows, cyclic, atol=1e-12)
 
     def test_steady_state_matches_cyclic_16_taps(self, ref_gen, ref_map, ref_uw):
@@ -199,10 +210,10 @@ class TestApplyChannelStream:
         rng = np.random.default_rng(40)
         ch = uw.sample_channel(rng, tap_count=16)
         symbols = self._symbols(ref_gen, ref_map, ref_uw, 10)
-        stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
-                                         uw_samples=ref_uw.samples)
-        windows = chan.stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, uw.NoiseSpec(0.0), rng)
+        stream = apply_channel_stream(symbols, ch, 0.0, rng,
+                                      uw_samples=ref_uw.samples)
+        windows = stream_symbol_windows(stream, 64)
+        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         scale = np.sqrt(np.mean(np.abs(cyclic[1:]) ** 2))
         assert np.abs(windows[1:] - cyclic[1:]).max() <= 1e-9 * scale
 
@@ -211,10 +222,10 @@ class TestApplyChannelStream:
         rng = np.random.default_rng(41)
         ch = uw.sample_channel(rng, tap_count=20)
         symbols = self._symbols(ref_gen, ref_map, ref_uw, 10)
-        stream = uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
-                                         uw_samples=ref_uw.samples)
-        windows = chan.stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, uw.NoiseSpec(0.0), rng)
+        stream = apply_channel_stream(symbols, ch, 0.0, rng,
+                                      uw_samples=ref_uw.samples)
+        windows = stream_symbol_windows(stream, 64)
+        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         assert np.abs(windows[1:] - cyclic[1:]).max() > 1e-6
 
     def test_mixed_uw_rejected(self, ref_gen, ref_map, ref_uw):
@@ -223,8 +234,8 @@ class TestApplyChannelStream:
         symbols[1, -3] += 0.5  # corrupt one tail
         ch = uw.sample_channel(rng)
         with pytest.raises(ValueError, match="same unique word"):
-            uw.apply_channel_stream(symbols, ch, uw.NoiseSpec(0.0), rng,
-                                    uw_samples=ref_uw.samples)
+            apply_channel_stream(symbols, ch, 0.0, rng,
+                                 uw_samples=ref_uw.samples)
 
 
 class TestPinnedSnapshot:

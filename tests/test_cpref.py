@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
-from uwofdm import cpref, fec, harness
+from uwofdm import cpref, fec, rxchain
+
+from oracles import analytic_cp_uncoded_ber
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,17 @@ class TestLoopback:
         h = ch.freq_response[cp_cfg.data_bins]
         np.testing.assert_allclose(variances, 64 * sigma2 / np.abs(h) ** 2,
                                    rtol=1e-12)
+
+    def test_null_floored_relative_to_data_carriers(self, cp_cfg):
+        """An exact null on data bin 13 is raised to ZF_REL_FLOOR times the
+        largest response on the data carriers, as in the UW receiver."""
+        taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
+        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
+        _, variances = cpref.cp_decode_symbol(np.zeros(80, dtype=complex), ch, 0.01,
+                                              cp_cfg)
+        floor = rxchain.ZF_REL_FLOOR * np.abs(ch.freq_response[cp_cfg.data_bins]).max()
+        null = list(cp_cfg.data_bins).index(13)
+        assert variances[null] == pytest.approx(64 * 0.01 / floor ** 2, rel=1e-12)
 
     def test_stacked_channels_match_per_channel(self, cp_cfg):
         rng = np.random.default_rng(98)
@@ -182,5 +195,5 @@ def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
         y = cpref.cp_apply_channel(x, flat, sigma2, rng)
         est, _ = cpref.cp_decode_symbol(y, flat, sigma2, cp_cfg)
         ber = float(np.mean(fec.qpsk_hard_bits(est) != bits))
-        expect = harness.analytic_cp_uncoded_ber(ebn0_db, cp_cfg)
+        expect = analytic_cp_uncoded_ber(ebn0_db, cp_cfg)
         assert ber == pytest.approx(expect, rel=0.08)

@@ -15,7 +15,7 @@ def awgn_llrs(bits, sigma2, rng):
     symbols = fec.qpsk_map(bits)
     noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(symbols.shape)
                                    + 1j * rng.standard_normal(symbols.shape))
-    return fec.qpsk_soft_demap(symbols + noise, sigma2).llrs
+    return fec.qpsk_soft_demap(symbols + noise, sigma2)
 
 
 class TestConvEncode:
@@ -125,7 +125,7 @@ class TestQpskMapping:
         rng = np.random.default_rng(55)
         bits = rng.integers(0, 2, 64).astype(np.uint8)
         soft = fec.qpsk_soft_demap(fec.qpsk_map(bits), 0.37)
-        np.testing.assert_array_equal((soft.llrs < 0).astype(np.uint8), bits)
+        np.testing.assert_array_equal((soft < 0).astype(np.uint8), bits)
         np.testing.assert_array_equal(fec.qpsk_hard_bits(fec.qpsk_map(bits)), bits)
 
     def test_nonpositive_variance_rejected(self):
@@ -289,7 +289,7 @@ def test_full_chain_loopback_both_rates():
         bits = rng.integers(0, 2, n_info).astype(np.uint8)
         tx = fec.interleave(fec.puncture(fec.conv_encode(bits), rate), spec)
         soft = fec.qpsk_soft_demap(fec.qpsk_map(tx), 1.0)
-        stream = fec.depuncture(fec.deinterleave(soft.llrs, spec), rate)
+        stream = fec.depuncture(fec.deinterleave(soft, spec), rate)
         np.testing.assert_array_equal(fec.viterbi_decode(stream, n_info), bits)
 
 

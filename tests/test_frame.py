@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm.errors import ConfigError
-from uwofdm.frame import optimize_placement, time_symbol
+from uwofdm.frame import optimize_placement
 from uwofdm.numerics import inverse_dft
+
+from oracles import time_symbol
 
 
 class TestConfigValidation:

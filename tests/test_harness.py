@@ -14,6 +14,7 @@ from uwofdm import cli, cpref, fec, harness, rxchain, txchain
 from uwofdm.errors import ConfigError, NumericallySingularError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
+from oracles import analytic_cp_uncoded_ber
 
 #: A 32-point UW system: 16 data carriers, an 8-sample unique word.
 N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
@@ -167,7 +168,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
         if ctx.kind == "uw":
             eq = uw.build_equalizer(ch, ctx.gen, sigma2, floor_response=True)
             x = txchain.encode_batch(data, ctx.gen, ctx.gen.map, ctx.uw)
-            y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(sigma2), rng_noise)
+            y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
             if ctx.smoothing:
                 words = rxchain.equalize_batch(y, eq, ctx.uw)
                 variances = eq.data_error_variances
@@ -178,12 +179,11 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
         else:
             x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
             y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg,
-                                                          floor_response=True)
+            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg)
         if rate == "none":
             decided[i] = fec.qpsk_hard_bits(estimates).reshape(-1)
         else:
-            llrs = uw.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300)).llrs
+            llrs = uw.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300))
             stream = fec.deinterleave(llrs, ctx.interleaver).reshape(-1)
             decided[i] = fec.viterbi_decode(fec.depuncture(stream, rate), ctx.n_info)
     wrong = decided != bits
@@ -231,7 +231,7 @@ def test_confidence_interval_coverage(flat_fixture):
     the 95% interval must cover the truth in at least 90 of 100 seeded
     trials."""
     cfg = cpref.CpConfig()
-    truth = harness.analytic_cp_uncoded_ber(9.0, cfg)
+    truth = analytic_cp_uncoded_ber(9.0, cfg)
     covered = 0
     for seed in range(100):
         spec = small_spec(system="cp", grid=(9.0,), seed=seed,
@@ -435,6 +435,34 @@ class TestCli:
         assert f"{fixture}:{lineno}: cannot read {bad!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_frame_symbols_beyond_bound_exits_2(self, tmp_path, capsys):
+        """Before the bound, 10^12 symbols per frame asked for a 131 PiB
+        array and exited 1."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("frame_symbols = 1000000000000\nebn0_db = [10]\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert (f"frame_symbols must lie between 1 and {harness.MAX_FRAME_SYMBOLS}, "
+                "got 1000000000000") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe"])
+    @pytest.mark.parametrize("size", [0, 8])
+    def test_fixture_dft_size_below_taps_exits_2(self, command, size, tmp_path, capsys):
+        """A fixture too small for its own 16 taps failed with a broadcast
+        ValueError (exit 1) before the size check could name it."""
+        fixture = tmp_path / "small.txt"
+        fixture.write_text(NOTCH_FIXTURE.read_text().replace(
+            "# dft_size = 64", f"# dft_size = {size}"))
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--out", str(out), "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert (f"channel fixture {fixture}: dft_size = {size} must be >= 1 and "
+                ">= its 16 taps") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mse_symbols_below_one_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "probe.cfg"
         cfg.write_text("mse_symbols = 0\n")
@@ -560,6 +588,11 @@ class TestCli:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_snapshot_reproduces_repository_fixture(self, tmp_path, capsys):
+        out = tmp_path / "snap.txt"
+        assert cli.main(["snapshot", "--seed", "396", "--out", str(out)]) == 0
+        assert out.read_bytes() == NOTCH_FIXTURE.read_bytes()
+
     def test_snapshot_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "snap.txt"
         assert cli.main(["snapshot", "--seed", "5", "--out", str(out)]) == 0
@@ -568,9 +601,11 @@ class TestCli:
 
 
 #: Values that no physical key accepts, or only just: zero, negative,
-#: non-finite, huge, non-numeric and empty.
+#: non-finite, huge, non-numeric and empty, and the largest accepted
+#: frame length next to a huge integer.
 HOSTILE_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300",
-                  "x", "", "[]", "[nan]", "[0]", "[-1]", "[1e300]", "[inf]")
+                  "x", "", "[]", "[nan]", "[0]", "[-1]", "[1e300]", "[inf]",
+                  str(harness.MAX_FRAME_SYMBOLS), "1000000000000")
 
 
 @pytest.fixture(scope="module")

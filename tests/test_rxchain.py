@@ -46,7 +46,7 @@ def send_batch(gen, uword, ch, sigma2, count, seed):
     data = uw.qpsk_map(rng.integers(0, 2, (count, 72)))
     sent = data @ gen.code_matrix.T
     x = encode_batch(data, gen, gen.map, uword)
-    y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(sigma2), rng)
+    y = uw.apply_channel_cyclic(x, ch, sigma2, rng)
     return data, sent, y
 
 
@@ -155,7 +155,7 @@ class TestEqualizeSymbol:
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_map, ref_uw)
         eq = uw.build_equalizer(flat_channel(0.7 + 0.3j), ref_gen, 0.0)
-        y = uw.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), uw.NoiseSpec(0.0), rng)
+        y = uw.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), 0.0, rng)
         smoothed = equalize_one(y, eq, ref_uw)
         np.testing.assert_allclose(smoothed[ref_map.data_positions], d, atol=1e-9)
 
@@ -165,7 +165,7 @@ class TestEqualizeSymbol:
         eq = uw.build_equalizer(ch, ref_gen, 0.0)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_map, ref_uw)
-        y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.0), rng)
+        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
         smoothed = equalize_one(y, eq, ref_uw)
         np.testing.assert_allclose(smoothed[ref_map.data_positions], d, atol=1e-8)
 
@@ -177,7 +177,7 @@ class TestEqualizeSymbol:
         eq = uw.build_equalizer(ch, ref_gen, 0.02)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_map, ref_uw)
-        y = uw.apply_channel_cyclic(x, ch, uw.NoiseSpec(0.02), rng)
+        y = uw.apply_channel_cyclic(x, ch, 0.02, rng)
         after = equalize_one(y, eq, ref_uw)
         before = equalize_symbol_uw_first(y, eq, ref_uw)
         np.testing.assert_allclose(after, before, atol=1e-10)
@@ -246,25 +246,32 @@ class TestErrorStatistics:
     def test_measure_mse_noiseless(self, ref_gen, ref_uw, notch_channel):
         eq = uw.build_equalizer(notch_channel, ref_gen, 0.0)
         rng = np.random.default_rng(81)
-        mse = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
-                                        rng, 200, mode="post")
-        assert mse.max() <= 1e-16
+        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
+                                              rng, 200)
+        assert max(pre.max(), post.max()) <= 1e-16
 
     def test_measure_mse_matches_analytic(self, ref_gen, ref_uw, notch_channel):
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        pre = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
-                                        np.random.default_rng(82), 60_000, "pre")
-        post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
-                                         np.random.default_rng(83), 60_000, "post")
+        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
+                                              np.random.default_rng(82), 60_000)
         np.testing.assert_allclose(pre, eq.noise_covariance, rtol=0.03)
         np.testing.assert_allclose(post, eq.error_variances, rtol=0.03)
 
-    def test_invalid_mode_rejected(self, ref_gen, ref_uw, notch_channel):
-        eq = uw.build_equalizer(notch_channel, ref_gen, 0.01)
-        with pytest.raises(ValueError):
-            uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
-                                      np.random.default_rng(0), 10, "mid")
+    def test_measure_mse_one_pass(self, ref_gen, ref_uw, notch_channel):
+        """Both columns come from the same symbols: smoothing the
+        zero-forced words of one draw reproduces the post column."""
+        sigma2 = 0.02
+        eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
+        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
+                                              np.random.default_rng(86), 300)
+        _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2, 300, seed=86)
+        zf = uw.zf_only_symbol(y, eq, ref_uw)
+        np.testing.assert_allclose(pre, np.mean(np.abs(zf - sent) ** 2, axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            post, np.mean(np.abs(rxchain.equalize_batch(y, eq, ref_uw) - sent) ** 2, axis=0),
+            rtol=1e-12)
 
 
 def test_ber_invariant_under_uw_choice(ref_gen, ref_map, ref_uw, zero_uw,
@@ -282,7 +289,7 @@ def test_ber_invariant_under_uw_choice(ref_gen, ref_map, ref_uw, zero_uw,
     for word in (ref_uw, zero_uw):
         x = encode_batch(data, ref_gen, ref_map, word)
         noise_rng = np.random.default_rng(85)  # identical draws per word
-        y = uw.apply_channel_cyclic(x, notch_channel, uw.NoiseSpec(sigma2),
+        y = uw.apply_channel_cyclic(x, notch_channel, sigma2,
                                     noise_rng)
         est = rxchain.equalize_batch(y, eq, word)
         decisions[id(word)] = uw.fec.qpsk_hard_bits(est[:, ref_map.data_positions])
