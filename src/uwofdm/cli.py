@@ -26,8 +26,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (flat key/value format)")
     sub.add_argument("--seed", type=int, default=1, help="master seed (u64)")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="parallel workers (default: $UWOFDM_WORKERS or 1)")
     sub.add_argument("--channel", default="ensemble",
                      help="'ensemble' or 'fixed:<fixture path>'")
 
@@ -50,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ber-sweep", help="run a Monte-Carlo BER sweep")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes, at least 1 (default: 1)")
 
     p = subs.add_parser("mse-probe", help="per-carrier MSE probe on a fixed channel")
     _add_common(p)
@@ -119,10 +119,10 @@ def cmd_mse_probe(args) -> int:
     config = harness.system_config_from(values)
     if not args.channel.startswith("fixed:"):
         raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
-    n_symbols = values.get("mse_symbols", 100_000)
+    n_symbols = values.get("mse_symbols", harness.MSE_SYMBOLS)
     if n_symbols < 1:
         raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
-    ebn0 = values.get("mse_ebn0_db", 15.0)
+    ebn0 = values.get("mse_ebn0_db", harness.MSE_EBN0_DB)
     harness.check_ebn0("mse_ebn0_db", ebn0)
     ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,

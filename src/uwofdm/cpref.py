@@ -8,68 +8,62 @@ one product with its truncated Toeplitz matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .channel import ChannelRealization, complex_noise, convolve, per_symbol
 from .numerics import forward_dft, inverse_dft
 from .rxchain import zero_forcing_response
 
-@dataclass(frozen=True)
+
 class CpConfig:
     """The fixed 802.11a layout in FFT-bin terms: DC and bins 27..37 are
     zero, pilots sit at logical carriers -21, -7, 7, 21 with fixed signs
-    1, 1, 1, -1, and the other 48 bins carry data.  Only the data
-    variance follows the swept system's config."""
+    1, 1, 1, -1, and the other 48 bins carry unit-energy QPSK data.
+    Every field is a class constant; nothing follows the swept system's
+    config."""
 
-    dft_size: ClassVar[int] = 64
-    cp_length: ClassVar[int] = 16
-    pilot_bins: ClassVar[tuple] = (7, 21, 43, 57)
-    pilot_values: ClassVar[tuple] = (1.0, -1.0, 1.0, 1.0)
-    zero_bins: ClassVar[tuple] = (0,) + tuple(range(27, 38))
-    data_bins: ClassVar[np.ndarray] = np.setdiff1d(np.arange(dft_size), zero_bins + pilot_bins)
-    symbol_samples: ClassVar[int] = dft_size + cp_length
-    data_symbol_variance: float = 1.0
-
-    @property
-    def data_count(self) -> int:
-        return len(self.data_bins)
+    dft_size = 64
+    cp_length = 16
+    pilot_bins = (7, 21, 43, 57)
+    pilot_values = (1.0, -1.0, 1.0, 1.0)
+    zero_bins = (0,) + tuple(range(27, 38))
+    data_bins = np.setdiff1d(np.arange(dft_size), zero_bins + pilot_bins)
+    data_count = len(data_bins)
+    symbol_samples = dft_size + cp_length
 
 
-def pilot_time_signal(cfg: CpConfig) -> np.ndarray:
-    spectrum = np.zeros(cfg.dft_size, dtype=complex)
-    spectrum[list(cfg.pilot_bins)] = cfg.pilot_values
+def pilot_time_signal() -> np.ndarray:
+    spectrum = np.zeros(CpConfig.dft_size, dtype=complex)
+    spectrum[list(CpConfig.pilot_bins)] = CpConfig.pilot_values
     return inverse_dft(spectrum)
 
 
-def mean_symbol_energy(cfg: CpConfig) -> float:
+def mean_symbol_energy() -> float:
     """Expected transmit energy of one 80-sample symbol (window + CP).
 
     The data contribution is uniform per time sample; the deterministic
     pilot waveform contributes its exact window plus CP-tail energy.
     """
-    n, cp = cfg.dft_size, cfg.cp_length
-    data_energy = cfg.data_symbol_variance * cfg.data_count * (n + cp) / n ** 2
-    pilot = pilot_time_signal(cfg)
+    n, cp = CpConfig.dft_size, CpConfig.cp_length
+    data_energy = CpConfig.data_count * (n + cp) / n ** 2
+    pilot = pilot_time_signal()
     pilot_energy = float(np.sum(np.abs(pilot) ** 2)
                          + np.sum(np.abs(pilot[n - cp:]) ** 2))
     return data_energy + pilot_energy
 
 
-def cp_encode_symbol(data: np.ndarray, cfg: CpConfig) -> np.ndarray:
+def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
     """Map data symbols to carriers, add pilots, inverse transform and
     prepend the cyclic prefix.  Accepts (..., data_count)."""
     data = np.asarray(data, dtype=complex)
-    if data.shape[-1] != cfg.data_count:
+    if data.shape[-1] != CpConfig.data_count:
         raise ValueError(
-            f"expected {cfg.data_count} data symbols, got {data.shape[-1]}")
-    spectrum = np.zeros(data.shape[:-1] + (cfg.dft_size,), dtype=complex)
-    spectrum[..., cfg.data_bins] = data
-    spectrum[..., list(cfg.pilot_bins)] = np.asarray(cfg.pilot_values, dtype=complex)
+            f"expected {CpConfig.data_count} data symbols, got {data.shape[-1]}")
+    spectrum = np.zeros(data.shape[:-1] + (CpConfig.dft_size,), dtype=complex)
+    spectrum[..., CpConfig.data_bins] = data
+    spectrum[..., list(CpConfig.pilot_bins)] = np.asarray(CpConfig.pilot_values, dtype=complex)
     time = inverse_dft(spectrum)
-    return np.concatenate([time[..., -cfg.cp_length:], time], axis=-1)
+    return np.concatenate([time[..., -CpConfig.cp_length:], time], axis=-1)
 
 
 def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
@@ -90,8 +84,7 @@ def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
 
 
 def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
-                     noise_variance: float, cfg: CpConfig
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Drop the prefix, transform and zero-force the data carriers.
 
     Returns (data estimates, per-carrier noise variances) with shapes
@@ -102,15 +95,15 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     response on the data carriers.
     """
     received = np.asarray(received)
-    if received.shape[-1] != cfg.symbol_samples:
+    if received.shape[-1] != CpConfig.symbol_samples:
         raise ValueError(
-            f"expected {cfg.symbol_samples} samples, got {received.shape[-1]}")
-    if ch.tap_count > cfg.cp_length + 1:
+            f"expected {CpConfig.symbol_samples} samples, got {received.shape[-1]}")
+    if ch.tap_count > CpConfig.cp_length + 1:
         raise ValueError(
-            f"channel with {ch.tap_count} taps exceeds the {cfg.cp_length}-sample prefix")
-    h = zero_forcing_response(ch, cfg.data_bins, floor_response=True)
-    window = received[..., cfg.cp_length:]
+            f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
+    h = zero_forcing_response(ch, CpConfig.data_bins, floor_response=True)
+    window = received[..., CpConfig.cp_length:]
     spectrum = forward_dft(window)
-    estimates = spectrum[..., cfg.data_bins] / per_symbol(h)
-    variances = cfg.dft_size * noise_variance / np.abs(h) ** 2
+    estimates = spectrum[..., CpConfig.data_bins] / per_symbol(h)
+    variances = CpConfig.dft_size * noise_variance / np.abs(h) ** 2
     return estimates, variances

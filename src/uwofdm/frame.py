@@ -48,7 +48,7 @@ def check_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class OfdmSystemConfig:
-    """All static system parameters of one UW-OFDM configuration."""
+    """All static parameters of one UW-OFDM system (data: unit-energy QPSK)."""
 
     dft_size: int
     data_count: int
@@ -56,7 +56,6 @@ class OfdmSystemConfig:
     zero_indices: tuple
     redundant_indices: tuple
     sample_rate_hz: float = 20e6
-    data_symbol_variance: float = 1.0
     uw_energy_ratio: float = 4.0 / 52.0
 
     def __post_init__(self):
@@ -82,7 +81,6 @@ class OfdmSystemConfig:
         if zeros & redundant:
             raise ConfigError(f"zero and redundant sets overlap: {sorted(zeros & redundant)}")
         check_positive("sample_rate_hz", self.sample_rate_hz)
-        check_positive("data_symbol_variance", self.data_symbol_variance)
         if not 0 <= self.uw_energy_ratio < 1:
             raise ConfigError("uw_energy_ratio must lie in [0, 1)")
 
@@ -162,7 +160,8 @@ class RedundancyGenerator:
     ``redundancy`` maps a data vector to the redundant symbols,
     ``code_matrix`` maps it to the full active-carrier word (in
     ascending carrier order), and ``symbol_covariance`` is the resulting
-    covariance of that word for i.i.d. data of the configured variance.
+    covariance of that word for i.i.d. unit-energy data (every data
+    symbol is Gray QPSK, so sigma_d^2 = 1).
     """
 
     map: SubcarrierMap
@@ -212,7 +211,7 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
                 cond) from exc
 
     code_matrix = smap.permutation @ np.vstack([np.eye(nd, dtype=complex), redundancy])
-    symbol_covariance = config.data_symbol_variance * (code_matrix @ code_matrix.conj().T)
+    symbol_covariance = code_matrix @ code_matrix.conj().T
 
     return RedundancyGenerator(
         map=smap,

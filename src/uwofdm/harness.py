@@ -6,14 +6,17 @@ stream_id])``, with a fixed number of frames per batch and stopping
 decided on the ordered batch sequence.  Results are therefore byte
 identical for any worker count, and two systems swept with the same
 seed and grid consume the same underlying draws at each point (paired
-comparison).  Ensemble frames run through the modem in groups, drawing
-channels and noise frame by frame in each stream, so the group size
-never shows; in both channel modes a coded batch then decodes in one
-Viterbi call.
+comparison).  Ensemble mode runs a batch in groups of
+``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw and
+equalizer build, drawing channels and noise frame by frame in each
+stream, so the group size never shows.  A fixed channel carries the
+whole batch at once, with its UW equalizer built once per Eb/N0 point.
+A coded batch then decodes in one Viterbi call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -44,14 +47,16 @@ MAX_FRAME_SYMBOLS = 1024
 #: build); bounds memory, never changes the output.
 ENSEMBLE_GROUP_FRAMES = 16
 
-#: Noise variances below this fraction of the data variance are treated
-#: as exactly zero (noiseless receiver, identity smoother).
+#: Noise variances below this (a fraction of the unit data-symbol energy)
+#: are treated as exactly zero (noiseless receiver, identity smoother).
 NOISE_VARIANCE_EPS = 1e-13
 
 #: Largest accepted |Eb/N0| in dB.
 EBN0_LIMIT_DB = 1000.0
 
-ENV_WORKERS = "UWOFDM_WORKERS"
+#: ``run_mse_probe``'s defaults, also those of the ``mse-probe`` command.
+MSE_EBN0_DB = 15.0
+MSE_SYMBOLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,7 @@ def _fixture_id(channel: str) -> str:
 
 def config_hash(config: frame.OfdmSystemConfig) -> str:
     canon = ";".join(f"{k}={getattr(config, k)!r}" for k in sorted(
-        ("dft_size", "data_count", "uw_length", "zero_indices",
-         "redundant_indices", "sample_rate_hz", "data_symbol_variance",
-         "uw_energy_ratio")))
+        f.name for f in dataclasses.fields(config)))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -162,11 +165,9 @@ def config_hash(config: frame.OfdmSystemConfig) -> str:
 @dataclass(frozen=True)
 class _SystemContext:
     spec: SweepSpec
-    kind: str                       # "uw" or "cp"
     smoothing: bool
     gen: frame.RedundancyGenerator | None
     uw: txchain.UniqueWord | None
-    cp_cfg: cpref.CpConfig | None
     interleaver: fec.InterleaverSpec
     bits_per_symbol: int
     symbol_energy: float
@@ -174,10 +175,25 @@ class _SystemContext:
     fixed_channel: chan.ChannelRealization | None
 
     def sigma2(self, ebn0_db: float) -> float:
-        eb = self.symbol_energy / (self.bits_per_symbol * RATE_VALUE[self.spec.code_rate])
-        sigma2 = eb / 10 ** (ebn0_db / 10.0)
-        return 0.0 if sigma2 < NOISE_VARIANCE_EPS * self.spec.config.data_symbol_variance \
-            else sigma2
+        return noise_variance(self.symbol_energy,
+                              self.bits_per_symbol * RATE_VALUE[self.spec.code_rate],
+                              ebn0_db)
+
+
+def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
+                   ebn0_db: float) -> float:
+    """Per-sample complex noise variance N0 at ``ebn0_db``, Eb being the
+    total mean transmit energy per symbol over the info bits it carries;
+    below NOISE_VARIANCE_EPS it is exactly zero."""
+    sigma2 = symbol_energy / info_bits_per_symbol / 10 ** (ebn0_db / 10.0)
+    return 0.0 if sigma2 < NOISE_VARIANCE_EPS else sigma2
+
+
+def uw_modem(config: frame.OfdmSystemConfig) -> tuple:
+    """The UW modem's generator, unique word and mean energy per symbol."""
+    gen = frame.derive_generator(frame.build_subcarrier_map(config))
+    uw = txchain.build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+    return gen, uw, txchain.mean_data_symbol_energy(gen) + uw.energy
 
 
 def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
@@ -187,10 +203,6 @@ def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
     columns = 12 if block % 12 == 0 else max(
         c for c in range(2, block + 1) if block % c == 0 and c <= 16)
     return fec.InterleaverSpec(block_bits=block, columns=columns)
-
-
-def cp_interleaver(cfg: cpref.CpConfig) -> fec.InterleaverSpec:
-    return fec.InterleaverSpec(block_bits=2 * cfg.data_count, columns=16)
 
 
 def load_fixed_channel(path, dft_size: int) -> chan.ChannelRealization:
@@ -219,30 +231,18 @@ def _context(spec: SweepSpec) -> _SystemContext:
                         spec.guard_length)
 
     if spec.system == "cp":
-        cp_cfg = cpref.CpConfig(data_symbol_variance=spec.config.data_symbol_variance)
-        bits_per_symbol = 2 * cp_cfg.data_count
-        ctx = _SystemContext(
-            spec=spec, kind="cp", smoothing=False, gen=None, uw=None,
-            cp_cfg=cp_cfg, interleaver=cp_interleaver(cp_cfg),
-            bits_per_symbol=bits_per_symbol,
-            symbol_energy=cpref.mean_symbol_energy(cp_cfg),
-            n_info=_frame_info_bits(spec, bits_per_symbol),
-            fixed_channel=fixed)
+        gen = uw = None
+        bits_per_symbol = 2 * cpref.CpConfig.data_count
+        interleaver = fec.InterleaverSpec(block_bits=bits_per_symbol, columns=16)
+        symbol_energy = cpref.mean_symbol_energy()
     else:
-        smap = frame.build_subcarrier_map(spec.config)
-        gen = frame.derive_generator(smap)
-        uw = txchain.build_unique_word(spec.config.uw_length,
-                                       spec.config.uw_energy_ratio, gen)
+        gen, uw, symbol_energy = uw_modem(spec.config)
         bits_per_symbol = 2 * spec.config.data_count
-        ctx = _SystemContext(
-            spec=spec, kind="uw", smoothing=spec.system == "uw-lmmse",
-            gen=gen, uw=uw, cp_cfg=None,
-            interleaver=uw_interleaver(spec.config.data_count),
-            bits_per_symbol=bits_per_symbol,
-            symbol_energy=txchain.mean_data_symbol_energy(gen) + uw.energy,
-            n_info=_frame_info_bits(spec, bits_per_symbol),
-            fixed_channel=fixed)
-    return ctx
+        interleaver = uw_interleaver(spec.config.data_count)
+    return _SystemContext(
+        spec=spec, smoothing=spec.system == "uw-lmmse", gen=gen, uw=uw,
+        interleaver=interleaver, bits_per_symbol=bits_per_symbol, symbol_energy=symbol_energy,
+        n_info=_frame_info_bits(spec, bits_per_symbol), fixed_channel=fixed)
 
 
 def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
@@ -255,6 +255,9 @@ def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
     return n_info
 
 
+# ---------------------------------------------------------------------------
+# Frame pipeline
+
 @lru_cache(maxsize=64)
 def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer:
     ctx = _context(spec)
@@ -263,17 +266,13 @@ def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer
                                    floor_response=True, smoothing=ctx.smoothing)
 
 
-# ---------------------------------------------------------------------------
-# Frame pipeline
-
 def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
             sigma2: float, rng_noise: np.random.Generator,
             eq: rxchain.WienerEqualizer | None = None) -> np.ndarray:
     """Receive (frames, n_info) info bits sent through FEC, QPSK and the
-    modem, over one channel per frame (stacked ``ch``) or one channel for
-    all frames (with ``eq``, its cached UW equalizer).  Returns the
-    decided bits when uncoded, else the depunctured LLR stream for
-    ``fec.viterbi_decode``."""
+    modem over one channel per frame (stacked ``ch``) or one for all
+    (with ``eq``, its cached UW equalizer).  Returns the decided bits
+    when uncoded, else the depunctured LLR stream for the Viterbi call."""
     spec = ctx.spec
     n_frames, f_sym, width = bits.shape[0], spec.frame_symbols, ctx.bits_per_symbol
     coded = spec.code_rate != "none"
@@ -284,10 +283,10 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
     channels = ch.taps.shape[0] if ch.taps.ndim > 1 else 1
     data = fec.qpsk_map(bits.reshape(channels, -1, width))
 
-    if ctx.kind == "cp":
-        x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
+    if spec.system == "cp":
+        x = cpref.cp_encode_symbol(data)
         y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg)
+        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2)
     else:
         gen, uw = ctx.gen, ctx.uw
         x = txchain.encode_batch(data, gen, gen.map, uw)
@@ -295,11 +294,8 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
         if eq is None:
             eq = rxchain.build_equalizer(ch, gen, sigma2, floor_response=True,
                                          smoothing=ctx.smoothing)
-        if ctx.smoothing:
-            words, variances = rxchain.equalize_batch(y, eq, uw), eq.data_error_variances
-        else:
-            words, variances = rxchain.zf_only_symbol(y, eq, uw), eq.data_noise_variances
-        estimates = words[..., gen.map.data_positions]
+        estimates = rxchain.equalize_batch(y, eq, uw)[..., gen.map.data_positions]
+        variances = eq.data_error_variances
 
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
@@ -322,12 +318,11 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
     bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
 
     if ctx.fixed_channel is not None:
-        eq = _fixed_equalizer(spec, point_idx) if ctx.kind == "uw" else None
+        eq = _fixed_equalizer(spec, point_idx) if ctx.gen is not None else None
         received = _frames(ctx, bits, ctx.fixed_channel, sigma2, rng_noise, eq)
     else:
-        # Ensemble mode: an independent channel draw per frame.  The groups
-        # fill one batch array (joining a list of parts would hold the
-        # batch twice and raise the peak memory).
+        # Ensemble mode: a channel draw per frame.  The groups fill one batch
+        # array (a joined list of parts would hold the batch twice).
         received = None
         for start in range(0, n_frames, ENSEMBLE_GROUP_FRAMES):
             group = bits[start:start + ENSEMBLE_GROUP_FRAMES]
@@ -358,18 +353,11 @@ def _make_point(ebn0_db, bits, errors, frames, frame_errors, min_errors) -> BerP
         converged=errors >= min_errors)
 
 
-def default_workers() -> int:
-    value = os.environ.get(ENV_WORKERS, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def run_ber_sweep(spec: SweepSpec, workers: int | None = None) -> BerReport:
+def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
     """Run the sweep; results depend only on (spec, seed), never on the
-    worker count."""
-    workers = workers if workers is not None else default_workers()
+    worker count, which must be at least 1."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     _context(spec)  # fail fast on config/fixture problems
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -425,7 +413,7 @@ def run_ber_sweep(spec: SweepSpec, workers: int | None = None) -> BerReport:
 # MSE probe
 
 def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
-                  ebn0_db: float = 15.0, n_symbols: int = 100_000,
+                  ebn0_db: float = MSE_EBN0_DB, n_symbols: int = MSE_SYMBOLS,
                   seed: int = 1) -> list:
     """Empirical and analytic per-carrier error statistics before and
     after smoothing on one channel realization.
@@ -433,23 +421,17 @@ def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
     Returns one row per active carrier:
     (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post),
     both empirical columns measured on the same symbols.  Eb follows the
-    uncoded convention (total mean symbol energy over 2 * data_count
-    bits).
+    uncoded convention of the sweep (total mean symbol energy over
+    2 * data_count bits), with the same clamp to a noiseless point.
     """
-    smap = frame.build_subcarrier_map(config)
-    gen = frame.derive_generator(smap)
-    uw = txchain.build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
-    eb = (txchain.mean_data_symbol_energy(gen) + uw.energy) / (2 * config.data_count)
-    sigma2 = eb / 10 ** (ebn0_db / 10.0)
-    eq = rxchain.build_equalizer(ch, gen, sigma2)
+    gen, uw, symbol_energy = uw_modem(config)
+    eq = rxchain.build_equalizer(
+        ch, gen, noise_variance(symbol_energy, 2 * config.data_count, ebn0_db))
 
     mse_pre, mse_post = rxchain.measure_subcarrier_mse(
         gen, eq, uw, ch, np.random.default_rng([seed, 0]), n_symbols)
-    analytic_pre = eq.noise_covariance
-    analytic_post = eq.error_variances
-    return [(i, float(mse_pre[i]), float(mse_post[i]),
-             float(analytic_pre[i]), float(analytic_post[i]))
-            for i in range(len(smap.active_carriers))]
+    return [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),
+             float(eq.error_variances[i])) for i in range(len(mse_pre))]
 
 
 def mse_metadata(channel: str, config: frame.OfdmSystemConfig, ebn0_db: float,
@@ -480,27 +462,24 @@ def _fmt(value) -> str:
 
 BER_FIELDS = ("ebn0_db", "bits", "bit_errors", "ber", "ci_low", "ci_high",
               "frames", "frame_errors", "converged")
-
-
-def write_ber_csv(path, report: BerReport) -> None:
-    lines = [f"# {k} = {v}" for k, v in report.metadata]
-    lines.append(",".join(BER_FIELDS))
-    for p in report.points:
-        lines.append(",".join(_fmt(getattr(p, f)) for f in BER_FIELDS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 MSE_FIELDS = ("carrier_index", "mse_pre", "mse_post", "analytic_pre", "analytic_post")
 
 
-def write_mse_csv(path, rows, metadata=()) -> None:
+def _write_csv(path, metadata, fields, rows) -> None:
     lines = [f"# {k} = {v}" for k, v in metadata]
-    lines.append(",".join(MSE_FIELDS))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(",".join(fields))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_ber_csv(path, report: BerReport) -> None:
+    _write_csv(path, report.metadata, BER_FIELDS,
+               ([getattr(p, f) for f in BER_FIELDS] for p in report.points))
+
+
+def write_mse_csv(path, rows, metadata=()) -> None:
+    _write_csv(path, metadata, MSE_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +488,8 @@ def write_mse_csv(path, rows, metadata=()) -> None:
 _INT_KEYS = {"dft_size", "data_count", "uw_length", "min_error_events",
              "max_bits_per_point", "frame_symbols", "mse_symbols",
              "channel_taps"}
-_FLOAT_KEYS = {"sample_rate_hz", "data_symbol_variance", "uw_energy_ratio",
-               "mse_ebn0_db", "rms_delay_spread_s"}
+_FLOAT_KEYS = {"sample_rate_hz", "uw_energy_ratio", "mse_ebn0_db",
+               "rms_delay_spread_s"}
 _STR_KEYS = {"system", "code_rate", "placement_strategy"}
 _INT_LIST_KEYS = {"zero_indices", "redundant_indices"}
 _FLOAT_LIST_KEYS = {"ebn0_db"}
@@ -559,34 +538,23 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _present(values: dict, cls) -> dict:
+    """The entries of ``values`` that name a field of dataclass ``cls``."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
+
+
 def system_config_from(values: dict) -> frame.OfdmSystemConfig:
-    """Build the OFDM system config from parsed values, falling back to
-    the reference system for anything unspecified."""
-    ref = frame.reference_config()
-    return frame.OfdmSystemConfig(
-        dft_size=values.get("dft_size", ref.dft_size),
-        data_count=values.get("data_count", ref.data_count),
-        uw_length=values.get("uw_length", ref.uw_length),
-        zero_indices=tuple(values.get("zero_indices", ref.zero_indices)),
-        redundant_indices=tuple(values.get("redundant_indices", ref.redundant_indices)),
-        sample_rate_hz=values.get("sample_rate_hz", ref.sample_rate_hz),
-        data_symbol_variance=values.get("data_symbol_variance", ref.data_symbol_variance),
-        uw_energy_ratio=values.get("uw_energy_ratio", ref.uw_energy_ratio),
-    )
+    """Build the OFDM system config from parsed values, the reference
+    system supplying anything unspecified."""
+    return dataclasses.replace(frame.reference_config(),
+                               **_present(values, frame.OfdmSystemConfig))
 
 
 def sweep_spec_from(values: dict, seed: int, channel: str) -> SweepSpec:
-    return SweepSpec(
-        config=system_config_from(values),
-        system=values.get("system", "uw-lmmse"),
-        ebn0_db=tuple(values.get("ebn0_db", (10.0, 14.0, 18.0))),
-        seed=seed,
-        code_rate=values.get("code_rate", "none"),
-        channel=channel,
-        min_error_events=values.get("min_error_events", 200),
-        max_bits_per_point=values.get("max_bits_per_point", 10_000_000),
-        frame_symbols=values.get("frame_symbols", 8),
-        channel_taps=values.get("channel_taps", chan.DEFAULT_TAP_COUNT),
-        rms_delay_spread_s=values.get("rms_delay_spread_s",
-                                      chan.DEFAULT_RMS_DELAY_SPREAD_S),
-    )
+    """Build the sweep from parsed values; ``SweepSpec`` supplies the
+    defaults it has, and an unspecified system or grid is uw-lmmse at
+    10, 14 and 18 dB."""
+    present = {"system": "uw-lmmse", "ebn0_db": (10.0, 14.0, 18.0),
+               **_present(values, SweepSpec)}
+    return SweepSpec(**present, config=system_config_from(values), seed=seed,
+                     channel=channel)

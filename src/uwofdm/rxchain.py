@@ -37,29 +37,26 @@ ZF_REL_FLOOR = 1e-6
 class WienerEqualizer:
     """Per-(channel, noise variance) receive operator.
 
-    ``noise_covariance`` (after ZF) and ``error_variances`` (after
-    smoothing; None, like ``smoother``, on a ZF-only build) are the
-    diagonals of C_vv and C_ee, the analytic per-carrier error
-    statistics.  A stacked channel adds a leading channel axis to each.
+    ``noise_covariance`` (after ZF) and ``error_variances`` (after the
+    smoother) are the diagonals of C_vv and C_ee, the analytic
+    per-carrier error statistics.  A ZF-only build has no ``smoother``,
+    and its error is the noise: ``error_variances`` is
+    ``noise_covariance``.  A stacked channel adds a leading channel axis
+    to each.
     """
 
     map: SubcarrierMap
     noise_variance: float
     inv_response: np.ndarray        # diagonal of the ZF operator
     noise_covariance: np.ndarray    # diagonal of C_vv (real)
-    smoother: np.ndarray | None     # W, full matrix
-    error_variances: np.ndarray | None  # diagonal of C_ee (real)
+    smoother: np.ndarray | None     # W, full matrix; None on a ZF-only build
+    error_variances: np.ndarray     # diagonal of C_ee (real)
 
     @property
     def data_error_variances(self) -> np.ndarray:
         """Error variances on the data carriers, in data order (soft input
         for the decoder)."""
         return self.error_variances[..., self.map.data_positions]
-
-    @property
-    def data_noise_variances(self) -> np.ndarray:
-        """ZF-only noise variances on the data carriers, in data order."""
-        return self.noise_covariance[..., self.map.data_positions]
 
 
 def zero_forcing_response(ch: ChannelRealization, carriers,
@@ -93,13 +90,15 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     or for every channel of a stacked one at once.
 
     The signal covariance comes precomputed from the generator; only the
-    noise covariance and the smoother depend on the channel draw.
+    noise covariance and the smoother depend on the channel draw.  With
+    ``smoothing=False`` no smoother is built and the error variances are
+    the ZF noise variances.
     """
     smap = gen.map
     n = smap.config.dft_size
     inv_h = 1.0 / zero_forcing_response(ch, smap.active_carriers, floor_response)
     cvv_diag = n * noise_variance * np.abs(inv_h) ** 2
-    smoother = error_var = None
+    smoother, error_var = None, cvv_diag
     if smoothing:
         css = gen.symbol_covariance
         eye = np.eye(css.shape[0])
@@ -126,22 +125,24 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
 
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
-    """Smoothed active-carrier words for (batch, dft_size) samples, or
-    (channels, batch, dft_size) on a stacked equalizer.
+    """Equalized active-carrier words for (batch, dft_size) samples, or
+    (channels, batch, dft_size) on a stacked equalizer: zero forcing,
+    then the smoother W if ``eq`` has one.
 
     The UW spectrum is subtracted after zero forcing; removing it before
     (scaled by the channel) is algebraically identical, which the tests
     check against that order-exchanged form.
     """
-    return zf_only_symbol(y_time, eq, uw) @ eq.smoother.swapaxes(-1, -2)
+    words = zf_only_symbol(y_time, eq, uw)
+    return words if eq.smoother is None else words @ eq.smoother.swapaxes(-1, -2)
 
 
 def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Zero-forced, UW-free word(s) without smoothing: the transmitted
-    active word plus enhanced noise.  Used for error probes and as the
-    conventional-OFDM-like reference path.  A stacked equalizer takes
-    (channels, symbols, dft_size) samples."""
+    active word plus enhanced noise.  The first stage of
+    ``equalize_batch`` and the pre-smoothing error probe.  A stacked
+    equalizer takes (channels, symbols, dft_size) samples."""
     smap = eq.map
     spectrum = forward_dft(y_time)[..., smap.active_carriers]
     uw_active = uw.spectrum[smap.active_carriers]

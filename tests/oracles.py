@@ -67,9 +67,9 @@ def analytic_cp_uncoded_ber(ebn0_db: float, cfg: cpref.CpConfig) -> float:
     """Closed-form flat-channel BER of the CP system versus *total*
     Eb/N0, accounting for the energy spent on prefix and pilots (only
     the data-carrier share steers the decisions)."""
-    eb_total = cpref.mean_symbol_energy(cfg) / (2 * cfg.data_count)
+    eb_total = cpref.mean_symbol_energy() / (2 * cfg.data_count)
     sigma2 = eb_total / 10 ** (ebn0_db / 10.0)
-    eb_used = cfg.data_symbol_variance / (2 * cfg.dft_size)
+    eb_used = 1.0 / (2 * cfg.dft_size)  # unit-energy data symbols
     return qpsk_ber(eb_used / sigma2)
 
 

@@ -5,7 +5,7 @@ listed name exists; reference forms that only the tests use live in
 import pytest
 
 import uwofdm
-from uwofdm import channel, fec, frame, harness, numerics
+from uwofdm import channel, cpref, fec, frame, harness, numerics, rxchain
 
 
 def test_all_has_no_duplicates():
@@ -35,3 +35,16 @@ def test_all_size():
 ])
 def test_test_only_forms_are_not_in_the_package(module, name):
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (harness, "default_workers"), (harness, "ENV_WORKERS"),
+    (rxchain.WienerEqualizer, "data_noise_variances"),
+    (frame.OfdmSystemConfig, "data_symbol_variance"),
+    (cpref.CpConfig, "data_symbol_variance"),
+])
+def test_removed_knobs_are_gone(owner, name):
+    """One receive call per modem (no second ZF-only variance), one
+    worker-count setting and no data-variance key: every data symbol is
+    unit-energy QPSK."""
+    assert not hasattr(owner, name)

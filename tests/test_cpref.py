@@ -32,15 +32,15 @@ class TestStructure:
                     | set(cp_cfg.data_bins.tolist()))
         assert len(all_bins) == 64
 
-    def test_prefix_copies_tail(self, cp_cfg):
+    def test_prefix_copies_tail(self):
         rng = np.random.default_rng(90)
         d = uw.qpsk_map(rng.integers(0, 2, 96))
-        x = cpref.cp_encode_symbol(d, cp_cfg)
+        x = cpref.cp_encode_symbol(d)
         np.testing.assert_array_equal(x[:16], x[64:])
 
-    def test_zero_data_leaves_pilot_energy(self, cp_cfg):
-        x = cpref.cp_encode_symbol(np.zeros(48, dtype=complex), cp_cfg)
-        pilot = cpref.pilot_time_signal(cp_cfg)
+    def test_zero_data_leaves_pilot_energy(self):
+        x = cpref.cp_encode_symbol(np.zeros(48, dtype=complex))
+        pilot = cpref.pilot_time_signal()
         expect = np.sum(np.abs(pilot) ** 2) + np.sum(np.abs(pilot[-16:]) ** 2)
         assert np.sum(np.abs(x) ** 2) == pytest.approx(expect, rel=1e-12)
 
@@ -51,46 +51,46 @@ class TestStructure:
         data_energy = cp_cfg.data_count / 64
         assert pilot_energy / (pilot_energy + data_energy) == pytest.approx(4 / 52)
 
-    def test_mean_symbol_energy_empirical(self, cp_cfg):
+    def test_mean_symbol_energy_empirical(self):
         rng = np.random.default_rng(91)
         d = uw.qpsk_map(rng.integers(0, 2, (50_000, 96)))
-        x = cpref.cp_encode_symbol(d, cp_cfg)
+        x = cpref.cp_encode_symbol(d)
         measured = float(np.mean(np.sum(np.abs(x) ** 2, axis=1)))
-        assert measured == pytest.approx(cpref.mean_symbol_energy(cp_cfg), rel=0.01)
+        assert measured == pytest.approx(cpref.mean_symbol_energy(), rel=0.01)
 
 
 class TestLoopback:
-    def test_flat_noiseless_exact(self, cp_cfg):
+    def test_flat_noiseless_exact(self):
         rng = np.random.default_rng(92)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         d = uw.qpsk_map(rng.integers(0, 2, 96))
-        x = cpref.cp_encode_symbol(d, cp_cfg)
+        x = cpref.cp_encode_symbol(d)
         y = cpref.cp_apply_channel(x, ch, 0.0, rng)
-        est, _ = cpref.cp_decode_symbol(y, ch, 0.0, cp_cfg)
+        est, _ = cpref.cp_decode_symbol(y, ch, 0.0)
         np.testing.assert_allclose(est, d, atol=1e-9)
 
-    def test_multipath_noiseless_recovery(self, cp_cfg):
+    def test_multipath_noiseless_recovery(self):
         """17 taps exactly fill the prefix; recovery must be exact."""
         rng = np.random.default_rng(93)
         ch = uw.sample_channel(rng, tap_count=17)
         d = uw.qpsk_map(rng.integers(0, 2, (10, 96)))
-        x = cpref.cp_encode_symbol(d, cp_cfg)
+        x = cpref.cp_encode_symbol(d)
         y = cpref.cp_apply_channel(x, ch, 0.0, rng)
-        est, _ = cpref.cp_decode_symbol(y, ch, 0.0, cp_cfg)
+        est, _ = cpref.cp_decode_symbol(y, ch, 0.0)
         np.testing.assert_allclose(est, d, atol=1e-8)
 
-    def test_channel_longer_than_prefix_rejected(self, cp_cfg):
+    def test_channel_longer_than_prefix_rejected(self):
         rng = np.random.default_rng(94)
         ch = uw.sample_channel(rng, tap_count=18)
         with pytest.raises(ValueError, match="exceeds"):
-            cpref.cp_decode_symbol(np.zeros(80, dtype=complex), ch, 0.0, cp_cfg)
+            cpref.cp_decode_symbol(np.zeros(80, dtype=complex), ch, 0.0)
 
     def test_variances_match_formula(self, cp_cfg):
         rng = np.random.default_rng(95)
         ch = uw.sample_channel(rng)
         sigma2 = 0.03
         _, variances = cpref.cp_decode_symbol(
-            np.zeros(80, dtype=complex), ch, sigma2, cp_cfg)
+            np.zeros(80, dtype=complex), ch, sigma2)
         h = ch.freq_response[cp_cfg.data_bins]
         np.testing.assert_allclose(variances, 64 * sigma2 / np.abs(h) ** 2,
                                    rtol=1e-12)
@@ -100,35 +100,34 @@ class TestLoopback:
         largest response on the data carriers, as in the UW receiver."""
         taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
         ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
-        _, variances = cpref.cp_decode_symbol(np.zeros(80, dtype=complex), ch, 0.01,
-                                              cp_cfg)
+        _, variances = cpref.cp_decode_symbol(np.zeros(80, dtype=complex), ch, 0.01)
         floor = rxchain.ZF_REL_FLOOR * np.abs(ch.freq_response[cp_cfg.data_bins]).max()
         null = list(cp_cfg.data_bins).index(13)
         assert variances[null] == pytest.approx(64 * 0.01 / floor ** 2, rel=1e-12)
 
-    def test_stacked_channels_match_per_channel(self, cp_cfg):
+    def test_stacked_channels_match_per_channel(self):
         rng = np.random.default_rng(98)
         stacked = uw.sample_channel(rng, channels=3)
-        x = cpref.cp_encode_symbol(uw.qpsk_map(rng.integers(0, 2, (3, 5, 96))), cp_cfg)
+        x = cpref.cp_encode_symbol(uw.qpsk_map(rng.integers(0, 2, (3, 5, 96))))
         y = cpref.cp_apply_channel(x, stacked, 0.05, np.random.default_rng(99))
-        est, variances = cpref.cp_decode_symbol(y, stacked, 0.05, cp_cfg)
+        est, variances = cpref.cp_decode_symbol(y, stacked, 0.05)
         assert est.shape == (3, 5, 48) and variances.shape == (3, 48)
         noise_rng = np.random.default_rng(99)
         for c in range(3):
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             y_c = cpref.cp_apply_channel(x[c], ch, 0.05, noise_rng)
             np.testing.assert_array_equal(y[c], y_c)
-            est_c, var_c = cpref.cp_decode_symbol(y_c, ch, 0.05, cp_cfg)
+            est_c, var_c = cpref.cp_decode_symbol(y_c, ch, 0.05)
             np.testing.assert_allclose(est[c], est_c, rtol=1e-12)
             np.testing.assert_allclose(variances[c], var_c, rtol=1e-12)
 
-    def test_decode_returns_only_data_carriers(self, cp_cfg):
+    def test_decode_returns_only_data_carriers(self):
         """Pilots must never reach the bit decisions."""
         rng = np.random.default_rng(96)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         est, variances = cpref.cp_decode_symbol(
-            cpref.cp_encode_symbol(np.zeros(48, dtype=complex), cp_cfg),
-            ch, 0.0, cp_cfg)
+            cpref.cp_encode_symbol(np.zeros(48, dtype=complex)),
+            ch, 0.0)
         assert est.shape == (48,)
         assert variances.shape == (48,)
         # pilots were transmitted, data estimate is still all-zero
@@ -188,12 +187,12 @@ def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
     flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
     rng = np.random.default_rng(97)
     for ebn0_db in (6.0, 8.0):
-        eb = cpref.mean_symbol_energy(cp_cfg) / 96
+        eb = cpref.mean_symbol_energy() / 96
         sigma2 = eb / 10 ** (ebn0_db / 10)
         bits = rng.integers(0, 2, (30_000, 96)).astype(np.uint8)
-        x = cpref.cp_encode_symbol(fec.qpsk_map(bits), cp_cfg)
+        x = cpref.cp_encode_symbol(fec.qpsk_map(bits))
         y = cpref.cp_apply_channel(x, flat, sigma2, rng)
-        est, _ = cpref.cp_decode_symbol(y, flat, sigma2, cp_cfg)
+        est, _ = cpref.cp_decode_symbol(y, flat, sigma2)
         ber = float(np.mean(fec.qpsk_hard_bits(est) != bits))
         expect = analytic_cp_uncoded_ber(ebn0_db, cp_cfg)
         assert ber == pytest.approx(expect, rel=0.08)

@@ -117,6 +117,21 @@ class TestDeterminism:
         parallel = harness.run_ber_sweep(spec, workers=3)
         assert serial == parallel
 
+    @pytest.mark.parametrize("channel", ["fixed", "ensemble"])
+    @pytest.mark.parametrize("rate", harness.CODE_RATES)
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    def test_every_cell_same_at_two_workers(self, system, rate, channel):
+        """Each system, code rate and channel mode gives the same report
+        at 1 and 2 workers over three batches per point."""
+        spec = small_spec(system=system, rate=rate, grid=(4.0, 16.0), frame_symbols=1,
+                          channel=None if channel == "fixed" else channel,
+                          min_error_events=10 ** 12)
+        batch_bits = harness.BATCH_FRAMES * harness._context(spec).n_info
+        spec = dataclasses.replace(spec, max_bits_per_point=3 * batch_bits)
+        serial = harness.run_ber_sweep(spec, workers=1)
+        assert [p.frames for p in serial.points] == [3 * harness.BATCH_FRAMES] * 2
+        assert serial == harness.run_ber_sweep(spec, workers=2)
+
     def test_substreams_depend_only_on_point_and_batch(self):
         """The draw streams are derived from (seed, point, batch, role)
         alone, so compared systems consume paired randomness."""
@@ -165,21 +180,22 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
             tx = fec.interleave(fec.puncture(fec.conv_encode(tx), rate)
                                 .reshape(f_sym, width), ctx.interleaver)
         data = uw.qpsk_map(tx.reshape(f_sym, width))
-        if ctx.kind == "uw":
+        if spec.system != "cp":
             eq = uw.build_equalizer(ch, ctx.gen, sigma2, floor_response=True)
             x = txchain.encode_batch(data, ctx.gen, ctx.gen.map, ctx.uw)
             y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
             if ctx.smoothing:
                 words = rxchain.equalize_batch(y, eq, ctx.uw)
-                variances = eq.data_error_variances
+                carrier_variances = eq.error_variances
             else:
                 words = rxchain.zf_only_symbol(y, eq, ctx.uw)
-                variances = eq.data_noise_variances
+                carrier_variances = eq.noise_covariance
             estimates = words[:, ctx.gen.map.data_positions]
+            variances = carrier_variances[ctx.gen.map.data_positions]
         else:
-            x = cpref.cp_encode_symbol(data, ctx.cp_cfg)
+            x = cpref.cp_encode_symbol(data)
             y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, ctx.cp_cfg)
+            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2)
         if rate == "none":
             decided[i] = fec.qpsk_hard_bits(estimates).reshape(-1)
         else:
@@ -293,8 +309,23 @@ class TestMseProbe:
             assert pre == pytest.approx(a_pre, rel=0.08)
             assert post == pytest.approx(a_post, rel=0.08)
 
+    def test_noiseless_point_has_no_negative_variance(self, notch_channel, ref_config):
+        """At 300 dB the probe clamps the noise variance to zero like the
+        sweep; unclamped, the rounding residue of diag(C_ss - W C_ss) gave
+        analytic_post values of about -2e-16."""
+        rows = harness.run_mse_probe(ref_config, notch_channel,
+                                     ebn0_db=300.0, n_symbols=200, seed=2)
+        assert all(a_pre >= 0 and a_post >= 0 for _, _, _, a_pre, a_post in rows)
+
 
 class TestConfigFile:
+    def test_defaults_come_from_reference_config_and_spec(self):
+        spec = harness.sweep_spec_from({}, seed=1, channel="ensemble")
+        assert spec == harness.SweepSpec(config=uw.reference_config(), system="uw-lmmse",
+                                         ebn0_db=(10.0, 14.0, 18.0), seed=1)
+        assert harness.system_config_from({"sample_rate_hz": 10e6}) == \
+            dataclasses.replace(uw.reference_config(), sample_rate_hz=10e6)
+
     def test_reference_file_parses(self):
         values = harness.parse_config_file(REFERENCE_CFG_FILE)
         config = harness.system_config_from(values)
@@ -395,6 +426,20 @@ class TestCli:
         assert "got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exits_2(self, workers, tmp_path, capsys):
+        """Before, these ran serially and exited 0."""
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--workers", workers, "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_only_on_ber_sweep(self):
+        """No other subcommand runs workers, so none accepts the flag."""
+        assert cli.main(["derive", "--workers", "2"]) == 2
+
     @pytest.mark.parametrize("system, taps", [("uw-lmmse", 80), ("uw-lmmse", 20),
                                               ("cp", 20)])
     def test_channel_taps_beyond_guard_exits_2(self, system, taps, tmp_path, capsys,
@@ -488,10 +533,6 @@ class TestCli:
          "positive, got 0.0"),
         ("ber-sweep", "sample_rate_hz = -20e6", "sample_rate_hz must be finite and "
          "positive, got -20000000.0"),
-        ("ber-sweep", "data_symbol_variance = inf", "data_symbol_variance must be "
-         "finite and positive, got inf"),
-        ("ber-sweep", "data_symbol_variance = nan", "data_symbol_variance must be "
-         "finite and positive, got nan"),
         ("mse-probe", "mse_ebn0_db = nan", "mse_ebn0_db must lie between -1000 and "
          "1000 dB and be finite, got nan"),
         ("ber-sweep", "data_count = 0\nzero_indices = [" + ", ".join(map(str, range(48)))

@@ -119,7 +119,10 @@ class TestBuildEqualizer:
                 np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
                                            rtol=1e-12, atol=1e-12)
             else:
-                assert single.smoother is None and single.error_variances is None
+                # the ZF error is the noise
+                assert single.smoother is None
+                np.testing.assert_array_equal(single.error_variances,
+                                              single.noise_covariance)
 
     def test_zero_forcing_floor_per_channel(self, ref_gen, ref_map):
         """Each stacked channel floors against its own largest response."""
