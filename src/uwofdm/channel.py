@@ -2,14 +2,16 @@
 power profile, Rayleigh tap magnitudes and uniform phases.
 
 ``apply_channel_cyclic`` is the per-symbol receive model (cyclic
-convolution plus white noise) that the receiver algebra assumes.  It
-applies the channel as one product with its circulant matrix
-(``convolution_matrix``), ``y = x @ M`` over the last axis; a *stacked*
-realization, taps (channels, taps), gives one matrix per channel and
-applies channel c to slice c of a (channels, ..., N) signal.  The cyclic
-model stands for the physical symbol stream because every symbol ends in
-the same unique word: the tests check it against a linear convolution of
-the whole stream.  A noise variance is a float per complex sample.
+convolution plus white noise) that the receiver algebra of both modems
+assumes.  It applies the channel as one product with its circulant
+matrix (``convolution_matrix``), ``y = x @ M`` over the last axis; a
+*stacked* realization, taps (channels, taps), gives one matrix per
+channel and applies channel c to slice c of a (channels, ..., N) signal.
+The cyclic model stands for the physical symbol stream because the guard
+absorbs the channel: every UW symbol ends in the same unique word, and a
+cyclic prefix repeats the symbol's tail.  The tests check it against a
+linear convolution of the whole stream (UW) and of each prefixed symbol
+(cp).  A noise variance is a float per complex sample.
 """
 
 from __future__ import annotations
@@ -92,32 +94,18 @@ def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
     )
 
 
-def convolution_matrix(taps: np.ndarray, size: int, cyclic: bool = True) -> np.ndarray:
-    """The (..., size, size) matrix M for which ``x @ M`` convolves a
-    length-``size`` row with ``taps``, one matrix per channel of stacked
-    taps: M[k, n] = h[(n - k) mod size] when ``cyclic`` (circulant), else
-    h[n - k] with negative lags reading zero and the tail past ``size``
-    dropped (truncated Toeplitz).  One gather from the zero-padded taps."""
+def convolution_matrix(taps: np.ndarray, size: int) -> np.ndarray:
+    """The (..., size, size) circulant matrix M for which ``x @ M``
+    cyclically convolves a length-``size`` row with ``taps``, one matrix
+    per channel of stacked taps: M[k, n] = h[(n - k) mod size].  One
+    gather from the zero-padded taps."""
     taps = np.asarray(taps)
     if not 1 <= taps.shape[-1] <= size:
         raise ValueError(f"{taps.shape[-1]} taps do not fit a {size}-sample convolution")
-    period = size if cyclic else 2 * size
-    padded = np.zeros(taps.shape[:-1] + (period,), dtype=complex)
+    padded = np.zeros(taps.shape[:-1] + (size,), dtype=complex)
     padded[..., :taps.shape[-1]] = taps
     lags = np.arange(size)
-    return padded[..., (lags[None, :] - lags[:, None]) % period]
-
-
-def convolve(x: np.ndarray, taps: np.ndarray, cyclic: bool = True) -> np.ndarray:
-    """Convolution of the rows of ``x`` (over the last axis) with one
-    channel, or with channel c for slice c of a (channels, ..., N) ``x``
-    when ``taps`` is stacked (channels, taps); see ``convolution_matrix``."""
-    x = np.asarray(x)
-    taps = np.asarray(taps)
-    m = convolution_matrix(taps, x.shape[-1], cyclic)
-    if taps.ndim == 1:
-        return x @ m
-    return (x.reshape(taps.shape[0], -1, x.shape[-1]) @ m).reshape(x.shape)
+    return padded[..., (lags[None, :] - lags[:, None]) % size]
 
 
 def per_symbol(values: np.ndarray) -> np.ndarray:
@@ -127,10 +115,17 @@ def per_symbol(values: np.ndarray) -> np.ndarray:
 
 
 def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Cyclic convolution over the last axis: one product with the
+    """Cyclic convolution of the rows of ``x`` (over the last axis) with
+    one channel, or with channel c for slice c of a (channels, ..., N)
+    ``x`` when ``taps`` is stacked (channels, taps): one product with the
     circulant channel matrix (the frequency-domain identity and the
     per-tap form are left to the tests)."""
-    return convolve(x, taps)
+    x = np.asarray(x)
+    taps = np.asarray(taps)
+    m = convolution_matrix(taps, x.shape[-1])
+    if taps.ndim == 1:
+        return x @ m
+    return (x.reshape(taps.shape[0], -1, x.shape[-1]) @ m).reshape(x.shape)
 
 
 def complex_noise(rng: np.random.Generator, shape, variance: float,

@@ -22,12 +22,17 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_flags(sub: argparse.ArgumentParser, writes: bool = False,
+               channel: bool = False) -> None:
+    """``--config`` for every subcommand; ``--seed`` and ``--out`` for
+    those that write a file, ``--channel`` for those that read one."""
     sub.add_argument("--config", help="config file (flat key/value format)")
-    sub.add_argument("--seed", type=int, default=1, help="master seed (u64)")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--channel", default="ensemble",
-                     help="'ensemble' or 'fixed:<fixture path>'")
+    if writes:
+        sub.add_argument("--seed", type=int, default=1, help="master seed (u64)")
+        sub.add_argument("--out", help="output path")
+    if channel:
+        sub.add_argument("--channel", default="ensemble",
+                         help="'ensemble' or 'fixed:<fixture path>'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,24 +43,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("derive", help="derive the redundancy generator and "
                                        "print its diagnostics")
-    _add_common(p)
+    _add_flags(p)
 
     p = subs.add_parser("optimize-placement",
                         help="search redundant-carrier placements")
-    _add_common(p)
-    p.add_argument("--strategy", choices=("greedy", "exhaustive"), default=None,
-                   help="search strategy (default from config, else greedy)")
+    _add_flags(p)
+    p.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy",
+                   help="search strategy (default: greedy)")
 
     p = subs.add_parser("ber-sweep", help="run a Monte-Carlo BER sweep")
-    _add_common(p)
+    _add_flags(p, writes=True, channel=True)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes, at least 1 (default: 1)")
 
     p = subs.add_parser("mse-probe", help="per-carrier MSE probe on a fixed channel")
-    _add_common(p)
+    _add_flags(p, writes=True, channel=True)
 
     p = subs.add_parser("snapshot", help="search and save a pinned channel snapshot")
-    _add_common(p)
+    _add_flags(p, writes=True)
 
     return parser
 
@@ -90,12 +95,10 @@ def cmd_derive(args) -> int:
 
 
 def cmd_optimize_placement(args) -> int:
-    values = _load_values(args)
-    config = harness.system_config_from(values)
-    strategy = args.strategy or values.get("placement_strategy", "greedy")
-    indices, metric = frame.optimize_placement(config, strategy)
+    config = harness.system_config_from(_load_values(args))
+    indices, metric = frame.optimize_placement(config, args.strategy)
     reference = frame.derive_generator(frame.build_subcarrier_map(config))
-    print(f"strategy: {strategy}")
+    print(f"strategy: {args.strategy}")
     print(f"indices: {list(indices)}")
     print(f"metric trace(T T^H): {metric:.10g}")
     print(f"configured placement metric: "
@@ -170,8 +173,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return code
     try:
-        if args.seed < 0:
-            raise ConfigError("--seed must be a non-negative integer")
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

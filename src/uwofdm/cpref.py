@@ -2,15 +2,17 @@
 64-point DFT, 48 data carriers, 4 BPSK pilots, 16-sample cyclic prefix,
 per-carrier zero forcing.  Pilots are transmitted (so the energy split
 matches the standard) but ignored at the receiver since channel
-knowledge is perfect.  The channel acts on each symbol in isolation, as
-one product with its truncated Toeplitz matrix.
+knowledge is perfect.  The prefix is never built: a channel that fits
+it leaves the decoded window the cyclic convolution of the 64-sample
+body, so cp runs on UW's circulant receive model; ``mean_symbol_energy``
+still counts the prefix in Eb.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, complex_noise, convolve, per_symbol
+from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
 from .numerics import forward_dft, inverse_dft
 from .rxchain import zero_forcing_response
 
@@ -29,7 +31,6 @@ class CpConfig:
     zero_bins = (0,) + tuple(range(27, 38))
     data_bins = np.setdiff1d(np.arange(dft_size), zero_bins + pilot_bins)
     data_count = len(data_bins)
-    symbol_samples = dft_size + cp_length
 
 
 def pilot_time_signal() -> np.ndarray:
@@ -53,8 +54,8 @@ def mean_symbol_energy() -> float:
 
 
 def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
-    """Map data symbols to carriers, add pilots, inverse transform and
-    prepend the cyclic prefix.  Accepts (..., data_count)."""
+    """Map data symbols to carriers, add pilots and inverse transform to
+    the 64-sample symbol body.  Accepts (..., data_count)."""
     data = np.asarray(data, dtype=complex)
     if data.shape[-1] != CpConfig.data_count:
         raise ValueError(
@@ -62,30 +63,21 @@ def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
     spectrum = np.zeros(data.shape[:-1] + (CpConfig.dft_size,), dtype=complex)
     spectrum[..., CpConfig.data_bins] = data
     spectrum[..., list(CpConfig.pilot_bins)] = np.asarray(CpConfig.pilot_values, dtype=complex)
-    time = inverse_dft(spectrum)
-    return np.concatenate([time[..., -CpConfig.cp_length:], time], axis=-1)
+    return inverse_dft(spectrum)
 
 
 def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
                      noise_variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-symbol linear convolution with the channel plus white noise.
-
-    Each 80-sample symbol is convolved in isolation, as one product with
-    the truncated Toeplitz channel matrix (``convolution_matrix`` with
-    ``cyclic=False``: the tail past the symbol is dropped).  Spill from a
-    preceding symbol would fall entirely inside the discarded prefix
-    whenever the channel fits the guard, so the isolated model is exact
-    for the decoded window.  A stacked realization needs (channels, ...,
-    samples) symbols and draws noise per channel.
-    """
-    out = convolve(symbols, ch.taps, cyclic=False)
-    stacked = ch.taps.ndim > 1
-    return out + complex_noise(rng, out.shape, noise_variance, stacked=stacked)
+    """Each symbol's decoded window: ``apply_channel_cyclic`` on its
+    body, exact while the channel fits the prefix (spill from the
+    previous symbol stays in the dropped prefix).  A stacked realization
+    needs (channels, ..., 64) symbols and draws noise per channel."""
+    return apply_channel_cyclic(symbols, ch, noise_variance, rng)
 
 
 def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
                      noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the prefix, transform and zero-force the data carriers.
+    """Transform the 64-sample window and zero-force the data carriers.
 
     Returns (data estimates, per-carrier noise variances) with shapes
     (..., data_count) and (data_count,); a stacked realization takes
@@ -95,15 +87,14 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     response on the data carriers.
     """
     received = np.asarray(received)
-    if received.shape[-1] != CpConfig.symbol_samples:
+    if received.shape[-1] != CpConfig.dft_size:
         raise ValueError(
-            f"expected {CpConfig.symbol_samples} samples, got {received.shape[-1]}")
+            f"expected {CpConfig.dft_size} samples, got {received.shape[-1]}")
     if ch.tap_count > CpConfig.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
     h = zero_forcing_response(ch, CpConfig.data_bins, floor_response=True)
-    window = received[..., CpConfig.cp_length:]
-    spectrum = forward_dft(window)
+    spectrum = forward_dft(received)
     estimates = spectrum[..., CpConfig.data_bins] / per_symbol(h)
     variances = CpConfig.dft_size * noise_variance / np.abs(h) ** 2
     return estimates, variances

@@ -63,7 +63,7 @@ class OfdmSystemConfig:
         zeros = frozenset(self.zero_indices)
         redundant = frozenset(self.redundant_indices)
         for name, value, least in (("dft_size", n, 1), ("data_count", nd, 1),
-                                   ("uw_length", l, 0)):
+                                   ("uw_length", l, 1)):
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
         if nd + l > n:
@@ -198,17 +198,13 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
     m21 = m[n - l:, :nd]
     m22 = m[n - l:, nd:]
 
-    if l == 0:
-        redundancy = np.zeros((0, nd), dtype=complex)
-        cond = 1.0
-    else:
-        cond = condition_estimate(m22)
-        try:
-            redundancy = -solve_linear(m22, m21)
-        except ArithmeticError as exc:
-            raise PlacementInfeasibleError(
-                "tail-zeroing system is singular for this redundant placement",
-                cond) from exc
+    cond = condition_estimate(m22)
+    try:
+        redundancy = -solve_linear(m22, m21)
+    except ArithmeticError as exc:
+        raise PlacementInfeasibleError(
+            "tail-zeroing system is singular for this redundant placement",
+            cond) from exc
 
     code_matrix = smap.permutation @ np.vstack([np.eye(nd, dtype=complex), redundancy])
     symbol_covariance = code_matrix @ code_matrix.conj().T
@@ -243,8 +239,6 @@ def _tail_metric(tail_rows: np.ndarray, active: np.ndarray, subset: tuple) -> fl
     """
     chosen = set(subset)
     data_cols = [c for c in active if c not in chosen]
-    if len(subset) == 0:
-        return 0.0
     try:
         t = solve_linear(tail_rows[:, list(subset)], tail_rows[:, data_cols])
     except NumericallySingularError:
@@ -269,9 +263,6 @@ def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
     candidates = [i for i in range(n) if i not in zeros]
     inv = inverse_dft(np.eye(n))
     active = np.array(candidates, dtype=int)
-
-    if l == 0:
-        return (), 0.0
 
     if strategy == "exhaustive":
         count = math.comb(len(candidates), l)

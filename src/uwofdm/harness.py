@@ -490,7 +490,7 @@ _INT_KEYS = {"dft_size", "data_count", "uw_length", "min_error_events",
              "channel_taps"}
 _FLOAT_KEYS = {"sample_rate_hz", "uw_energy_ratio", "mse_ebn0_db",
                "rms_delay_spread_s"}
-_STR_KEYS = {"system", "code_rate", "placement_strategy"}
+_STR_KEYS = {"system", "code_rate"}
 _INT_LIST_KEYS = {"zero_indices", "redundant_indices"}
 _FLOAT_LIST_KEYS = {"ebn0_db"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS

@@ -1,7 +1,8 @@
 """Reference forms that the tests compare the package against: the
 physical symbol-stream channel, the zero-tail time symbol, an explicit
-inverse DFT matrix and the flat-channel closed form of the cyclic-prefix
-baseline.  The simulator itself never calls them."""
+inverse DFT matrix, the 80-sample prefixed cyclic-prefix symbol and the
+flat-channel closed form of the cyclic-prefix baseline.  The simulator
+itself never calls them."""
 
 import math
 
@@ -53,6 +54,41 @@ def stream_symbol_windows(stream: np.ndarray, dft_size: int) -> np.ndarray:
     """Per-symbol receiver windows of a stream, shape (count, dft_size)."""
     count = len(stream) // dft_size
     return np.asarray(stream[:count * dft_size]).reshape(count, dft_size)
+
+
+# ---------------------------------------------------------------------------
+# Physical cyclic-prefix model
+
+def cp_prefixed(body: np.ndarray) -> np.ndarray:
+    """The 80-sample transmitted symbol(s): the last ``cp_length``
+    samples of each 64-sample body prepended to it."""
+    body = np.asarray(body)
+    return np.concatenate([body[..., -cpref.CpConfig.cp_length:], body], axis=-1)
+
+
+def shifted_slice_convolve(symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-symbol linear convolution, tail dropped: one shifted slice
+    multiply-add per tap, channel c of stacked taps on slice c."""
+    symbols, taps = np.asarray(symbols), np.asarray(taps)
+    out = np.zeros_like(symbols, dtype=complex)
+    for m in range(taps.shape[-1]):
+        h = taps[..., m]
+        h = h.reshape(h.shape + (1,) * (symbols.ndim - h.ndim))
+        if m == 0:
+            out += h * symbols
+        else:
+            out[..., m:] += h * symbols[..., :-m]
+    return out
+
+
+def cp_physical_window(body: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The noiseless decoded window of the physical cp model: prepend the
+    prefix, convolve each 80-sample symbol linearly with the channel
+    (tail dropped) and drop the prefix.  While the channel fits the
+    prefix, spill from a preceding symbol lands in the prefix only, so
+    the isolated symbol is exact."""
+    received = shifted_slice_convolve(cp_prefixed(body), taps)
+    return received[..., cpref.CpConfig.cp_length:]
 
 
 # ---------------------------------------------------------------------------

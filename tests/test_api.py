@@ -2,6 +2,8 @@
 listed name exists; reference forms that only the tests use live in
 ``tests/oracles.py``, not in the package."""
 
+import inspect
+
 import pytest
 
 import uwofdm
@@ -42,9 +44,21 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (rxchain.WienerEqualizer, "data_noise_variances"),
     (frame.OfdmSystemConfig, "data_symbol_variance"),
     (cpref.CpConfig, "data_symbol_variance"),
+    (channel, "convolve"), (cpref.CpConfig, "symbol_samples"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
-    worker-count setting and no data-variance key: every data symbol is
-    unit-energy QPSK."""
+    worker-count setting, no data-variance key (every data symbol is
+    unit-energy QPSK) and one channel model: both modems use the
+    circulant product on 64-sample windows, with no linear convolution
+    and no 80-sample cp symbol."""
     assert not hasattr(owner, name)
+
+
+def test_one_placement_strategy_setting():
+    """``optimize-placement --strategy`` is the only way to set it."""
+    assert "placement_strategy" not in harness.KNOWN_KEYS
+
+
+def test_convolution_matrix_has_no_linear_mode():
+    assert list(inspect.signature(channel.convolution_matrix).parameters) == ["taps", "size"]

@@ -122,7 +122,7 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(47)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         with pytest.raises(ValueError, match="noise variance must be >= 0, got -0.1"):
-            apply(np.zeros((2, 80), dtype=complex), ch, -0.1, rng)
+            apply(np.zeros((2, 64), dtype=complex), ch, -0.1, rng)
 
 
 def roll_convolve(x, taps):
@@ -145,12 +145,10 @@ class TestConvolutionMatrix:
     def test_entries(self):
         taps = np.arange(1, 4) + 1j
         cyclic = chan.convolution_matrix(taps, 6)
-        linear = chan.convolution_matrix(taps, 6, cyclic=False)
         padded = np.concatenate([taps, np.zeros(3)])
         for k in range(6):
             for n in range(6):
                 assert cyclic[k, n] == padded[(n - k) % 6]
-                assert linear[k, n] == (padded[n - k] if n >= k else 0)
 
     def test_stacked_taps_give_one_matrix_per_channel(self):
         taps = random_taps(np.random.default_rng(47), 5, channels=3)

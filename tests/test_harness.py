@@ -23,6 +23,11 @@ N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
 N32_CONFIG_TEXT = "".join(f"{k} = {list(v) if isinstance(v, tuple) else v}\n"
                           for k, v in N32_VALUES.items())
 
+#: A 64-point system without a unique word; before the config refused
+#: it, a UW sweep on it ended in a traceback (exit 1).
+UW_LENGTH_0_TEXT = ("uw_length = 0\ndata_count = 52\nredundant_indices = []\n"
+                    "channel_taps = 1")
+
 
 def small_spec(system="uw-lmmse", rate="none", grid=(14.0,), seed=1,
                channel=None, **kw):
@@ -385,10 +390,11 @@ class TestCli:
         path = tmp_path / "toy.cfg"
         path.write_text(
             "dft_size = 16\ndata_count = 8\nuw_length = 4\n"
-            "zero_indices = [0, 8, 9, 15]\nredundant_indices = [1, 2, 3, 4]\n"
-            "placement_strategy = exhaustive\n")
-        assert cli.main(["optimize-placement", "--config", str(path)]) == 0
+            "zero_indices = [0, 8, 9, 15]\nredundant_indices = [1, 2, 3, 4]\n")
+        assert cli.main(["optimize-placement", "--config", str(path),
+                         "--strategy", "exhaustive"]) == 0
         out = capsys.readouterr().out
+        assert "strategy: exhaustive" in out
         assert "metric" in out and "indices" in out
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
@@ -436,9 +442,31 @@ class TestCli:
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_workers_only_on_ber_sweep(self):
-        """No other subcommand runs workers, so none accepts the flag."""
-        assert cli.main(["derive", "--workers", "2"]) == 2
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, unread in (("derive", ("--seed", "--out", "--channel", "--workers",
+                                             "--strategy")),
+                                ("optimize-placement", ("--seed", "--out", "--channel",
+                                                        "--workers")),
+                                ("snapshot", ("--channel", "--workers", "--strategy")),
+                                ("mse-probe", ("--workers", "--strategy")),
+                                ("ber-sweep", ("--strategy",)))
+        for flag in unread])
+    def test_unread_flag_exits_2(self, command, flag, tmp_path, capsys):
+        """A subcommand takes only the flags it reads; before, ``derive
+        --out d.csv --channel fixed:nowhere`` exited 0 and wrote nothing."""
+        value = {"--out": str(tmp_path / "x.csv"), "--channel": "fixed:nowhere",
+                 "--strategy": "greedy"}.get(flag, "2")
+        assert cli.main([command, flag, value]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe", "snapshot"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("system, taps", [("uw-lmmse", 80), ("uw-lmmse", 20),
                                               ("cp", 20)])
@@ -538,6 +566,8 @@ class TestCli:
         ("ber-sweep", "data_count = 0\nzero_indices = [" + ", ".join(map(str, range(48)))
          + "]\nredundant_indices = [" + ", ".join(map(str, range(48, 64))) + "]",
          "data_count must be >= 1, got 0"),
+        ("ber-sweep", UW_LENGTH_0_TEXT, "uw_length must be >= 1, got 0"),
+        ("mse-probe", UW_LENGTH_0_TEXT, "uw_length must be >= 1, got 0"),
     ])
     def test_physical_input_out_of_range_exits_2(self, command, text, message,
                                                  tmp_path, capsys):
@@ -570,9 +600,10 @@ class TestCli:
         monkeypatch.setattr(harness, "run_mse_probe", no_work)
         monkeypatch.setattr(chan, "pinned_snapshot", no_work)
         out = tmp_path / "missing" / "out.csv"
-        code = cli.main([command, "--out", str(out),
-                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
-        assert code == 2
+        argv = [command, "--out", str(out)]
+        if command != "snapshot":
+            argv += ["--channel", f"fixed:{NOTCH_FIXTURE}"]
+        assert cli.main(argv) == 2
         assert str(out) in capsys.readouterr().err
 
     def test_out_is_directory_exits_2(self, tmp_path, capsys):
