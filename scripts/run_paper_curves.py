@@ -33,7 +33,7 @@ def main() -> int:
     OUT.mkdir(exist_ok=True)
     cfg = reference_config()
 
-    snapshot = harness.load_fixed_channel(FIXTURE, cfg.dft_size)
+    snapshot = harness.load_fixed_channel(FIXTURE, cfg.dft_size, cfg.uw_length)
     rows = harness.run_mse_probe(cfg, snapshot, ebn0_db=15.0,
                                  n_symbols=MSE_SYMBOLS, seed=1)
     harness.write_mse_csv(OUT / "mse_probe.csv", rows, metadata=harness.mse_metadata(

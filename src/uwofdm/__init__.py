@@ -22,7 +22,7 @@ from .frame import (OfdmSystemConfig, RedundancyGenerator, SubcarrierMap,
                     redundant_energy_metric, reference_config)
 from .harness import (BerPoint, BerReport, SweepSpec, run_ber_sweep,
                       run_mse_probe, write_ber_csv, write_mse_csv)
-from .numerics import forward_dft, inverse_dft, solve_linear
+from .numerics import forward_dft, inverse_dft
 from .rxchain import (WienerEqualizer, build_equalizer, measure_subcarrier_mse,
                       zf_only_symbol)
 from .txchain import UniqueWord, build_unique_word
@@ -39,6 +39,6 @@ __all__ = [
     "notch_predicate", "optimize_placement", "pinned_snapshot", "puncture",
     "qpsk_map", "qpsk_soft_demap", "redundant_energy_metric",
     "reference_config", "run_ber_sweep", "run_mse_probe", "sample_channel",
-    "save_snapshot", "solve_linear", "viterbi_decode", "write_ber_csv",
+    "save_snapshot", "viterbi_decode", "write_ber_csv",
     "write_mse_csv", "zf_only_symbol",
 ]

@@ -208,15 +208,24 @@ def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-#: Metadata a fixture load reads, with its type; other ``#`` lines are notes.
-_SNAPSHOT_FIELDS = {"sample_rate_hz": float, "rms_delay_spread_s": float, "dft_size": int}
+def _finite(text: str, positive: bool = False) -> float:
+    value = float(text)
+    if not np.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"need a finite{' positive' * positive} number, got {value}")
+    return value
+
+
+#: Metadata a fixture load reads, with its parser; other ``#`` lines are notes.
+_SNAPSHOT_FIELDS = {"sample_rate_hz": lambda v: _finite(v, True),
+                    "rms_delay_spread_s": lambda v: _finite(v, True), "dft_size": int}
 
 
 def load_snapshot(path) -> ChannelRealization:
     """Load a snapshot fixture written by ``save_snapshot``; a tap line
-    that is not two numbers, or a metadata value of the wrong type,
-    raises ``ConfigError`` naming its line, and a ``dft_size`` below one
-    or below the tap count raises it naming the file."""
+    that is not two finite numbers, or a metadata value of the wrong type
+    (or a rate or delay spread that is not finite and positive), raises
+    ``ConfigError`` naming its line, and a ``dft_size`` below one or below
+    the tap count raises it naming the file."""
     meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
             "dft_size": 64}
     taps = []
@@ -230,10 +239,10 @@ def load_snapshot(path) -> ChannelRealization:
                         meta[key.strip()] = _SNAPSHOT_FIELDS[key.strip()](value)
                 elif line:
                     re_part, im_part = line.split()
-                    taps.append(complex(float(re_part), float(im_part)))
-            except ValueError:
+                    taps.append(complex(_finite(re_part), _finite(im_part)))
+            except ValueError as exc:
                 raise ConfigError(f"channel fixture {path}:{lineno}: "
-                                  f"cannot read {line!r}") from None
+                                  f"cannot read {line!r}: {exc}") from None
     if meta["dft_size"] < max(len(taps), 1):
         raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
                           f"must be >= 1 and >= its {len(taps)} taps")

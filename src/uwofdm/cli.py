@@ -127,7 +127,8 @@ def cmd_mse_probe(args) -> int:
         raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
     ebn0 = values.get("mse_ebn0_db", harness.MSE_EBN0_DB)
     harness.check_ebn0("mse_ebn0_db", ebn0)
-    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size)
+    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size,
+                                    config.uw_length)
     rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
                                  n_symbols=n_symbols, seed=args.seed)
     harness.write_mse_csv(out, rows, metadata=harness.mse_metadata(

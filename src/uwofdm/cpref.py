@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
 from .numerics import forward_dft, inverse_dft
-from .rxchain import zero_forcing_response
+from .rxchain import zero_forcing
 
 
 class CpConfig:
@@ -82,9 +82,8 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     Returns (data estimates, per-carrier noise variances) with shapes
     (..., data_count) and (data_count,); a stacked realization takes
     (channels, symbols, samples) and gives (channels, data_count)
-    variances.  A weak response is floored as in the UW receiver
-    (``rxchain.zero_forcing_response``), relative to the largest
-    response on the data carriers.
+    variances.  Zero forcing is UW's rule (``rxchain.zero_forcing``),
+    floored relative to the largest response on the data carriers.
     """
     received = np.asarray(received)
     if received.shape[-1] != CpConfig.dft_size:
@@ -93,8 +92,5 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     if ch.tap_count > CpConfig.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
-    h = zero_forcing_response(ch, CpConfig.data_bins, floor_response=True)
-    spectrum = forward_dft(received)
-    estimates = spectrum[..., CpConfig.data_bins] / per_symbol(h)
-    variances = CpConfig.dft_size * noise_variance / np.abs(h) ** 2
-    return estimates, variances
+    inv_h, variances = zero_forcing(ch, CpConfig.data_bins, noise_variance)
+    return forward_dft(received)[..., CpConfig.data_bins] * per_symbol(inv_h), variances

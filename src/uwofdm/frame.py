@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericallySingularError, PlacementInfeasibleError
-from .numerics import condition_estimate, inverse_dft, solve_linear
+from .numerics import inverse_dft, solve_linear
 
 # Reference system parameters: 64-point DFT at 20 MHz with the
 # IEEE-802.11a zero carriers (DC and band edges), 36 data carriers and
@@ -198,7 +198,7 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
     m21 = m[n - l:, :nd]
     m22 = m[n - l:, nd:]
 
-    cond = condition_estimate(m22)
+    cond = float(np.linalg.cond(m22))
     try:
         redundancy = -solve_linear(m22, m21)
     except ArithmeticError as exc:

@@ -205,9 +205,10 @@ def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
     return fec.InterleaverSpec(block_bits=block, columns=columns)
 
 
-def load_fixed_channel(path, dft_size: int) -> chan.ChannelRealization:
+def load_fixed_channel(path, dft_size: int, guard: int) -> chan.ChannelRealization:
     """Load a channel fixture, refusing (ConfigError) a missing or
-    unreadable file and one made for another DFT size than the modem's."""
+    unreadable file, one made for another DFT size than the modem's and
+    one with more taps than its ``guard`` absorbs."""
     if not os.path.exists(path):
         raise ConfigError(f"channel fixture not found: {path}")
     try:
@@ -218,17 +219,14 @@ def load_fixed_channel(path, dft_size: int) -> chan.ChannelRealization:
         raise ConfigError(f"channel fixture {path} has dft_size = "
                           f"{ch.freq_response.shape[-1]}, the modem has dft_size = "
                           f"{dft_size}")
+    check_tap_count(f"channel fixture {path}: tap_count", ch.tap_count, guard)
     return ch
 
 
 @lru_cache(maxsize=8)
 def _context(spec: SweepSpec) -> _SystemContext:
-    fixed = None
-    if spec.channel.startswith("fixed:"):
-        path = spec.channel[len("fixed:"):]
-        fixed = load_fixed_channel(path, spec.dft_size)
-        check_tap_count(f"channel fixture {path}: tap_count", fixed.tap_count,
-                        spec.guard_length)
+    fixed = (load_fixed_channel(spec.channel[len("fixed:"):], spec.dft_size, spec.guard_length)
+             if spec.channel.startswith("fixed:") else None)
 
     if spec.system == "cp":
         gen = uw = None
@@ -249,7 +247,10 @@ def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
     slots = spec.frame_symbols * bits_per_symbol
     if spec.code_rate == "none":
         return slots
-    n_info = int(round(slots * RATE_VALUE[spec.code_rate])) - fec.TAIL_BITS
+    if slots * RATE_VALUE[spec.code_rate] % 1:  # no info-bit count fills the frame
+        raise ConfigError(f"code_rate = {spec.code_rate} needs data_count x frame_symbols "
+                          f"to be even, got {bits_per_symbol // 2} x {spec.frame_symbols}")
+    n_info = int(slots * RATE_VALUE[spec.code_rate]) - fec.TAIL_BITS
     if n_info < 1:
         raise ConfigError("frame too short for the chosen code rate")
     return n_info
@@ -263,7 +264,7 @@ def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer
     ctx = _context(spec)
     return rxchain.build_equalizer(ctx.fixed_channel, ctx.gen,
                                    ctx.sigma2(spec.ebn0_db[point_idx]),
-                                   floor_response=True, smoothing=ctx.smoothing)
+                                   smoothing=ctx.smoothing)
 
 
 def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
@@ -292,8 +293,7 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
         x = txchain.encode_batch(data, gen, gen.map, uw)
         y = chan.apply_channel_cyclic(x, ch, sigma2, rng_noise)
         if eq is None:
-            eq = rxchain.build_equalizer(ch, gen, sigma2, floor_response=True,
-                                         smoothing=ctx.smoothing)
+            eq = rxchain.build_equalizer(ch, gen, sigma2, smoothing=ctx.smoothing)
         estimates = rxchain.equalize_batch(y, eq, uw)[..., gen.map.data_positions]
         variances = eq.data_error_variances
 

@@ -5,12 +5,11 @@ The whole package is pinned to the unnormalized DFT convention
     F[m, n] = w**(m*n),   w = exp(-2j*pi/N),
     forward(v) = F @ v,   inverse(v) = F.conj().T @ v / N.
 
-Several receiver covariance expressions (notably the factor N in the
-noise covariance after zero forcing) are only correct under this
-convention, so it is frozen here and nowhere else.  Transform sizes stay
-small (N <= 64), so plain dense matrix products are used throughout: a
-transform takes its size from the last axis of its input and uses the
-matrix cached for that size.
+The factor N it puts in the noise variance after zero forcing enters in
+one place, ``rxchain.zero_forcing``; the convention is frozen here and
+nowhere else.  Transform sizes stay small (N <= 64), so plain dense
+matrix products are used throughout: a transform takes its size from the
+last axis of its input and uses the matrix cached for that size.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ def inverse_dft(v: np.ndarray) -> np.ndarray:
     return v @ _dft_matrix(n).conj() / n
 
 
-def condition_estimate(a: np.ndarray) -> float:
-    """2-norm condition number (SVD based; matrices here are at most 64x64)."""
-    return float(np.linalg.cond(np.asarray(a)))
-
-
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` with an explicit conditioning check.
 
@@ -62,7 +56,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    cond = condition_estimate(a)
+    cond = float(np.linalg.cond(a))  # SVD based; matrices here are at most 64x64
     if not np.isfinite(cond) or cond > 1.0 / RCOND_FLOOR:
         raise NumericallySingularError("matrix is numerically singular", cond)
     return np.linalg.solve(a, np.asarray(b))

@@ -1,8 +1,9 @@
 """UW-OFDM receiver: DFT, unique-word removal, zero-forcing equalization
 and the subcarrier-correlation (LMMSE) smoother.
 
-Zero forcing whitens the channel but multiplies the noise on carrier i
-by 1/|H(f_i)|^2, which is disastrous in spectral notches.  Because the
+Zero forcing (``zero_forcing``, also the cp baseline's) whitens the
+channel but multiplies the noise on carrier i by 1/|H(f_i)|^2, which is
+disastrous in spectral notches (a floor keeps it finite).  Because the
 redundant carriers are a deterministic linear function of the data, the
 active-carrier word has a known rank-deficient covariance; the smoother
 ``W = C_ss (C_ss + C_vv)^-1`` projects the noisy zero-forced word back
@@ -26,10 +27,9 @@ from .fec import qpsk_map
 from .numerics import forward_dft
 from .txchain import UniqueWord, encode_batch
 
-#: Zero forcing is refused below this absolute response magnitude.
+#: A channel whose strongest carrier lies below this has no zero forcing.
 ZF_ABS_FLOOR = 1e-9
-#: Optional regularization floor, relative to the largest response on the
-#: zero-forced carriers.
+#: A weaker carrier is floored to this fraction of its channel's strongest.
 ZF_REL_FLOOR = 1e-6
 
 
@@ -59,33 +59,34 @@ class WienerEqualizer:
         return self.error_variances[..., self.map.data_positions]
 
 
-def zero_forcing_response(ch: ChannelRealization, carriers,
-                          floor_response: bool) -> np.ndarray:
-    """Channel response on ``carriers`` (per stacked channel), checked for
-    zero forcing: below ``ZF_ABS_FLOOR`` it raises, or with
-    ``floor_response`` it is raised to ``ZF_REL_FLOOR`` times the largest
-    magnitude on ``carriers``, keeping its phase."""
+def zero_forcing(ch: ChannelRealization, carriers,
+                 noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both modems' zero forcing on ``carriers``, per stacked channel:
+    (1/H, noise variances N·σ²·|1/H|², N from the DFT convention of
+    ``numerics``).  A carrier below ``ZF_REL_FLOOR`` times its channel's
+    strongest is floored there, keeping its phase; a response that is not
+    finite or peaks below ``ZF_ABS_FLOOR`` raises NearSingularChannelError."""
     h = ch.active_response(carriers)
     mags = np.abs(h)
-    if floor_response:
-        floor = np.broadcast_to(ZF_REL_FLOOR * mags.max(axis=-1, keepdims=True), h.shape)
-        weak = mags < floor
-        if np.any(weak):
-            # keep the phase; a exactly-zero entry gets a real floor
-            phases = np.where(mags[weak] > 0, h[weak] / mags[weak], 1.0)
-            h[weak] = phases * floor[weak]
-        return h
-    if np.any(mags < ZF_ABS_FLOOR):
+    peak = mags.max(axis=-1)
+    dead = ~(np.isfinite(peak) & (peak >= ZF_ABS_FLOOR))
+    if np.any(dead):
         raise NearSingularChannelError(
-            f"channel response below {ZF_ABS_FLOOR} on carrier position(s) "
-            f"{np.unique(np.nonzero(mags < ZF_ABS_FLOOR)[-1]).tolist()}; "
-            "zero forcing undefined")
-    return h
+            f"strongest channel response {peak[dead].tolist()} is not finite or "
+            f"lies below {ZF_ABS_FLOOR}; zero forcing undefined")
+    floor = np.broadcast_to(ZF_REL_FLOOR * peak[..., None], h.shape)
+    weak = mags < floor
+    if np.any(weak):
+        # keep the phase; an exactly-zero entry gets a real floor
+        mag = mags[weak]
+        phases = np.divide(h[weak], mag, out=np.ones(mag.shape, complex), where=mag > 0)
+        h[weak] = phases * floor[weak]
+    inv_h = 1.0 / h
+    return inv_h, ch.freq_response.shape[-1] * noise_variance * np.abs(inv_h) ** 2
 
 
 def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
-                    noise_variance: float, floor_response: bool = False,
-                    smoothing: bool = True) -> WienerEqualizer:
+                    noise_variance: float, smoothing: bool = True) -> WienerEqualizer:
     """Assemble the ZF (+ smoothing) operator for one channel realization,
     or for every channel of a stacked one at once.
 
@@ -95,9 +96,7 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     the ZF noise variances.
     """
     smap = gen.map
-    n = smap.config.dft_size
-    inv_h = 1.0 / zero_forcing_response(ch, smap.active_carriers, floor_response)
-    cvv_diag = n * noise_variance * np.abs(inv_h) ** 2
+    inv_h, cvv_diag = zero_forcing(ch, smap.active_carriers, noise_variance)
     smoother, error_var = None, cvv_diag
     if smoothing:
         css = gen.symbol_covariance

@@ -25,7 +25,7 @@ def test_star_import():
 
 
 def test_all_size():
-    assert len(uwofdm.__all__) <= 47
+    assert len(uwofdm.__all__) <= 46
 
 
 @pytest.mark.parametrize("module, name", [
@@ -58,6 +58,12 @@ def test_removed_knobs_are_gone(owner, name):
 def test_one_placement_strategy_setting():
     """``optimize-placement --strategy`` is the only way to set it."""
     assert "placement_strategy" not in harness.KNOWN_KEYS
+
+
+def test_build_equalizer_has_no_floor_knob():
+    """One zero-forcing rule: no flag picks between floor and refusal."""
+    assert "floor_response" not in inspect.signature(rxchain.build_equalizer).parameters
+    assert not hasattr(rxchain, "zero_forcing_response")
 
 
 def test_convolution_matrix_has_no_linear_mode():

@@ -186,7 +186,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
                                 .reshape(f_sym, width), ctx.interleaver)
         data = uw.qpsk_map(tx.reshape(f_sym, width))
         if spec.system != "cp":
-            eq = uw.build_equalizer(ch, ctx.gen, sigma2, floor_response=True)
+            eq = uw.build_equalizer(ch, ctx.gen, sigma2)
             x = txchain.encode_batch(data, ctx.gen, ctx.gen.map, ctx.uw)
             y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
             if ctx.smoothing:
@@ -497,7 +497,8 @@ class TestCli:
         assert "tap_count = 18 does not fit" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["0.1 0.2 0.3", "0.1 x", "# dft_size = x64"])
+    @pytest.mark.parametrize("bad", ["0.1 0.2 0.3", "0.1 x", "# dft_size = x64",
+                                     "nan 0.0", "inf 0.0", "# sample_rate_hz = nan"])
     def test_malformed_fixture_line_exits_2(self, bad, tmp_path, capsys):
         fixture = tmp_path / "bad.txt"
         fixture.write_text(NOTCH_FIXTURE.read_text() + bad + "\n")
@@ -506,6 +507,23 @@ class TestCli:
         code = cli.main(["ber-sweep", "--out", str(out), "--channel", f"fixed:{fixture}"])
         assert code == 2
         assert f"{fixture}:{lineno}: cannot read {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame_symbols", [1, 3])
+    def test_rate_3_4_with_odd_slots_exits_2(self, frame_symbols, tmp_path, capsys):
+        """35 data carriers times an odd frame length: rate 3/4 has no
+        info-bit count that punctures to exactly the frame's slots, which
+        ended in a ValueError from ``fec.puncture`` (exit 1)."""
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("data_count = 35\nzero_indices = [0, 1, 27, 28, 29, 30, 31, 32, "
+                       "33, 34, 35, 36, 37]\ncode_rate = 3/4\n"
+                       f"frame_symbols = {frame_symbols}\nebn0_db = [10]\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert (f"code_rate = 3/4 needs data_count x frame_symbols to be even, "
+                f"got 35 x {frame_symbols}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_frame_symbols_beyond_bound_exits_2(self, tmp_path, capsys):
@@ -650,15 +668,54 @@ class TestCli:
         assert cli.main(["mse-probe", "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_mse_probe_numerical_error_exits_3(self, tmp_path, capsys):
-        # exact spectral null on an active carrier: zero forcing undefined
-        taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
-        ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
-        fixture = tmp_path / "null.txt"
-        chan.save_snapshot(fixture, ch, seed=0, draw=0)
-        code = cli.main(["mse-probe", "--out", str(tmp_path / "x.csv"),
-                         "--channel", f"fixed:{fixture}"])
+        """A dead channel has no strongest carrier to floor against: exit
+        3.  An exact null on one active carrier is floored like the sweep
+        floors it, and every column stays finite."""
+        fixture, out = tmp_path / "chan.txt", tmp_path / "x.csv"
+        dead = chan._realization_from_taps(np.zeros(2, dtype=complex), 20e6, 1e-7, 64)
+        chan.save_snapshot(fixture, dead, seed=0, draw=0)
+        code = cli.main(["mse-probe", "--out", str(out), "--channel", f"fixed:{fixture}"])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
+        taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
+        null = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
+        chan.save_snapshot(fixture, null, seed=0, draw=0)
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("mse_symbols = 200\n")
+        assert cli.main(["mse-probe", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{fixture}"]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        assert rows.shape == (52, 5) and np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    def test_ber_sweep_dead_channel_exits_3(self, system, tmp_path, capsys):
+        """Before, an all-zero fixture gave BER 0.4997 with exit 0."""
+        fixture, out = tmp_path / "dead.txt", tmp_path / "run.csv"
+        dead = chan._realization_from_taps(np.zeros(2, dtype=complex), 20e6, 1e-7, 64)
+        chan.save_snapshot(fixture, dead, seed=0, draw=0)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"system = {system}\nebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{fixture}"])
+        assert code == 3
+        assert "zero forcing undefined" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mse_probe_fixture_longer_than_guard_exits_2(self, tmp_path, capsys):
+        """An 8-sample unique word cannot absorb the 16-tap notch fixture;
+        before, mse-probe ran it and wrote 44 rows."""
+        cfg = tmp_path / "uw8.cfg"
+        cfg.write_text("uw_length = 8\nredundant_indices = [2, 6, 10, 17, 40, 47, 54, 62]\n"
+                       "zero_indices = [0, 1, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, "
+                       "36, 37, 38, 39, 63, 3, 61]\nmse_symbols = 200\n")
+        out = tmp_path / "mse.csv"
+        code = cli.main(["mse-probe", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert "tap_count = 16 does not fit the 8-sample guard" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_snapshot_reproduces_repository_fixture(self, tmp_path, capsys):
         out = tmp_path / "snap.txt"

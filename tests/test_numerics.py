@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwofdm import forward_dft, inverse_dft, solve_linear
+from uwofdm import forward_dft, inverse_dft
+from uwofdm.numerics import solve_linear
 from uwofdm.errors import NumericallySingularError
 
 

@@ -76,7 +76,7 @@ class TestBuildEqualizer:
         for _ in range(100):
             ch = uw.sample_channel(rng)
             sigma2 = float(10 ** rng.uniform(-4, -1))
-            eq = uw.build_equalizer(ch, ref_gen, sigma2, floor_response=True)
+            eq = uw.build_equalizer(ch, ref_gen, sigma2)
             assert (eq.error_variances <= eq.noise_covariance * (1 + 1e-9)).all()
 
     def test_near_zero_response_raises(self, ref_gen):
@@ -85,28 +85,40 @@ class TestBuildEqualizer:
         with pytest.raises(NearSingularChannelError):
             uw.build_equalizer(ch, ref_gen, 0.01)
 
-    def test_floor_flag_permits_weak_response(self, ref_gen):
+    def test_single_null_is_floored(self, ref_gen, ref_map):
+        """An exact null on active bin 13 is raised to ZF_REL_FLOOR times
+        the strongest active response, keeping its phase, without raising."""
         # two taps tuned to put an exact spectral null on active bin 13
         taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
         ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
-        with pytest.raises(NearSingularChannelError):
+        eq = uw.build_equalizer(ch, ref_gen, 0.01)
+        assert np.isfinite(combined(eq)).all() and np.isfinite(eq.error_variances).all()
+        h = ch.active_response(ref_map.active_carriers)
+        floor = rxchain.ZF_REL_FLOOR * np.abs(h).max()
+        null = list(ref_map.active_carriers).index(13)
+        floored = h[null] / np.abs(h[null]) * floor
+        assert 1.0 / eq.inv_response[null] == pytest.approx(floored, rel=1e-12)
+        assert eq.noise_covariance[null] == pytest.approx(64 * 0.01 / floor ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_response_raises(self, ref_gen, value):
+        response = np.ones(64, dtype=complex)
+        response[13] = value
+        ch = chan.ChannelRealization(np.ones(1, dtype=complex), response, 20e6, 1e-7)
+        with pytest.raises(NearSingularChannelError, match="not finite"):
             uw.build_equalizer(ch, ref_gen, 0.01)
-        eq = uw.build_equalizer(ch, ref_gen, 0.01, floor_response=True)
-        assert np.isfinite(combined(eq)).all()
 
     @pytest.mark.parametrize("smoothing", [True, False])
     @pytest.mark.parametrize("sigma2", [0.0, 0.03])
     def test_stacked_build_matches_per_channel(self, ref_gen, ref_uw, smoothing, sigma2):
         rng = np.random.default_rng(77)
         stacked = uw.sample_channel(rng, channels=4)
-        eq = uw.build_equalizer(stacked, ref_gen, sigma2, floor_response=True,
-                                smoothing=smoothing)
+        eq = uw.build_equalizer(stacked, ref_gen, sigma2, smoothing=smoothing)
         y = rng.standard_normal((4, 3, 64)) + 1j * rng.standard_normal((4, 3, 64))
         words = (rxchain.equalize_batch if smoothing else uw.zf_only_symbol)(y, eq, ref_uw)
         for c in range(4):
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
-            single = uw.build_equalizer(ch, ref_gen, sigma2, floor_response=True,
-                                        smoothing=smoothing)
+            single = uw.build_equalizer(ch, ref_gen, sigma2, smoothing=smoothing)
             np.testing.assert_allclose(eq.inv_response[c], single.inv_response, rtol=1e-12)
             np.testing.assert_allclose(eq.noise_covariance[c], single.noise_covariance,
                                        rtol=1e-12)
@@ -125,18 +137,22 @@ class TestBuildEqualizer:
                                               single.noise_covariance)
 
     def test_zero_forcing_floor_per_channel(self, ref_gen, ref_map):
-        """Each stacked channel floors against its own largest response."""
+        """Each stacked channel floors against its own largest response,
+        and one dead channel in a stack is refused."""
         null = chan._realization_from_taps(
             np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)]), 20e6, 1e-7, 64)
         loud = chan._realization_from_taps(np.array([10.0, 0.0]), 20e6, 1e-7, 64)
         stacked = chan._realization_from_taps(np.stack([null.taps, loud.taps]),
                                               20e6, 1e-7, 64)
-        h = rxchain.zero_forcing_response(stacked, ref_map.active_carriers, True)
+        inv_h, variances = rxchain.zero_forcing(stacked, ref_map.active_carriers, 0.01)
         for c, ch in enumerate((null, loud)):
-            np.testing.assert_array_equal(
-                h[c], rxchain.zero_forcing_response(ch, ref_map.active_carriers, True))
-        with pytest.raises(NearSingularChannelError):
-            uw.build_equalizer(stacked, ref_gen, 0.01)
+            single = rxchain.zero_forcing(ch, ref_map.active_carriers, 0.01)
+            np.testing.assert_array_equal(inv_h[c], single[0])
+            np.testing.assert_array_equal(variances[c], single[1])
+        dead = chan._realization_from_taps(np.stack([loud.taps, np.zeros(2)]),
+                                           20e6, 1e-7, 64)
+        with pytest.raises(NearSingularChannelError, match=r"\[0\.0\]"):
+            uw.build_equalizer(dead, ref_gen, 0.01)
 
     def test_noise_vanishing_acts_as_identity_on_codewords(self, ref_gen):
         """At vanishing noise the smoother must pass every valid
