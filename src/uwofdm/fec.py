@@ -10,7 +10,8 @@ vectorizes the whole chain.  The Viterbi recursion runs the radix-2
 add-compare-select butterfly across the batch at each trellis step (the
 two predecessors of a state are adjacent, so no gather is needed) and
 keeps its survivor decisions bit-packed, one 64-bit word per step and
-frame, which the traceback reads with shifts.
+frame, which the traceback reads with shifts.  Its path metrics are
+float32, on LLRs scaled exactly by a power of two per frame.
 """
 
 from __future__ import annotations
@@ -201,9 +202,16 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
 
     Input is the depunctured LLR stream, 2*(n_info + 6) values on the
     last axis (a leading batch axis decodes frames in parallel); output
-    drops the tail bits.  The path metric is the LLR correlation, so any
-    common positive LLR scaling leaves decisions unchanged.  A tie keeps
-    the even predecessor.
+    drops the tail bits.  The path metric is the LLR correlation in
+    float32.  Each frame is first scaled exactly by 2**-e, e from
+    ``np.frexp`` of its peak |LLR| (a zero frame keeps factor 1), so
+    |LLR| < 1 and |metric| <= 2 * (n_info + 6): the ~1e300 LLRs of a
+    noiseless point cannot overflow and no renormalization is needed.
+    Decisions are invariant under power-of-two LLR scaling (integer LLRs
+    below 2**24 decode as in float64), and under any other positive scale
+    up to float32 rounding.  An LLR column that is zero in every frame
+    (a punctured one) adds nothing and is skipped.  A tie keeps the even
+    predecessor.
     """
     llrs = np.asarray(llrs, dtype=float)
     single = llrs.ndim == 1
@@ -213,30 +221,37 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
         raise ValueError(
             f"expected {2 * steps} LLRs for {n_info} info bits, got {llrs.shape[-1]}")
     batch = llrs.shape[0]
+    _, exponent = np.frexp(np.abs(llrs).max(axis=-1, keepdims=True))
+    llrs = np.ldexp(llrs, -exponent).astype(np.float32)
+    live = llrs.any(axis=0)
 
     # metrics[b, 0, j, k] belongs to state 2j + k; broadcast against the
     # (bit, j, k) branch signs it gives both candidates of every state.
-    metrics = np.full((batch, 1, 32, 2), NEG_INF)
+    metrics = np.full((batch, 1, 32, 2), NEG_INF, dtype=np.float32)
     metrics[:, 0, 0, 0] = 0.0
     new_metrics = metrics.reshape(batch, 2, 32)
-    cand = np.empty((batch, 2, 32, 2))
+    cand = np.empty((batch, 2, 32, 2), dtype=np.float32)
     term = np.empty_like(cand)
-    # An LLR copied across the states and then multiplied by whole sign
-    # arrays costs about half of one broadcast multiply.
-    w0 = np.broadcast_to(BRANCH_W0, cand.shape).copy()
-    w1 = np.broadcast_to(BRANCH_W1, cand.shape).copy()
+    # An LLR copied across the states, then multiplied by whole C-order
+    # sign arrays, costs about half of one broadcast multiply.
+    w0 = np.broadcast_to(BRANCH_W0, cand.shape).astype(np.float32, order="C")
+    w1 = np.broadcast_to(BRANCH_W1, cand.shape).astype(np.float32, order="C")
     choice = np.empty((batch, 2, 32), dtype=bool)
     # Bit s of survivors[t, b] is set when state s took predecessor 2j + 1.
     survivors = np.empty((steps, batch), dtype="<u8")
     survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
 
     for t in range(steps):
-        np.copyto(cand, llrs[:, 2 * t, None, None, None])
-        np.multiply(cand, w0, out=cand)
-        np.add(metrics, cand, out=cand)
-        np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
-        np.multiply(term, w1, out=term)
-        np.add(cand, term, out=cand)
+        if live[2 * t]:
+            np.copyto(cand, llrs[:, 2 * t, None, None, None])
+            np.multiply(cand, w0, out=cand)
+            np.add(metrics, cand, out=cand)
+        else:
+            np.copyto(cand, metrics)
+        if live[2 * t + 1]:
+            np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
+            np.multiply(term, w1, out=term)
+            np.add(cand, term, out=cand)
         np.greater(cand[..., 1], cand[..., 0], out=choice)
         np.maximum(cand[..., 0], cand[..., 1], out=new_metrics)
         survivor_bytes[t] = np.packbits(choice.reshape(batch, 64), axis=-1,

@@ -267,7 +267,7 @@ def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
     if strategy == "exhaustive":
         count = math.comb(len(candidates), l)
         if count > EXHAUSTIVE_LIMIT:
-            raise ValueError(
+            raise ConfigError(
                 f"exhaustive search refused: {count} subsets exceed limit {EXHAUSTIVE_LIMIT}")
         tail_rows = inv[n - l:, :]
         best, best_metric = None, math.inf

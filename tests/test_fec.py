@@ -183,6 +183,44 @@ def gather_viterbi(llrs, n_info, g0=fec.G0_OCTAL, g1=fec.G1_OCTAL):
     return out[0] if single else out
 
 
+def float64_viterbi(llrs, n_info):
+    """Reference decoder: the same radix-2 butterfly and bit-packed
+    survivors as ``fec.viterbi_decode``, on unscaled float64 metrics with
+    every LLR column added."""
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
+    steps = n_info + fec.TAIL_BITS
+    batch = llrs.shape[0]
+    metrics = np.full((batch, 1, 32, 2), fec.NEG_INF)
+    metrics[:, 0, 0, 0] = 0.0
+    new_metrics = metrics.reshape(batch, 2, 32)
+    cand = np.empty((batch, 2, 32, 2))
+    term = np.empty_like(cand)
+    w0 = np.broadcast_to(fec.BRANCH_W0, cand.shape).copy()
+    w1 = np.broadcast_to(fec.BRANCH_W1, cand.shape).copy()
+    choice = np.empty((batch, 2, 32), dtype=bool)
+    survivors = np.empty((steps, batch), dtype="<u8")
+    survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
+    for t in range(steps):
+        np.copyto(cand, llrs[:, 2 * t, None, None, None])
+        np.multiply(cand, w0, out=cand)
+        np.add(metrics, cand, out=cand)
+        np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
+        np.multiply(term, w1, out=term)
+        np.add(cand, term, out=cand)
+        np.greater(cand[..., 1], cand[..., 0], out=choice)
+        np.maximum(cand[..., 0], cand[..., 1], out=new_metrics)
+        survivor_bytes[t] = np.packbits(choice.reshape(batch, 64), axis=-1,
+                                        bitorder="little")
+    state = np.zeros(batch, dtype=np.uint64)
+    five, mask, one = np.uint64(5), np.uint64(31), np.uint64(1)
+    decoded = np.empty((batch, n_info), dtype=np.uint8)
+    for t in range(steps - 1, -1, -1):
+        if t < n_info:
+            decoded[:, t] = state >> five
+        state = ((state & mask) << one) | ((survivors[t] >> state) & one)
+    return decoded
+
+
 def noisy_stream(rng, shape, rate, sigma2):
     """Depunctured LLRs of random info bits of the given (..., n_info)
     shape sent at ``rate`` over AWGN."""
@@ -227,6 +265,35 @@ class TestViterbiOracle:
             llrs = np.round(llrs)
         np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
                                       gather_viterbi(llrs, n_info))
+
+
+class TestFloat32Metrics:
+    """float32 path metrics on LLRs scaled per frame by a power of two."""
+
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    def test_agrees_with_float64_oracle(self, rate):
+        rng = np.random.default_rng(64)
+        llrs = noisy_stream(rng, (256, 282), rate, 1.5)
+        differ = fec.viterbi_decode(llrs, 282) != float64_viterbi(llrs, 282)
+        assert differ.mean() <= 1e-3
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0 ** 1000, 2.0 ** -1000])
+    def test_extreme_scales_decode_as_unscaled(self, scale):
+        """LLRs far outside float32's range, as a noiseless point gives."""
+        llrs = noisy_stream(np.random.default_rng(65), (8, 66), "3/4", 1.0)
+        np.testing.assert_array_equal(fec.viterbi_decode(scale * llrs, 66),
+                                      fec.viterbi_decode(llrs, 66))
+
+    def test_scaling_is_per_frame(self):
+        """One frame at three scales 1e300 apart and a zero frame share a
+        batch; each decodes as it does alone."""
+        frame = noisy_stream(np.random.default_rng(66), (48,), "1/2", 1.0)
+        llrs = np.vstack([frame, 1e300 * frame, 1e-300 * frame, np.zeros_like(frame)])
+        decoded = fec.viterbi_decode(llrs, 48)
+        for row, bits in zip(llrs, decoded):
+            np.testing.assert_array_equal(bits, fec.viterbi_decode(row, 48))
+        np.testing.assert_array_equal(decoded[1:3], decoded[[0, 0]])
+        np.testing.assert_array_equal(decoded[3], gather_viterbi(llrs[3], 48))
 
 
 class TestViterbiDecode:

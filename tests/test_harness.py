@@ -96,6 +96,26 @@ class TestStoppingAndLimits:
             assert point.bit_errors == 0
             assert point.ber == 0.0
 
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    def test_noiseless_coded_point(self, flat_fixture, system, rate):
+        """At 300 dB the variances clamp to 1e-300 and the LLRs reach
+        ~1e300, far beyond float32; the decoder must still make no error."""
+        spec = small_spec(system=system, rate=rate, grid=(300.0,),
+                          channel=f"fixed:{flat_fixture}",
+                          min_error_events=1, max_bits_per_point=100_000)
+        point = harness.run_ber_sweep(spec).points[0]
+        assert point.bits >= 100_000
+        assert point.bit_errors == 0
+
+    def test_noiseless_longest_coded_frame(self, flat_fixture):
+        """One rate-1/2 frame of MAX_FRAME_SYMBOLS symbols: the longest
+        trellis, where the float32 path metrics grow largest."""
+        spec = small_spec(rate="1/2", grid=(300.0,), channel=f"fixed:{flat_fixture}",
+                          frame_symbols=harness.MAX_FRAME_SYMBOLS)
+        bits, errors, frames, _ = harness._run_batch(spec, 0, 0, n_frames=1)
+        assert (bits, errors, frames) == (harness._context(spec).n_info, 0, 1)
+
     def test_stops_on_error_events(self):
         spec = small_spec(grid=(8.0,), min_error_events=50,
                           max_bits_per_point=10_000_000)
@@ -396,6 +416,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "strategy: exhaustive" in out
         assert "metric" in out and "indices" in out
+
+    def test_optimize_placement_exhaustive_refused_exits_2(self, capsys):
+        """Before, the refusal was a plain ValueError: exit 1, traceback."""
+        assert cli.main(["optimize-placement", "--config", str(REFERENCE_CFG_FILE),
+                         "--strategy", "exhaustive"]) == 2
+        assert "10363194502115 subsets exceed limit" in capsys.readouterr().err
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -734,7 +760,8 @@ class TestCli:
 #: frame length next to a huge integer.
 HOSTILE_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300",
                   "x", "", "[]", "[nan]", "[0]", "[-1]", "[1e300]", "[inf]",
-                  str(harness.MAX_FRAME_SYMBOLS), "1000000000000")
+                  str(harness.MAX_FRAME_SYMBOLS), "1000000000000",
+                  "1/2", "3/4", "35")
 
 
 @pytest.fixture(scope="module")
