@@ -156,15 +156,19 @@ def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
 # ---------------------------------------------------------------------------
 # Pinned snapshot fixtures
 
-def notch_predicate(active_indices: np.ndarray, depth_db: float = -15.0,
-                    min_notches: int = 2):
-    """Predicate matching realizations with at least ``min_notches`` active
-    carriers whose power lies ``depth_db`` below the active-carrier mean."""
+#: The fixture's notch rule: ``snapshot --seed 396`` rebuilds the fixture from it.
+NOTCH_DEPTH_DB, NOTCH_MIN_COUNT = -15.0, 2
+
+
+def notch_predicate(active_indices: np.ndarray):
+    """Predicate matching realizations with at least ``NOTCH_MIN_COUNT`` active
+    carriers whose power lies ``NOTCH_DEPTH_DB`` below the active-carrier mean."""
     active = np.asarray(active_indices, dtype=int)
 
     def predicate(ch: ChannelRealization) -> bool:
         power = np.abs(ch.active_response(active)) ** 2
-        return int(np.sum(power <= power.mean() * 10 ** (depth_db / 10.0))) >= min_notches
+        notches = power <= power.mean() * 10 ** (NOTCH_DEPTH_DB / 10.0)
+        return int(np.sum(notches)) >= NOTCH_MIN_COUNT
 
     return predicate
 

@@ -10,8 +10,10 @@ comparison).  Ensemble mode runs a batch in groups of
 ``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw and
 equalizer build, drawing channels and noise frame by frame in each
 stream, so the group size never shows.  A fixed channel carries the
-whole batch at once, with its UW equalizer built once per Eb/N0 point.
-A coded batch then decodes in one Viterbi call.
+whole batch as one group, and a coded batch decodes in one Viterbi call.
+The one cache, ``_context``, holds per spec each Eb/N0 point's noise
+variance and, for UW on a fixed channel, its equalizer; a sweep whose
+fixture file has been rewritten since rebuilds it.
 """
 
 from __future__ import annotations
@@ -170,14 +172,11 @@ class _SystemContext:
     uw: txchain.UniqueWord | None
     interleaver: fec.InterleaverSpec
     bits_per_symbol: int
-    symbol_energy: float
     n_info: int                     # info bits per frame
     fixed_channel: chan.ChannelRealization | None
-
-    def sigma2(self, ebn0_db: float) -> float:
-        return noise_variance(self.symbol_energy,
-                              self.bits_per_symbol * RATE_VALUE[self.spec.code_rate],
-                              ebn0_db)
+    fixture_id: str                 # content hash of the fixture read ('-' for ensemble)
+    sigma2: tuple                   # noise variance per Eb/N0 point
+    equalizers: tuple               # UW equalizer per point on a fixed channel, else ()
 
 
 def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
@@ -237,10 +236,16 @@ def _context(spec: SweepSpec) -> _SystemContext:
         gen, uw, symbol_energy = uw_modem(spec.config)
         bits_per_symbol = 2 * spec.config.data_count
         interleaver = uw_interleaver(spec.config.data_count)
+    n_info = _frame_info_bits(spec, bits_per_symbol)
+    smoothing = spec.system == "uw-lmmse"
+    sigma2 = tuple(noise_variance(symbol_energy, bits_per_symbol * RATE_VALUE[spec.code_rate],
+                                  ebn0) for ebn0 in spec.ebn0_db)
+    equalizers = () if fixed is None or gen is None else tuple(
+        rxchain.build_equalizer(fixed, gen, s2, smoothing=smoothing) for s2 in sigma2)
     return _SystemContext(
-        spec=spec, smoothing=spec.system == "uw-lmmse", gen=gen, uw=uw,
-        interleaver=interleaver, bits_per_symbol=bits_per_symbol, symbol_energy=symbol_energy,
-        n_info=_frame_info_bits(spec, bits_per_symbol), fixed_channel=fixed)
+        spec=spec, smoothing=smoothing, gen=gen, uw=uw, interleaver=interleaver,
+        bits_per_symbol=bits_per_symbol, n_info=n_info, fixed_channel=fixed,
+        fixture_id=_fixture_id(spec.channel), sigma2=sigma2, equalizers=equalizers)
 
 
 def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
@@ -259,22 +264,14 @@ def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
 # ---------------------------------------------------------------------------
 # Frame pipeline
 
-@lru_cache(maxsize=64)
-def _fixed_equalizer(spec: SweepSpec, point_idx: int) -> rxchain.WienerEqualizer:
-    ctx = _context(spec)
-    return rxchain.build_equalizer(ctx.fixed_channel, ctx.gen,
-                                   ctx.sigma2(spec.ebn0_db[point_idx]),
-                                   smoothing=ctx.smoothing)
-
-
-def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
-            sigma2: float, rng_noise: np.random.Generator,
-            eq: rxchain.WienerEqualizer | None = None) -> np.ndarray:
-    """Receive (frames, n_info) info bits sent through FEC, QPSK and the
-    modem over one channel per frame (stacked ``ch``) or one for all
-    (with ``eq``, its cached UW equalizer).  Returns the decided bits
-    when uncoded, else the depunctured LLR stream for the Viterbi call."""
+def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
+            ch: chan.ChannelRealization, rng_noise: np.random.Generator) -> np.ndarray:
+    """Receive (frames, n_info) info bits sent at point ``point_idx`` through
+    FEC, QPSK and the modem over one channel per frame (stacked ``ch``) or
+    the fixed one for all.  Returns the decided bits when uncoded, else
+    the depunctured LLR stream for the Viterbi call."""
     spec = ctx.spec
+    sigma2 = ctx.sigma2[point_idx]
     n_frames, f_sym, width = bits.shape[0], spec.frame_symbols, ctx.bits_per_symbol
     coded = spec.code_rate != "none"
     if coded:
@@ -290,12 +287,12 @@ def _frames(ctx: _SystemContext, bits: np.ndarray, ch: chan.ChannelRealization,
         estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2)
     else:
         gen, uw = ctx.gen, ctx.uw
-        x = txchain.encode_batch(data, gen, gen.map, uw)
+        x = txchain.encode_batch(data, gen, uw)
         y = chan.apply_channel_cyclic(x, ch, sigma2, rng_noise)
-        if eq is None:
-            eq = rxchain.build_equalizer(ch, gen, sigma2, smoothing=ctx.smoothing)
+        eq = ctx.equalizers[point_idx] if ctx.equalizers else \
+            rxchain.build_equalizer(ch, gen, sigma2, smoothing=ctx.smoothing)
         estimates = rxchain.equalize_batch(y, eq, uw)[..., gen.map.data_positions]
-        variances = eq.data_error_variances
+        variances = eq.error_variances[..., gen.map.data_positions]
 
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
@@ -311,28 +308,26 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
     frame_errors).  Top-level and argument-pure so worker processes can
     execute it independently."""
     ctx = _context(spec)
-    sigma2 = ctx.sigma2(spec.ebn0_db[point_idx])
     rng_bits, rng_ch, rng_noise = (
         np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
 
     bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
 
-    if ctx.fixed_channel is not None:
-        eq = _fixed_equalizer(spec, point_idx) if ctx.gen is not None else None
-        received = _frames(ctx, bits, ctx.fixed_channel, sigma2, rng_noise, eq)
-    else:
-        # Ensemble mode: a channel draw per frame.  The groups fill one batch
-        # array (a joined list of parts would hold the batch twice).
-        received = None
-        for start in range(0, n_frames, ENSEMBLE_GROUP_FRAMES):
-            group = bits[start:start + ENSEMBLE_GROUP_FRAMES]
-            ch = chan.sample_channel(rng_ch, spec.rms_delay_spread_s,
-                                     spec.config.sample_rate_hz, spec.channel_taps,
-                                     spec.dft_size, channels=len(group))
-            part = _frames(ctx, group, ch, sigma2, rng_noise)
-            if received is None:
-                received = np.empty((n_frames,) + part.shape[1:], dtype=part.dtype)
-            received[start:start + len(group)] = part
+    # A fixed channel carries the batch as one group; the ensemble draws a
+    # channel per frame, group by group.  The groups fill one batch array
+    # (a joined list of parts would hold the batch twice).
+    size = n_frames if ctx.fixed_channel is not None else ENSEMBLE_GROUP_FRAMES
+    received = None
+    for start in range(0, n_frames, size):
+        group = bits[start:start + size]
+        ch = ctx.fixed_channel if ctx.fixed_channel is not None else chan.sample_channel(
+            rng_ch, spec.rms_delay_spread_s, spec.config.sample_rate_hz, spec.channel_taps,
+            spec.dft_size, channels=len(group))
+        part = _frames(ctx, point_idx, group, ch, rng_noise)
+        if received is None:
+            received = part if len(part) == n_frames else \
+                np.empty((n_frames,) + part.shape[1:], dtype=part.dtype)
+        received[start:start + len(group)] = part
 
     decided = received if spec.code_rate == "none" \
         else fec.viterbi_decode(received, ctx.n_info)
@@ -358,7 +353,10 @@ def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
     worker count, which must be at least 1."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    _context(spec)  # fail fast on config/fixture problems
+    ctx = _context(spec)  # fail fast on config/fixture problems
+    if ctx.fixture_id != _fixture_id(spec.channel):  # the fixture was rewritten
+        _context.cache_clear()
+        ctx = _context(spec)
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -395,7 +393,7 @@ def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
         ("system", spec.system),
         ("code_rate", spec.code_rate),
         ("channel", spec.channel),
-        ("channel_fixture_id", _fixture_id(spec.channel)),
+        ("channel_fixture_id", ctx.fixture_id),
         ("seed", str(spec.seed)),
         ("config_hash", config_hash(spec.config)),
         ("min_error_events", str(spec.min_error_events)),

@@ -52,12 +52,6 @@ class WienerEqualizer:
     smoother: np.ndarray | None     # W, full matrix; None on a ZF-only build
     error_variances: np.ndarray     # diagonal of C_ee (real)
 
-    @property
-    def data_error_variances(self) -> np.ndarray:
-        """Error variances on the data carriers, in data order (soft input
-        for the decoder)."""
-        return self.error_variances[..., self.map.data_positions]
-
 
 def zero_forcing(ch: ChannelRealization, carriers,
                  noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +161,7 @@ def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
         count = min(MSE_BATCH_SYMBOLS, n_symbols - done)
         data = qpsk_map(rng.integers(0, 2, size=(count, 2 * nd)))
         sent = data @ gen.code_matrix.T
-        y = apply_channel_cyclic(encode_batch(data, gen, smap, uw), ch,
+        y = apply_channel_cyclic(encode_batch(data, gen, uw), ch,
                                  eq.noise_variance, rng)
         zf = zf_only_symbol(y, eq, uw)
         pre += np.sum(np.abs(zf - sent) ** 2, axis=0)

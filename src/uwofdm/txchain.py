@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import RedundancyGenerator, SubcarrierMap
+from .frame import RedundancyGenerator
 from .numerics import forward_dft, inverse_dft
 
 
@@ -70,9 +70,9 @@ def build_unique_word(uw_length: int, target_ratio: float,
 
 
 def encode_batch(data: np.ndarray, gen: RedundancyGenerator,
-                 smap: SubcarrierMap, uw: UniqueWord) -> np.ndarray:
+                 uw: UniqueWord) -> np.ndarray:
     """Time-domain symbols for a (batch, data_count) array of data vectors."""
     word = gen.encode(np.asarray(data, dtype=complex))
-    time = inverse_dft(word @ smap.selection.T)
+    time = inverse_dft(word @ gen.map.selection.T)
     time[..., -len(uw.samples):] += uw.samples
     return time

@@ -1,8 +1,9 @@
 """Reference forms that the tests compare the package against: the
 physical symbol-stream channel, the zero-tail time symbol, an explicit
-inverse DFT matrix, the 80-sample prefixed cyclic-prefix symbol and the
-flat-channel closed form of the cyclic-prefix baseline.  The simulator
-itself never calls them."""
+inverse DFT matrix, the 80-sample prefixed cyclic-prefix symbol, the
+flat-channel closed form of the cyclic-prefix baseline and the closed
+form of uncoded zero forcing on a fixed channel.  The simulator itself
+never calls them."""
 
 import math
 
@@ -10,8 +11,10 @@ import numpy as np
 
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization, complex_noise
-from uwofdm.frame import RedundancyGenerator
+from uwofdm.frame import (OfdmSystemConfig, RedundancyGenerator, build_subcarrier_map,
+                          derive_generator)
 from uwofdm.numerics import inverse_dft
+from uwofdm.txchain import build_unique_word
 
 
 def inverse_dft_matrix(n: int) -> np.ndarray:
@@ -119,3 +122,38 @@ def analytic_cp_required_ebn0_db(ber: float, cfg: cpref.CpConfig) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# Closed-form zero forcing on a fixed channel
+
+def q_function(x: float) -> float:
+    """Gaussian tail probability P(N(0, 1) > x)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def uncoded_zf_ber(system: str, config: OfdmSystemConfig, taps: np.ndarray,
+                   ebn0_db: float) -> float:
+    """Uncoded BER of zero forcing without smoothing ("uw-zf" or "cp") on
+    the fixed channel ``taps`` against total Eb/N0, from the definitions:
+
+    * Es, the mean transmit energy per symbol, is trace(C_ss)/N plus the
+      UW energy for UW, and the prefixed 80-sample symbol's for cp;
+    * the per-sample noise variance is σ² = Es / (2·n_data) / 10^(Eb/N0 / 10);
+    * zero forcing leaves complex noise of variance vᵢ = N·σ²/|Hᵢ|² on
+      data carrier i, H being the N-point DFT of the taps;
+    * a Gray-QPSK bit of a unit-energy symbol there errs with
+      probability Q(1/√vᵢ), and the BER is the mean over the carriers.
+    """
+    if system == "cp":
+        n, carriers = cpref.CpConfig.dft_size, cpref.CpConfig.data_bins
+        es = cpref.mean_symbol_energy()
+    else:
+        gen = derive_generator(build_subcarrier_map(config))
+        word = build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+        n, carriers = config.dft_size, config.data_indices
+        es = float(np.real(np.trace(gen.symbol_covariance))) / n \
+            + float(np.sum(np.abs(word.samples) ** 2))
+    sigma2 = es / (2 * len(carriers)) / 10 ** (ebn0_db / 10.0)
+    v = n * sigma2 / np.abs(np.fft.fft(taps, n)[carriers]) ** 2
+    return float(np.mean([q_function(1.0 / math.sqrt(vi)) for vi in v]))

@@ -124,7 +124,7 @@ def test_criterion_3_placement(ref_config, ref_gen):
 def test_criterion_4_stream_cyclicity(ref_gen, ref_map, ref_uw):
     rng = np.random.default_rng(102)
     data = uw.qpsk_map(rng.integers(0, 2, (10, 72)))
-    symbols = encode_batch(data, ref_gen, ref_map, ref_uw)
+    symbols = encode_batch(data, ref_gen, ref_uw)
 
     results = {}
     for taps in (16, 20):

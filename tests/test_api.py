@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import uwofdm
-from uwofdm import channel, cpref, fec, frame, harness, numerics, rxchain
+from uwofdm import channel, cpref, fec, frame, harness, numerics, rxchain, txchain
 
 
 def test_all_has_no_duplicates():
@@ -45,13 +45,15 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (frame.OfdmSystemConfig, "data_symbol_variance"),
     (cpref.CpConfig, "data_symbol_variance"),
     (channel, "convolve"), (cpref.CpConfig, "symbol_samples"),
+    (harness, "_fixed_equalizer"), (rxchain.WienerEqualizer, "data_error_variances"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
     worker-count setting, no data-variance key (every data symbol is
-    unit-energy QPSK) and one channel model: both modems use the
-    circulant product on 64-sample windows, with no linear convolution
-    and no 80-sample cp symbol."""
+    unit-energy QPSK), one channel model (both modems use the circulant
+    product on 64-sample windows, with no linear convolution and no
+    80-sample cp symbol) and one sweep cache: the context holds each
+    point's fixed-channel equalizer."""
     assert not hasattr(owner, name)
 
 
@@ -68,3 +70,13 @@ def test_build_equalizer_has_no_floor_knob():
 
 def test_convolution_matrix_has_no_linear_mode():
     assert list(inspect.signature(channel.convolution_matrix).parameters) == ["taps", "size"]
+
+
+def test_encode_batch_takes_the_generators_map():
+    """Any map but the generator's would give wrong symbols."""
+    assert list(inspect.signature(txchain.encode_batch).parameters) == ["data", "gen", "uw"]
+
+
+def test_notch_predicate_has_no_threshold_knobs():
+    """The pinned fixture's notch rule is ``NOTCH_DEPTH_DB`` and ``NOTCH_MIN_COUNT``."""
+    assert list(inspect.signature(channel.notch_predicate).parameters) == ["active_indices"]

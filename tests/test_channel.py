@@ -186,28 +186,28 @@ class TestConvolutionMatrix:
 
 
 class TestApplyChannelStream:
-    def _symbols(self, ref_gen, ref_map, ref_uw, count, seed=38):
+    def _symbols(self, ref_gen, ref_uw, count, seed=38):
         rng = np.random.default_rng(seed)
         data = uw.qpsk_map(rng.integers(0, 2, (count, 72)))
-        return encode_batch(data, ref_gen, ref_map, ref_uw)
+        return encode_batch(data, ref_gen, ref_uw)
 
-    def test_single_tap_equals_cyclic(self, ref_gen, ref_map, ref_uw):
+    def test_single_tap_equals_cyclic(self, ref_gen, ref_uw):
         rng = np.random.default_rng(39)
         ch = chan._realization_from_taps(np.array([0.8 - 0.1j]), 20e6, 1e-7, 64)
-        symbols = self._symbols(ref_gen, ref_map, ref_uw, 3)
+        symbols = self._symbols(ref_gen, ref_uw, 3)
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
         cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         np.testing.assert_allclose(windows, cyclic, atol=1e-12)
 
-    def test_steady_state_matches_cyclic_16_taps(self, ref_gen, ref_map, ref_uw):
+    def test_steady_state_matches_cyclic_16_taps(self, ref_gen, ref_uw):
         """The structural claim behind the guard design: with a common UW
         and the channel inside the guard, linear convolution windows
         equal the per-symbol cyclic model from the second symbol on."""
         rng = np.random.default_rng(40)
         ch = uw.sample_channel(rng, tap_count=16)
-        symbols = self._symbols(ref_gen, ref_map, ref_uw, 10)
+        symbols = self._symbols(ref_gen, ref_uw, 10)
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
@@ -215,20 +215,20 @@ class TestApplyChannelStream:
         scale = np.sqrt(np.mean(np.abs(cyclic[1:]) ** 2))
         assert np.abs(windows[1:] - cyclic[1:]).max() <= 1e-9 * scale
 
-    def test_20_taps_breaks_equivalence(self, ref_gen, ref_map, ref_uw):
+    def test_20_taps_breaks_equivalence(self, ref_gen, ref_uw):
         """Channel longer than guard + 1: the mismatch must be visible."""
         rng = np.random.default_rng(41)
         ch = uw.sample_channel(rng, tap_count=20)
-        symbols = self._symbols(ref_gen, ref_map, ref_uw, 10)
+        symbols = self._symbols(ref_gen, ref_uw, 10)
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
         cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
         assert np.abs(windows[1:] - cyclic[1:]).max() > 1e-6
 
-    def test_mixed_uw_rejected(self, ref_gen, ref_map, ref_uw):
+    def test_mixed_uw_rejected(self, ref_gen, ref_uw):
         rng = np.random.default_rng(42)
-        symbols = self._symbols(ref_gen, ref_map, ref_uw, 2)
+        symbols = self._symbols(ref_gen, ref_uw, 2)
         symbols[1, -3] += 0.5  # corrupt one tail
         ch = uw.sample_channel(rng)
         with pytest.raises(ValueError, match="same unique word"):

@@ -2,6 +2,7 @@
 ingestion and the CLI contract."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from uwofdm import cli, cpref, fec, harness, rxchain, txchain
 from uwofdm.errors import ConfigError, NumericallySingularError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
-from oracles import analytic_cp_uncoded_ber
+from oracles import analytic_cp_uncoded_ber, uncoded_zf_ber
 
 #: A 32-point UW system: 16 data carriers, an 8-sample unique word.
 N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
@@ -192,7 +193,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
     ctx = harness._context(spec)
     cfg, rate = spec.config, spec.code_rate
     f_sym, width = spec.frame_symbols, ctx.bits_per_symbol
-    sigma2 = ctx.sigma2(spec.ebn0_db[point_idx])
+    sigma2 = ctx.sigma2[point_idx]
     rng_bits, rng_ch, rng_noise = (
         np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
     bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
@@ -207,7 +208,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
         data = uw.qpsk_map(tx.reshape(f_sym, width))
         if spec.system != "cp":
             eq = uw.build_equalizer(ch, ctx.gen, sigma2)
-            x = txchain.encode_batch(data, ctx.gen, ctx.gen.map, ctx.uw)
+            x = txchain.encode_batch(data, ctx.gen, ctx.uw)
             y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
             if ctx.smoothing:
                 words = rxchain.equalize_batch(y, eq, ctx.uw)
@@ -283,6 +284,38 @@ def test_confidence_interval_coverage(flat_fixture):
         if point.ci_low <= truth <= point.ci_high:
             covered += 1
     assert covered >= 90
+
+
+@pytest.mark.parametrize("system", ["uw-zf", "cp"])
+def test_zf_ber_matches_closed_form_on_notch_channel(system, notch_channel, ref_config):
+    """Uncoded zero forcing on the frequency-selective notch fixture: each
+    point, run to at least 5000 errors with a seed fixed in advance, lies
+    within 3 standard errors of the closed form."""
+    spec = small_spec(system=system, grid=(10.0, 16.0, 22.0), seed=11,
+                      min_error_events=5000, max_bits_per_point=10 ** 9)
+    for point in harness.run_ber_sweep(spec).points:
+        truth = uncoded_zf_ber(system, ref_config, notch_channel.taps, point.ebn0_db)
+        assert point.bit_errors >= 5000
+        assert abs(point.ber - truth) <= 3 * math.sqrt(truth * (1 - truth) / point.bits)
+
+
+def test_rewritten_fixture_is_reread(tmp_path, flat_fixture):
+    """A fixture rewritten between two sweeps in one process: the second
+    sweep runs on the new channel, as a cold cache would, and its header
+    names the new file's content.  Before, it reused the old channel's
+    context under the new file's hash."""
+    path = tmp_path / "channel.txt"
+    path.write_bytes(NOTCH_FIXTURE.read_bytes())
+    spec = small_spec(system="uw-zf", channel=f"fixed:{path}",
+                      min_error_events=10 ** 9, max_bits_per_point=1)
+    notch = harness.run_ber_sweep(spec)
+    path.write_bytes(flat_fixture.read_bytes())
+    rewritten = harness.run_ber_sweep(spec)
+    harness._context.cache_clear()
+    assert rewritten == harness.run_ber_sweep(spec)
+    assert rewritten.points != notch.points
+    ids = [dict(r.metadata)["channel_fixture_id"] for r in (notch, rewritten)]
+    assert ids == [harness._fixture_id(f"fixed:{f}") for f in (NOTCH_FIXTURE, flat_fixture)]
 
 
 class TestCsvFormat:
@@ -774,12 +807,16 @@ def config_dir(tmp_path_factory):
                           st.sampled_from(HOSTILE_VALUES)),
                 min_size=1, max_size=4, unique_by=lambda line: line[0]),
        st.sampled_from(harness.SYSTEMS),
+       st.sampled_from(harness.CODE_RATES),
        st.sampled_from(["ensemble", f"fixed:{NOTCH_FIXTURE}"]))
-def test_config_text_runs_or_is_refused(config_dir, lines, system, channel):
+def test_config_text_runs_or_is_refused(config_dir, lines, system, code_rate, channel):
     """1-4 ``key = value`` lines either run a two-frame batch or end in
-    ConfigError (or a refused solve), never in another exception."""
+    ConfigError (or a refused solve), never in another exception.  The
+    system and code rate are drawn on their own, so most examples that
+    run reach the decoder, unless a drawn line sets them."""
     path = config_dir / "random.cfg"
     path.write_text(f"system = {system}\n" * all(k != "system" for k, _ in lines)
+                    + f"code_rate = {code_rate}\n" * all(k != "code_rate" for k, _ in lines)
                     + "".join(f"{k} = {v}\n" for k, v in lines))
     try:
         spec = harness.sweep_spec_from(harness.parse_config_file(path), seed=0,

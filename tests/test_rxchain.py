@@ -29,8 +29,8 @@ def equalize_symbol_uw_first(y_time, eq, uword):
     return combined(eq) @ (spectrum - h * uword.spectrum[smap.active_carriers])
 
 
-def encode_one(data, gen, smap, uword):
-    return encode_batch(np.asarray(data)[None, :], gen, smap, uword)[0]
+def encode_one(data, gen, uword):
+    return encode_batch(np.asarray(data)[None, :], gen, uword)[0]
 
 
 def equalize_one(y_time, eq, uword):
@@ -45,7 +45,7 @@ def send_batch(gen, uword, ch, sigma2, count, seed):
     rng = np.random.default_rng(seed)
     data = uw.qpsk_map(rng.integers(0, 2, (count, 72)))
     sent = data @ gen.code_matrix.T
-    x = encode_batch(data, gen, gen.map, uword)
+    x = encode_batch(data, gen, uword)
     y = uw.apply_channel_cyclic(x, ch, sigma2, rng)
     return data, sent, y
 
@@ -172,7 +172,7 @@ class TestEqualizeSymbol:
     def test_noiseless_flat_recovery(self, ref_gen, ref_map, ref_uw):
         rng = np.random.default_rng(73)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        x = encode_one(d, ref_gen, ref_map, ref_uw)
+        x = encode_one(d, ref_gen, ref_uw)
         eq = uw.build_equalizer(flat_channel(0.7 + 0.3j), ref_gen, 0.0)
         y = uw.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), 0.0, rng)
         smoothed = equalize_one(y, eq, ref_uw)
@@ -183,19 +183,19 @@ class TestEqualizeSymbol:
         ch = uw.sample_channel(rng, tap_count=16)
         eq = uw.build_equalizer(ch, ref_gen, 0.0)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        x = encode_one(d, ref_gen, ref_map, ref_uw)
+        x = encode_one(d, ref_gen, ref_uw)
         y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
         smoothed = equalize_one(y, eq, ref_uw)
         np.testing.assert_allclose(smoothed[ref_map.data_positions], d, atol=1e-8)
 
-    def test_uw_removal_order_exchange(self, ref_gen, ref_map, ref_uw):
+    def test_uw_removal_order_exchange(self, ref_gen, ref_uw):
         """Subtracting the channel-scaled UW before zero forcing equals
         subtracting the plain UW after it."""
         rng = np.random.default_rng(75)
         ch = uw.sample_channel(rng)
         eq = uw.build_equalizer(ch, ref_gen, 0.02)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        x = encode_one(d, ref_gen, ref_map, ref_uw)
+        x = encode_one(d, ref_gen, ref_uw)
         y = uw.apply_channel_cyclic(x, ch, 0.02, rng)
         after = equalize_one(y, eq, ref_uw)
         before = equalize_symbol_uw_first(y, eq, ref_uw)
@@ -204,7 +204,7 @@ class TestEqualizeSymbol:
     def test_data_extraction_uses_permutation(self, ref_gen, ref_map, ref_uw):
         rng = np.random.default_rng(76)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        x = encode_one(d, ref_gen, ref_map, ref_uw)
+        x = encode_one(d, ref_gen, ref_uw)
         eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0)
         smoothed = equalize_one(x, eq, ref_uw)
         stacked = ref_map.permutation.T @ smoothed
@@ -306,7 +306,7 @@ def test_ber_invariant_under_uw_choice(ref_gen, ref_map, ref_uw, zero_uw,
 
     decisions = {}
     for word in (ref_uw, zero_uw):
-        x = encode_batch(data, ref_gen, ref_map, word)
+        x = encode_batch(data, ref_gen, word)
         noise_rng = np.random.default_rng(85)  # identical draws per word
         y = uw.apply_channel_cyclic(x, notch_channel, sigma2,
                                     noise_rng)

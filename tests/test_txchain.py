@@ -15,9 +15,9 @@ def encode_symbol_freq(data, gen, smap, uword):
     return inverse_dft(uword.spectrum + word @ smap.selection.T)
 
 
-def encode_one(data, gen, smap, uword):
+def encode_one(data, gen, uword):
     """One transmit symbol: ``encode_batch`` on a one-row batch."""
-    return encode_batch(np.asarray(data)[None, :], gen, smap, uword)[0]
+    return encode_batch(np.asarray(data)[None, :], gen, uword)[0]
 
 
 class TestBuildUniqueWord:
@@ -49,23 +49,23 @@ class TestBuildUniqueWord:
 
 
 class TestEncodeSymbol:
-    def test_zero_data_gives_pure_uw(self, ref_gen, ref_map, ref_uw):
-        x = encode_one(np.zeros(36, dtype=complex), ref_gen, ref_map, ref_uw)
+    def test_zero_data_gives_pure_uw(self, ref_gen, ref_uw):
+        x = encode_one(np.zeros(36, dtype=complex), ref_gen, ref_uw)
         np.testing.assert_allclose(x[:48], 0, atol=1e-15)
         np.testing.assert_array_equal(x[48:], ref_uw.samples)
 
-    def test_tail_equals_uw(self, ref_gen, ref_map, ref_uw):
+    def test_tail_equals_uw(self, ref_gen, ref_uw):
         rng = np.random.default_rng(20)
         for _ in range(20):
             d = uw.qpsk_map(rng.integers(0, 2, 72))
-            x = encode_one(d, ref_gen, ref_map, ref_uw)
+            x = encode_one(d, ref_gen, ref_uw)
             scale = np.linalg.norm(x)
             assert np.abs(x[-16:] - ref_uw.samples).max() <= 1e-9 * scale
 
     def test_active_word_is_code_matrix_product(self, ref_gen, ref_map, ref_uw):
         rng = np.random.default_rng(21)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        x = encode_one(d, ref_gen, ref_map, ref_uw) - np.pad(ref_uw.samples, (48, 0))
+        x = encode_one(d, ref_gen, ref_uw) - np.pad(ref_uw.samples, (48, 0))
         active = uw.forward_dft(x)[ref_map.active_carriers]
         np.testing.assert_allclose(active, ref_gen.code_matrix @ d, atol=1e-10)
 
@@ -73,24 +73,24 @@ class TestEncodeSymbol:
         rng = np.random.default_rng(22)
         for _ in range(100):
             d = uw.qpsk_map(rng.integers(0, 2, 72))
-            via_time = encode_one(d, ref_gen, ref_map, ref_uw)
+            via_time = encode_one(d, ref_gen, ref_uw)
             via_freq = encode_symbol_freq(d, ref_gen, ref_map, ref_uw)
             np.testing.assert_allclose(via_time, via_freq, atol=1e-10)
 
-    def test_size_mismatch_rejected(self, ref_gen, ref_map, ref_uw):
+    def test_size_mismatch_rejected(self, ref_gen, ref_uw):
         with pytest.raises(ValueError):
-            encode_one(np.zeros(35, dtype=complex), ref_gen, ref_map, ref_uw)
+            encode_one(np.zeros(35, dtype=complex), ref_gen, ref_uw)
 
-    def test_batch_matches_single(self, ref_gen, ref_map, ref_uw):
+    def test_batch_matches_single(self, ref_gen, ref_uw):
         rng = np.random.default_rng(23)
         data = uw.qpsk_map(rng.integers(0, 2, (5, 72)))
-        batch = encode_batch(data, ref_gen, ref_map, ref_uw)
+        batch = encode_batch(data, ref_gen, ref_uw)
         for i in range(5):
-            single = encode_one(data[i], ref_gen, ref_map, ref_uw)
+            single = encode_one(data[i], ref_gen, ref_uw)
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
-def test_mean_transmit_energy_matches_analytic(ref_gen, ref_map, ref_uw):
+def test_mean_transmit_energy_matches_analytic(ref_gen, ref_uw):
     """Empirical average symbol energy over 1e5 random symbols should sit
     within 1% of trace-based analytic value plus the UW energy."""
     rng = np.random.default_rng(24)
@@ -99,6 +99,6 @@ def test_mean_transmit_energy_matches_analytic(ref_gen, ref_map, ref_uw):
     n = 100_000
     for _ in range(n // 5000):
         data = uw.qpsk_map(rng.integers(0, 2, (5000, 72)))
-        x = encode_batch(data, ref_gen, ref_map, ref_uw)
+        x = encode_batch(data, ref_gen, ref_uw)
         total += float(np.sum(np.abs(x) ** 2))
     assert total / n == pytest.approx(analytic, rel=0.01)
