@@ -162,7 +162,8 @@ NOTCH_DEPTH_DB, NOTCH_MIN_COUNT = -15.0, 2
 
 def notch_predicate(active_indices: np.ndarray):
     """Predicate matching realizations with at least ``NOTCH_MIN_COUNT`` active
-    carriers whose power lies ``NOTCH_DEPTH_DB`` below the active-carrier mean."""
+    carriers whose power lies ``NOTCH_DEPTH_DB`` below the active-carrier mean;
+    its ``__doc__`` states that rule."""
     active = np.asarray(active_indices, dtype=int)
 
     def predicate(ch: ChannelRealization) -> bool:
@@ -170,6 +171,8 @@ def notch_predicate(active_indices: np.ndarray):
         notches = power <= power.mean() * 10 ** (NOTCH_DEPTH_DB / 10.0)
         return int(np.sum(notches)) >= NOTCH_MIN_COUNT
 
+    predicate.__doc__ = (f"the notch rule (at least {NOTCH_MIN_COUNT} active carriers "
+                         f"{-NOTCH_DEPTH_DB:g} dB or more below the active-carrier mean)")
     return predicate
 
 
@@ -184,15 +187,17 @@ def pinned_snapshot(seed: int, predicate,
 
     Each draw uses its own counter-derived stream, so (seed, draw index)
     pins the realization bit-for-bit regardless of search history.
-    Returns (realization, draw_index).
+    Returns (realization, draw_index); refuses (ConfigError) a search
+    that exhausts ``max_draws``, naming the rule of ``predicate.__doc__``.
     """
     for draw in range(max_draws):
         rng = np.random.default_rng([seed, draw])
         ch = sample_channel(rng, rms_delay_spread_s, sample_rate_hz, tap_count, dft_size)
         if predicate(ch):
             return ch, draw
-    raise RuntimeError(
-        f"no channel draw satisfied the predicate within {max_draws} attempts")
+    raise ConfigError(
+        f"none of {max_draws} channel draws (seed {seed}, tap_count = {tap_count}) satisfied "
+        f"{predicate.__doc__ or 'the predicate'}")
 
 
 def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int) -> None:

@@ -49,10 +49,6 @@ MAX_FRAME_SYMBOLS = 1024
 #: build); bounds memory, never changes the output.
 ENSEMBLE_GROUP_FRAMES = 16
 
-#: Noise variances below this (a fraction of the unit data-symbol energy)
-#: are treated as exactly zero (noiseless receiver, identity smoother).
-NOISE_VARIANCE_EPS = 1e-13
-
 #: Largest accepted |Eb/N0| in dB.
 EBN0_LIMIT_DB = 1000.0
 
@@ -182,10 +178,10 @@ class _SystemContext:
 def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
                    ebn0_db: float) -> float:
     """Per-sample complex noise variance N0 at ``ebn0_db``, Eb being the
-    total mean transmit energy per symbol over the info bits it carries;
-    below NOISE_VARIANCE_EPS it is exactly zero."""
-    sigma2 = symbol_energy / info_bits_per_symbol / 10 ** (ebn0_db / 10.0)
-    return 0.0 if sigma2 < NOISE_VARIANCE_EPS else sigma2
+    total mean transmit energy per symbol over the info bits it carries.
+    It is never clamped: the receivers hold at every σ² >= 0, and
+    |Eb/N0| <= EBN0_LIMIT_DB keeps it a positive, finite float."""
+    return symbol_energy / info_bits_per_symbol / 10 ** (ebn0_db / 10.0)
 
 
 def uw_modem(config: frame.OfdmSystemConfig) -> tuple:
@@ -291,8 +287,7 @@ def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
         y = chan.apply_channel_cyclic(x, ch, sigma2, rng_noise)
         eq = ctx.equalizers[point_idx] if ctx.equalizers else \
             rxchain.build_equalizer(ch, gen, sigma2, smoothing=ctx.smoothing)
-        estimates = rxchain.equalize_batch(y, eq, uw)[..., gen.map.data_positions]
-        variances = eq.error_variances[..., gen.map.data_positions]
+        estimates, variances = rxchain.equalize_batch(y, eq, uw), eq.error_variances
 
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
@@ -420,7 +415,8 @@ def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
     (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post),
     both empirical columns measured on the same symbols.  Eb follows the
     uncoded convention of the sweep (total mean symbol energy over
-    2 * data_count bits), with the same clamp to a noiseless point.
+    2 * data_count bits).  The analytic columns are diag(C_vv) and
+    diag(G C_ee G^H), the smoother's error on every active carrier.
     """
     gen, uw, symbol_energy = uw_modem(config)
     eq = rxchain.build_equalizer(
@@ -428,8 +424,10 @@ def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
 
     mse_pre, mse_post = rxchain.measure_subcarrier_mse(
         gen, eq, uw, ch, np.random.default_rng([seed, 0]), n_symbols)
+    g = gen.code_matrix
+    post_var = np.real(np.einsum("ij,jk,ik->i", g, eq.error_covariance, g.conj()))
     return [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),
-             float(eq.error_variances[i])) for i in range(len(mse_pre))]
+             float(post_var[i])) for i in range(len(mse_pre))]
 
 
 def mse_metadata(channel: str, config: frame.OfdmSystemConfig, ebn0_db: float,

@@ -1,17 +1,18 @@
 """UW-OFDM receiver: DFT, unique-word removal, zero-forcing equalization
-and the subcarrier-correlation (LMMSE) smoother.
+and the LMMSE data estimator.
 
 Zero forcing (``zero_forcing``, also the cp baseline's) whitens the
 channel but multiplies the noise on carrier i by 1/|H(f_i)|^2, which is
 disastrous in spectral notches (a floor keeps it finite).  Because the
-redundant carriers are a deterministic linear function of the data, the
-active-carrier word has a known rank-deficient covariance; the smoother
-``W = C_ss (C_ss + C_vv)^-1`` projects the noisy zero-forced word back
-toward that signal subspace, with per-carrier residual error covariance
-``C_ee = (I - W) C_ss``.  Both equalizer stages and their analytic
-error statistics are exposed for the Monte-Carlo probes.  The receive
-functions take batches of (symbols, dft_size) samples, or (channels,
-symbols, dft_size) on a stacked equalizer; one symbol is a one-row batch.
+redundant carriers are a linear function of the data, the zero-forced
+active-carrier word is ``z = G d + v``, G the code matrix and
+``C_vv = σ² D`` with D = N·|1/H|^2.  The LMMSE data estimator
+``E = A^-1 G^H D^-1``, ``A = G^H D^-1 G + σ² I``, reads the data off that
+word with error covariance ``C_ee = σ² A^-1``; at σ² = 0 it is least
+squares (``E G = I``, ``C_ee = 0``).  ``W = G E`` is the smoother
+``C_ss (C_ss + C_vv)^-1`` of the MSE probe.  The receive functions take
+batches of (symbols, dft_size) samples, or (channels, symbols, dft_size)
+on a stacked equalizer; one symbol is a one-row batch.
 """
 
 from __future__ import annotations
@@ -35,22 +36,19 @@ ZF_REL_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class WienerEqualizer:
-    """Per-(channel, noise variance) receive operator.
-
-    ``noise_covariance`` (after ZF) and ``error_variances`` (after the
-    smoother) are the diagonals of C_vv and C_ee, the analytic
-    per-carrier error statistics.  A ZF-only build has no ``smoother``,
-    and its error is the noise: ``error_variances`` is
-    ``noise_covariance``.  A stacked channel adds a leading channel axis
-    to each.
+    """Per-(channel, noise variance) receive operator.  A ZF-only build
+    has no ``estimator`` and no ``error_covariance``; its error is the
+    noise, so ``error_variances`` is ``noise_covariance`` on the data
+    carriers.  A stacked channel adds a leading channel axis to each.
     """
 
     map: SubcarrierMap
     noise_variance: float
-    inv_response: np.ndarray        # diagonal of the ZF operator
-    noise_covariance: np.ndarray    # diagonal of C_vv (real)
-    smoother: np.ndarray | None     # W, full matrix; None on a ZF-only build
-    error_variances: np.ndarray     # diagonal of C_ee (real)
+    inv_response: np.ndarray              # diagonal of the ZF operator
+    noise_covariance: np.ndarray          # diagonal of C_vv (real), active carriers
+    estimator: np.ndarray | None          # E, data x active; None on a ZF-only build
+    error_covariance: np.ndarray | None   # C_ee, data x data; None on a ZF-only build
+    error_variances: np.ndarray           # diagonal of C_ee (real), data carriers
 
 
 def zero_forcing(ch: ChannelRealization, carriers,
@@ -81,53 +79,46 @@ def zero_forcing(ch: ChannelRealization, carriers,
 
 def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
                     noise_variance: float, smoothing: bool = True) -> WienerEqualizer:
-    """Assemble the ZF (+ smoothing) operator for one channel realization,
-    or for every channel of a stacked one at once.
+    """Assemble the ZF (+ LMMSE data estimator) operator for one channel
+    realization, or for every channel of a stacked one at once.
 
-    The signal covariance comes precomputed from the generator; only the
-    noise covariance and the smoother depend on the channel draw.  With
-    ``smoothing=False`` no smoother is built and the error variances are
-    the ZF noise variances.
+    Zero forcing gives 1/H and D, and C_vv = σ²·D.  With ``smoothing``,
+    ``E = A^-1 G^H D^-1`` and ``C_ee = σ² A^-1`` from one stacked inverse
+    of the Hermitian positive-definite data x data ``A = G^H D^-1 G + σ² I``,
+    one formula for every σ² >= 0 (least squares at σ² = 0).
     """
     smap = gen.map
-    inv_h, cvv_diag = zero_forcing(ch, smap.active_carriers, noise_variance)
-    smoother, error_var = None, cvv_diag
+    inv_h, d = zero_forcing(ch, smap.active_carriers, 1.0)
+    cvv_diag = noise_variance * d
+    estimator = error_cov = None
+    error_var = cvv_diag[..., smap.data_positions]
     if smoothing:
-        css = gen.symbol_covariance
-        eye = np.eye(css.shape[0])
-        if noise_variance == 0:
-            smoother = np.broadcast_to(eye.astype(complex), inv_h.shape + css.shape[-1:])
-        else:
-            # W = C_ss (C_ss + C_vv)^-1 with both factors Hermitian, so
-            # W = ((C_ss + C_vv)^-1 C_ss)^H: one stacked solve per build.
-            a = css + cvv_diag[..., None] * eye
-            smoother = np.linalg.solve(a, np.broadcast_to(css, a.shape)) \
-                .conj().swapaxes(-1, -2)
-        # diag((I - W) C_ss) without forming the product
-        error_var = np.real(np.diag(css)) - np.real(np.einsum("...ij,ji->...i", smoother, css))
+        g = gen.code_matrix
+        gh_dinv = g.conj().T / d[..., None, :]
+        a_inv = np.linalg.inv(gh_dinv @ g + noise_variance * np.eye(g.shape[1]))
+        estimator = a_inv @ gh_dinv
+        error_cov = noise_variance * a_inv
+        error_var = np.real(np.diagonal(error_cov, axis1=-2, axis2=-1))
 
-    return WienerEqualizer(
-        map=smap,
-        noise_variance=noise_variance,
-        inv_response=inv_h,
-        noise_covariance=cvv_diag,
-        smoother=smoother,
-        error_variances=error_var,
-    )
+    return WienerEqualizer(map=smap, noise_variance=noise_variance, inv_response=inv_h,
+                           noise_covariance=cvv_diag, estimator=estimator,
+                           error_covariance=error_cov, error_variances=error_var)
 
 
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
-    """Equalized active-carrier words for (batch, dft_size) samples, or
-    (channels, batch, dft_size) on a stacked equalizer: zero forcing,
-    then the smoother W if ``eq`` has one.
+    """Data estimates for (batch, dft_size) samples, or (channels, batch,
+    dft_size) on a stacked equalizer: zero forcing, then the estimator E
+    if ``eq`` has one, else the data carriers of the zero-forced word.
 
     The UW spectrum is subtracted after zero forcing; removing it before
     (scaled by the channel) is algebraically identical, which the tests
     check against that order-exchanged form.
     """
     words = zf_only_symbol(y_time, eq, uw)
-    return words if eq.smoother is None else words @ eq.smoother.swapaxes(-1, -2)
+    if eq.estimator is None:
+        return words[..., eq.map.data_positions]
+    return words @ eq.estimator.swapaxes(-1, -2)
 
 
 def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
@@ -151,9 +142,10 @@ def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
                            rng: np.random.Generator,
                            n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical per-carrier squared error against the matched transmit
-    word, (before, after) smoothing, both from the same received
-    symbols."""
+    word, (before, after) smoothing with ``W = G E``, both from the same
+    received symbols."""
     smap = gen.map
+    smoother_t = (gen.code_matrix @ eq.estimator).T
     nd = smap.config.data_count
     pre = np.zeros(len(smap.active_carriers))
     post = np.zeros_like(pre)
@@ -165,5 +157,5 @@ def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
                                  eq.noise_variance, rng)
         zf = zf_only_symbol(y, eq, uw)
         pre += np.sum(np.abs(zf - sent) ** 2, axis=0)
-        post += np.sum(np.abs(zf @ eq.smoother.T - sent) ** 2, axis=0)
+        post += np.sum(np.abs(zf @ smoother_t - sent) ** 2, axis=0)
     return pre / n_symbols, post / n_symbols

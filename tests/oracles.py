@@ -1,9 +1,10 @@
 """Reference forms that the tests compare the package against: the
 physical symbol-stream channel, the zero-tail time symbol, an explicit
 inverse DFT matrix, the 80-sample prefixed cyclic-prefix symbol, the
-flat-channel closed form of the cyclic-prefix baseline and the closed
-form of uncoded zero forcing on a fixed channel.  The simulator itself
-never calls them."""
+flat-channel closed form of the cyclic-prefix baseline, the closed
+form of uncoded zero forcing on a fixed channel, the full 52-carrier
+Wiener smoother and the semi-analytic BER of uncoded uw-lmmse built
+on it.  The simulator itself never calls them."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization, complex_noise
+from uwofdm.fec import qpsk_map
 from uwofdm.frame import (OfdmSystemConfig, RedundancyGenerator, build_subcarrier_map,
                           derive_generator)
 from uwofdm.numerics import inverse_dft
@@ -147,13 +149,68 @@ def uncoded_zf_ber(system: str, config: OfdmSystemConfig, taps: np.ndarray,
     """
     if system == "cp":
         n, carriers = cpref.CpConfig.dft_size, cpref.CpConfig.data_bins
-        es = cpref.mean_symbol_energy()
+        sigma2 = _noise_variance(cpref.mean_symbol_energy(), len(carriers), ebn0_db)
     else:
-        gen = derive_generator(build_subcarrier_map(config))
-        word = build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+        _, sigma2 = _uw_noise_variance(config, ebn0_db)
         n, carriers = config.dft_size, config.data_indices
-        es = float(np.real(np.trace(gen.symbol_covariance))) / n \
-            + float(np.sum(np.abs(word.samples) ** 2))
-    sigma2 = es / (2 * len(carriers)) / 10 ** (ebn0_db / 10.0)
     v = n * sigma2 / np.abs(np.fft.fft(taps, n)[carriers]) ** 2
     return float(np.mean([q_function(1.0 / math.sqrt(vi)) for vi in v]))
+
+
+def _noise_variance(es: float, data_carriers: int, ebn0_db: float) -> float:
+    """σ² = Es / (2·n_data) / 10^(Eb/N0 / 10), uncoded."""
+    return es / (2 * data_carriers) / 10 ** (ebn0_db / 10.0)
+
+
+def _uw_noise_variance(config: OfdmSystemConfig, ebn0_db: float) -> tuple:
+    """The UW generator and σ², Es being trace(C_ss)/N plus the UW energy."""
+    gen = derive_generator(build_subcarrier_map(config))
+    word = build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+    es = float(np.real(np.trace(gen.symbol_covariance))) / config.dft_size \
+        + float(np.sum(np.abs(word.samples) ** 2))
+    return gen, _noise_variance(es, config.data_count, ebn0_db)
+
+
+# ---------------------------------------------------------------------------
+# The full smoother and semi-analytic uw-lmmse on a fixed channel
+
+def wiener_smoother(gen: RedundancyGenerator, noise_covariance: np.ndarray) -> tuple:
+    """The full smoother W = C_ss (C_ss + C_vv)^-1 on the active carriers
+    and the diagonal of its error covariance (I - W) C_ss, for the
+    diagonal C_vv ``noise_covariance`` (leading axes stack channels).
+    Its data rows are the LMMSE data estimator; it needs C_vv > 0."""
+    css = gen.symbol_covariance
+    a = css + noise_covariance[..., None] * np.eye(css.shape[0])
+    # both factors are Hermitian, so W = ((C_ss + C_vv)^-1 C_ss)^H
+    w = np.linalg.solve(a, np.broadcast_to(css, a.shape)).conj().swapaxes(-1, -2)
+    return w, np.real(np.diag(css)) - np.real(np.einsum("...ij,ji->...i", w, css))
+
+
+def uncoded_lmmse_ber(config: OfdmSystemConfig, taps: np.ndarray, ebn0_db: float,
+                      draws: int = 4000, seed: int = 0) -> float:
+    """Semi-analytic uncoded BER of uw-lmmse on the fixed channel ``taps``
+    against total Eb/N0 (the quasi-analytic method of Jeruchim, IEEE
+    JSAC 1984), from the definitions:
+
+    * Es and σ² as in ``uncoded_zf_ber``, and C_vv = diag(N·σ²/|Hᵢ|²) on
+      the active carriers;
+    * E is the data rows of the full smoother W (``wiener_smoother``);
+    * given the data d, the error of E·z with z = G·d + v is Gaussian,
+      with mean (E·G − I)·d and, in each of its real and imaginary parts,
+      variance diag(E·C_vv·Eᴴ)/2;
+    * a Gray-QPSK bit errs when its component of d plus that error
+      changes sign, so its error probability is Q(·) of the margin over
+      the standard deviation; the BER averages it over the bits of
+      ``draws`` seeded data vectors.
+    """
+    gen, sigma2 = _uw_noise_variance(config, ebn0_db)
+    n, active = config.dft_size, gen.map.active_carriers
+    cvv = n * sigma2 / np.abs(np.fft.fft(taps, n)[active]) ** 2
+    e = wiener_smoother(gen, cvv)[0][gen.map.data_positions]
+    bias = e @ gen.code_matrix - np.eye(config.data_count)
+    std = np.sqrt(np.real(np.einsum("ij,j,ij->i", e, cvv, e.conj())) / 2)
+    rng = np.random.default_rng(seed)
+    d = qpsk_map(rng.integers(0, 2, (draws, 2 * config.data_count)))
+    mean = d + d @ bias.T
+    margins = np.concatenate([np.sign(d.real) * mean.real, np.sign(d.imag) * mean.imag]) / std
+    return float(np.mean(np.vectorize(q_function)(margins)))

@@ -2,6 +2,7 @@
 listed name exists; reference forms that only the tests use live in
 ``tests/oracles.py``, not in the package."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -46,15 +47,20 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (cpref.CpConfig, "data_symbol_variance"),
     (channel, "convolve"), (cpref.CpConfig, "symbol_samples"),
     (harness, "_fixed_equalizer"), (rxchain.WienerEqualizer, "data_error_variances"),
+    (rxchain.WienerEqualizer, "smoother"), (harness, "NOISE_VARIANCE_EPS"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
     worker-count setting, no data-variance key (every data symbol is
     unit-energy QPSK), one channel model (both modems use the circulant
     product on 64-sample windows, with no linear convolution and no
-    80-sample cp symbol) and one sweep cache: the context holds each
-    point's fixed-channel equalizer."""
-    assert not hasattr(owner, name)
+    80-sample cp symbol), one sweep cache (the context holds each
+    point's fixed-channel equalizer) and one data estimator for every
+    noise variance (no full smoother, no clamp to a noiseless point).
+    A dataclass field counts as an attribute."""
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
+        else set()
+    assert not hasattr(owner, name) and name not in fields
 
 
 def test_one_placement_strategy_setting():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import uwofdm as uw
 from uwofdm import channel as chan
 from uwofdm import cpref
+from uwofdm.errors import ConfigError
 from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
 
@@ -255,8 +256,19 @@ class TestPinnedSnapshot:
         np.testing.assert_array_equal(a.taps, b.taps)
 
     def test_budget_exhaustion(self):
-        with pytest.raises(RuntimeError, match="no channel draw"):
+        with pytest.raises(ConfigError, match="none of 10 channel draws"):
             uw.pinned_snapshot(1, lambda c: False, max_draws=10)
+
+    def test_flat_channel_has_no_notch(self, ref_config):
+        """A one-tap channel is flat, so no draw meets the notch rule: the
+        search ends in ConfigError naming the draw count, the tap count and
+        the rule.  Before, it raised RuntimeError (a traceback, exit 1)."""
+        predicate = uw.notch_predicate(ref_config.active_indices)
+        with pytest.raises(ConfigError) as info:
+            uw.pinned_snapshot(3, predicate, tap_count=1, max_draws=50)
+        assert str(info.value) == (
+            "none of 50 channel draws (seed 3, tap_count = 1) satisfied the notch rule (at least "
+            "2 active carriers 15 dB or more below the active-carrier mean)")
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(43)

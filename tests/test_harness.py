@@ -2,6 +2,7 @@
 ingestion and the CLI contract."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from uwofdm import cli, cpref, fec, harness, rxchain, txchain
 from uwofdm.errors import ConfigError, NumericallySingularError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
-from oracles import analytic_cp_uncoded_ber, uncoded_zf_ber
+from oracles import analytic_cp_uncoded_ber, uncoded_lmmse_ber, uncoded_zf_ber
 
 #: A 32-point UW system: 16 data carriers, an 8-sample unique word.
 N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
@@ -211,13 +212,11 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
             x = txchain.encode_batch(data, ctx.gen, ctx.uw)
             y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
             if ctx.smoothing:
-                words = rxchain.equalize_batch(y, eq, ctx.uw)
-                carrier_variances = eq.error_variances
+                estimates, variances = rxchain.equalize_batch(y, eq, ctx.uw), eq.error_variances
             else:
-                words = rxchain.zf_only_symbol(y, eq, ctx.uw)
-                carrier_variances = eq.noise_covariance
-            estimates = words[:, ctx.gen.map.data_positions]
-            variances = carrier_variances[ctx.gen.map.data_positions]
+                positions = ctx.gen.map.data_positions
+                estimates = rxchain.zf_only_symbol(y, eq, ctx.uw)[:, positions]
+                variances = eq.noise_covariance[positions]
         else:
             x = cpref.cp_encode_symbol(data)
             y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
@@ -299,6 +298,19 @@ def test_zf_ber_matches_closed_form_on_notch_channel(system, notch_channel, ref_
         assert abs(point.ber - truth) <= 3 * math.sqrt(truth * (1 - truth) / point.bits)
 
 
+def test_lmmse_ber_matches_semi_analytic_on_notch_channel(notch_channel, ref_config):
+    """Uncoded uw-lmmse on the notch fixture against the semi-analytic
+    reference written from the full smoother's definition: each point,
+    run to at least 5000 errors with a seed fixed in advance, lies within
+    3 standard errors of it."""
+    spec = small_spec(system="uw-lmmse", grid=(10.0, 16.0, 22.0), seed=11,
+                      min_error_events=5000, max_bits_per_point=10 ** 9)
+    for point in harness.run_ber_sweep(spec).points:
+        truth = uncoded_lmmse_ber(ref_config, notch_channel.taps, point.ebn0_db)
+        assert point.bit_errors >= 5000
+        assert abs(point.ber - truth) <= 3 * math.sqrt(truth * (1 - truth) / point.bits)
+
+
 def test_rewritten_fixture_is_reread(tmp_path, flat_fixture):
     """A fixture rewritten between two sweeps in one process: the second
     sweep runs on the new channel, as a cold cache would, and its header
@@ -368,9 +380,10 @@ class TestMseProbe:
             assert post == pytest.approx(a_post, rel=0.08)
 
     def test_noiseless_point_has_no_negative_variance(self, notch_channel, ref_config):
-        """At 300 dB the probe clamps the noise variance to zero like the
-        sweep; unclamped, the rounding residue of diag(C_ss - W C_ss) gave
-        analytic_post values of about -2e-16."""
+        """At 300 dB (σ² about 1e-32, unclamped) no analytic column is
+        negative: analytic_post is diag(G C_ee G^H) with C_ee = σ² A^-1,
+        a positive semi-definite form.  The full smoother's
+        diag(C_ss - W C_ss) left a rounding residue of about -2e-16."""
         rows = harness.run_mse_probe(ref_config, notch_channel,
                                      ebn0_db=300.0, n_symbols=200, seed=2)
         assert all(a_pre >= 0 and a_post >= 0 for _, _, _, a_pre, a_post in rows)
@@ -668,6 +681,20 @@ class TestCli:
         assert "channel_taps = 80" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snapshot_without_notched_draw_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A one-tap (flat) channel never meets the notch rule.  Before,
+        the search ended in a traceback (exit 1); the draw budget is cut
+        to 100 here so the test runs fast."""
+        monkeypatch.setattr(chan, "pinned_snapshot",
+                            functools.partial(chan.pinned_snapshot, max_draws=100))
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("channel_taps = 1\n")
+        out = tmp_path / "snap.txt"
+        assert cli.main(["snapshot", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "none of 100 channel draws (seed 1, tap_count = 1) satisfied the notch rule" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe", "snapshot"])
     def test_out_directory_checked_before_work(self, command, tmp_path, capsys,
                                                 monkeypatch):
@@ -797,21 +824,49 @@ HOSTILE_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300",
                   "1/2", "3/4", "35")
 
 
+#: A few values each key accepts, so that most drawn configs run a batch:
+#: the reference system's, a flat and a short channel, the shortest
+#: frame, and the Eb/N0 limits, where the noise variance is about 1e-102
+#: and 1e98.
+VALID_VALUES = {
+    "dft_size": ("64",), "data_count": ("36",), "uw_length": ("16",),
+    "sample_rate_hz": ("20e6", "10e6"), "uw_energy_ratio": ("0", "0.07692307692307693", "0.5"),
+    "zero_indices": ("[0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37]",),
+    "redundant_indices": ("[2, 6, 10, 14, 17, 21, 24, 26, 38, 40, 43, 47, 50, 54, 58, 62]",),
+    "channel_taps": ("1", "8", "16"), "rms_delay_spread_s": ("1e-7", "5e-8"),
+    "system": harness.SYSTEMS, "code_rate": harness.CODE_RATES,
+    "ebn0_db": ("[10]", "[0, 20]", "[1000]", "[-1000]"),
+    "min_error_events": ("1", "200"), "max_bits_per_point": ("1", "8000000"),
+    "frame_symbols": ("1", "2", "8"), "mse_ebn0_db": ("15", "1000", "-1000"),
+    "mse_symbols": ("1", "100000"),
+}
+
+
+def config_line(key: str):
+    """A ``key = value`` pair.  The value pool repeats the key's valid
+    values until they outnumber the hostile ones three to one, and lists
+    them first; an unknown key has only hostile values."""
+    valid = VALID_VALUES.get(key, ())
+    copies = math.ceil(3 * len(HOSTILE_VALUES) / max(len(valid), 1))
+    return st.tuples(st.just(key), st.sampled_from(valid * copies + HOSTILE_VALUES))
+
+
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(sorted(harness.KNOWN_KEYS) + ["no_such_key"]),
-                          st.sampled_from(HOSTILE_VALUES)),
+@given(st.lists(st.sampled_from(sorted(harness.KNOWN_KEYS) + ["no_such_key"])
+                .flatmap(config_line),
                 min_size=1, max_size=4, unique_by=lambda line: line[0]),
        st.sampled_from(harness.SYSTEMS),
        st.sampled_from(harness.CODE_RATES),
        st.sampled_from(["ensemble", f"fixed:{NOTCH_FIXTURE}"]))
 def test_config_text_runs_or_is_refused(config_dir, lines, system, code_rate, channel):
     """1-4 ``key = value`` lines either run a two-frame batch or end in
-    ConfigError (or a refused solve), never in another exception.  The
+    ConfigError (or a refused solve), never in another exception.  Each
+    value is hostile or valid for its key, so most examples run.  The
     system and code rate are drawn on their own, so most examples that
     run reach the decoder, unless a drawn line sets them."""
     path = config_dir / "random.cfg"

@@ -1,5 +1,6 @@
-"""Receiver algebra: zero forcing, smoothing, analytic error statistics
-against Monte-Carlo oracles."""
+"""Receiver algebra: zero forcing, the LMMSE data estimator, analytic
+error statistics against Monte-Carlo oracles and the full-smoother
+reference form."""
 
 import numpy as np
 import pytest
@@ -10,19 +11,28 @@ from uwofdm import rxchain
 from uwofdm.errors import NearSingularChannelError
 from uwofdm.txchain import encode_batch
 
+from oracles import wiener_smoother
+
 
 def flat_channel(gain=1.0 + 0j):
     return chan._realization_from_taps(np.array([gain]), 20e6, 1e-7, 64)
 
 
 def combined(eq):
-    """W @ diag(inv_response): zero forcing and smoothing in one matrix."""
-    return eq.smoother * eq.inv_response[..., None, :]
+    """E @ diag(inv_response): zero forcing and estimation in one matrix."""
+    return eq.estimator * eq.inv_response[..., None, :]
+
+
+def carrier_error_variances(gen, eq):
+    """diag(G C_ee G^H): the error variances of the smoother W = G E on
+    every active carrier."""
+    g = gen.code_matrix
+    return np.real(np.einsum("ij,jk,ik->i", g, eq.error_covariance, g.conj()))
 
 
 def equalize_symbol_uw_first(y_time, eq, uword):
     """Oracle with the order exchanged: subtract the channel-scaled UW
-    from the raw spectrum, then zero-force and smooth in one matrix."""
+    from the raw spectrum, then zero-force and estimate in one matrix."""
     smap = eq.map
     spectrum = uw.forward_dft(y_time)[..., smap.active_carriers]
     h = 1.0 / eq.inv_response
@@ -34,8 +44,8 @@ def encode_one(data, gen, uword):
 
 
 def equalize_one(y_time, eq, uword):
-    """Smoothed active-carrier word of one symbol: ``equalize_batch`` on
-    a one-row batch."""
+    """Data estimates of one symbol: ``equalize_batch`` on a one-row
+    batch."""
     return rxchain.equalize_batch(np.asarray(y_time)[None, :], eq, uword)[0]
 
 
@@ -56,28 +66,31 @@ class TestBuildEqualizer:
         np.testing.assert_allclose(eq.noise_covariance, 64 * 0.01, rtol=1e-12)
 
     def test_noiseless_limit_identity(self, ref_gen):
+        """At σ² = 0 the estimator is least squares: E G = I, no error."""
         eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0)
-        np.testing.assert_array_equal(eq.smoother, np.eye(52))
+        np.testing.assert_allclose(eq.estimator @ ref_gen.code_matrix, np.eye(36),
+                                   rtol=0, atol=1e-12)
         assert np.abs(eq.error_variances).max() == 0.0
 
-    def test_error_variances_bounded_by_signal(self, ref_gen):
+    def test_error_variances_bounded_by_signal(self, ref_gen, ref_map):
         rng = np.random.default_rng(70)
         for _ in range(10):
             ch = uw.sample_channel(rng)
             eq = uw.build_equalizer(ch, ref_gen, 0.05)
-            signal = np.real(np.diag(ref_gen.symbol_covariance))
+            signal = np.real(np.diag(ref_gen.symbol_covariance))[ref_map.data_positions]
             assert (eq.error_variances >= -1e-12).all()
             assert (eq.error_variances <= signal + 1e-9).all()
 
-    def test_smoothing_dominates_zero_forcing(self, ref_gen):
-        """Per carrier, the smoothed error variance never exceeds the
-        ZF-only noise variance, on 100 random channels."""
+    def test_smoothing_dominates_zero_forcing(self, ref_gen, ref_map):
+        """Per data carrier, the estimator's error variance never exceeds
+        the ZF-only noise variance, on 100 random channels."""
         rng = np.random.default_rng(71)
         for _ in range(100):
             ch = uw.sample_channel(rng)
             sigma2 = float(10 ** rng.uniform(-4, -1))
             eq = uw.build_equalizer(ch, ref_gen, sigma2)
-            assert (eq.error_variances <= eq.noise_covariance * (1 + 1e-9)).all()
+            zf = eq.noise_covariance[ref_map.data_positions]
+            assert (eq.error_variances <= zf * (1 + 1e-9)).all()
 
     def test_near_zero_response_raises(self, ref_gen):
         ch = chan._realization_from_taps(
@@ -110,7 +123,8 @@ class TestBuildEqualizer:
 
     @pytest.mark.parametrize("smoothing", [True, False])
     @pytest.mark.parametrize("sigma2", [0.0, 0.03])
-    def test_stacked_build_matches_per_channel(self, ref_gen, ref_uw, smoothing, sigma2):
+    def test_stacked_build_matches_per_channel(self, ref_gen, ref_map, ref_uw,
+                                               smoothing, sigma2):
         rng = np.random.default_rng(77)
         stacked = uw.sample_channel(rng, channels=4)
         eq = uw.build_equalizer(stacked, ref_gen, sigma2, smoothing=smoothing)
@@ -126,15 +140,15 @@ class TestBuildEqualizer:
                             else uw.zf_only_symbol)(y[c], single, ref_uw)
             np.testing.assert_allclose(words[c], single_words, rtol=1e-12, atol=1e-12)
             if smoothing:
-                np.testing.assert_allclose(eq.smoother[c], single.smoother,
+                np.testing.assert_allclose(eq.estimator[c], single.estimator,
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
                                            rtol=1e-12, atol=1e-12)
             else:
                 # the ZF error is the noise
-                assert single.smoother is None
-                np.testing.assert_array_equal(single.error_variances,
-                                              single.noise_covariance)
+                assert single.estimator is None and single.error_covariance is None
+                np.testing.assert_array_equal(
+                    single.error_variances, single.noise_covariance[ref_map.data_positions])
 
     def test_zero_forcing_floor_per_channel(self, ref_gen, ref_map):
         """Each stacked channel floors against its own largest response,
@@ -155,38 +169,37 @@ class TestBuildEqualizer:
             uw.build_equalizer(dead, ref_gen, 0.01)
 
     def test_noise_vanishing_acts_as_identity_on_codewords(self, ref_gen):
-        """At vanishing noise the smoother must pass every valid
+        """At vanishing noise the smoother W = G E must pass every valid
         active-carrier word through unchanged (the identity limit holds
         on the signal subspace; the word covariance is rank deficient,
         so the matrix itself cannot converge to I elementwise)."""
         rng = np.random.default_rng(72)
         ch = uw.sample_channel(rng)
         eq = uw.build_equalizer(ch, ref_gen, 1e-12)
+        smoother = ref_gen.code_matrix @ eq.estimator
         for _ in range(10):
             word = ref_gen.encode(uw.qpsk_map(rng.integers(0, 2, 72)))
-            drift = np.abs(eq.smoother @ word - word).max()
+            drift = np.abs(smoother @ word - word).max()
             assert drift <= 1e-6 * np.abs(word).max()
 
 
 class TestEqualizeSymbol:
-    def test_noiseless_flat_recovery(self, ref_gen, ref_map, ref_uw):
+    def test_noiseless_flat_recovery(self, ref_gen, ref_uw):
         rng = np.random.default_rng(73)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
         eq = uw.build_equalizer(flat_channel(0.7 + 0.3j), ref_gen, 0.0)
         y = uw.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), 0.0, rng)
-        smoothed = equalize_one(y, eq, ref_uw)
-        np.testing.assert_allclose(smoothed[ref_map.data_positions], d, atol=1e-9)
+        np.testing.assert_allclose(equalize_one(y, eq, ref_uw), d, atol=1e-9)
 
-    def test_noiseless_multipath_recovery(self, ref_gen, ref_map, ref_uw):
+    def test_noiseless_multipath_recovery(self, ref_gen, ref_uw):
         rng = np.random.default_rng(74)
         ch = uw.sample_channel(rng, tap_count=16)
         eq = uw.build_equalizer(ch, ref_gen, 0.0)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
         y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
-        smoothed = equalize_one(y, eq, ref_uw)
-        np.testing.assert_allclose(smoothed[ref_map.data_positions], d, atol=1e-8)
+        np.testing.assert_allclose(equalize_one(y, eq, ref_uw), d, atol=1e-8)
 
     def test_uw_removal_order_exchange(self, ref_gen, ref_uw):
         """Subtracting the channel-scaled UW before zero forcing equals
@@ -202,14 +215,14 @@ class TestEqualizeSymbol:
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_data_extraction_uses_permutation(self, ref_gen, ref_map, ref_uw):
+        """A ZF-only build's estimates are the data carriers of the
+        zero-forced word, the rows the permutation puts first."""
         rng = np.random.default_rng(76)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
-        eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0)
-        smoothed = equalize_one(x, eq, ref_uw)
-        stacked = ref_map.permutation.T @ smoothed
-        np.testing.assert_allclose(smoothed[ref_map.data_positions], stacked[:36],
-                                   atol=1e-12)
+        eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0, smoothing=False)
+        stacked = ref_map.permutation.T @ uw.zf_only_symbol(x[None, :], eq, ref_uw)[0]
+        np.testing.assert_allclose(equalize_one(x, eq, ref_uw), stacked[:36], atol=1e-12)
 
 
 class TestZfOnly:
@@ -241,22 +254,22 @@ class TestZfOnly:
 class TestErrorStatistics:
     def test_monte_carlo_error_covariance(self, ref_gen, ref_uw, notch_channel):
         """diag(C_ee) from the formula against the empirical covariance
-        of the smoothing error over 1e5 draws, 3% per entry."""
+        of the data estimation error over 1e5 draws, 3% per entry."""
         sigma2 = 0.01
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
+        data, _, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
                                 100_000, seed=79)
         est = rxchain.equalize_batch(y, eq, ref_uw)
-        err = est - sent
+        err = est - data
         np.testing.assert_allclose(np.mean(np.abs(err) ** 2, axis=0),
                                    eq.error_variances, rtol=0.03)
 
     def test_error_zero_mean(self, ref_gen, ref_uw, notch_channel):
         sigma2 = 0.01
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
+        data, _, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
                                 100_000, seed=80)
-        err = rxchain.equalize_batch(y, eq, ref_uw) - sent
+        err = rxchain.equalize_batch(y, eq, ref_uw) - data
         mean = err.mean(axis=0)
         bound = 3 * np.sqrt(eq.error_variances / err.shape[0])
         assert (np.abs(mean.real) <= bound).all()
@@ -275,11 +288,12 @@ class TestErrorStatistics:
         pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
                                               np.random.default_rng(82), 60_000)
         np.testing.assert_allclose(pre, eq.noise_covariance, rtol=0.03)
-        np.testing.assert_allclose(post, eq.error_variances, rtol=0.03)
+        np.testing.assert_allclose(post, carrier_error_variances(ref_gen, eq), rtol=0.03)
 
     def test_measure_mse_one_pass(self, ref_gen, ref_uw, notch_channel):
         """Both columns come from the same symbols: smoothing the
-        zero-forced words of one draw reproduces the post column."""
+        zero-forced words of one draw with W = G E reproduces the post
+        column."""
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
         pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
@@ -288,13 +302,12 @@ class TestErrorStatistics:
         zf = uw.zf_only_symbol(y, eq, ref_uw)
         np.testing.assert_allclose(pre, np.mean(np.abs(zf - sent) ** 2, axis=0),
                                    rtol=1e-12)
+        smoother = ref_gen.code_matrix @ eq.estimator
         np.testing.assert_allclose(
-            post, np.mean(np.abs(rxchain.equalize_batch(y, eq, ref_uw) - sent) ** 2, axis=0),
-            rtol=1e-12)
+            post, np.mean(np.abs(zf @ smoother.T - sent) ** 2, axis=0), rtol=1e-12)
 
 
-def test_ber_invariant_under_uw_choice(ref_gen, ref_map, ref_uw, zero_uw,
-                                       notch_channel):
+def test_ber_invariant_under_uw_choice(ref_gen, ref_uw, zero_uw, notch_channel):
     """With perfect channel knowledge the unique word is subtracted
     exactly, so hard decisions must match bit for bit between the
     default word and the all-zero word on identical noise."""
@@ -311,7 +324,41 @@ def test_ber_invariant_under_uw_choice(ref_gen, ref_map, ref_uw, zero_uw,
         y = uw.apply_channel_cyclic(x, notch_channel, sigma2,
                                     noise_rng)
         est = rxchain.equalize_batch(y, eq, word)
-        decisions[id(word)] = uw.fec.qpsk_hard_bits(est[:, ref_map.data_positions])
+        decisions[id(word)] = uw.fec.qpsk_hard_bits(est)
 
     a, b = decisions.values()
     np.testing.assert_array_equal(a, b)
+
+
+class TestFullSmootherReference:
+    """The estimator against the full 52x52 smoother W = C_ss (C_ss + C_vv)^-1
+    it replaced (``oracles.wiener_smoother``): E is W's data rows, W = G E,
+    and the error variances agree on the data and on every active carrier."""
+
+    def check(self, gen, eq):
+        w, variances = wiener_smoother(gen, eq.noise_covariance)
+        data = gen.map.data_positions
+        np.testing.assert_allclose(eq.estimator, w[..., data, :], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gen.code_matrix @ eq.estimator, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eq.error_variances, variances[..., data], rtol=0,
+                                   atol=1e-12)
+        if eq.estimator.ndim == 2:
+            np.testing.assert_allclose(carrier_error_variances(gen, eq), variances,
+                                       rtol=0, atol=1e-12)
+
+    def test_stacked_ensemble_draw(self, ref_gen):
+        stacked = uw.sample_channel(np.random.default_rng(88), channels=16)
+        self.check(ref_gen, uw.build_equalizer(stacked, ref_gen, 0.1))
+
+    def test_notch_fixture(self, ref_gen, notch_channel):
+        self.check(ref_gen, uw.build_equalizer(notch_channel, ref_gen, 0.02))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_least_squares_at_zero_noise(self, ref_gen, notch_channel, stacked):
+        ch = uw.sample_channel(np.random.default_rng(89), channels=16) if stacked \
+            else notch_channel
+        eq = uw.build_equalizer(ch, ref_gen, 0.0)
+        np.testing.assert_allclose(eq.estimator @ ref_gen.code_matrix,
+                                   np.broadcast_to(np.eye(36), eq.estimator.shape[:-1] + (36,)),
+                                   rtol=0, atol=1e-12)
+        assert not np.any(eq.error_covariance)
