@@ -128,29 +128,21 @@ def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return (x.reshape(taps.shape[0], -1, x.shape[-1]) @ m).reshape(x.shape)
 
 
-def complex_noise(rng: np.random.Generator, shape, variance: float,
-                  stacked: bool = False) -> np.ndarray:
-    """Circular complex white Gaussian noise of the given per-sample
-    variance: all real parts, then all imaginary ones; ``stacked`` draws
-    one such block per index of the leading (channel) axis, in turn."""
-    if variance < 0:
-        raise ValueError(f"noise variance must be >= 0, got {variance}")
-    if variance == 0:
-        return np.zeros(shape, dtype=complex)
-    if stacked:
-        return np.stack([complex_noise(rng, shape[1:], variance) for _ in range(shape[0])])
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
                          noise_variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-symbol receive model: cyclic convolution plus white noise.
-
-    Accepts a single symbol (length N) or a batch (..., N).
-    """
+    """Per-symbol receive model, a symbol (N) or a batch (..., N): cyclic
+    convolution plus complex white noise of variance ``noise_variance``,
+    added in place: all real parts, then all imaginary ones, per channel."""
+    if noise_variance < 0:
+        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     y = cyclic_convolve(x, ch.taps)
-    return y + complex_noise(rng, y.shape, noise_variance, stacked=ch.taps.ndim > 1)
+    if noise_variance > 0:
+        scale = np.sqrt(noise_variance / 2.0)
+        for block in (y if ch.taps.ndim > 1 else y[None]):
+            draw = np.empty(block.shape)
+            for part in (block.real, block.imag):
+                part += np.multiply(rng.standard_normal(out=draw), scale, out=draw)
+    return y
 
 
 # ---------------------------------------------------------------------------

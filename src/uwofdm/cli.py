@@ -144,6 +144,9 @@ def cmd_snapshot(args) -> int:
     predicate = chan.notch_predicate(config.active_indices)
     taps = values.get("channel_taps", chan.DEFAULT_TAP_COUNT)
     harness.check_tap_count("channel_taps", taps, config.uw_length)
+    if taps < 2:
+        raise ConfigError(f"channel_taps = {taps}: a channel of tap_count = 1 is flat and "
+                          f"never satisfies {predicate.__doc__}; need channel_taps >= 2")
     tau = values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S)
     frame.check_positive("rms_delay_spread_s", tau)
     ch, draw = chan.pinned_snapshot(

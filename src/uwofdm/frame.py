@@ -124,6 +124,7 @@ class SubcarrierMap:
     permutation: np.ndarray
     active_carriers: np.ndarray
     data_positions: np.ndarray      # positions of data symbols within the active vector
+    redundant_positions: np.ndarray  # positions of redundant symbols within it
 
 
 def build_subcarrier_map(config: OfdmSystemConfig) -> SubcarrierMap:
@@ -150,6 +151,7 @@ def build_subcarrier_map(config: OfdmSystemConfig) -> SubcarrierMap:
         permutation=permutation,
         active_carriers=active,
         data_positions=data_positions,
+        redundant_positions=redundant_positions,
     )
 
 
@@ -158,15 +160,16 @@ class RedundancyGenerator:
     """Derived matrices of the tail-zeroing code.
 
     ``redundancy`` maps a data vector to the redundant symbols,
-    ``code_matrix`` maps it to the full active-carrier word (in
-    ascending carrier order), and ``symbol_covariance`` is the resulting
-    covariance of that word for i.i.d. unit-energy data (every data
-    symbol is Gray QPSK, so sigma_d^2 = 1).
+    ``code_matrix`` maps it to the full active-carrier word (in ascending
+    carrier order), ``parity_check`` ([-T, I] in that order) annihilates
+    it, and ``symbol_covariance`` is the word's covariance for i.i.d.
+    unit-energy data (every data symbol is Gray QPSK, so sigma_d^2 = 1).
     """
 
     map: SubcarrierMap
     redundancy: np.ndarray          # uw_length x data_count
     code_matrix: np.ndarray         # (data_count + uw_length) x data_count
+    parity_check: np.ndarray        # uw_length x (data_count + uw_length), zero on words
     symbol_covariance: np.ndarray   # Hermitian, rank <= data_count
     tail_condition: float           # condition number of the tail system
 
@@ -213,6 +216,7 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
         map=smap,
         redundancy=redundancy,
         code_matrix=code_matrix,
+        parity_check=np.hstack([-redundancy, np.eye(l)]) @ smap.permutation.T,
         symbol_covariance=symbol_covariance,
         tail_condition=cond,
     )

@@ -3,16 +3,17 @@ and the LMMSE data estimator.
 
 Zero forcing (``zero_forcing``, also the cp baseline's) whitens the
 channel but multiplies the noise on carrier i by 1/|H(f_i)|^2, which is
-disastrous in spectral notches (a floor keeps it finite).  Because the
-redundant carriers are a linear function of the data, the zero-forced
-active-carrier word is ``z = G d + v``, G the code matrix and
-``C_vv = σ² D`` with D = N·|1/H|^2.  The LMMSE data estimator
-``E = A^-1 G^H D^-1``, ``A = G^H D^-1 G + σ² I``, reads the data off that
-word with error covariance ``C_ee = σ² A^-1``; at σ² = 0 it is least
-squares (``E G = I``, ``C_ee = 0``).  ``W = G E`` is the smoother
-``C_ss (C_ss + C_vv)^-1`` of the MSE probe.  The receive functions take
-batches of (symbols, dft_size) samples, or (channels, symbols, dft_size)
-on a stacked equalizer; one symbol is a one-row batch.
+disastrous in spectral notches (a floor keeps it finite).  The zero-forced
+active-carrier word is ``z = G d + v``, G = P [I; T] the code matrix and
+``C_vv = σ² D``, D = N·|1/H|^2.  The LMMSE data estimate is the
+per-carrier Wiener estimate ``d0 = z_d / (1 + σ² D_d)`` plus the redundant
+carriers' correction ``M (z_r - T d0)``, whose gain needs only a
+uw_length x uw_length inverse.  It is ``E z``, ``E = A^-1 G^H D^-1``,
+``A = G^H D^-1 G + σ² I``, with error covariance ``C_ee = σ² A^-1``; at
+σ² = 0 it is least squares (``E G = I``, ``C_ee = 0``).  ``W = G E`` is
+the MSE probe's smoother ``C_ss (C_ss + C_vv)^-1``.  The receive functions
+take (symbols, dft_size) samples, or (channels, symbols, dft_size) on a
+stacked equalizer; one symbol is a one-row batch.
 """
 
 from __future__ import annotations
@@ -47,8 +48,14 @@ class WienerEqualizer:
     inv_response: np.ndarray              # diagonal of the ZF operator
     noise_covariance: np.ndarray          # diagonal of C_vv (real), active carriers
     estimator: np.ndarray | None          # E, data x active; None on a ZF-only build
-    error_covariance: np.ndarray | None   # C_ee, data x data; None on a ZF-only build
     error_variances: np.ndarray           # diagonal of C_ee (real), data carriers
+
+    @property
+    def error_covariance(self) -> np.ndarray | None:
+        """C_ee = σ² A^-1, data x data: E's data columns times their noise variances."""
+        data = self.map.data_positions
+        return None if self.estimator is None else \
+            self.estimator[..., data] * self.noise_covariance[..., None, data]
 
 
 def zero_forcing(ch: ChannelRealization, carriers,
@@ -82,27 +89,31 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     """Assemble the ZF (+ LMMSE data estimator) operator for one channel
     realization, or for every channel of a stacked one at once.
 
-    Zero forcing gives 1/H and D, and C_vv = σ²·D.  With ``smoothing``,
-    ``E = A^-1 G^H D^-1`` and ``C_ee = σ² A^-1`` from one stacked inverse
-    of the Hermitian positive-definite data x data ``A = G^H D^-1 G + σ² I``,
-    one formula for every σ² >= 0 (least squares at σ² = 0).
+    Zero forcing gives 1/H and D, and C_vv = σ²·D.  With ``smoothing``, the
+    gain ``M = K S^-1`` (``K = Λ^-1 T^H``, ``Λ^-1 = D_d / (1 + σ² D_d)``) needs
+    one stacked inverse of the Hermitian positive-definite ``S = D_r + T K``,
+    and ``E = (J + M·parity_check) diag(c)``: J selects the data carriers, c
+    is 1 / (1 + σ² D_d) on them and 1 on the rest.  One formula serves every
+    σ² >= 0 (least squares at σ² = 0).
     """
     smap = gen.map
     inv_h, d = zero_forcing(ch, smap.active_carriers, 1.0)
     cvv_diag = noise_variance * d
-    estimator = error_cov = None
-    error_var = cvv_diag[..., smap.data_positions]
+    estimator, error_var = None, cvv_diag[..., smap.data_positions]
     if smoothing:
-        g = gen.code_matrix
-        gh_dinv = g.conj().T / d[..., None, :]
-        a_inv = np.linalg.inv(gh_dinv @ g + noise_variance * np.eye(g.shape[1]))
-        estimator = a_inv @ gh_dinv
-        error_cov = noise_variance * a_inv
-        error_var = np.real(np.diagonal(error_cov, axis1=-2, axis2=-1))
+        t, data = gen.redundancy, smap.data_positions
+        shrink = np.ones(d.shape)       # 1/(1 + σ² D) on data carriers, 1 on redundant ones
+        shrink[..., data] = 1.0 / (1.0 + noise_variance * d[..., data])
+        k = (d * shrink)[..., data, None] * t.conj().T
+        s = t @ k + np.eye(len(t)) * d[..., smap.redundant_positions, None]
+        estimator = k @ np.linalg.inv(s) @ gen.parity_check
+        estimator[..., range(len(data)), data] += 1.0
+        estimator *= shrink[..., None, :]
+        error_var = np.real(estimator[..., range(len(data)), data]) * cvv_diag[..., data]
 
     return WienerEqualizer(map=smap, noise_variance=noise_variance, inv_response=inv_h,
                            noise_covariance=cvv_diag, estimator=estimator,
-                           error_covariance=error_cov, error_variances=error_var)
+                           error_variances=error_var)
 
 
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,

@@ -1,17 +1,18 @@
 """Reference forms that the tests compare the package against: the
-physical symbol-stream channel, the zero-tail time symbol, an explicit
-inverse DFT matrix, the 80-sample prefixed cyclic-prefix symbol, the
-flat-channel closed form of the cyclic-prefix baseline, the closed
-form of uncoded zero forcing on a fixed channel, the full 52-carrier
-Wiener smoother and the semi-analytic BER of uncoded uw-lmmse built
-on it.  The simulator itself never calls them."""
+physical symbol-stream channel and its noise as a fresh draw, the
+zero-tail time symbol, an explicit inverse DFT matrix, the 80-sample
+prefixed cyclic-prefix symbol, the flat-channel closed form of the
+cyclic-prefix baseline, the closed form of uncoded zero forcing on a
+fixed channel, the full 52-carrier Wiener smoother and the
+semi-analytic BER of uncoded uw-lmmse built on it.  The simulator
+itself never calls them."""
 
 import math
 
 import numpy as np
 
 from uwofdm import cpref
-from uwofdm.channel import ChannelRealization, complex_noise
+from uwofdm.channel import ChannelRealization
 from uwofdm.fec import qpsk_map
 from uwofdm.frame import (OfdmSystemConfig, RedundancyGenerator, build_subcarrier_map,
                           derive_generator)
@@ -34,6 +35,22 @@ def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Physical stream model
+
+def complex_noise(rng: np.random.Generator, shape, variance: float,
+                  stacked: bool = False) -> np.ndarray:
+    """Circular complex white Gaussian noise of the given per-sample
+    variance, as a fresh array: all real parts, then all imaginary ones;
+    ``stacked`` draws one such block per index of the leading (channel)
+    axis, in turn.  The stream order ``apply_channel_cyclic`` keeps."""
+    if variance < 0:
+        raise ValueError(f"noise variance must be >= 0, got {variance}")
+    if variance == 0:
+        return np.zeros(shape, dtype=complex)
+    if stacked:
+        return np.stack([complex_noise(rng, shape[1:], variance) for _ in range(shape[0])])
+    scale = np.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
 
 def apply_channel_stream(symbols: np.ndarray, ch: ChannelRealization,
                          noise_variance: float, rng: np.random.Generator,

@@ -13,7 +13,7 @@ from uwofdm.errors import ConfigError
 from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
 
-from oracles import apply_channel_stream, stream_symbol_windows
+from oracles import apply_channel_stream, complex_noise, stream_symbol_windows
 
 
 class TestPowerDelayProfile:
@@ -116,9 +116,31 @@ class TestApplyChannelCyclic:
         y = uw.apply_channel_cyclic(x, ch, 0.25, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.02)
 
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_noise_added_in_place_matches_fresh_draw(self, channels):
+        """The in-place noise has the bits of the convolution plus a fresh
+        ``scale * (re + 1j * im)`` draw in the same stream order."""
+        rng = np.random.default_rng(48)
+        ch = uw.sample_channel(rng, channels=channels)
+        shape = (4, 64) if channels is None else (channels, 4, 64)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = uw.apply_channel_cyclic(x, ch, 0.3, np.random.default_rng(49))
+        expected = chan.cyclic_convolve(x, ch.taps) + complex_noise(
+            np.random.default_rng(49), shape, 0.3, stacked=channels is not None)
+        np.testing.assert_array_equal(y, expected)
+
+    def test_zero_noise_variance_draws_nothing(self):
+        rng = np.random.default_rng(50)
+        ch = uw.sample_channel(rng, channels=2)
+        x = rng.standard_normal((2, 3, 64)) + 0j
+        state = rng.bit_generator.state
+        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(y, chan.cyclic_convolve(x, ch.taps))
+
     @pytest.mark.parametrize("apply", [uw.apply_channel_cyclic, cpref.cp_apply_channel])
     def test_negative_noise_variance_rejected(self, apply):
-        """Both modems draw their noise through ``complex_noise``, which
+        """Both modems draw their noise in ``apply_channel_cyclic``, which
         refuses a negative variance."""
         rng = np.random.default_rng(47)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)

@@ -73,6 +73,8 @@ class TestSubcarrierMap:
         expect[[1, 3, 5, 7]] = data        # ascending non-zero, non-redundant
         expect[[2, 6]] = redundant
         np.testing.assert_array_equal(full, expect)
+        active = list(smap.active_carriers)
+        assert [active[p] for p in smap.redundant_positions] == [2, 6]
 
 
 class TestDeriveGenerator:
@@ -114,6 +116,14 @@ class TestDeriveGenerator:
         """trace(U U^H) = data_count + trace(T T^H) by block structure."""
         lhs = np.trace(ref_gen.code_matrix @ ref_gen.code_matrix.conj().T).real
         assert lhs == pytest.approx(36 + uw.redundant_energy_metric(ref_gen), rel=1e-13)
+
+    def test_parity_check_annihilates_words(self, ref_gen, ref_map):
+        """parity_check is [-T, I] in carrier order: zero on every code
+        word, the identity on the redundant carriers, -T on the data."""
+        h = ref_gen.parity_check
+        np.testing.assert_allclose(h @ ref_gen.code_matrix, 0, atol=1e-12)
+        np.testing.assert_array_equal(h[:, ref_map.redundant_positions], np.eye(16))
+        np.testing.assert_array_equal(h[:, ref_map.data_positions], -ref_gen.redundancy)
 
     def test_covariance_hermitian_psd(self, ref_gen):
         css = ref_gen.symbol_covariance

@@ -4,6 +4,8 @@ reference form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwofdm as uw
 from uwofdm import channel as chan
@@ -335,6 +337,17 @@ class TestFullSmootherReference:
     it replaced (``oracles.wiener_smoother``): E is W's data rows, W = G E,
     and the error variances agree on the data and on every active carrier."""
 
+    @pytest.fixture(scope="class")
+    def floored(self, ref_map):
+        """Four stacked channels whose response is exactly 0 on data
+        carrier 5 and on redundant carrier 3, so both sit on the ZF floor."""
+        ch = uw.sample_channel(np.random.default_rng(90), channels=4)
+        response = ch.freq_response.copy()
+        nulls = ref_map.active_carriers[[ref_map.data_positions[5],
+                                         ref_map.redundant_positions[3]]]
+        response[:, nulls] = 0
+        return chan.ChannelRealization(ch.taps, response, 20e6, 1e-7)
+
     def check(self, gen, eq):
         w, variances = wiener_smoother(gen, eq.noise_covariance)
         data = gen.map.data_positions
@@ -362,3 +375,40 @@ class TestFullSmootherReference:
                                    np.broadcast_to(np.eye(36), eq.estimator.shape[:-1] + (36,)),
                                    rtol=0, atol=1e-12)
         assert not np.any(eq.error_covariance)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-2, 1.0])
+    def test_floored_carriers(self, ref_gen, ref_map, floored, sigma2):
+        eq = uw.build_equalizer(floored, ref_gen, sigma2)
+        peak = np.abs(floored.active_response(ref_map.active_carriers)).max(axis=-1)
+        on_floor = [ref_map.data_positions[5], ref_map.redundant_positions[3]]
+        floor_variance = 64 * sigma2 / (rxchain.ZF_REL_FLOOR * peak) ** 2
+        np.testing.assert_allclose(eq.noise_covariance[:, on_floor],
+                                   np.stack([floor_variance] * 2, axis=-1), rtol=1e-12)
+        self.check(ref_gen, eq)
+
+    def test_floored_carriers_least_squares(self, ref_gen, floored):
+        eq = uw.build_equalizer(floored, ref_gen, 0.0)
+        np.testing.assert_allclose(eq.estimator @ ref_gen.code_matrix,
+                                   np.broadcast_to(np.eye(36), (4, 36, 36)), rtol=0, atol=1e-12)
+        assert not np.any(eq.error_variances)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 4.0), st.booleans())
+    def test_noise_levels(self, ref_gen, seed, log_sigma2, stacked):
+        """E and the error variances against the oracle's data rows for a
+        log-uniform σ² in [1e-8, 1e4].  The oracle solves C_ss + C_vv,
+        whose condition number grows as 1/σ² (about 1e7 at 1e-8), so E is
+        compared within 1e-12 plus 1e-15 times that condition number,
+        relative to W's largest entry."""
+        channels = 4 if stacked else None
+        ch = uw.sample_channel(np.random.default_rng(seed), channels=channels)
+        eq = uw.build_equalizer(ch, ref_gen, 10.0 ** log_sigma2)
+        w, variances = wiener_smoother(ref_gen, eq.noise_covariance)
+        data = ref_gen.map.data_positions
+        w_data = w[..., data, :]
+        cond = np.linalg.cond(ref_gen.symbol_covariance
+                              + eq.noise_covariance[..., None] * np.eye(52))
+        error = np.abs(eq.estimator - w_data).max(axis=(-2, -1))
+        assert np.all(error <= (1e-12 + 1e-15 * cond) * np.abs(w_data).max(axis=(-2, -1)))
+        np.testing.assert_allclose(eq.error_variances, variances[..., data],
+                                   rtol=0, atol=1e-12)
