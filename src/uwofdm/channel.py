@@ -16,11 +16,13 @@ linear convolution of the whole stream (UW) and of each prefixed symbol
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .frame import check_positive
 from .numerics import forward_dft
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
@@ -62,6 +64,20 @@ def power_delay_profile(tap_count: int, rms_delay_spread_s: float,
     k = np.arange(tap_count)
     profile = np.exp(-k / (rms_delay_spread_s * sample_rate_hz))
     return profile / profile.sum()
+
+
+def check_delay_spread(rms_delay_spread_s: float, sample_rate_hz: float,
+                       tap_count: int) -> None:
+    """Refuse (ConfigError) a delay spread that is not finite and positive,
+    or one so short in samples (τ·fs underflows) that the profile's
+    exponents k / (τ·fs) are not finite up to the last tap."""
+    check_positive("rms_delay_spread_s", rms_delay_spread_s)
+    spread = rms_delay_spread_s * sample_rate_hz
+    if not (spread > 0 and (tap_count - 1) / spread < math.inf):
+        raise ConfigError(
+            f"rms_delay_spread_s = {rms_delay_spread_s!r} times sample_rate_hz = "
+            f"{sample_rate_hz!r} is {spread!r} samples, too short for a finite "
+            f"{tap_count}-tap power delay profile")
 
 
 def sample_channel(rng: np.random.Generator,

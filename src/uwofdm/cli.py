@@ -148,7 +148,7 @@ def cmd_snapshot(args) -> int:
         raise ConfigError(f"channel_taps = {taps}: a channel of tap_count = 1 is flat and "
                           f"never satisfies {predicate.__doc__}; need channel_taps >= 2")
     tau = values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S)
-    frame.check_positive("rms_delay_spread_s", tau)
+    chan.check_delay_spread(tau, config.sample_rate_hz, taps)
     ch, draw = chan.pinned_snapshot(
         args.seed, predicate, rms_delay_spread_s=tau,
         sample_rate_hz=config.sample_rate_hz, tap_count=taps, dft_size=config.dft_size)

@@ -5,7 +5,10 @@ matches the standard) but ignored at the receiver since channel
 knowledge is perfect.  The prefix is never built: a channel that fits
 it leaves the decoded window the cyclic convolution of the 64-sample
 body, so cp runs on UW's circulant receive model; ``mean_symbol_energy``
-still counts the prefix in Eb.
+still counts the prefix in Eb.  Neither side runs a full transform per
+symbol: the transmitter multiplies the data by the inverse-DFT rows of
+the data bins and adds the fixed pilot waveform, and the receiver
+multiplies the window by the DFT columns of the data bins.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
-from .numerics import forward_dft, inverse_dft
+from .numerics import dft_columns, inverse_dft, matmul_rows
 from .rxchain import zero_forcing
 
 
@@ -54,16 +57,17 @@ def mean_symbol_energy() -> float:
 
 
 def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
-    """Map data symbols to carriers, add pilots and inverse transform to
-    the 64-sample symbol body.  Accepts (..., data_count)."""
-    data = np.asarray(data, dtype=complex)
+    """The 64-sample symbol bodies of data symbols (..., data_count): one
+    product with the inverse-DFT rows of the data bins, plus the pilot
+    waveform."""
+    data = np.asarray(data)
     if data.shape[-1] != CpConfig.data_count:
         raise ValueError(
             f"expected {CpConfig.data_count} data symbols, got {data.shape[-1]}")
-    spectrum = np.zeros(data.shape[:-1] + (CpConfig.dft_size,), dtype=complex)
-    spectrum[..., CpConfig.data_bins] = data
-    spectrum[..., list(CpConfig.pilot_bins)] = np.asarray(CpConfig.pilot_values, dtype=complex)
-    return inverse_dft(spectrum)
+    n = CpConfig.dft_size
+    body = matmul_rows(data, dft_columns(n, CpConfig.data_bins).T.conj() / n)
+    body += pilot_time_signal()
+    return body
 
 
 def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
@@ -77,7 +81,8 @@ def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
 
 def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
                      noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transform the 64-sample window and zero-force the data carriers.
+    """Transform the 64-sample window on the data bins only (one product
+    with those DFT columns) and zero-force them.
 
     Returns (data estimates, per-carrier noise variances) with shapes
     (..., data_count) and (data_count,); a stacked realization takes
@@ -93,4 +98,6 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
     inv_h, variances = zero_forcing(ch, CpConfig.data_bins, noise_variance)
-    return forward_dft(received)[..., CpConfig.data_bins] * per_symbol(inv_h), variances
+    estimates = matmul_rows(received, dft_columns(CpConfig.dft_size, CpConfig.data_bins))
+    estimates *= per_symbol(inv_h)
+    return estimates, variances

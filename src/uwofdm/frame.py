@@ -162,28 +162,27 @@ class RedundancyGenerator:
     ``redundancy`` maps a data vector to the redundant symbols,
     ``code_matrix`` maps it to the full active-carrier word (in ascending
     carrier order), ``parity_check`` ([-T, I] in that order) annihilates
-    it, and ``symbol_covariance`` is the word's covariance for i.i.d.
-    unit-energy data (every data symbol is Gray QPSK, so sigma_d^2 = 1).
+    it, and ``modulator`` maps it to the zero-tail time symbol in one
+    product: row i is the symbol of the unit data vector e_i, and its last
+    ``uw_length`` columns vanish to rounding.
     """
 
     map: SubcarrierMap
     redundancy: np.ndarray          # uw_length x data_count
     code_matrix: np.ndarray         # (data_count + uw_length) x data_count
     parity_check: np.ndarray        # uw_length x (data_count + uw_length), zero on words
-    symbol_covariance: np.ndarray   # Hermitian, rank <= data_count
+    modulator: np.ndarray           # data_count x dft_size, F^-1 B P [I; T] transposed
     tail_condition: float           # condition number of the tail system
 
     @property
     def config(self) -> OfdmSystemConfig:
         return self.map.config
 
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Active-carrier word(s) for data vector(s) on the last axis."""
-        data = np.asarray(data)
-        if data.shape[-1] != self.config.data_count:
-            raise ValueError(
-                f"data length {data.shape[-1]} != data_count {self.config.data_count}")
-        return data @ self.code_matrix.T
+    @property
+    def symbol_covariance(self) -> np.ndarray:
+        """The word's covariance for i.i.d. unit-energy data (every data
+        symbol is Gray QPSK, so sigma_d^2 = 1): Hermitian, rank <= data_count."""
+        return self.code_matrix @ self.code_matrix.conj().T
 
 
 def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
@@ -210,14 +209,13 @@ def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
             cond) from exc
 
     code_matrix = smap.permutation @ np.vstack([np.eye(nd, dtype=complex), redundancy])
-    symbol_covariance = code_matrix @ code_matrix.conj().T
 
     return RedundancyGenerator(
         map=smap,
         redundancy=redundancy,
         code_matrix=code_matrix,
         parity_check=np.hstack([-redundancy, np.eye(l)]) @ smap.permutation.T,
-        symbol_covariance=symbol_covariance,
+        modulator=inverse_dft(code_matrix.T @ smap.selection.T),
         tail_condition=cond,
     )
 

@@ -93,7 +93,8 @@ class SweepSpec:
                               f"{MAX_FRAME_SYMBOLS}, got {self.frame_symbols}")
         if self.channel == "ensemble":
             check_tap_count("channel_taps", self.channel_taps, self.guard_length)
-            frame.check_positive("rms_delay_spread_s", self.rms_delay_spread_s)
+            chan.check_delay_spread(self.rms_delay_spread_s, self.config.sample_rate_hz,
+                                    self.channel_taps)
 
     @property
     def guard_length(self) -> int:

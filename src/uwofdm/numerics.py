@@ -9,7 +9,9 @@ The factor N it puts in the noise variance after zero forcing enters in
 one place, ``rxchain.zero_forcing``; the convention is frozen here and
 nowhere else.  Transform sizes stay small (N <= 64), so plain dense
 matrix products are used throughout: a transform takes its size from the
-last axis of its input and uses the matrix cached for that size.
+last axis of its input and uses the matrix cached for that size.  The
+modems transform only their used carriers, through ``dft_columns``, and
+apply one matrix to a stack of symbol blocks with ``matmul_rows``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ def inverse_dft(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     n = v.shape[-1]
     return v @ _dft_matrix(n).conj() / n
+
+
+def dft_columns(size: int, bins) -> np.ndarray:
+    """Columns ``bins`` of the size-point DFT matrix F, a fresh (size, len(bins))
+    array: ``y @ dft_columns(n, bins)`` is ``forward_dft(y)[..., bins]``, and
+    since F is symmetric, ``x @ dft_columns(n, bins).T.conj() / n`` is the
+    inverse DFT of ``x`` scattered onto ``bins``."""
+    return _dft_matrix(size)[:, np.asarray(bins, dtype=int)]
+
+
+def matmul_rows(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` for (..., K) ``x`` and one (K, M) ``matrix`` as a
+    single 2-D product over all rows of ``x``: numpy runs a stacked
+    (C, S, K) ``x`` as C separate small products."""
+    x = np.asarray(x)
+    return (x.reshape(-1, x.shape[-1]) @ matrix).reshape(x.shape[:-1] + matrix.shape[-1:])
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

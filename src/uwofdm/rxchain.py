@@ -1,5 +1,5 @@
-"""UW-OFDM receiver: DFT, unique-word removal, zero-forcing equalization
-and the LMMSE data estimator.
+"""UW-OFDM receiver: DFT on the active carriers, unique-word removal,
+zero-forcing equalization and the LMMSE data estimator.
 
 Zero forcing (``zero_forcing``, also the cp baseline's) whitens the
 channel but multiplies the noise on carrier i by 1/|H(f_i)|^2, which is
@@ -26,7 +26,7 @@ from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator, SubcarrierMap
 from .fec import qpsk_map
-from .numerics import forward_dft
+from .numerics import dft_columns, matmul_rows
 from .txchain import UniqueWord, encode_batch
 
 #: A channel whose strongest carrier lies below this has no zero forcing.
@@ -136,12 +136,15 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Zero-forced, UW-free word(s) without smoothing: the transmitted
     active word plus enhanced noise.  The first stage of
-    ``equalize_batch`` and the pre-smoothing error probe.  A stacked
-    equalizer takes (channels, symbols, dft_size) samples."""
-    smap = eq.map
-    spectrum = forward_dft(y_time)[..., smap.active_carriers]
-    uw_active = uw.spectrum[smap.active_carriers]
-    return spectrum * per_symbol(eq.inv_response) - uw_active
+    ``equalize_batch`` and the pre-smoothing error probe.  The DFT is
+    computed on the active carriers only, one product with those columns
+    of the DFT matrix.  A stacked equalizer takes (channels, symbols,
+    dft_size) samples."""
+    active = eq.map.active_carriers
+    words = matmul_rows(y_time, dft_columns(np.shape(y_time)[-1], active))
+    words *= per_symbol(eq.inv_response)
+    words -= uw.spectrum[active]
+    return words
 
 
 #: Symbols per pass of ``measure_subcarrier_mse``; bounds its memory.

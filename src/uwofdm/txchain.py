@@ -3,8 +3,11 @@
 A transmit symbol is built in two steps: first a zero-tail symbol (the
 redundant carriers force the last ``uw_length`` time samples to zero),
 then the deterministic unique word is added on top of that zero tail.
-Adding the UW spectrum in frequency domain before the inverse transform
-is equivalent; the tests keep that form as an oracle.
+The zero-tail symbol is one product of the data with the generator's
+``modulator``, the encoding, carrier scatter and inverse DFT folded into
+one data_count x dft_size matrix.  The tests keep the three-step form
+(encode, scatter, inverse transform) and the frequency-domain UW addition
+as oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import RedundancyGenerator
-from .numerics import forward_dft, inverse_dft
+from .numerics import forward_dft, matmul_rows
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,13 @@ def build_unique_word(uw_length: int, target_ratio: float,
 
 def encode_batch(data: np.ndarray, gen: RedundancyGenerator,
                  uw: UniqueWord) -> np.ndarray:
-    """Time-domain symbols for a (batch, data_count) array of data vectors."""
-    word = gen.encode(np.asarray(data, dtype=complex))
-    time = inverse_dft(word @ gen.map.selection.T)
+    """Time-domain symbols for data vectors on the last axis, (...,
+    data_count) to (..., dft_size): one product with the generator's
+    modulator, then the unique word added on the zero tail."""
+    data = np.asarray(data)
+    if data.shape[-1] != gen.config.data_count:
+        raise ValueError(
+            f"data length {data.shape[-1]} != data_count {gen.config.data_count}")
+    time = matmul_rows(data, gen.modulator)
     time[..., -len(uw.samples):] += uw.samples
     return time

@@ -1,7 +1,7 @@
 """Reference forms that the tests compare the package against: the
 physical symbol-stream channel and its noise as a fresh draw, the
-zero-tail time symbol, an explicit inverse DFT matrix, the 80-sample
-prefixed cyclic-prefix symbol, the flat-channel closed form of the
+zero-tail time symbol, an explicit inverse DFT matrix, the scattered
+cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel closed form of the
 cyclic-prefix baseline, the closed form of uncoded zero forcing on a
 fixed channel, the full 52-carrier Wiener smoother and the
 semi-analytic BER of uncoded uw-lmmse built on it.  The simulator
@@ -29,7 +29,7 @@ def inverse_dft_matrix(n: int) -> np.ndarray:
 def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
     """Zero-tail time-domain symbol(s) for data vector(s): IDFT of the
     mapped active-carrier word."""
-    word = gen.encode(data)
+    word = np.asarray(data) @ gen.code_matrix.T
     return inverse_dft(word @ gen.map.selection.T)
 
 
@@ -86,6 +86,17 @@ def cp_prefixed(body: np.ndarray) -> np.ndarray:
     samples of each 64-sample body prepended to it."""
     body = np.asarray(body)
     return np.concatenate([body[..., -cpref.CpConfig.cp_length:], body], axis=-1)
+
+
+def cp_scatter_body(data: np.ndarray) -> np.ndarray:
+    """The 64-sample body(s) in three steps: scatter the data and the
+    pilots onto their bins of a zero spectrum, then inverse transform."""
+    data = np.asarray(data)
+    cfg = cpref.CpConfig
+    spectrum = np.zeros(data.shape[:-1] + (cfg.dft_size,), dtype=complex)
+    spectrum[..., cfg.data_bins] = data
+    spectrum[..., list(cfg.pilot_bins)] = cfg.pilot_values
+    return inverse_dft(spectrum)
 
 
 def shifted_slice_convolve(symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ import uwofdm as uw
 from uwofdm import channel as chan
 from uwofdm import cpref, fec, rxchain
 
-from oracles import analytic_cp_uncoded_ber, cp_physical_window, cp_prefixed
+from oracles import (analytic_cp_uncoded_ber, cp_physical_window, cp_prefixed,
+                     cp_scatter_body)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,29 @@ class TestStructure:
         x = cp_prefixed(cpref.cp_encode_symbol(d))
         measured = float(np.mean(np.sum(np.abs(x) ** 2, axis=1)))
         assert measured == pytest.approx(cpref.mean_symbol_energy(), rel=0.01)
+
+
+class TestUsedBinTransforms:
+    """Both cp transforms touch only the used bins; the oracles are the
+    scatter-plus-inverse-DFT body and the full DFT cut to the data bins."""
+
+    @pytest.mark.parametrize("lead", [(), (5,), (4, 3)])
+    def test_encode_matches_scatter_form(self, lead):
+        rng = np.random.default_rng(93)
+        d = uw.qpsk_map(rng.integers(0, 2, lead + (96,)))
+        np.testing.assert_allclose(cpref.cp_encode_symbol(d), cp_scatter_body(d),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_decode_matches_full_dft_then_cut(self, stacked):
+        rng = np.random.default_rng(94)
+        ch = uw.sample_channel(rng, channels=4 if stacked else None)
+        shape = (4, 5, 64) if stacked else (5, 64)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        inv_h, _ = rxchain.zero_forcing(ch, cpref.CpConfig.data_bins, 1.0)
+        expect = uw.forward_dft(y)[..., cpref.CpConfig.data_bins] * chan.per_symbol(inv_h)
+        got, _ = cpref.cp_decode_symbol(y, ch, 0.01)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 class TestLoopback:

@@ -11,6 +11,7 @@ import uwofdm as uw
 from uwofdm.errors import ConfigError
 from uwofdm.frame import optimize_placement
 from uwofdm.numerics import inverse_dft
+from uwofdm.txchain import encode_batch
 
 from oracles import time_symbol
 
@@ -125,6 +126,10 @@ class TestDeriveGenerator:
         np.testing.assert_array_equal(h[:, ref_map.redundant_positions], np.eye(16))
         np.testing.assert_array_equal(h[:, ref_map.data_positions], -ref_gen.redundancy)
 
+    def test_covariance_is_code_matrix_gram(self, ref_gen):
+        g = ref_gen.code_matrix
+        np.testing.assert_array_equal(ref_gen.symbol_covariance, g @ g.conj().T)
+
     def test_covariance_hermitian_psd(self, ref_gen):
         css = ref_gen.symbol_covariance
         np.testing.assert_allclose(css, css.conj().T, atol=1e-12)
@@ -137,7 +142,7 @@ class TestDeriveGenerator:
         shows uw_length consecutive zeros: the complex RS-code view."""
         rng = np.random.default_rng(12)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
-        word = ref_gen.encode(d)
+        word = ref_gen.code_matrix @ d
         full = ref_gen.map.selection @ word
         x = inverse_dft(full)
         assert np.abs(x[-16:]).max() <= 1e-9 * np.sqrt(np.mean(np.abs(x) ** 2))
@@ -153,8 +158,9 @@ def test_encode_linearity(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     d1 = uw.qpsk_map(rng.integers(0, 2, 72))
     d2 = uw.qpsk_map(rng.integers(0, 2, 72))
-    lhs = gen.encode(alpha * d1 + beta * d2)
-    rhs = alpha * gen.encode(d1) + beta * gen.encode(d2)
+    zero_word = uw.build_unique_word(cfg.uw_length, 0.0, gen)
+    lhs = encode_batch(alpha * d1 + beta * d2, gen, zero_word)
+    rhs = alpha * encode_batch(d1, gen, zero_word) + beta * encode_batch(d2, gen, zero_word)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1 + abs(alpha) + abs(beta)))
 
 

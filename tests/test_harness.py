@@ -673,6 +673,30 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, system", [("ber-sweep", "uw-lmmse"),
+                                                 ("ber-sweep", "cp"), ("snapshot", "-")])
+    @pytest.mark.parametrize("tau, rate, samples", [("1e-200", "1e-200", "0.0"),
+                                                    ("1e-300", "1e-9", "1e-309")])
+    def test_delay_spread_too_short_in_samples_exits_2(self, command, system, tau, rate,
+                                                       samples, tmp_path, capsys,
+                                                       monkeypatch):
+        """Each value is finite and positive, but their product underflows
+        to 0 (or 15 / product overflows), so the profile divided 0 by 0:
+        two RuntimeWarnings, then exit 3 with a NaN channel response.  Now
+        refused before any draw, naming both values."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a channel for a refused delay spread")
+        monkeypatch.setattr(chan, "sample_channel", no_draw)
+        cfg = tmp_path / "spread.cfg"
+        cfg.write_text(f"rms_delay_spread_s = {tau}\nsample_rate_hz = {rate}\n"
+                       + (f"system = {system}\nebn0_db = [10]\n" if system != "-" else ""))
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"rms_delay_spread_s = {float(tau)!r} times sample_rate_hz = "
+                f"{float(rate)!r} is {samples} samples, too short for a finite 16-tap "
+                "power delay profile") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_taps_beyond_guard_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "snap.cfg"
         cfg.write_text("channel_taps = 80\n")

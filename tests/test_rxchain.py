@@ -180,7 +180,7 @@ class TestBuildEqualizer:
         eq = uw.build_equalizer(ch, ref_gen, 1e-12)
         smoother = ref_gen.code_matrix @ eq.estimator
         for _ in range(10):
-            word = ref_gen.encode(uw.qpsk_map(rng.integers(0, 2, 72)))
+            word = ref_gen.code_matrix @ uw.qpsk_map(rng.integers(0, 2, 72))
             drift = np.abs(smoother @ word - word).max()
             assert drift <= 1e-6 * np.abs(word).max()
 
@@ -251,6 +251,24 @@ class TestZfOnly:
         worst = int(np.argmin(power))
         assert eq.noise_covariance[worst] == eq.noise_covariance.max()
         assert eq.noise_covariance.max() > 20 * np.median(eq.noise_covariance)
+
+
+class TestActiveCarrierDft:
+    """``zf_only_symbol`` transforms on the active carriers only; the
+    oracle is the full DFT, cut to them, zero-forced, minus the UW."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_full_dft_then_cut(self, ref_gen, ref_map, ref_uw, stacked):
+        rng = np.random.default_rng(31)
+        ch = uw.sample_channel(rng, channels=4 if stacked else None)
+        eq = uw.build_equalizer(ch, ref_gen, 0.02, smoothing=False)
+        y = rng.standard_normal((4, 6, 64) if stacked else (6, 64)) \
+            + 1j * rng.standard_normal((4, 6, 64) if stacked else (6, 64))
+        active = ref_map.active_carriers
+        inv_h = eq.inv_response[:, None, :] if stacked else eq.inv_response
+        expect = uw.forward_dft(y)[..., active] * inv_h - ref_uw.spectrum[active]
+        got = uw.zf_only_symbol(y, eq, ref_uw)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 class TestErrorStatistics:

@@ -7,11 +7,13 @@ import uwofdm as uw
 from uwofdm.numerics import inverse_dft
 from uwofdm.txchain import encode_batch, mean_data_symbol_energy
 
+from oracles import time_symbol
+
 
 def encode_symbol_freq(data, gen, smap, uword):
     """Oracle: add the UW spectrum before the inverse transform instead
     of adding its samples to the zero tail after it."""
-    word = gen.encode(np.asarray(data, dtype=complex))
+    word = np.asarray(data) @ gen.code_matrix.T
     return inverse_dft(uword.spectrum + word @ smap.selection.T)
 
 
@@ -88,6 +90,28 @@ class TestEncodeSymbol:
         for i in range(5):
             single = encode_one(data[i], ref_gen, ref_uw)
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
+
+
+class TestModulator:
+    """``encode_batch`` is one product with the folded modulator; the
+    oracle is the three-step form: encode, scatter, inverse DFT."""
+
+    @pytest.mark.parametrize("shape", [(36,), (7, 36), (4, 3, 36)])
+    def test_matches_three_step_form(self, ref_gen, ref_uw, shape):
+        rng = np.random.default_rng(25)
+        data = uw.qpsk_map(rng.integers(0, 2, shape[:-1] + (72,)))
+        expect = time_symbol(ref_gen, data)
+        expect[..., -16:] += ref_uw.samples
+        got = encode_batch(data, ref_gen, ref_uw)
+        assert got.shape == shape[:-1] + (64,)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_tail_columns_vanish(self, ref_gen, toy_gen):
+        for gen in (ref_gen, toy_gen):
+            mod = gen.modulator
+            assert mod.shape == (gen.config.data_count, gen.config.dft_size)
+            tail = mod[:, -gen.config.uw_length:]
+            assert np.abs(tail).max() <= 1e-13 * np.abs(mod).max()
 
 
 def test_mean_transmit_energy_matches_analytic(ref_gen, ref_uw):
