@@ -10,6 +10,11 @@ with seed 3 at Eb/N0 4, 8, 12 and 16 dB, and stops after exactly two
 batches per point.  A change that claims to keep the output bytes
 reproduces its parent's set (``diff -r``); the set is the same at any
 ``--workers``, which ``tests/test_harness.py`` checks on every cell.
+
+Each sweep's wall seconds go to stderr, and at ``--workers 1`` (where
+the batches run in this process) its minor page faults per batch, read
+with ``resource.getrusage`` where that exists.  These figures never go
+into a CSV.
 """
 
 import argparse
@@ -17,6 +22,12 @@ import dataclasses
 import os
 import pathlib
 import sys
+import time
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -40,6 +51,10 @@ def sweep(system: str, rate: str, channel: str, workers: int) -> harness.BerRepo
         spec, ebn0_db=EBN0_DB, max_bits_per_point=2 * batch_bits), workers=workers)
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=pathlib.Path)
@@ -53,7 +68,14 @@ def main(argv=None) -> int:
         for system in harness.SYSTEMS:
             for rate in harness.CODE_RATES:
                 path = outdir / f"{system}_{rate.replace('/', '')}_{tag}.csv"
-                harness.write_ber_csv(path, sweep(system, rate, channel, args.workers))
+                start, faults = time.perf_counter(), minor_faults()
+                report = sweep(system, rate, channel, args.workers)
+                cost = f"{path.name}: {time.perf_counter() - start:.2f} s"
+                if resource and args.workers == 1:
+                    batches = 1 + sum(p.frames for p in report.points) // harness.BATCH_FRAMES
+                    cost += f", {(minor_faults() - faults) / batches:.0f} minor faults per batch"
+                print(cost, file=sys.stderr)
+                harness.write_ber_csv(path, report)
                 print("wrote", path)
     return 0
 

@@ -113,15 +113,20 @@ def _realization_from_taps(taps: np.ndarray, sample_rate_hz: float,
 def convolution_matrix(taps: np.ndarray, size: int) -> np.ndarray:
     """The (..., size, size) circulant matrix M for which ``x @ M``
     cyclically convolves a length-``size`` row with ``taps``, one matrix
-    per channel of stacked taps: M[k, n] = h[(n - k) mod size].  One
-    gather from the zero-padded taps."""
+    per channel of stacked taps: M[k, n] = h[(n - k) mod size].  Row k
+    is the window starting at size - k of the zero-padded taps written
+    twice, so the matrix is one copy of a strided view whose rows step
+    back one sample."""
     taps = np.asarray(taps)
     if not 1 <= taps.shape[-1] <= size:
         raise ValueError(f"{taps.shape[-1]} taps do not fit a {size}-sample convolution")
-    padded = np.zeros(taps.shape[:-1] + (size,), dtype=complex)
-    padded[..., :taps.shape[-1]] = taps
-    lags = np.arange(size)
-    return padded[..., (lags[None, :] - lags[:, None]) % size]
+    twice = np.zeros(taps.shape[:-1] + (2 * size,), dtype=complex)
+    twice[..., :taps.shape[-1]] = taps
+    twice[..., size:size + taps.shape[-1]] = taps
+    step = twice.strides[-1]
+    windows = np.lib.stride_tricks.as_strided(
+        twice[..., size:], twice.shape[:-1] + (size, size), twice.strides[:-1] + (-step, step))
+    return np.ascontiguousarray(windows)
 
 
 def per_symbol(values: np.ndarray) -> np.ndarray:
@@ -148,16 +153,17 @@ def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
                          noise_variance: float, rng: np.random.Generator) -> np.ndarray:
     """Per-symbol receive model, a symbol (N) or a batch (..., N): cyclic
     convolution plus complex white noise of variance ``noise_variance``,
-    added in place: all real parts, then all imaginary ones, per channel."""
+    added in place: all real parts, then all imaginary ones, per channel,
+    drawn in one call."""
     if noise_variance < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     y = cyclic_convolve(x, ch.taps)
     if noise_variance > 0:
-        scale = np.sqrt(noise_variance / 2.0)
-        for block in (y if ch.taps.ndim > 1 else y[None]):
-            draw = np.empty(block.shape)
-            for part in (block.real, block.imag):
-                part += np.multiply(rng.standard_normal(out=draw), scale, out=draw)
+        blocks = y if ch.taps.ndim > 1 else y[None]
+        draw = rng.standard_normal(blocks.shape[:1] + (2,) + blocks.shape[1:])
+        np.multiply(draw, np.sqrt(noise_variance / 2.0), out=draw)
+        blocks.real += draw[:, 0]
+        blocks.imag += draw[:, 1]
     return y
 
 

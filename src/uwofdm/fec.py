@@ -155,15 +155,20 @@ def deinterleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
 
 QPSK_SCALE = np.sqrt(0.5)
 
+#: The four Gray points, indexed by 2·b_I + b_Q.
+_QPSK_POINTS = QPSK_SCALE * ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
+                             + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1])))
+
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Gray QPSK, unit average energy: bit pair (b_I, b_Q) = 00 maps to
-    (+1+1j)/sqrt(2), a set bit flips the sign of its component."""
+    (+1+1j)/sqrt(2), a set bit flips the sign of its component.  One
+    lookup into the four points."""
     bits = np.asarray(bits)
     if bits.shape[-1] % 2:
         raise ValueError("QPSK needs an even number of bits")
     pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    return QPSK_SCALE * ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1]))
+    return _QPSK_POINTS[2 * pairs[..., 0] + pairs[..., 1]]
 
 
 def qpsk_hard_bits(symbols: np.ndarray) -> np.ndarray:

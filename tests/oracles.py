@@ -1,5 +1,6 @@
 """Reference forms that the tests compare the package against: the
 physical symbol-stream channel and its noise as a fresh draw, the
+circulant channel matrix as one gather, QPSK mapping as arithmetic, the
 zero-tail time symbol, an explicit inverse DFT matrix, the scattered
 cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel closed form of the
 cyclic-prefix baseline, the closed form of uncoded zero forcing on a
@@ -13,7 +14,7 @@ import numpy as np
 
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization
-from uwofdm.fec import qpsk_map
+from uwofdm.fec import QPSK_SCALE, qpsk_map
 from uwofdm.frame import (OfdmSystemConfig, RedundancyGenerator, build_subcarrier_map,
                           derive_generator)
 from uwofdm.numerics import inverse_dft
@@ -52,6 +53,16 @@ def complex_noise(rng: np.random.Generator, shape, variance: float,
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def gather_convolution_matrix(taps: np.ndarray, size: int) -> np.ndarray:
+    """The (..., size, size) circulant M[k, n] = h[(n - k) mod size] as one
+    fancy-index gather from the zero-padded taps."""
+    taps = np.asarray(taps)
+    padded = np.zeros(taps.shape[:-1] + (size,), dtype=complex)
+    padded[..., :taps.shape[-1]] = taps
+    lags = np.arange(size)
+    return padded[..., (lags[None, :] - lags[:, None]) % size]
+
+
 def apply_channel_stream(symbols: np.ndarray, ch: ChannelRealization,
                          noise_variance: float, rng: np.random.Generator,
                          uw_samples: np.ndarray | None = None) -> np.ndarray:
@@ -76,6 +87,13 @@ def stream_symbol_windows(stream: np.ndarray, dft_size: int) -> np.ndarray:
     """Per-symbol receiver windows of a stream, shape (count, dft_size)."""
     count = len(stream) // dft_size
     return np.asarray(stream[:count * dft_size]).reshape(count, dft_size)
+
+
+def arithmetic_qpsk_map(bits: np.ndarray) -> np.ndarray:
+    """Gray QPSK written out: each bit of a pair sets the sign of its
+    component, scaled to unit energy."""
+    pairs = np.asarray(bits).reshape(np.shape(bits)[:-1] + (-1, 2))
+    return QPSK_SCALE * ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from uwofdm.errors import ConfigError
 from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
 
-from oracles import apply_channel_stream, complex_noise, stream_symbol_windows
+from oracles import (apply_channel_stream, complex_noise, gather_convolution_matrix,
+                     stream_symbol_windows)
 
 
 class TestPowerDelayProfile:
@@ -179,6 +180,17 @@ class TestConvolutionMatrix:
         assert stacked.shape == (3, 64, 64)
         for c in range(3):
             np.testing.assert_array_equal(stacked[c], chan.convolution_matrix(taps[c], 64))
+
+    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("size", [1, 6, 64])
+    def test_matches_gather_oracle(self, channels, size):
+        """The strided copy is the gathered matrix bit for bit, for every
+        tap count from 1 to ``size``."""
+        rng = np.random.default_rng(49)
+        for count in range(1, size + 1):
+            taps = random_taps(rng, count, channels)
+            np.testing.assert_array_equal(chan.convolution_matrix(taps, size),
+                                          gather_convolution_matrix(taps, size))
 
     @pytest.mark.parametrize("count", [0, 65])
     def test_taps_must_fit_the_row(self, count):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from uwofdm import fec
 
+from oracles import arithmetic_qpsk_map
+
 
 def awgn_llrs(bits, sigma2, rng):
     """BPSK-per-component transmission of coded bits over AWGN, demapped
@@ -115,6 +117,14 @@ class TestQpskMapping:
         symbols = fec.qpsk_map(np.array([0, 0, 0, 1, 1, 0, 1, 1]))
         np.testing.assert_allclose(
             symbols, [s + 1j * s, s - 1j * s, -s + 1j * s, -s - 1j * s])
+
+    def test_lookup_matches_arithmetic_oracle(self):
+        """The table lookup is the arithmetic map bit for bit, on each bit
+        pair and on a batch shaped like the sweep's uint8 bits."""
+        pairs = np.array([0, 0, 0, 1, 1, 0, 1, 1])
+        assert np.array_equal(fec.qpsk_map(pairs), arithmetic_qpsk_map(pairs))
+        bits = np.random.default_rng(56).integers(0, 2, (2048, 72)).astype(np.uint8)
+        assert np.array_equal(fec.qpsk_map(bits), arithmetic_qpsk_map(bits))
 
     def test_unit_average_energy(self):
         rng = np.random.default_rng(54)

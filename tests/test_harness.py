@@ -1,8 +1,13 @@
 """Sweep engine determinism, fairness, confidence intervals, config
 ingestion and the CLI contract."""
 
+import ctypes
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -328,6 +333,71 @@ def test_rewritten_fixture_is_reread(tmp_path, flat_fixture):
     assert rewritten.points != notch.points
     ids = [dict(r.metadata)["channel_fixture_id"] for r in (notch, rewritten)]
     assert ids == [harness._fixture_id(f"fixed:{f}") for f in (NOTCH_FIXTURE, flat_fixture)]
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+#: Minor page faults of four warm fixed-channel batches per (system, rate),
+#: after one sweep has built the context and touched the heap.
+FAULT_SCRIPT = """
+import resource, sys
+import uwofdm as uw
+from uwofdm import harness
+for system, rate in (("uw-lmmse", "none"), ("cp", "1/2")):
+    spec = harness.SweepSpec(config=uw.reference_config(), system=system, ebn0_db=(8.0,),
+                             seed=1, code_rate=rate, channel="fixed:" + sys.argv[1],
+                             max_bits_per_point=1)
+    harness.run_ber_sweep(spec)
+    for batch in range(1, 5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        harness._run_batch(spec, 0, batch)
+        print(system, rate, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap settings are glibc's")
+def test_warm_fixed_batches_do_not_fault():
+    """Freed batch arrays stay in the heap, so a warm batch reuses their
+    pages: without the settings a batch took 1670-2528 minor faults."""
+    src = pathlib.Path(uw.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(NOTCH_FIXTURE)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    faults = [line.rsplit(" ", 1) for line in result.stdout.splitlines()]
+    assert len(faults) == 8
+    assert all(int(count) <= 64 for _, count in faults), faults
+
+
+@pytest.fixture
+def fresh_heap_setting():
+    harness._keep_freed_memory.cache_clear()
+    yield
+    harness._keep_freed_memory.cache_clear()
+
+
+@pytest.mark.parametrize("failure", ["no glibc", "no libc"])
+def test_sweep_runs_without_the_heap_settings(failure, monkeypatch, fresh_heap_setting):
+    """Where the C library is not glibc, or cannot be loaded, the sweep
+    changes nothing and reports the same bytes."""
+    spec = small_spec(rate="1/2", min_error_events=10 ** 9, max_bits_per_point=1)
+    expected = harness.run_ber_sweep(spec)
+    harness._keep_freed_memory.cache_clear()
+
+    def refuse(*args):
+        raise OSError("no C library here")
+    if failure == "no glibc":
+        monkeypatch.setattr(os, "confstr", lambda name: None)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+    assert harness.run_ber_sweep(spec) == expected
+    assert harness._keep_freed_memory() is False
 
 
 class TestCsvFormat:
