@@ -86,7 +86,7 @@ def _require_out(args) -> str:
 def cmd_derive(args) -> int:
     values = _load_values(args)
     config = harness.system_config_from(values)
-    gen = frame.derive_generator(frame.build_subcarrier_map(config))
+    gen = frame.derive_generator(config)
     rows, cols = gen.redundancy.shape
     print(f"generator shape: {rows} x {cols}")
     print(f"redundant energy trace(T T^H): {frame.redundant_energy_metric(gen):.10g}")
@@ -97,7 +97,7 @@ def cmd_derive(args) -> int:
 def cmd_optimize_placement(args) -> int:
     config = harness.system_config_from(_load_values(args))
     indices, metric = frame.optimize_placement(config, args.strategy)
-    reference = frame.derive_generator(frame.build_subcarrier_map(config))
+    reference = frame.derive_generator(config)
     print(f"strategy: {args.strategy}")
     print(f"indices: {list(indices)}")
     print(f"metric trace(T T^H): {metric:.10g}")

@@ -1,18 +1,18 @@
 """Static frame structure for unique-word OFDM.
 
-An OFDM symbol is assembled in frequency domain from ``data_count`` data
-symbols, ``uw_length`` redundant symbols and a set of zero subcarriers.
-The redundant symbols are a fixed linear function of the data chosen so
-that the last ``uw_length`` time-domain samples of the symbol vanish:
-writing the inverse transform of the mapped frequency vector as
+An OFDM symbol is assembled in frequency domain from the data symbols,
+``uw_length`` redundant symbols and a set of zero subcarriers; the zero
+and redundant index sets fix the layout, and every other carrier carries
+data.  The redundant symbols are a fixed linear function of the data
+chosen so that the last ``uw_length`` time-domain samples of the symbol
+vanish: with M21 and M22 the last ``uw_length`` rows of the inverse DFT
+matrix on the data and on the redundant carriers,
 
-    M @ [data; redundant] = [head; tail],   M = F_inv @ B @ P,
+    M21 @ data + M22 @ redundant = 0   whenever   redundant = T @ data,
+    T = -M22^-1 @ M21.
 
-the tail is zero whenever ``redundant = T @ data`` with
-``T = -M22^-1 @ M21`` (M21/M22 are the tail rows of M split at the data
-/ redundant column boundary).  Equivalently the active-carrier word is a
-complex-field Reed-Solomon-style codeword whose "syndrome" positions
-are consecutive time samples.
+Equivalently the active-carrier word is a complex-field Reed-Solomon-style
+codeword whose "syndrome" positions are consecutive time samples.
 
 The energy the redundant carriers spend, ``trace(T @ T^H)`` per unit
 data variance, depends strongly on where the redundant carriers sit, so
@@ -38,6 +38,10 @@ REFERENCE_ZERO_INDICES = (0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37)
 REFERENCE_REDUNDANT_INDICES = (2, 6, 10, 14, 17, 21, 24, 26,
                                38, 40, 43, 47, 50, 54, 58, 62)
 
+#: Largest accepted ``dft_size``: the generator and the receivers use
+#: dense N x N DFT matrices, 16 MiB each at 1024 points.
+MAX_DFT_SIZE = 1024
+
 
 def check_positive(name: str, value: float) -> None:
     """Refuse (ConfigError) a physical quantity that is not a finite
@@ -48,135 +52,80 @@ def check_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class OfdmSystemConfig:
-    """All static parameters of one UW-OFDM system (data: unit-energy QPSK)."""
+    """All static parameters of one UW-OFDM system (data: unit-energy QPSK).
+    The index sets fix the carrier layout, and with it ``data_count`` and
+    ``uw_length``."""
 
     dft_size: int
-    data_count: int
-    uw_length: int
     zero_indices: tuple
     redundant_indices: tuple
     sample_rate_hz: float = 20e6
     uw_energy_ratio: float = 4.0 / 52.0
 
     def __post_init__(self):
-        n, nd, l = self.dft_size, self.data_count, self.uw_length
+        n = self.dft_size
         zeros = frozenset(self.zero_indices)
         redundant = frozenset(self.redundant_indices)
-        for name, value, least in (("dft_size", n, 1), ("data_count", nd, 1),
-                                   ("uw_length", l, 1)):
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if nd + l > n:
-            raise ConfigError(f"data_count + uw_length = {nd + l} exceeds dft_size {n}")
+        if not 1 <= n <= MAX_DFT_SIZE:
+            raise ConfigError(f"dft_size must lie between 1 and {MAX_DFT_SIZE}, got {n}")
         if len(zeros) != len(self.zero_indices) or len(redundant) != len(self.redundant_indices):
             raise ConfigError("duplicate subcarrier indices")
-        if len(zeros) != n - nd - l:
-            raise ConfigError(
-                f"need {n - nd - l} zero subcarriers, got {len(zeros)}")
-        if len(redundant) != l:
-            raise ConfigError(f"need {l} redundant subcarriers, got {len(redundant)}")
         out_of_range = [i for i in zeros | redundant if not 0 <= i < n]
         if out_of_range:
             raise ConfigError(f"subcarrier indices out of range: {sorted(out_of_range)}")
         if zeros & redundant:
             raise ConfigError(f"zero and redundant sets overlap: {sorted(zeros & redundant)}")
+        for name in ("data_count", "uw_length"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_positive("sample_rate_hz", self.sample_rate_hz)
         if not 0 <= self.uw_energy_ratio < 1:
             raise ConfigError("uw_energy_ratio must lie in [0, 1)")
 
     @property
-    def active_indices(self) -> np.ndarray:
-        """All non-zero subcarrier indices, ascending."""
-        zeros = set(self.zero_indices)
-        return np.array([i for i in range(self.dft_size) if i not in zeros], dtype=int)
+    def data_count(self) -> int:
+        """Data carriers: those neither zero nor redundant."""
+        return self.dft_size - len(self.zero_indices) - len(self.redundant_indices)
 
     @property
-    def data_indices(self) -> np.ndarray:
-        """Data subcarrier indices, ascending."""
-        occupied = set(self.zero_indices) | set(self.redundant_indices)
-        return np.array([i for i in range(self.dft_size) if i not in occupied], dtype=int)
+    def uw_length(self) -> int:
+        """Redundant carriers, as many as the unique word has samples."""
+        return len(self.redundant_indices)
+
+    @property
+    def active_indices(self) -> np.ndarray:
+        """All non-zero subcarrier indices, ascending."""
+        return np.setdiff1d(np.arange(self.dft_size), self.zero_indices)
 
 
 def reference_config() -> OfdmSystemConfig:
     """The 802.11a-derived 64/36/16 system used throughout the test suite."""
-    return OfdmSystemConfig(
-        dft_size=64,
-        data_count=36,
-        uw_length=16,
-        zero_indices=REFERENCE_ZERO_INDICES,
-        redundant_indices=REFERENCE_REDUNDANT_INDICES,
-    )
-
-
-@dataclass(frozen=True)
-class SubcarrierMap:
-    """Placement matrices for one configuration.
-
-    ``selection`` (N x A) inserts the A = data_count + uw_length active
-    symbols at their absolute subcarrier indices, with all-zero rows at
-    zero subcarriers.  ``permutation`` (A x A) maps the stacked
-    [data; redundant] vector to ascending-active-carrier order, data
-    filling the non-redundant active carriers in ascending index order.
-    """
-
-    config: OfdmSystemConfig
-    selection: np.ndarray
-    permutation: np.ndarray
-    active_carriers: np.ndarray
-    data_positions: np.ndarray      # positions of data symbols within the active vector
-    redundant_positions: np.ndarray  # positions of redundant symbols within it
-
-
-def build_subcarrier_map(config: OfdmSystemConfig) -> SubcarrierMap:
-    """Construct the selection and permutation matrices for ``config``."""
-    active = config.active_indices
-    data = config.data_indices
-    redundant = np.array(sorted(config.redundant_indices), dtype=int)
-    n_active = len(active)
-
-    selection = np.zeros((config.dft_size, n_active))
-    selection[active, np.arange(n_active)] = 1.0
-
-    pos_of = {carrier: pos for pos, carrier in enumerate(active)}
-    data_positions = np.array([pos_of[c] for c in data], dtype=int)
-    redundant_positions = np.array([pos_of[c] for c in redundant], dtype=int)
-
-    permutation = np.zeros((n_active, n_active))
-    permutation[data_positions, np.arange(len(data))] = 1.0
-    permutation[redundant_positions, len(data) + np.arange(len(redundant))] = 1.0
-
-    return SubcarrierMap(
-        config=config,
-        selection=selection,
-        permutation=permutation,
-        active_carriers=active,
-        data_positions=data_positions,
-        redundant_positions=redundant_positions,
-    )
+    return OfdmSystemConfig(dft_size=64, zero_indices=REFERENCE_ZERO_INDICES,
+                            redundant_indices=REFERENCE_REDUNDANT_INDICES)
 
 
 @dataclass(frozen=True)
 class RedundancyGenerator:
     """Derived matrices of the tail-zeroing code.
 
+    A word lists the active carriers in ascending order; data fills the
+    non-redundant ones in ascending order, at ``data_positions``.
     ``redundancy`` maps a data vector to the redundant symbols,
-    ``code_matrix`` maps it to the full active-carrier word (in ascending
-    carrier order), ``parity_check`` ([-T, I] in that order) annihilates
-    it, and ``modulator`` maps it to the zero-tail time symbol in one
-    product: row i is the symbol of the unit data vector e_i, and its last
-    ``uw_length`` columns vanish to rounding.
+    ``code_matrix`` maps it to the full word, ``parity_check`` ([-T, I]
+    in carrier order) annihilates it, and ``modulator`` maps it to the
+    zero-tail time symbol in one product: row i is the symbol of the unit
+    data vector e_i, and its last ``uw_length`` columns vanish to rounding.
     """
 
-    map: SubcarrierMap
+    config: OfdmSystemConfig
+    active_carriers: np.ndarray     # ascending non-zero subcarrier indices
+    data_positions: np.ndarray      # positions of data symbols within a word
+    redundant_positions: np.ndarray  # positions of redundant symbols within it
     redundancy: np.ndarray          # uw_length x data_count
     code_matrix: np.ndarray         # (data_count + uw_length) x data_count
     parity_check: np.ndarray        # uw_length x (data_count + uw_length), zero on words
-    modulator: np.ndarray           # data_count x dft_size, F^-1 B P [I; T] transposed
+    modulator: np.ndarray           # data_count x dft_size, the words' inverse DFTs
     tail_condition: float           # condition number of the tail system
-
-    @property
-    def config(self) -> OfdmSystemConfig:
-        return self.map.config
 
     @property
     def symbol_covariance(self) -> np.ndarray:
@@ -185,39 +134,39 @@ class RedundancyGenerator:
         return self.code_matrix @ self.code_matrix.conj().T
 
 
-def derive_generator(smap: SubcarrierMap) -> RedundancyGenerator:
-    """Derive the redundancy matrices for a subcarrier map.
+def derive_generator(config: OfdmSystemConfig) -> RedundancyGenerator:
+    """Derive the redundancy matrices for a configuration.
 
     Raises PlacementInfeasibleError when the tail system is singular,
     which signals an unusable redundant-index placement.
     """
-    config = smap.config
     n, nd, l = config.dft_size, config.data_count, config.uw_length
+    active = config.active_indices
+    is_redundant = np.isin(active, config.redundant_indices)
+    data, redundant = np.flatnonzero(~is_redundant), np.flatnonzero(is_redundant)
 
-    # m = F_inv @ selection @ permutation; split its last l rows at the
-    # data / redundant column boundary.
-    m = inverse_dft(np.eye(n)) @ smap.selection @ smap.permutation
-    m21 = m[n - l:, :nd]
-    m22 = m[n - l:, nd:]
-
-    cond = float(np.linalg.cond(m22))
+    tail = inverse_dft(np.eye(n)[n - l:])
     try:
-        redundancy = -solve_linear(m22, m21)
-    except ArithmeticError as exc:
+        solution, cond = solve_linear(tail[:, active[redundant]], tail[:, active[data]])
+    except NumericallySingularError as exc:
         raise PlacementInfeasibleError(
             "tail-zeroing system is singular for this redundant placement",
-            cond) from exc
+            exc.condition) from exc
+    redundancy = -solution
 
-    code_matrix = smap.permutation @ np.vstack([np.eye(nd, dtype=complex), redundancy])
+    code_matrix = np.zeros((nd + l, nd), dtype=complex)
+    code_matrix[data, range(nd)] = 1.0
+    code_matrix[redundant] = redundancy
+    parity_check = np.zeros((l, nd + l), dtype=complex)
+    parity_check[:, data] = -redundancy
+    parity_check[range(l), redundant] = 1.0
+    spectrum = np.zeros((nd, n), dtype=complex)
+    spectrum[:, active] = code_matrix.T
 
     return RedundancyGenerator(
-        map=smap,
-        redundancy=redundancy,
-        code_matrix=code_matrix,
-        parity_check=np.hstack([-redundancy, np.eye(l)]) @ smap.permutation.T,
-        modulator=inverse_dft(code_matrix.T @ smap.selection.T),
-        tail_condition=cond,
-    )
+        config=config, active_carriers=active, data_positions=data,
+        redundant_positions=redundant, redundancy=redundancy, code_matrix=code_matrix,
+        parity_check=parity_check, modulator=inverse_dft(spectrum), tail_condition=cond)
 
 
 def redundant_energy_metric(gen: RedundancyGenerator) -> float:
@@ -242,7 +191,7 @@ def _tail_metric(tail_rows: np.ndarray, active: np.ndarray, subset: tuple) -> fl
     chosen = set(subset)
     data_cols = [c for c in active if c not in chosen]
     try:
-        t = solve_linear(tail_rows[:, list(subset)], tail_rows[:, data_cols])
+        t, _ = solve_linear(tail_rows[:, list(subset)], tail_rows[:, data_cols])
     except NumericallySingularError:
         return math.inf
     return float(np.sum(np.abs(t) ** 2))
@@ -261,10 +210,9 @@ def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
     lowest index.
     """
     n, l = config.dft_size, config.uw_length
-    zeros = set(config.zero_indices)
-    candidates = [i for i in range(n) if i not in zeros]
+    active = config.active_indices
+    candidates = active.tolist()
     inv = inverse_dft(np.eye(n))
-    active = np.array(candidates, dtype=int)
 
     if strategy == "exhaustive":
         count = math.comb(len(candidates), l)

@@ -179,8 +179,9 @@ def _fixture_id(channel: str) -> str:
 
 
 def config_hash(config: frame.OfdmSystemConfig) -> str:
+    """Hash of the config's fields and its two derived counts."""
     canon = ";".join(f"{k}={getattr(config, k)!r}" for k in sorted(
-        f.name for f in dataclasses.fields(config)))
+        [f.name for f in dataclasses.fields(config)] + ["data_count", "uw_length"]))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -213,8 +214,8 @@ def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
 
 def uw_modem(config: frame.OfdmSystemConfig) -> tuple:
     """The UW modem's generator, unique word and mean energy per symbol."""
-    gen = frame.derive_generator(frame.build_subcarrier_map(config))
-    uw = txchain.build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+    gen = frame.derive_generator(config)
+    uw = txchain.build_unique_word(gen, config.uw_energy_ratio)
     return gen, uw, txchain.mean_data_symbol_energy(gen) + uw.energy
 
 
@@ -511,9 +512,8 @@ def write_mse_csv(path, rows, metadata=()) -> None:
 # ---------------------------------------------------------------------------
 # Config file ingestion
 
-_INT_KEYS = {"dft_size", "data_count", "uw_length", "min_error_events",
-             "max_bits_per_point", "frame_symbols", "mse_symbols",
-             "channel_taps"}
+_INT_KEYS = {"dft_size", "min_error_events", "max_bits_per_point", "frame_symbols",
+             "mse_symbols", "channel_taps"}
 _FLOAT_KEYS = {"sample_rate_hz", "uw_energy_ratio", "mse_ebn0_db",
                "rms_delay_spread_s"}
 _STR_KEYS = {"system", "code_rate"}

@@ -64,8 +64,9 @@ def matmul_rows(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ matrix).reshape(x.shape[:-1] + matrix.shape[-1:])
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` with an explicit conditioning check.
+def solve_linear(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``a @ x = b`` with an explicit conditioning check; returns
+    ``x`` and the condition number of ``a`` that the check read.
 
     Raises NumericallySingularError when the reciprocal condition number
     falls below RCOND_FLOOR, i.e. when double precision can no longer
@@ -77,4 +78,4 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cond = float(np.linalg.cond(a))  # SVD based; matrices here are at most 64x64
     if not np.isfinite(cond) or cond > 1.0 / RCOND_FLOOR:
         raise NumericallySingularError("matrix is numerically singular", cond)
-    return np.linalg.solve(a, np.asarray(b))
+    return np.linalg.solve(a, np.asarray(b)), cond

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
 from .errors import NearSingularChannelError
-from .frame import RedundancyGenerator, SubcarrierMap
+from .frame import RedundancyGenerator
 from .fec import qpsk_map
 from .numerics import dft_columns, matmul_rows
 from .txchain import UniqueWord, encode_batch
@@ -43,7 +43,7 @@ class WienerEqualizer:
     carriers.  A stacked channel adds a leading channel axis to each.
     """
 
-    map: SubcarrierMap
+    gen: RedundancyGenerator              # the generator it was built from
     noise_variance: float
     inv_response: np.ndarray              # diagonal of the ZF operator
     noise_covariance: np.ndarray          # diagonal of C_vv (real), active carriers
@@ -53,7 +53,7 @@ class WienerEqualizer:
     @property
     def error_covariance(self) -> np.ndarray | None:
         """C_ee = σ² A^-1, data x data: E's data columns times their noise variances."""
-        data = self.map.data_positions
+        data = self.gen.data_positions
         return None if self.estimator is None else \
             self.estimator[..., data] * self.noise_covariance[..., None, data]
 
@@ -96,22 +96,21 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     is 1 / (1 + σ² D_d) on them and 1 on the rest.  One formula serves every
     σ² >= 0 (least squares at σ² = 0).
     """
-    smap = gen.map
-    inv_h, d = zero_forcing(ch, smap.active_carriers, 1.0)
+    inv_h, d = zero_forcing(ch, gen.active_carriers, 1.0)
     cvv_diag = noise_variance * d
-    estimator, error_var = None, cvv_diag[..., smap.data_positions]
+    estimator, error_var = None, cvv_diag[..., gen.data_positions]
     if smoothing:
-        t, data = gen.redundancy, smap.data_positions
+        t, data = gen.redundancy, gen.data_positions
         shrink = np.ones(d.shape)       # 1/(1 + σ² D) on data carriers, 1 on redundant ones
         shrink[..., data] = 1.0 / (1.0 + noise_variance * d[..., data])
         k = (d * shrink)[..., data, None] * t.conj().T
-        s = t @ k + np.eye(len(t)) * d[..., smap.redundant_positions, None]
+        s = t @ k + np.eye(len(t)) * d[..., gen.redundant_positions, None]
         estimator = k @ np.linalg.inv(s) @ gen.parity_check
         estimator[..., range(len(data)), data] += 1.0
         estimator *= shrink[..., None, :]
         error_var = np.real(estimator[..., range(len(data)), data]) * cvv_diag[..., data]
 
-    return WienerEqualizer(map=smap, noise_variance=noise_variance, inv_response=inv_h,
+    return WienerEqualizer(gen=gen, noise_variance=noise_variance, inv_response=inv_h,
                            noise_covariance=cvv_diag, estimator=estimator,
                            error_variances=error_var)
 
@@ -128,7 +127,7 @@ def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
     """
     words = zf_only_symbol(y_time, eq, uw)
     if eq.estimator is None:
-        return words[..., eq.map.data_positions]
+        return words[..., eq.gen.data_positions]
     return words @ eq.estimator.swapaxes(-1, -2)
 
 
@@ -140,7 +139,7 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
     computed on the active carriers only, one product with those columns
     of the DFT matrix.  A stacked equalizer takes (channels, symbols,
     dft_size) samples."""
-    active = eq.map.active_carriers
+    active = eq.gen.active_carriers
     words = matmul_rows(y_time, dft_columns(np.shape(y_time)[-1], active))
     words *= per_symbol(eq.inv_response)
     words -= uw.spectrum[active]
@@ -158,10 +157,9 @@ def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
     """Empirical per-carrier squared error against the matched transmit
     word, (before, after) smoothing with ``W = G E``, both from the same
     received symbols."""
-    smap = gen.map
     smoother_t = (gen.code_matrix @ eq.estimator).T
-    nd = smap.config.data_count
-    pre = np.zeros(len(smap.active_carriers))
+    nd = gen.config.data_count
+    pre = np.zeros(len(gen.active_carriers))
     post = np.zeros_like(pre)
     for done in range(0, n_symbols, MSE_BATCH_SYMBOLS):
         count = min(MSE_BATCH_SYMBOLS, n_symbols - done)

@@ -42,21 +42,18 @@ def mean_data_symbol_energy(gen: RedundancyGenerator) -> float:
     return float(np.real(np.trace(gen.symbol_covariance))) / gen.config.dft_size
 
 
-def build_unique_word(uw_length: int, target_ratio: float,
-                      gen: RedundancyGenerator) -> UniqueWord:
-    """Constant-magnitude polyphase word scaled to a fixed share of the
-    mean transmit-symbol energy.
+def build_unique_word(gen: RedundancyGenerator, target_ratio: float) -> UniqueWord:
+    """Constant-magnitude polyphase word on the generator's zero tail,
+    scaled to a fixed share of the mean transmit-symbol energy.
 
     ``target_ratio`` is UW energy over total mean symbol energy (data +
     redundant + UW); 0 yields the all-zero word used for receiver
     equivalence checks.
     """
-    if uw_length < 1:
-        raise ValueError(f"uw_length must be >= 1, got {uw_length}")
     if target_ratio < 0 or target_ratio >= 1:
         raise ValueError(f"target_ratio must lie in [0, 1), got {target_ratio}")
 
-    n = gen.config.dft_size
+    n, uw_length = gen.config.dft_size, gen.config.uw_length
     k = np.arange(uw_length)
     shape = np.exp(1j * np.pi * k ** 2 / uw_length)
 

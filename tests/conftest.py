@@ -15,23 +15,18 @@ def ref_config():
 
 
 @pytest.fixture(scope="session")
-def ref_map(ref_config):
-    return uw.build_subcarrier_map(ref_config)
-
-
-@pytest.fixture(scope="session")
-def ref_gen(ref_map):
-    return uw.derive_generator(ref_map)
+def ref_gen(ref_config):
+    return uw.derive_generator(ref_config)
 
 
 @pytest.fixture(scope="session")
 def ref_uw(ref_gen):
-    return uw.build_unique_word(16, 4.0 / 52.0, ref_gen)
+    return uw.build_unique_word(ref_gen, 4.0 / 52.0)
 
 
 @pytest.fixture(scope="session")
 def zero_uw(ref_gen):
-    return uw.build_unique_word(16, 0.0, ref_gen)
+    return uw.build_unique_word(ref_gen, 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -43,11 +38,9 @@ def notch_channel():
 def toy_config():
     # smallest system exercising every matrix: 4 data + 2 redundant
     # carriers inside an 8-point DFT with zeros at DC and mid-band
-    return uw.OfdmSystemConfig(
-        dft_size=8, data_count=4, uw_length=2,
-        zero_indices=(0, 4), redundant_indices=(2, 6))
+    return uw.OfdmSystemConfig(dft_size=8, zero_indices=(0, 4), redundant_indices=(2, 6))
 
 
 @pytest.fixture(scope="session")
 def toy_gen(toy_config):
-    return uw.derive_generator(uw.build_subcarrier_map(toy_config))
+    return uw.derive_generator(toy_config)

@@ -1,12 +1,13 @@
 """Reference forms that the tests compare the package against: the
-physical symbol-stream channel and its noise as a fresh draw, the
-circulant channel matrix as one gather, QPSK mapping as arithmetic, the
-zero-tail time symbol, an explicit inverse DFT matrix, the scattered
-cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel closed form of the
-cyclic-prefix baseline, the closed form of uncoded zero forcing on a
-fixed channel, the full 52-carrier Wiener smoother and the
-semi-analytic BER of uncoded uw-lmmse built on it.  The simulator
-itself never calls them."""
+dense 0/1 carrier-placement matrices and the generator derived through
+them, the physical symbol-stream channel and its noise as a fresh draw,
+the circulant channel matrix as one gather, QPSK mapping as arithmetic,
+the zero-tail time symbol, an explicit inverse DFT matrix, the scattered
+cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
+closed form of the cyclic-prefix baseline, the closed form of uncoded
+zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
+extended precision and the semi-analytic BER of uncoded uw-lmmse built
+on it.  The simulator itself never calls them."""
 
 import math
 
@@ -15,9 +16,8 @@ import numpy as np
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization
 from uwofdm.fec import QPSK_SCALE, qpsk_map
-from uwofdm.frame import (OfdmSystemConfig, RedundancyGenerator, build_subcarrier_map,
-                          derive_generator)
-from uwofdm.numerics import inverse_dft
+from uwofdm.frame import OfdmSystemConfig, RedundancyGenerator, derive_generator
+from uwofdm.numerics import inverse_dft, solve_linear
 from uwofdm.txchain import build_unique_word
 
 
@@ -27,11 +27,55 @@ def inverse_dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / n) / n
 
 
+# ---------------------------------------------------------------------------
+# Dense carrier placement
+
+def carriers(config: OfdmSystemConfig) -> tuple:
+    """The active and the data subcarrier indices, ascending, as lists."""
+    active = [i for i in range(config.dft_size) if i not in config.zero_indices]
+    return active, [i for i in active if i not in config.redundant_indices]
+
+
+def selection(config: OfdmSystemConfig) -> np.ndarray:
+    """The N x A 0/1 matrix B that puts the A active symbols, in ascending
+    carrier order, at their subcarrier indices: zero rows at zero carriers."""
+    active, _ = carriers(config)
+    b = np.zeros((config.dft_size, len(active)))
+    for column, carrier in enumerate(active):
+        b[carrier, column] = 1.0
+    return b
+
+
+def permutation(config: OfdmSystemConfig) -> np.ndarray:
+    """The A x A 0/1 matrix P that maps the stacked [data; redundant]
+    vector to ascending-active-carrier order, data filling the
+    non-redundant active carriers in ascending order."""
+    active, data = carriers(config)
+    p = np.zeros((len(active), len(active)))
+    for column, carrier in enumerate(data + sorted(config.redundant_indices)):
+        p[active.index(carrier), column] = 1.0
+    return p
+
+
+def dense_generator(config: OfdmSystemConfig) -> tuple:
+    """(redundancy, code_matrix, parity_check, modulator) through the dense
+    matrices: M = F^-1 B P split at the data / redundant column boundary
+    on its last uw_length rows, T = -M22^-1 M21, code matrix P [I; T],
+    parity check [-T, I] P^T and modulator F^-1 B P [I; T], transposed."""
+    n, nd, l = config.dft_size, config.data_count, config.uw_length
+    b, p = selection(config), permutation(config)
+    m = inverse_dft(np.eye(n)) @ b @ p
+    redundancy = -solve_linear(m[n - l:, nd:], m[n - l:, :nd])[0]
+    code_matrix = p @ np.vstack([np.eye(nd, dtype=complex), redundancy])
+    return (redundancy, code_matrix, np.hstack([-redundancy, np.eye(l)]) @ p.T,
+            inverse_dft(code_matrix.T @ b.T))
+
+
 def time_symbol(gen: RedundancyGenerator, data: np.ndarray) -> np.ndarray:
     """Zero-tail time-domain symbol(s) for data vector(s): IDFT of the
-    mapped active-carrier word."""
+    active-carrier word scattered by the selection matrix."""
     word = np.asarray(data) @ gen.code_matrix.T
-    return inverse_dft(word @ gen.map.selection.T)
+    return inverse_dft(word @ selection(gen.config).T)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +238,12 @@ def uncoded_zf_ber(system: str, config: OfdmSystemConfig, taps: np.ndarray,
       probability Q(1/√vᵢ), and the BER is the mean over the carriers.
     """
     if system == "cp":
-        n, carriers = cpref.CpConfig.dft_size, cpref.CpConfig.data_bins
-        sigma2 = _noise_variance(cpref.mean_symbol_energy(), len(carriers), ebn0_db)
+        n, data = cpref.CpConfig.dft_size, cpref.CpConfig.data_bins
+        sigma2 = _noise_variance(cpref.mean_symbol_energy(), len(data), ebn0_db)
     else:
         _, sigma2 = _uw_noise_variance(config, ebn0_db)
-        n, carriers = config.dft_size, config.data_indices
-    v = n * sigma2 / np.abs(np.fft.fft(taps, n)[carriers]) ** 2
+        n, data = config.dft_size, carriers(config)[1]
+    v = n * sigma2 / np.abs(np.fft.fft(taps, n)[data]) ** 2
     return float(np.mean([q_function(1.0 / math.sqrt(vi)) for vi in v]))
 
 
@@ -210,8 +254,8 @@ def _noise_variance(es: float, data_carriers: int, ebn0_db: float) -> float:
 
 def _uw_noise_variance(config: OfdmSystemConfig, ebn0_db: float) -> tuple:
     """The UW generator and σ², Es being trace(C_ss)/N plus the UW energy."""
-    gen = derive_generator(build_subcarrier_map(config))
-    word = build_unique_word(config.uw_length, config.uw_energy_ratio, gen)
+    gen = derive_generator(config)
+    word = build_unique_word(gen, config.uw_energy_ratio)
     es = float(np.real(np.trace(gen.symbol_covariance))) / config.dft_size \
         + float(np.sum(np.abs(word.samples) ** 2))
     return gen, _noise_variance(es, config.data_count, ebn0_db)
@@ -220,16 +264,42 @@ def _uw_noise_variance(config: OfdmSystemConfig, ebn0_db: float) -> tuple:
 # ---------------------------------------------------------------------------
 # The full smoother and semi-analytic uw-lmmse on a fixed channel
 
+def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` by Gaussian elimination with partial pivoting in
+    the inputs' own precision, one elimination step per column of the
+    square ``a``; leading axes stack systems."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:]).copy()
+    b = np.broadcast_to(b, shape + b.shape[-2:]).reshape((-1,) + b.shape[-2:]).copy()
+    systems, n = np.arange(a.shape[0]), a.shape[-1]
+    for k in range(n):
+        pivot = k + np.argmax(np.abs(a[:, k:, k]), axis=-1)
+        for m in (a, b):
+            m[systems, k], m[systems, pivot] = m[systems, pivot], m[systems, k].copy()
+        factor = a[:, k + 1:, k] / a[:, k, None, k]
+        a[:, k + 1:] -= factor[..., None] * a[:, None, k]
+        b[:, k + 1:] -= factor[..., None] * b[:, None, k]
+    x = np.zeros_like(b)
+    for k in reversed(range(n)):
+        rest = np.sum(a[:, k, k + 1:, None] * x[:, k + 1:], axis=1)
+        x[:, k] = (b[:, k] - rest) / a[:, k, k, None]
+    return x.reshape(shape + b.shape[-2:])
+
+
 def wiener_smoother(gen: RedundancyGenerator, noise_covariance: np.ndarray) -> tuple:
     """The full smoother W = C_ss (C_ss + C_vv)^-1 on the active carriers
     and the diagonal of its error covariance (I - W) C_ss, for the
     diagonal C_vv ``noise_covariance`` (leading axes stack channels).
-    Its data rows are the LMMSE data estimator; it needs C_vv > 0."""
-    css = gen.symbol_covariance
-    a = css + noise_covariance[..., None] * np.eye(css.shape[0])
+    Its data rows are the LMMSE data estimator; it needs C_vv > 0.
+    C_ss = G G^H and the solve are computed in ``np.clongdouble`` (``gauss_solve``),
+    extended precision where the platform has it, and rounded to double."""
+    g = gen.code_matrix.astype(np.clongdouble)
+    css = g @ g.conj().T
+    a = css + noise_covariance[..., None] * np.eye(len(css))
     # both factors are Hermitian, so W = ((C_ss + C_vv)^-1 C_ss)^H
-    w = np.linalg.solve(a, np.broadcast_to(css, a.shape)).conj().swapaxes(-1, -2)
-    return w, np.real(np.diag(css)) - np.real(np.einsum("...ij,ji->...i", w, css))
+    w = gauss_solve(a, css).conj().swapaxes(-1, -2)
+    variances = np.real(np.diag(css)) - np.real(np.sum(w * css.T, axis=-1))
+    return w.astype(complex), variances.astype(float)
 
 
 def uncoded_lmmse_ber(config: OfdmSystemConfig, taps: np.ndarray, ebn0_db: float,
@@ -250,9 +320,9 @@ def uncoded_lmmse_ber(config: OfdmSystemConfig, taps: np.ndarray, ebn0_db: float
       ``draws`` seeded data vectors.
     """
     gen, sigma2 = _uw_noise_variance(config, ebn0_db)
-    n, active = config.dft_size, gen.map.active_carriers
+    n, active = config.dft_size, gen.active_carriers
     cvv = n * sigma2 / np.abs(np.fft.fft(taps, n)[active]) ** 2
-    e = wiener_smoother(gen, cvv)[0][gen.map.data_positions]
+    e = wiener_smoother(gen, cvv)[0][gen.data_positions]
     bias = e @ gen.code_matrix - np.eye(config.data_count)
     std = np.sqrt(np.real(np.einsum("ij,j,ij->i", e, cvv, e.conj())) / 2)
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ def test_star_import():
 
 
 def test_all_size():
-    assert len(uwofdm.__all__) <= 46
+    assert len(uwofdm.__all__) <= 44
 
 
 @pytest.mark.parametrize("module, name", [
@@ -48,6 +48,9 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (channel, "convolve"), (cpref.CpConfig, "symbol_samples"),
     (harness, "_fixed_equalizer"), (rxchain.WienerEqualizer, "data_error_variances"),
     (rxchain.WienerEqualizer, "smoother"), (harness, "NOISE_VARIANCE_EPS"),
+    (frame, "SubcarrierMap"), (frame, "build_subcarrier_map"),
+    (uwofdm, "SubcarrierMap"), (uwofdm, "build_subcarrier_map"),
+    (frame.RedundancyGenerator, "map"), (rxchain.WienerEqualizer, "map"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -57,10 +60,27 @@ def test_removed_knobs_are_gone(owner, name):
     80-sample cp symbol), one sweep cache (the context holds each
     point's fixed-channel equalizer) and one data estimator for every
     noise variance (no full smoother, no clamp to a noiseless point).
+    The carrier layout is stored once, as the config's index sets and
+    the generator's carrier and position arrays (no subcarrier map).
     A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
+
+
+def test_counts_follow_from_the_index_sets():
+    """``data_count`` and ``uw_length`` are read-only properties of the
+    index sets: neither a config field nor a config key."""
+    fields = {f.name for f in dataclasses.fields(frame.OfdmSystemConfig)}
+    for name in ("data_count", "uw_length"):
+        assert name not in fields and name not in harness.KNOWN_KEYS
+        assert isinstance(getattr(frame.OfdmSystemConfig, name), property)
+
+
+def test_build_unique_word_takes_the_generators_length():
+    """Any other length would put the word off the generator's zero tail."""
+    assert list(inspect.signature(txchain.build_unique_word).parameters) == [
+        "gen", "target_ratio"]
 
 
 def test_one_placement_strategy_setting():

@@ -1,6 +1,6 @@
-"""Frame construction: placement matrices, redundancy generator and the
-placement search, checked against index-bookkeeping and per-column
-linear-solve oracles."""
+"""Frame construction: carrier layout, redundancy generator and the
+placement search, checked against the dense placement-matrix oracles,
+index bookkeeping and per-column linear solves."""
 
 import numpy as np
 import pytest
@@ -13,72 +13,111 @@ from uwofdm.frame import optimize_placement
 from uwofdm.numerics import inverse_dft
 from uwofdm.txchain import encode_batch
 
-from oracles import time_symbol
+from oracles import dense_generator, permutation, selection, time_symbol
+
+#: The reference, 8-point and 16-point layouts, as (dft_size, zero
+#: indices, redundant indices).
+LAYOUTS = [
+    (64, uw.frame.REFERENCE_ZERO_INDICES, uw.frame.REFERENCE_REDUNDANT_INDICES),
+    (8, (0, 4), (2, 6)),
+    (16, (0, 8, 9, 15), (1, 2, 3, 4)),
+]
 
 
 class TestConfigValidation:
     def test_reference_shape(self, ref_config):
         assert len(ref_config.active_indices) == 52
-        assert len(ref_config.data_indices) == 36
+        assert (ref_config.data_count, ref_config.uw_length) == (36, 16)
+        assert type(ref_config.data_count) is int and type(ref_config.uw_length) is int
 
     def test_overlapping_sets_rejected(self):
-        with pytest.raises(ConfigError):
-            uw.OfdmSystemConfig(dft_size=8, data_count=4, uw_length=2,
-                                zero_indices=(0, 4), redundant_indices=(0, 6))
+        with pytest.raises(ConfigError, match="overlap"):
+            uw.OfdmSystemConfig(dft_size=8, zero_indices=(0, 4), redundant_indices=(0, 6))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            uw.OfdmSystemConfig(dft_size=8, data_count=4, uw_length=2,
-                                zero_indices=(0, 4), redundant_indices=(2, 9))
+        with pytest.raises(ConfigError, match="out of range"):
+            uw.OfdmSystemConfig(dft_size=8, zero_indices=(0, 4), redundant_indices=(2, 9))
 
     def test_wrong_zero_count_rejected(self):
-        with pytest.raises(ConfigError):
-            uw.OfdmSystemConfig(dft_size=8, data_count=4, uw_length=2,
-                                zero_indices=(0,), redundant_indices=(2, 6))
+        """Zero carriers that leave no data carrier."""
+        with pytest.raises(ConfigError, match="data_count must be >= 1, got 0"):
+            uw.OfdmSystemConfig(dft_size=8, zero_indices=(0, 1, 3, 4, 5, 7),
+                                redundant_indices=(2, 6))
 
 
 class TestSubcarrierMap:
-    def test_reference_shapes(self, ref_map):
-        assert ref_map.selection.shape == (64, 52)
-        assert ref_map.permutation.shape == (52, 52)
+    """The carrier layout: the generator's carrier and position arrays,
+    and the dense selection and permutation matrices of the oracles."""
 
-    def test_selection_zero_rows(self, ref_map, ref_config):
-        zero_rows = ref_map.selection[list(ref_config.zero_indices), :]
+    def test_reference_shapes(self, ref_config, ref_gen):
+        assert selection(ref_config).shape == (64, 52)
+        assert permutation(ref_config).shape == (52, 52)
+        assert [len(ref_gen.active_carriers), len(ref_gen.data_positions),
+                len(ref_gen.redundant_positions)] == [52, 36, 16]
+
+    def test_selection_zero_rows(self, ref_config, ref_gen):
+        zero_rows = selection(ref_config)[list(ref_config.zero_indices), :]
         assert not zero_rows.any()
+        assert set(ref_gen.active_carriers.tolist()).isdisjoint(ref_config.zero_indices)
 
-    def test_selection_columns_are_unit(self, ref_map):
-        b = ref_map.selection
+    def test_selection_columns_are_unit(self, ref_config, ref_gen):
+        b = selection(ref_config)
         np.testing.assert_array_equal(b.T @ b, np.eye(52))
+        np.testing.assert_array_equal(b.argmax(axis=0), ref_gen.active_carriers)
 
-    def test_permutation_orthogonal(self, ref_map):
-        p = ref_map.permutation
+    def test_permutation_orthogonal(self, ref_config, ref_gen):
+        p = permutation(ref_config)
         np.testing.assert_array_equal(p @ p.T, np.eye(52))
         assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
+        # data fills the non-redundant carriers in ascending order
+        active = ref_gen.active_carriers
+        assert active[ref_gen.data_positions].tolist() == sorted(
+            set(active.tolist()) - set(ref_config.redundant_indices))
+        assert active[ref_gen.redundant_positions].tolist() == sorted(
+            ref_config.redundant_indices)
+        np.testing.assert_array_equal(p.argmax(axis=0), np.concatenate(
+            [ref_gen.data_positions, ref_gen.redundant_positions]))
 
     def test_degenerate_identity(self):
         # no zero carriers and the one redundant carrier last: both
-        # matrices collapse to the identity
-        cfg = uw.OfdmSystemConfig(dft_size=4, data_count=3, uw_length=1,
-                                  zero_indices=(), redundant_indices=(3,))
-        smap = uw.build_subcarrier_map(cfg)
-        np.testing.assert_array_equal(smap.selection, np.eye(4))
-        np.testing.assert_array_equal(smap.permutation, np.eye(4))
+        # matrices collapse to the identity, and the positions to ranges
+        cfg = uw.OfdmSystemConfig(dft_size=4, zero_indices=(), redundant_indices=(3,))
+        np.testing.assert_array_equal(selection(cfg), np.eye(4))
+        np.testing.assert_array_equal(permutation(cfg), np.eye(4))
+        gen = uw.derive_generator(cfg)
+        assert gen.active_carriers.tolist() == [0, 1, 2, 3]
+        assert gen.data_positions.tolist() == [0, 1, 2]
+        assert gen.redundant_positions.tolist() == [3]
 
-    def test_toy_scatter_bookkeeping(self, toy_config):
-        """B @ P must place data/redundant entries at the declared bins."""
-        smap = uw.build_subcarrier_map(toy_config)
+    def test_toy_scatter_bookkeeping(self, toy_config, toy_gen):
+        """The positions, and B @ P, place data/redundant entries at the
+        declared bins."""
         data = np.array([1 + 1j, 2, 3, 4], dtype=complex)
         redundant = np.array([10j, 20j])
-        full = smap.selection @ smap.permutation @ np.concatenate([data, redundant])
         expect = np.zeros(8, dtype=complex)
         expect[[1, 3, 5, 7]] = data        # ascending non-zero, non-redundant
         expect[[2, 6]] = redundant
+        word = np.zeros(6, dtype=complex)
+        word[toy_gen.data_positions] = data
+        word[toy_gen.redundant_positions] = redundant
+        full = np.zeros(8, dtype=complex)
+        full[toy_gen.active_carriers] = word
         np.testing.assert_array_equal(full, expect)
-        active = list(smap.active_carriers)
-        assert [active[p] for p in smap.redundant_positions] == [2, 6]
+        dense = selection(toy_config) @ permutation(toy_config) @ np.concatenate(
+            [data, redundant])
+        np.testing.assert_array_equal(dense, expect)
 
 
 class TestDeriveGenerator:
+    @pytest.mark.parametrize("n, zeros, redundant", LAYOUTS, ids=["reference", "n8", "n16"])
+    def test_matches_dense_oracle(self, n, zeros, redundant):
+        """Filled by index, the four arrays equal the dense-matrix products."""
+        gen = uw.derive_generator(uw.OfdmSystemConfig(
+            dft_size=n, zero_indices=zeros, redundant_indices=redundant))
+        for got, expect in zip((gen.redundancy, gen.code_matrix, gen.parity_check,
+                                gen.modulator), dense_generator(gen.config)):
+            np.testing.assert_array_equal(got, expect)
+
     def test_reference_shape_and_zero_uw(self, ref_gen):
         assert ref_gen.redundancy.shape == (16, 36)
         rng = np.random.default_rng(10)
@@ -94,18 +133,27 @@ class TestDeriveGenerator:
     def test_toy_matches_per_column_solve(self, toy_config, toy_gen):
         """Independent oracle: for each unit data vector, solve the
         'last two inverse-transform outputs are zero' system directly."""
-        smap = toy_gen.map
         n, nd, l = 8, 4, 2
         inv = inverse_dft(np.eye(n))  # rows of I @ F^H / N
-        tail = inv[n - l:, :] @ smap.selection  # tail rows on active carriers
+        tail = inv[n - l:, :] @ selection(toy_config) @ permutation(toy_config)
         t_expected = np.zeros((l, nd), dtype=complex)
         for col in range(nd):
             stacked = np.zeros(nd + l, dtype=complex)
             stacked[col] = 1.0
-            rhs = -(tail @ smap.permutation)[:, :nd] @ stacked[:nd]
-            t_expected[:, col] = np.linalg.solve(
-                (tail @ smap.permutation)[:, nd:], rhs)
+            rhs = -tail[:, :nd] @ stacked[:nd]
+            t_expected[:, col] = np.linalg.solve(tail[:, nd:], rhs)
         np.testing.assert_allclose(toy_gen.redundancy, t_expected, atol=1e-10)
+
+    def test_tail_condition_is_the_solve_estimate(self, ref_config, ref_gen):
+        """``tail_condition`` is the estimate the solve checked; a placement
+        the solve refuses raises PlacementInfeasibleError carrying it."""
+        m = inverse_dft(np.eye(64)) @ selection(ref_config) @ permutation(ref_config)
+        assert ref_gen.tail_condition == np.linalg.cond(m[48:, 36:])
+        clustered = uw.OfdmSystemConfig(dft_size=64, zero_indices=(0,),
+                                        redundant_indices=tuple(range(1, 21)))
+        with pytest.raises(uw.PlacementInfeasibleError) as err:
+            uw.derive_generator(clustered)
+        assert err.value.condition > 1e12
 
     def test_toy_zero_tail(self, toy_gen):
         rng = np.random.default_rng(11)
@@ -118,13 +166,13 @@ class TestDeriveGenerator:
         lhs = np.trace(ref_gen.code_matrix @ ref_gen.code_matrix.conj().T).real
         assert lhs == pytest.approx(36 + uw.redundant_energy_metric(ref_gen), rel=1e-13)
 
-    def test_parity_check_annihilates_words(self, ref_gen, ref_map):
+    def test_parity_check_annihilates_words(self, ref_gen):
         """parity_check is [-T, I] in carrier order: zero on every code
         word, the identity on the redundant carriers, -T on the data."""
         h = ref_gen.parity_check
         np.testing.assert_allclose(h @ ref_gen.code_matrix, 0, atol=1e-12)
-        np.testing.assert_array_equal(h[:, ref_map.redundant_positions], np.eye(16))
-        np.testing.assert_array_equal(h[:, ref_map.data_positions], -ref_gen.redundancy)
+        np.testing.assert_array_equal(h[:, ref_gen.redundant_positions], np.eye(16))
+        np.testing.assert_array_equal(h[:, ref_gen.data_positions], -ref_gen.redundancy)
 
     def test_covariance_is_code_matrix_gram(self, ref_gen):
         g = ref_gen.code_matrix
@@ -143,7 +191,7 @@ class TestDeriveGenerator:
         rng = np.random.default_rng(12)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         word = ref_gen.code_matrix @ d
-        full = ref_gen.map.selection @ word
+        full = selection(ref_gen.config) @ word
         x = inverse_dft(full)
         assert np.abs(x[-16:]).max() <= 1e-9 * np.sqrt(np.mean(np.abs(x) ** 2))
 
@@ -158,7 +206,7 @@ def test_encode_linearity(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     d1 = uw.qpsk_map(rng.integers(0, 2, 72))
     d2 = uw.qpsk_map(rng.integers(0, 2, 72))
-    zero_word = uw.build_unique_word(cfg.uw_length, 0.0, gen)
+    zero_word = uw.build_unique_word(gen, 0.0)
     lhs = encode_batch(alpha * d1 + beta * d2, gen, zero_word)
     rhs = alpha * encode_batch(d1, gen, zero_word) + beta * encode_batch(d2, gen, zero_word)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1 + abs(alpha) + abs(beta)))
@@ -169,7 +217,7 @@ _GEN_CACHE = {}
 
 def _cached_gen(cfg):
     if cfg not in _GEN_CACHE:
-        _GEN_CACHE[cfg] = uw.derive_generator(uw.build_subcarrier_map(cfg))
+        _GEN_CACHE[cfg] = uw.derive_generator(cfg)
     return _GEN_CACHE[cfg]
 
 
@@ -186,18 +234,15 @@ class TestRedundantEnergyMetric:
 
 class TestOptimizePlacement:
     def test_toy_exhaustive_vs_greedy(self):
-        cfg = uw.OfdmSystemConfig(
-            dft_size=16, data_count=8, uw_length=4,
-            zero_indices=(0, 8, 9, 15), redundant_indices=(1, 2, 3, 4))
+        cfg = uw.OfdmSystemConfig(dft_size=16, zero_indices=(0, 8, 9, 15),
+                                  redundant_indices=(1, 2, 3, 4))
         best, best_metric = optimize_placement(cfg, "exhaustive")
         greedy, greedy_metric = optimize_placement(cfg, "greedy")
         assert len(best) == 4
         assert greedy_metric >= best_metric - 1e-12
         # exhaustive optimum must agree with a from-scratch derivation
-        refit = uw.derive_generator(uw.build_subcarrier_map(
-            uw.OfdmSystemConfig(dft_size=16, data_count=8, uw_length=4,
-                                zero_indices=(0, 8, 9, 15),
-                                redundant_indices=tuple(best))))
+        refit = uw.derive_generator(uw.OfdmSystemConfig(
+            dft_size=16, zero_indices=(0, 8, 9, 15), redundant_indices=tuple(best)))
         assert uw.redundant_energy_metric(refit) == pytest.approx(best_metric, rel=1e-9)
 
     def test_exhaustive_refused_on_large_space(self, ref_config):
@@ -212,10 +257,9 @@ class TestOptimizePlacement:
         active = ref_config.active_indices
         for _ in range(50):
             subset = tuple(sorted(rng.choice(active, size=16, replace=False)))
-            cfg = uw.OfdmSystemConfig(
-                dft_size=64, data_count=36, uw_length=16,
-                zero_indices=ref_config.zero_indices, redundant_indices=subset)
-            gen = uw.derive_generator(uw.build_subcarrier_map(cfg))
+            cfg = uw.OfdmSystemConfig(dft_size=64, zero_indices=ref_config.zero_indices,
+                                      redundant_indices=subset)
+            gen = uw.derive_generator(cfg)
             assert uw.redundant_energy_metric(gen) > reference_metric
 
     def test_greedy_on_reference_runs(self, ref_config, ref_gen):

@@ -24,16 +24,14 @@ from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
 from oracles import analytic_cp_uncoded_ber, uncoded_lmmse_ber, uncoded_zf_ber
 
 #: A 32-point UW system: 16 data carriers, an 8-sample unique word.
-N32_VALUES = {"dft_size": 32, "data_count": 16, "uw_length": 8,
-              "zero_indices": (0, 13, 14, 15, 16, 17, 18, 19),
+N32_VALUES = {"dft_size": 32, "zero_indices": (0, 13, 14, 15, 16, 17, 18, 19),
               "redundant_indices": (2, 5, 8, 11, 21, 24, 27, 30)}
 N32_CONFIG_TEXT = "".join(f"{k} = {list(v) if isinstance(v, tuple) else v}\n"
                           for k, v in N32_VALUES.items())
 
 #: A 64-point system without a unique word; before the config refused
 #: it, a UW sweep on it ended in a traceback (exit 1).
-UW_LENGTH_0_TEXT = ("uw_length = 0\ndata_count = 52\nredundant_indices = []\n"
-                    "channel_taps = 1")
+UW_LENGTH_0_TEXT = "redundant_indices = []\nchannel_taps = 1"
 
 
 def small_spec(system="uw-lmmse", rate="none", grid=(14.0,), seed=1,
@@ -219,7 +217,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
             if ctx.smoothing:
                 estimates, variances = rxchain.equalize_batch(y, eq, ctx.uw), eq.error_variances
             else:
-                positions = ctx.gen.map.data_positions
+                positions = ctx.gen.data_positions
                 estimates = rxchain.zf_only_symbol(y, eq, ctx.uw)[:, positions]
                 variances = eq.noise_covariance[positions]
         else:
@@ -473,6 +471,12 @@ class TestConfigFile:
         assert config == uw.reference_config()
         assert values["system"] == "uw-lmmse"
 
+    def test_config_hash_covers_the_counts(self):
+        """The hash reads the two counts from the index sets, so CSV
+        headers kept their value when the counts stopped being fields."""
+        assert harness.config_hash(uw.reference_config()) == "f4b1facf5141"
+        assert harness.config_hash(harness.system_config_from(N32_VALUES)) == "81b09b7cc1ea"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dft_size = 64\nnfft = 64\n")
@@ -525,8 +529,7 @@ class TestCli:
     def test_optimize_placement_toy(self, tmp_path, capsys):
         path = tmp_path / "toy.cfg"
         path.write_text(
-            "dft_size = 16\ndata_count = 8\nuw_length = 4\n"
-            "zero_indices = [0, 8, 9, 15]\nredundant_indices = [1, 2, 3, 4]\n")
+            "dft_size = 16\nzero_indices = [0, 8, 9, 15]\nredundant_indices = [1, 2, 3, 4]\n")
         assert cli.main(["optimize-placement", "--config", str(path),
                          "--strategy", "exhaustive"]) == 0
         out = capsys.readouterr().out
@@ -657,7 +660,7 @@ class TestCli:
         info-bit count that punctures to exactly the frame's slots, which
         ended in a ValueError from ``fec.puncture`` (exit 1)."""
         cfg = tmp_path / "odd.cfg"
-        cfg.write_text("data_count = 35\nzero_indices = [0, 1, 27, 28, 29, 30, 31, 32, "
+        cfg.write_text("zero_indices = [0, 1, 27, 28, 29, 30, 31, 32, "
                        "33, 34, 35, 36, 37]\ncode_rate = 3/4\n"
                        f"frame_symbols = {frame_symbols}\nebn0_db = [10]\n")
         out = tmp_path / "run.csv"
@@ -723,16 +726,22 @@ class TestCli:
          "positive, got -20000000.0"),
         ("mse-probe", "mse_ebn0_db = nan", "mse_ebn0_db must lie between -1000 and "
          "1000 dB and be finite, got nan"),
-        ("ber-sweep", "data_count = 0\nzero_indices = [" + ", ".join(map(str, range(48)))
+        ("ber-sweep", "zero_indices = [" + ", ".join(map(str, range(48)))
          + "]\nredundant_indices = [" + ", ".join(map(str, range(48, 64))) + "]",
          "data_count must be >= 1, got 0"),
         ("ber-sweep", UW_LENGTH_0_TEXT, "uw_length must be >= 1, got 0"),
+        ("ber-sweep", "dft_size = 1000000000000", "dft_size must lie between 1 and 1024, "
+         "got 1000000000000"),
+        # the counts follow from the index sets and are no config keys
+        ("ber-sweep", "data_count = 36", "bad.cfg:1: unknown key 'data_count'"),
+        ("mse-probe", "uw_length = 16", "bad.cfg:1: unknown key 'uw_length'"),
         ("mse-probe", UW_LENGTH_0_TEXT, "uw_length must be >= 1, got 0"),
     ])
     def test_physical_input_out_of_range_exits_2(self, command, text, message,
                                                  tmp_path, capsys):
         """Before, these ended in a traceback (exit 1) or in rows of
-        nonsense with exit 0."""
+        nonsense with exit 0.  The count keys were accepted before; the
+        index sets fix the counts now."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text + "\nebn0_db = [10]\nmax_bits_per_point = 1000\n")
         out = tmp_path / "out.csv"
@@ -891,7 +900,7 @@ class TestCli:
         """An 8-sample unique word cannot absorb the 16-tap notch fixture;
         before, mse-probe ran it and wrote 44 rows."""
         cfg = tmp_path / "uw8.cfg"
-        cfg.write_text("uw_length = 8\nredundant_indices = [2, 6, 10, 17, 40, 47, 54, 62]\n"
+        cfg.write_text("redundant_indices = [2, 6, 10, 17, 40, 47, 54, 62]\n"
                        "zero_indices = [0, 1, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, "
                        "36, 37, 38, 39, 63, 3, 61]\nmse_symbols = 200\n")
         out = tmp_path / "mse.csv"
@@ -927,7 +936,7 @@ HOSTILE_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300",
 #: frame, and the Eb/N0 limits, where the noise variance is about 1e-102
 #: and 1e98.
 VALID_VALUES = {
-    "dft_size": ("64",), "data_count": ("36",), "uw_length": ("16",),
+    "dft_size": ("64",),
     "sample_rate_hz": ("20e6", "10e6"), "uw_energy_ratio": ("0", "0.07692307692307693", "0.5"),
     "zero_indices": ("[0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37]",),
     "redundant_indices": ("[2, 6, 10, 14, 17, 21, 24, 26, 38, 40, 43, 47, 50, 54, 58, 62]",),

@@ -129,17 +129,20 @@ class TestSolveLinear:
     def test_identity(self):
         rng = np.random.default_rng(3)
         b = random_complex(rng, 6)
-        np.testing.assert_allclose(solve_linear(np.eye(6), b), b)
+        x, cond = solve_linear(np.eye(6), b)
+        np.testing.assert_allclose(x, b)
+        assert cond == 1.0
 
     def test_scaled_identity(self):
-        x = solve_linear(2.0 * np.eye(4), np.eye(4))
+        x, _ = solve_linear(2.0 * np.eye(4), np.eye(4))
         np.testing.assert_allclose(x, 0.5 * np.eye(4), atol=1e-14)
 
     def test_residual_bound_random_system(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, (16, 16)).reshape(16, 16) + 4 * np.eye(16)
         b = random_complex(rng, 16)
-        x = solve_linear(a, b)
+        x, cond = solve_linear(a, b)
+        assert cond == np.linalg.cond(a)
         residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
         assert residual <= 1e-9
 
@@ -157,5 +160,5 @@ class TestSolveLinear:
         rng = np.random.default_rng(5)
         a = random_complex(rng, (12, 12)).reshape(12, 12) + 5 * np.eye(12)
         b = random_complex(rng, (12, 3)).reshape(12, 3)
-        x = solve_linear(a, b)
+        x, _ = solve_linear(a, b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-9
