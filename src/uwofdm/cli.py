@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ber-sweep", help="run a Monte-Carlo BER sweep")
     _add_flags(p, writes=True, channel=True)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes, at least 1 (default: 1)")
+                   help=f"parallel worker processes, 1 to {harness.MAX_WORKERS} (default: 1)")
 
     p = subs.add_parser("mse-probe", help="per-carrier MSE probe on a fixed channel")
     _add_flags(p, writes=True, channel=True)

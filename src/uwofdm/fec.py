@@ -6,12 +6,15 @@ array of LLRs, and a frame-terminated soft-decision Viterbi decoder that
 takes that array.
 
 All operations act on the last axis, so a leading batch axis of frames
-vectorizes the whole chain.  The Viterbi recursion runs the radix-2
-add-compare-select butterfly across the batch at each trellis step (the
-two predecessors of a state are adjacent, so no gather is needed) and
-keeps its survivor decisions bit-packed, one 64-bit word per step and
-frame, which the traceback reads with shifts.  Its path metrics are
-float32, on LLRs scaled exactly by a power of two per frame.
+vectorizes the whole chain.  The Viterbi recursion keeps the frame axis
+innermost: at each trellis step one add forms every candidate, and the
+compare and select run on two contiguous halves, since the state layout
+puts the two candidates of every state there.  The branch metrics of 8
+steps come from one product of a ±1 sign table with the LLR pairs, and
+the survivor decisions are packed 16 states to a uint16 word by a
+second product with powers of two; both products are exact.  The
+traceback reads the words with shifts.  Path metrics are float32, on
+LLRs scaled exactly by a power of two per frame.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ def _parity(x: np.ndarray) -> np.ndarray:
 _TAPS0 = [d for d in range(7) if (G0_OCTAL >> (6 - d)) & 1]
 _TAPS1 = [d for d in range(7) if (G1_OCTAL >> (6 - d)) & 1]
 
-# Butterfly branch signs (+1 for a 0 output bit) indexed (bit, j, k):
-# input bit ``bit`` moves predecessor state 2j + k to state 32 * bit + j.
-_REGISTER = (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32)[:, None] + np.arange(2))
+# Branch signs (+1 for a 0 output bit) indexed (bit, k, j): input bit
+# ``bit`` moves predecessor state 2j + k to state 32 * bit + j.
+_REGISTER = (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32) + np.arange(2)[:, None])
 BRANCH_W0 = 1.0 - 2.0 * _parity(_REGISTER & G0_OCTAL)
 BRANCH_W1 = 1.0 - 2.0 * _parity(_REGISTER & G1_OCTAL)
 
@@ -201,6 +204,15 @@ def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> np.nd
 
 NEG_INF = -1e30
 
+#: Trellis steps whose branch metrics come from one product.
+VITERBI_CHUNK = 8
+
+# Row (bit, k, j) of the branch table holds that branch's two signs, so
+# one product with a step's (l0, l1) rows gives every branch metric.
+_BRANCH_TABLE = np.stack([BRANCH_W0.ravel(), BRANCH_W1.ravel()], axis=1).astype(np.float32)
+# Word w of a step's survivors holds the decisions of states 16w..16w+15.
+_PACK = np.kron(np.eye(4), 2.0 ** np.arange(16)).astype(np.float32)
+
 
 def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
     """Maximum-likelihood decode of a zero-state-terminated frame.
@@ -214,9 +226,21 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
     noiseless point cannot overflow and no renormalization is needed.
     Decisions are invariant under power-of-two LLR scaling (integer LLRs
     below 2**24 decode as in float64), and under any other positive scale
-    up to float32 rounding.  An LLR column that is zero in every frame
-    (a punctured one) adds nothing and is skipped.  A tie keeps the even
-    predecessor.
+    up to float32 rounding.  A tie keeps the even predecessor.
+
+    The frame axis is innermost.  The metrics are a (2, 32, batch)
+    array whose [k, j] holds state 2j + k, so the candidates of state
+    32 * bit + j, from predecessors 2j and 2j + 1, sit in two contiguous
+    halves, and the maximum writes each new state back into that layout
+    through one fixed view.  The branch metrics of ``VITERBI_CHUNK``
+    steps are one float32 product of the ±1 sign table with the scaled
+    (l0, l1) pairs, so each entry is the correctly rounded l0·w0 + l1·w1
+    and a path metric is m + (l0·w0 + l1·w1); a zero LLR adds an exact
+    0.  Each step's 0/1 decisions are packed 16 states to a uint16 word
+    by a second product, of distinct powers of two below 2**16.  Both
+    products are exact, so no BLAS kernel or thread count can move a
+    decision.  The traceback reads bit ``state & 15`` of word
+    ``state >> 4``.
     """
     llrs = np.asarray(llrs, dtype=float)
     single = llrs.ndim == 1
@@ -227,48 +251,42 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
             f"expected {2 * steps} LLRs for {n_info} info bits, got {llrs.shape[-1]}")
     batch = llrs.shape[0]
     _, exponent = np.frexp(np.abs(llrs).max(axis=-1, keepdims=True))
-    llrs = np.ldexp(llrs, -exponent).astype(np.float32)
-    live = llrs.any(axis=0)
+    # pairs[t, i, b] is LLR 2t + i of frame b.
+    pairs = np.empty((steps, 2, batch), dtype=np.float32)
+    pairs[...] = np.ldexp(llrs, -exponent).reshape(batch, steps, 2).transpose(1, 2, 0)
 
-    # metrics[b, 0, j, k] belongs to state 2j + k; broadcast against the
-    # (bit, j, k) branch signs it gives both candidates of every state.
-    metrics = np.full((batch, 1, 32, 2), NEG_INF, dtype=np.float32)
-    metrics[:, 0, 0, 0] = 0.0
-    new_metrics = metrics.reshape(batch, 2, 32)
-    cand = np.empty((batch, 2, 32, 2), dtype=np.float32)
-    term = np.empty_like(cand)
-    # An LLR copied across the states, then multiplied by whole C-order
-    # sign arrays, costs about half of one broadcast multiply.
-    w0 = np.broadcast_to(BRANCH_W0, cand.shape).astype(np.float32, order="C")
-    w1 = np.broadcast_to(BRANCH_W1, cand.shape).astype(np.float32, order="C")
-    choice = np.empty((batch, 2, 32), dtype=bool)
-    # Bit s of survivors[t, b] is set when state s took predecessor 2j + 1.
-    survivors = np.empty((steps, batch), dtype="<u8")
-    survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
+    metrics = np.full((2, 32, batch), NEG_INF, dtype=np.float32)
+    metrics[0, 0] = 0.0
+    # new_metrics[bit, j >> 1, j & 1] is metrics[j & 1, 16 * bit + (j >> 1)],
+    # the slot of state 32 * bit + j.
+    new_metrics = metrics.reshape(2, 2, 16, batch).transpose(1, 2, 0, 3)
+    branch = np.empty((VITERBI_CHUNK, 2, 2, 32, batch), dtype=np.float32)
+    cand = np.empty((2, 2, 32, batch), dtype=np.float32)
+    # decisions[i, bit, j] is 1 when state 32 * bit + j took predecessor 2j + 1.
+    decisions = np.empty((VITERBI_CHUNK, 2, 32, batch), dtype=np.float32)
+    packed = np.empty((VITERBI_CHUNK, 4, batch), dtype=np.float32)
+    survivors = np.empty((steps, 4, batch), dtype=np.uint16)
 
-    for t in range(steps):
-        if live[2 * t]:
-            np.copyto(cand, llrs[:, 2 * t, None, None, None])
-            np.multiply(cand, w0, out=cand)
-            np.add(metrics, cand, out=cand)
-        else:
-            np.copyto(cand, metrics)
-        if live[2 * t + 1]:
-            np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
-            np.multiply(term, w1, out=term)
-            np.add(cand, term, out=cand)
-        np.greater(cand[..., 1], cand[..., 0], out=choice)
-        np.maximum(cand[..., 0], cand[..., 1], out=new_metrics)
-        survivor_bytes[t] = np.packbits(choice.reshape(batch, 64), axis=-1,
-                                        bitorder="little")
+    for t0 in range(0, steps, VITERBI_CHUNK):
+        n = min(VITERBI_CHUNK, steps - t0)
+        np.matmul(_BRANCH_TABLE, pairs[t0:t0 + n],
+                  out=branch[:n].reshape(n, 128, batch))
+        for i in range(n):
+            np.add(metrics, branch[i], out=cand)
+            np.greater(cand[:, 1], cand[:, 0], out=decisions[i])
+            np.maximum(cand[:, 0].reshape(2, 16, 2, batch),
+                       cand[:, 1].reshape(2, 16, 2, batch), out=new_metrics)
+        np.matmul(_PACK, decisions[:n].reshape(n, 64, batch), out=packed[:n])
+        survivors[t0:t0 + n] = packed[:n]
 
     # Terminated frames end in the zero state.
-    state = np.zeros(batch, dtype=np.uint64)
-    five, mask, one = np.uint64(5), np.uint64(31), np.uint64(1)
+    state = np.zeros(batch, dtype=np.intp)
+    frames = np.arange(batch)
     decoded = np.empty((batch, n_info), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
         if t < n_info:
-            decoded[:, t] = state >> five
-        state = ((state & mask) << one) | ((survivors[t] >> state) & one)
+            decoded[:, t] = state >> 5
+        choice = (survivors[t, state >> 4, frames] >> (state & 15)) & 1
+        state = ((state & 31) << 1) | choice
 
     return decoded[0] if single else decoded

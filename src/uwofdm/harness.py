@@ -54,6 +54,10 @@ BATCH_FRAMES = 256
 #: complex (BATCH_FRAMES, frame_symbols, 64) batch array is then 256 MiB.
 MAX_FRAME_SYMBOLS = 1024
 
+#: Largest accepted worker count: a pool starts all its processes at
+#: the first batch, so a mistyped count must not reach it.
+MAX_WORKERS = 64
+
 #: Ensemble frames per group (one stacked channel draw and equalizer
 #: build); bounds memory, never changes the output.
 ENSEMBLE_GROUP_FRAMES = 16
@@ -373,9 +377,11 @@ def _make_point(ebn0_db, bits, errors, frames, frame_errors, min_errors) -> BerP
 
 def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
     """Run the sweep; results depend only on (spec, seed), never on the
-    worker count, which must be at least 1."""
+    worker count, which must lie between 1 and ``MAX_WORKERS``."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     _keep_freed_memory()
     ctx = _context(spec)  # fail fast on config/fixture problems
     if ctx.fixture_id != _fixture_id(spec.channel):  # the fixture was rewritten

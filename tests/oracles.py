@@ -6,8 +6,9 @@ the zero-tail time symbol, an explicit inverse DFT matrix, the scattered
 cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
 closed form of the cyclic-prefix baseline, the closed form of uncoded
 zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
-extended precision and the semi-analytic BER of uncoded uw-lmmse built
-on it.  The simulator itself never calls them."""
+extended precision, the semi-analytic BER of uncoded uw-lmmse built
+on it, and the frame-major float32 Viterbi butterfly.  The simulator
+itself never calls them."""
 
 import math
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization
-from uwofdm.fec import QPSK_SCALE, qpsk_map
+from uwofdm.fec import G0_OCTAL, G1_OCTAL, NEG_INF, QPSK_SCALE, TAIL_BITS, qpsk_map
 from uwofdm.frame import OfdmSystemConfig, RedundancyGenerator, derive_generator
 from uwofdm.numerics import inverse_dft, solve_linear
 from uwofdm.txchain import build_unique_word
@@ -330,3 +331,75 @@ def uncoded_lmmse_ber(config: OfdmSystemConfig, taps: np.ndarray, ebn0_db: float
     mean = d + d @ bias.T
     margins = np.concatenate([np.sign(d.real) * mean.real, np.sign(d.imag) * mean.imag]) / std
     return float(np.mean(np.vectorize(q_function)(margins)))
+
+
+# ---------------------------------------------------------------------------
+# Frame-major Viterbi butterfly
+
+def _butterfly_signs(generator: int) -> np.ndarray:
+    """Branch signs (+1 for a 0 output bit) indexed (bit, j, k): input
+    bit ``bit`` moves predecessor state 2j + k to state 32 * bit + j."""
+    register = (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32)[:, None] + np.arange(2))
+    parity = np.vectorize(lambda x: bin(int(x)).count("1") & 1)
+    return 1.0 - 2.0 * parity(register & generator)
+
+
+BUTTERFLY_W0 = _butterfly_signs(G0_OCTAL)
+BUTTERFLY_W1 = _butterfly_signs(G1_OCTAL)
+
+
+def butterfly_viterbi(llrs: np.ndarray, n_info: int) -> np.ndarray:
+    """Reference decoder with the frame axis outermost: float32 metrics
+    as (batch, 32, 2), whose [j, k] is state 2j + k, a path metric
+    summed as (m + l0·w0) + l1·w1, compare and select on the stride-2
+    candidate pairs, and one 64-bit survivor word per step and frame
+    from ``np.packbits``.  LLRs are scaled per frame by a power of two
+    as in ``fec.viterbi_decode``, and an LLR column that is zero in
+    every frame is skipped.  A tie keeps the even predecessor."""
+    llrs = np.asarray(llrs, dtype=float)
+    single = llrs.ndim == 1
+    llrs = np.atleast_2d(llrs)
+    steps = n_info + TAIL_BITS
+    batch = llrs.shape[0]
+    _, exponent = np.frexp(np.abs(llrs).max(axis=-1, keepdims=True))
+    llrs = np.ldexp(llrs, -exponent).astype(np.float32)
+    live = llrs.any(axis=0)
+
+    metrics = np.full((batch, 1, 32, 2), NEG_INF, dtype=np.float32)
+    metrics[:, 0, 0, 0] = 0.0
+    new_metrics = metrics.reshape(batch, 2, 32)
+    cand = np.empty((batch, 2, 32, 2), dtype=np.float32)
+    term = np.empty_like(cand)
+    w0 = np.broadcast_to(BUTTERFLY_W0, cand.shape).astype(np.float32, order="C")
+    w1 = np.broadcast_to(BUTTERFLY_W1, cand.shape).astype(np.float32, order="C")
+    choice = np.empty((batch, 2, 32), dtype=bool)
+    # Bit s of survivors[t, b] is set when state s took predecessor 2j + 1.
+    survivors = np.empty((steps, batch), dtype="<u8")
+    survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
+
+    for t in range(steps):
+        if live[2 * t]:
+            np.copyto(cand, llrs[:, 2 * t, None, None, None])
+            np.multiply(cand, w0, out=cand)
+            np.add(metrics, cand, out=cand)
+        else:
+            np.copyto(cand, metrics)
+        if live[2 * t + 1]:
+            np.copyto(term, llrs[:, 2 * t + 1, None, None, None])
+            np.multiply(term, w1, out=term)
+            np.add(cand, term, out=cand)
+        np.greater(cand[..., 1], cand[..., 0], out=choice)
+        np.maximum(cand[..., 0], cand[..., 1], out=new_metrics)
+        survivor_bytes[t] = np.packbits(choice.reshape(batch, 64), axis=-1,
+                                        bitorder="little")
+
+    # Terminated frames end in the zero state.
+    state = np.zeros(batch, dtype=np.uint64)
+    five, mask, one = np.uint64(5), np.uint64(31), np.uint64(1)
+    decoded = np.empty((batch, n_info), dtype=np.uint8)
+    for t in range(steps - 1, -1, -1):
+        if t < n_info:
+            decoded[:, t] = state >> five
+        state = ((state & mask) << one) | ((survivors[t] >> state) & one)
+
+    return decoded[0] if single else decoded

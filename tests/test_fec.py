@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uwofdm import fec
 
-from oracles import arithmetic_qpsk_map
+from oracles import BUTTERFLY_W0, BUTTERFLY_W1, arithmetic_qpsk_map, butterfly_viterbi
 
 
 def awgn_llrs(bits, sigma2, rng):
@@ -194,8 +194,8 @@ def gather_viterbi(llrs, n_info, g0=fec.G0_OCTAL, g1=fec.G1_OCTAL):
 
 
 def float64_viterbi(llrs, n_info):
-    """Reference decoder: the same radix-2 butterfly and bit-packed
-    survivors as ``fec.viterbi_decode``, on unscaled float64 metrics with
+    """Reference decoder: the radix-2 butterfly and bit-packed survivors
+    of ``oracles.butterfly_viterbi``, on unscaled float64 metrics with
     every LLR column added."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
     steps = n_info + fec.TAIL_BITS
@@ -205,8 +205,8 @@ def float64_viterbi(llrs, n_info):
     new_metrics = metrics.reshape(batch, 2, 32)
     cand = np.empty((batch, 2, 32, 2))
     term = np.empty_like(cand)
-    w0 = np.broadcast_to(fec.BRANCH_W0, cand.shape).copy()
-    w1 = np.broadcast_to(fec.BRANCH_W1, cand.shape).copy()
+    w0 = np.broadcast_to(BUTTERFLY_W0, cand.shape).copy()
+    w1 = np.broadcast_to(BUTTERFLY_W1, cand.shape).copy()
     choice = np.empty((batch, 2, 32), dtype=bool)
     survivors = np.empty((steps, batch), dtype="<u8")
     survivor_bytes = survivors.view(np.uint8).reshape(steps, batch, 8)
@@ -304,6 +304,66 @@ class TestFloat32Metrics:
             np.testing.assert_array_equal(bits, fec.viterbi_decode(row, 48))
         np.testing.assert_array_equal(decoded[1:3], decoded[[0, 0]])
         np.testing.assert_array_equal(decoded[3], gather_viterbi(llrs[3], 48))
+
+
+class TestBatchInnermostDecoder:
+    """The seams of the batch-innermost forward loop: the sweep's
+    rate-3/4 frame, chunk edges, the two products and the frame-major
+    decoder it replaced."""
+
+    def test_sweep_rate_three_quarters_frame(self):
+        rng = np.random.default_rng(67)
+        llrs = noisy_stream(rng, (256, 426), "3/4", 0.6)
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, 426), gather_viterbi(llrs, 426))
+
+    @pytest.mark.parametrize("batch,n_info", [(1, 1), (3, 1), (5, 13), (1, 51), (257, 29)])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_chunk_edges(self, batch, n_info, integer):
+        """Fewer steps than one chunk (7 at n_info = 1), step counts that
+        are not a multiple of ``VITERBI_CHUNK``, one frame and 257."""
+        assert (n_info + fec.TAIL_BITS) % fec.VITERBI_CHUNK
+        rng = np.random.default_rng(68)
+        llrs = noisy_stream(rng, (batch, n_info), "1/2", 1.0)
+        if integer:
+            llrs = np.round(2 * llrs)
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
+                                      gather_viterbi(llrs, n_info))
+
+    @pytest.mark.parametrize("batch", [1, 256, 257])
+    def test_branch_product_is_elementwise(self, batch):
+        """One product gives l0*w0 + l1*w1 in (bit, k, j) order, bit for
+        bit, punctured zero columns included."""
+        rng = np.random.default_rng(69)
+        pairs = rng.uniform(-1, 1, (fec.VITERBI_CHUNK, 2, batch)).astype(np.float32)
+        pairs[::3, 1] = 0.0
+        product = np.matmul(fec._BRANCH_TABLE, pairs).reshape(-1, 2, 2, 32, batch)
+        w0 = fec.BRANCH_W0.astype(np.float32)[..., None]
+        w1 = fec.BRANCH_W1.astype(np.float32)[..., None]
+        l0 = pairs[:, 0, None, None, None]
+        l1 = pairs[:, 1, None, None, None]
+        np.testing.assert_array_equal(product, l0 * w0 + l1 * w1)
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    def test_packing_product_matches_packbits(self, batch):
+        rng = np.random.default_rng(70)
+        decisions = rng.integers(0, 2, (fec.VITERBI_CHUNK, 64, batch)).astype(np.float32)
+        decisions[0] = 1.0
+        decisions[1] = 0.0
+        words = np.matmul(fec._PACK, decisions).astype(np.uint16)
+        expected = np.packbits(decisions.astype(bool).transpose(0, 2, 1), axis=-1,
+                               bitorder="little").view("<u2").transpose(0, 2, 1)
+        np.testing.assert_array_equal(words, expected)
+
+    @pytest.mark.parametrize("n_info,rate,sigma2", [(282, "1/2", 1.0), (282, "1/2", 0.5),
+                                                    (426, "3/4", 0.6), (426, "3/4", 0.3)])
+    def test_agrees_with_frame_major_butterfly(self, n_info, rate, sigma2):
+        """The metric's association moved from (m + l0w0) + l1w1 to
+        m + (l0w0 + l1w1), so float32 rounding may split a near-tie.
+        The noise levels leave decoded BERs from about 0.3 to 4e-4."""
+        rng = np.random.default_rng(71)
+        llrs = noisy_stream(rng, (256, n_info), rate, sigma2)
+        differ = fec.viterbi_decode(llrs, n_info) != butterfly_viterbi(llrs, n_info)
+        assert differ.mean() <= 1e-3
 
 
 class TestViterbiDecode:

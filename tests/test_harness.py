@@ -507,6 +507,15 @@ class TestConfigFile:
         assert values["zero_indices"] == (0, 4)
 
 
+class _PoolRequested(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    """Stand-in for ``ProcessPoolExecutor`` that starts nothing."""
+    raise _PoolRequested(f"pool constructed with max_workers={kwargs.get('max_workers')}")
+
+
 class TestCli:
     def test_derive(self, capsys):
         code = cli.main(["derive", "--config", str(REFERENCE_CFG_FILE)])
@@ -586,6 +595,26 @@ class TestCli:
         assert code == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["65", "100000"])
+    def test_workers_above_limit_exits_2(self, workers, tmp_path, capsys, monkeypatch):
+        """Refused before any pool exists: constructing one fails the test."""
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--workers", workers, "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert f"workers must be <= {harness.MAX_WORKERS}, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_worker_limit_checked_before_the_pool(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+        with pytest.raises(ConfigError, match="<= 64, got 65"):
+            harness.run_ber_sweep(small_spec(), workers=harness.MAX_WORKERS + 1)
+        # At the limit the check passes and the pool is the next step;
+        # the stand-in refuses, so no process starts.
+        with pytest.raises(_PoolRequested, match="max_workers=64"):
+            harness.run_ber_sweep(small_spec(), workers=harness.MAX_WORKERS)
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
