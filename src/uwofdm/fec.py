@@ -7,13 +7,16 @@ takes that array.
 
 All operations act on the last axis, so a leading batch axis of frames
 vectorizes the whole chain.  The Viterbi recursion keeps the frame axis
-innermost: at each trellis step one add forms every candidate, and the
-compare and select run on two contiguous halves, since the state layout
-puts the two candidates of every state there.  The branch metrics of 8
-steps come from one product of a ±1 sign table with the LLR pairs, and
-the survivor decisions are packed 16 states to a uint16 word by a
-second product with powers of two; both products are exact.  The
-traceback reads the words with shifts.  Path metrics are float32, on
+innermost: the four branches of each butterfly carry one metric beta up
+to sign, so at each trellis step one add and one subtract of beta form
+every candidate, and the compare and select run on two contiguous
+halves, since the state layout puts the two candidates of every state
+there.  The betas of 8 steps come from one product of a 32-row ±1 sign
+table with the LLR pairs, and the survivor decisions are packed 16
+states to a uint16 word by a second product with powers of two; both
+products are exact.  A step's four words read as one 64-bit word per
+frame whose bit s is state s's decision, so the traceback is a few
+elementwise shifts and masks per step.  Path metrics are float32, on
 LLRs scaled exactly by a power of two per frame.
 """
 
@@ -207,11 +210,14 @@ NEG_INF = -1e30
 #: Trellis steps whose branch metrics come from one product.
 VITERBI_CHUNK = 8
 
-# Row (bit, k, j) of the branch table holds that branch's two signs, so
-# one product with a step's (l0, l1) rows gives every branch metric.
-_BRANCH_TABLE = np.stack([BRANCH_W0.ravel(), BRANCH_W1.ravel()], axis=1).astype(np.float32)
-# Word w of a step's survivors holds the decisions of states 16w..16w+15.
-_PACK = np.kron(np.eye(4), 2.0 ** np.arange(16)).astype(np.float32)
+# Both generators tap the newest and the oldest register bit, so the
+# four branches of butterfly j differ only in sign: BRANCH_W*[bit, k, j]
+# is BRANCH_W*[0, 0, j] when bit == k and its negative otherwise.  Row j
+# of the table holds the two signs of branch (0, 0, j), so one product
+# with a step's (l0, l1) rows gives the butterfly's metric beta[j].
+_BRANCH_TABLE = np.stack([BRANCH_W0[0, 0], BRANCH_W1[0, 0]], axis=1).astype(np.float32)
+# Column w packs the decisions of states 16w..16w+15 into word w.
+_PACK = np.kron(np.eye(4), 2.0 ** np.arange(16)[:, None]).astype(np.float32)
 
 
 def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
@@ -226,31 +232,45 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
     noiseless point cannot overflow and no renormalization is needed.
     Decisions are invariant under power-of-two LLR scaling (integer LLRs
     below 2**24 decode as in float64), and under any other positive scale
-    up to float32 rounding.  A tie keeps the even predecessor.
+    up to float32 rounding.  A tie keeps the even predecessor.  A NaN or
+    infinite LLR, or ``n_info`` below 1, raises ``ValueError``.
 
     The frame axis is innermost.  The metrics are a (2, 32, batch)
     array whose [k, j] holds state 2j + k, so the candidates of state
     32 * bit + j, from predecessors 2j and 2j + 1, sit in two contiguous
     halves, and the maximum writes each new state back into that layout
-    through one fixed view.  The branch metrics of ``VITERBI_CHUNK``
-    steps are one float32 product of the ±1 sign table with the scaled
-    (l0, l1) pairs, so each entry is the correctly rounded l0·w0 + l1·w1
-    and a path metric is m + (l0·w0 + l1·w1); a zero LLR adds an exact
-    0.  Each step's 0/1 decisions are packed 16 states to a uint16 word
-    by a second product, of distinct powers of two below 2**16.  Both
-    products are exact, so no BLAS kernel or thread count can move a
-    decision.  The traceback reads bit ``state & 15`` of word
-    ``state >> 4``.
+    through one fixed view.  Butterfly j's four branch metrics are
+    ±beta[j], beta = l0·w0 + l1·w1 with the signs of branch (0, 0, j):
+    +beta when bit == k, -beta otherwise.  The betas of
+    ``VITERBI_CHUNK`` steps are one float32 product of the (32, 2) sign
+    table with the scaled (l0, l1) pairs, so each is one correctly
+    rounded sum, and a step forms its candidates in two calls,
+    metrics + beta and metrics[::-1] - beta; negation is exact, so a
+    path metric is m + (l0·w0 + l1·w1) on every branch, and a zero LLR
+    adds an exact 0.  Each step's 0/1 decisions are packed 16 states to
+    a uint16 word by a second product, of distinct powers of two below
+    2**16, and stored (step, frame, word), so the four little-endian
+    words of a step and frame read as one 64-bit word whose bit s is
+    state s's decision.  Both products are exact, so no BLAS kernel or
+    thread count can move a decision.  The traceback is elementwise on
+    the frames: state = ((state & 31) << 1) | ((word >> state) & 1).
     """
     llrs = np.asarray(llrs, dtype=float)
     single = llrs.ndim == 1
     llrs = np.atleast_2d(llrs)
+    if n_info < 1:
+        raise ValueError(f"n_info must be >= 1, got {n_info}")
     steps = n_info + TAIL_BITS
     if llrs.shape[-1] != 2 * steps:
         raise ValueError(
             f"expected {2 * steps} LLRs for {n_info} info bits, got {llrs.shape[-1]}")
     batch = llrs.shape[0]
-    _, exponent = np.frexp(np.abs(llrs).max(axis=-1, keepdims=True))
+    peak = np.abs(llrs).max(axis=-1, keepdims=True)
+    # NaN and inf propagate through the maximum, so the peak shows them.
+    bad = np.flatnonzero(~np.isfinite(peak))
+    if bad.size:
+        raise ValueError(f"frame {bad[0]} has a non-finite LLR")
+    _, exponent = np.frexp(peak)
     # pairs[t, i, b] is LLR 2t + i of frame b.
     pairs = np.empty((steps, 2, batch), dtype=np.float32)
     pairs[...] = np.ldexp(llrs, -exponent).reshape(batch, steps, 2).transpose(1, 2, 0)
@@ -260,33 +280,40 @@ def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:
     # new_metrics[bit, j >> 1, j & 1] is metrics[j & 1, 16 * bit + (j >> 1)],
     # the slot of state 32 * bit + j.
     new_metrics = metrics.reshape(2, 2, 16, batch).transpose(1, 2, 0, 3)
-    branch = np.empty((VITERBI_CHUNK, 2, 2, 32, batch), dtype=np.float32)
-    cand = np.empty((2, 2, 32, batch), dtype=np.float32)
+    swapped = metrics[::-1]
+    beta = np.empty((VITERBI_CHUNK, 32, batch), dtype=np.float32)
+    # cand[2 * bit + k, j] is state 32 * bit + j's candidate from 2j + k.
+    cand = np.empty((4, 32, batch), dtype=np.float32)
+    plus, minus = cand[0::3], cand[1:3]
+    even, odd = cand.reshape(2, 2, 32, batch).transpose(1, 0, 2, 3)
+    even_pairs, odd_pairs = even.reshape(2, 16, 2, batch), odd.reshape(2, 16, 2, batch)
     # decisions[i, bit, j] is 1 when state 32 * bit + j took predecessor 2j + 1.
     decisions = np.empty((VITERBI_CHUNK, 2, 32, batch), dtype=np.float32)
-    packed = np.empty((VITERBI_CHUNK, 4, batch), dtype=np.float32)
-    survivors = np.empty((steps, 4, batch), dtype=np.uint16)
+    packed = np.empty((VITERBI_CHUNK, batch, 4), dtype=np.float32)
+    survivors = np.empty((steps, batch, 4), dtype="<u2")
 
     for t0 in range(0, steps, VITERBI_CHUNK):
         n = min(VITERBI_CHUNK, steps - t0)
-        np.matmul(_BRANCH_TABLE, pairs[t0:t0 + n],
-                  out=branch[:n].reshape(n, 128, batch))
+        np.matmul(_BRANCH_TABLE, pairs[t0:t0 + n], out=beta[:n])
         for i in range(n):
-            np.add(metrics, branch[i], out=cand)
-            np.greater(cand[:, 1], cand[:, 0], out=decisions[i])
-            np.maximum(cand[:, 0].reshape(2, 16, 2, batch),
-                       cand[:, 1].reshape(2, 16, 2, batch), out=new_metrics)
-        np.matmul(_PACK, decisions[:n].reshape(n, 64, batch), out=packed[:n])
+            np.add(metrics, beta[i], out=plus)
+            np.subtract(swapped, beta[i], out=minus)
+            np.greater(odd, even, out=decisions[i])
+            np.maximum(even_pairs, odd_pairs, out=new_metrics)
+        np.matmul(decisions[:n].reshape(n, 64, batch).transpose(0, 2, 1), _PACK,
+                  out=packed[:n])
         survivors[t0:t0 + n] = packed[:n]
 
+    # words[t, b]: bit s is the decision of state s at step t of frame b.
+    words = survivors.view("<u8").reshape(steps, batch)
     # Terminated frames end in the zero state.
-    state = np.zeros(batch, dtype=np.intp)
-    frames = np.arange(batch)
-    decoded = np.empty((batch, n_info), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.uint64)
+    five, mask, one = np.uint64(5), np.uint64(31), np.uint64(1)
+    decoded = np.empty((n_info, batch), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
         if t < n_info:
-            decoded[:, t] = state >> 5
-        choice = (survivors[t, state >> 4, frames] >> (state & 15)) & 1
-        state = ((state & 31) << 1) | choice
+            decoded[t] = state >> five
+        state = ((state & mask) << one) | ((words[t] >> state) & one)
 
+    decoded = np.ascontiguousarray(decoded.T)
     return decoded[0] if single else decoded

@@ -7,8 +7,9 @@ cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
 closed form of the cyclic-prefix baseline, the closed form of uncoded
 zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
 extended precision, the semi-analytic BER of uncoded uw-lmmse built
-on it, and the frame-major float32 Viterbi butterfly.  The simulator
-itself never calls them."""
+on it, the frame-major float32 Viterbi butterfly, and the
+batch-innermost Viterbi with a full branch table and a gather
+traceback.  The simulator itself never calls them."""
 
 import math
 
@@ -401,5 +402,77 @@ def butterfly_viterbi(llrs: np.ndarray, n_info: int) -> np.ndarray:
         if t < n_info:
             decoded[:, t] = state >> five
         state = ((state & mask) << one) | ((survivors[t] >> state) & one)
+
+    return decoded[0] if single else decoded
+
+
+# ---------------------------------------------------------------------------
+# Batch-innermost Viterbi with the full branch table and a gather traceback
+
+# Row (bit, k, j) holds that branch's two signs: the (bit, j, k) tables
+# above, transposed.
+_INNERMOST_BRANCH_TABLE = np.stack([BUTTERFLY_W0.transpose(0, 2, 1).ravel(),
+                                    BUTTERFLY_W1.transpose(0, 2, 1).ravel()],
+                                   axis=1).astype(np.float32)
+# Word w of a step's survivors holds the decisions of states 16w..16w+15.
+_INNERMOST_PACK = np.kron(np.eye(4), 2.0 ** np.arange(16)).astype(np.float32)
+_INNERMOST_CHUNK = 8
+
+
+def batch_innermost_viterbi(llrs: np.ndarray, n_info: int) -> np.ndarray:
+    """Reference decoder with the frame axis innermost, as
+    ``fec.viterbi_decode`` stood before its branch metrics shrank to one
+    per butterfly: metrics (2, 32, batch) with [k, j] holding state
+    2j + k, all 128 branch metrics of a step from one (128, 2) sign-table
+    product, one add per step, float32 0/1 decisions packed into
+    (steps, 4, batch) uint16 words, and a traceback that gathers word
+    ``state >> 4`` of each frame.  Same scaling, association and tie rule,
+    so its output must equal the package's bit for bit."""
+    llrs = np.asarray(llrs, dtype=float)
+    single = llrs.ndim == 1
+    llrs = np.atleast_2d(llrs)
+    steps = n_info + TAIL_BITS
+    if llrs.shape[-1] != 2 * steps:
+        raise ValueError(
+            f"expected {2 * steps} LLRs for {n_info} info bits, got {llrs.shape[-1]}")
+    batch = llrs.shape[0]
+    _, exponent = np.frexp(np.abs(llrs).max(axis=-1, keepdims=True))
+    # pairs[t, i, b] is LLR 2t + i of frame b.
+    pairs = np.empty((steps, 2, batch), dtype=np.float32)
+    pairs[...] = np.ldexp(llrs, -exponent).reshape(batch, steps, 2).transpose(1, 2, 0)
+
+    metrics = np.full((2, 32, batch), NEG_INF, dtype=np.float32)
+    metrics[0, 0] = 0.0
+    # new_metrics[bit, j >> 1, j & 1] is metrics[j & 1, 16 * bit + (j >> 1)],
+    # the slot of state 32 * bit + j.
+    new_metrics = metrics.reshape(2, 2, 16, batch).transpose(1, 2, 0, 3)
+    branch = np.empty((_INNERMOST_CHUNK, 2, 2, 32, batch), dtype=np.float32)
+    cand = np.empty((2, 2, 32, batch), dtype=np.float32)
+    # decisions[i, bit, j] is 1 when state 32 * bit + j took predecessor 2j + 1.
+    decisions = np.empty((_INNERMOST_CHUNK, 2, 32, batch), dtype=np.float32)
+    packed = np.empty((_INNERMOST_CHUNK, 4, batch), dtype=np.float32)
+    survivors = np.empty((steps, 4, batch), dtype=np.uint16)
+
+    for t0 in range(0, steps, _INNERMOST_CHUNK):
+        n = min(_INNERMOST_CHUNK, steps - t0)
+        np.matmul(_INNERMOST_BRANCH_TABLE, pairs[t0:t0 + n],
+                  out=branch[:n].reshape(n, 128, batch))
+        for i in range(n):
+            np.add(metrics, branch[i], out=cand)
+            np.greater(cand[:, 1], cand[:, 0], out=decisions[i])
+            np.maximum(cand[:, 0].reshape(2, 16, 2, batch),
+                       cand[:, 1].reshape(2, 16, 2, batch), out=new_metrics)
+        np.matmul(_INNERMOST_PACK, decisions[:n].reshape(n, 64, batch), out=packed[:n])
+        survivors[t0:t0 + n] = packed[:n]
+
+    # Terminated frames end in the zero state.
+    state = np.zeros(batch, dtype=np.intp)
+    frames = np.arange(batch)
+    decoded = np.empty((batch, n_info), dtype=np.uint8)
+    for t in range(steps - 1, -1, -1):
+        if t < n_info:
+            decoded[:, t] = state >> 5
+        choice = (survivors[t, state >> 4, frames] >> (state & 15)) & 1
+        state = ((state & 31) << 1) | choice
 
     return decoded[0] if single else decoded

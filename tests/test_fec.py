@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from uwofdm import fec
 
-from oracles import BUTTERFLY_W0, BUTTERFLY_W1, arithmetic_qpsk_map, butterfly_viterbi
+from oracles import (BUTTERFLY_W0, BUTTERFLY_W1, arithmetic_qpsk_map, batch_innermost_viterbi,
+                     butterfly_viterbi)
 
 
 def awgn_llrs(bits, sigma2, rng):
@@ -329,19 +330,36 @@ class TestBatchInnermostDecoder:
         np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
                                       gather_viterbi(llrs, n_info))
 
+    def test_butterfly_sign_identity(self):
+        """Both generators tap the newest and the oldest register bit, so
+        the four branches of butterfly j carry one metric up to sign:
+        + when bit == k, - otherwise."""
+        for generator, signs in ((fec.G0_OCTAL, fec.BRANCH_W0), (fec.G1_OCTAL, fec.BRANCH_W1)):
+            assert generator & 0b1000001 == 0b1000001
+            for bit in range(2):
+                for k in range(2):
+                    np.testing.assert_array_equal(
+                        signs[bit, k], (1 if bit == k else -1) * signs[0, 0])
+
     @pytest.mark.parametrize("batch", [1, 256, 257])
     def test_branch_product_is_elementwise(self, batch):
-        """One product gives l0*w0 + l1*w1 in (bit, k, j) order, bit for
-        bit, punctured zero columns included."""
+        """One product with the 32-row table gives beta = l0*w0 + l1*w1
+        per butterfly, bit for bit, and +-beta is every (bit, k, j)
+        branch metric of the full sign tables, punctured zero columns
+        included."""
         rng = np.random.default_rng(69)
         pairs = rng.uniform(-1, 1, (fec.VITERBI_CHUNK, 2, batch)).astype(np.float32)
         pairs[::3, 1] = 0.0
-        product = np.matmul(fec._BRANCH_TABLE, pairs).reshape(-1, 2, 2, 32, batch)
+        beta = np.matmul(fec._BRANCH_TABLE, pairs)
+        assert beta.shape == (fec.VITERBI_CHUNK, 32, batch)
         w0 = fec.BRANCH_W0.astype(np.float32)[..., None]
         w1 = fec.BRANCH_W1.astype(np.float32)[..., None]
         l0 = pairs[:, 0, None, None, None]
         l1 = pairs[:, 1, None, None, None]
-        np.testing.assert_array_equal(product, l0 * w0 + l1 * w1)
+        full = l0 * w0 + l1 * w1
+        np.testing.assert_array_equal(beta, full[:, 0, 0])
+        same = np.array([[1, -1], [-1, 1]], dtype=np.float32)[:, :, None, None]
+        np.testing.assert_array_equal(same * beta[:, None, None], full)
 
     @pytest.mark.parametrize("batch", [1, 256])
     def test_packing_product_matches_packbits(self, batch):
@@ -349,10 +367,25 @@ class TestBatchInnermostDecoder:
         decisions = rng.integers(0, 2, (fec.VITERBI_CHUNK, 64, batch)).astype(np.float32)
         decisions[0] = 1.0
         decisions[1] = 0.0
-        words = np.matmul(fec._PACK, decisions).astype(np.uint16)
+        words = np.matmul(decisions.transpose(0, 2, 1), fec._PACK).astype(np.uint16)
         expected = np.packbits(decisions.astype(bool).transpose(0, 2, 1), axis=-1,
-                               bitorder="little").view("<u2").transpose(0, 2, 1)
+                               bitorder="little").view("<u2")
         np.testing.assert_array_equal(words, expected)
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    def test_survivor_word_bit_is_state_decision(self, batch):
+        """Stored as (step, frame, word) '<u2', the four words of a step
+        and frame read as one '<u8' word whose bit s is state s's
+        decision, as the traceback assumes."""
+        rng = np.random.default_rng(72)
+        decisions = rng.integers(0, 2, (fec.VITERBI_CHUNK, 64, batch)).astype(np.float32)
+        decisions[0, 63] = 1.0
+        survivors = np.empty((fec.VITERBI_CHUNK, batch, 4), dtype="<u2")
+        survivors[...] = np.matmul(decisions.transpose(0, 2, 1), fec._PACK)
+        words = survivors.view("<u8").reshape(fec.VITERBI_CHUNK, batch)
+        for s in range(64):
+            np.testing.assert_array_equal((words >> np.uint64(s)) & np.uint64(1),
+                                          decisions[:, s])
 
     @pytest.mark.parametrize("n_info,rate,sigma2", [(282, "1/2", 1.0), (282, "1/2", 0.5),
                                                     (426, "3/4", 0.6), (426, "3/4", 0.3)])
@@ -364,6 +397,51 @@ class TestBatchInnermostDecoder:
         llrs = noisy_stream(rng, (256, n_info), rate, sigma2)
         differ = fec.viterbi_decode(llrs, n_info) != butterfly_viterbi(llrs, n_info)
         assert differ.mean() <= 1e-3
+
+
+class TestOneBetaPerButterfly:
+    """The decoder against ``oracles.batch_innermost_viterbi``, its form
+    with all 128 branch metrics per step and a gather traceback: the
+    same sums and ties, so every output bit must agree."""
+
+    @pytest.mark.parametrize("sigma2", [0.3, 0.6, 1.5])
+    @pytest.mark.parametrize("n_info,rate", [(282, "1/2"), (426, "3/4")])
+    def test_noisy_batches(self, n_info, rate, sigma2):
+        rng = np.random.default_rng(73)
+        llrs = noisy_stream(rng, (256, n_info), rate, sigma2)
+        decoded = fec.viterbi_decode(llrs, n_info)
+        assert decoded.flags.c_contiguous and decoded.dtype == np.uint8
+        np.testing.assert_array_equal(decoded, batch_innermost_viterbi(llrs, n_info))
+
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    def test_integer_llrs_tie(self, rate):
+        rng = np.random.default_rng(74)
+        llrs = np.round(2 * noisy_stream(rng, (64, 66), rate, 1.0))
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, 66),
+                                      batch_innermost_viterbi(llrs, 66))
+
+    @pytest.mark.parametrize("batch", [1, 3, 257])
+    @pytest.mark.parametrize("n_info", [1, 13, 29, 51])
+    def test_chunk_edges(self, batch, n_info):
+        rng = np.random.default_rng(75)
+        llrs = noisy_stream(rng, (batch, n_info), "1/2", 1.0)
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, n_info),
+                                      batch_innermost_viterbi(llrs, n_info))
+
+    def test_zero_and_extreme_frames(self):
+        """All-zero frames and frames scaled by 1e300 and 1e-300 in one
+        batch with ordinary ones."""
+        frames = noisy_stream(np.random.default_rng(76), (6, 48), "3/4", 1.0)
+        llrs = np.vstack([frames, np.zeros((2, frames.shape[-1])),
+                          1e300 * frames, 1e-300 * frames])
+        np.testing.assert_array_equal(fec.viterbi_decode(llrs, 48),
+                                      batch_innermost_viterbi(llrs, 48))
+
+    def test_one_dimensional_input(self):
+        llrs = noisy_stream(np.random.default_rng(77), (40,), "1/2", 1.0)
+        decoded = fec.viterbi_decode(llrs, 40)
+        assert decoded.shape == (40,) and decoded.flags.c_contiguous
+        np.testing.assert_array_equal(decoded, batch_innermost_viterbi(llrs, 40))
 
 
 class TestViterbiDecode:
@@ -398,6 +476,22 @@ class TestViterbiDecode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             fec.viterbi_decode(np.zeros(100), 64)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llr_rejected(self, bad):
+        """A NaN or infinite LLR names its frame instead of decoding it to
+        zeros."""
+        llrs = np.ones((3, 2 * (10 + 6)))
+        llrs[1, 5] = bad
+        with pytest.raises(ValueError, match="frame 1 "):
+            fec.viterbi_decode(llrs, 10)
+        with pytest.raises(ValueError, match="frame 0 "):
+            fec.viterbi_decode(llrs[1], 10)
+
+    @pytest.mark.parametrize("n_info", [0, -3])
+    def test_nonpositive_n_info_rejected(self, n_info):
+        with pytest.raises(ValueError, match=f"n_info must be >= 1, got {n_info}"):
+            fec.viterbi_decode(np.zeros(2 * (n_info + 6)), n_info)
 
 
 def test_known_answer_fixture():
