@@ -216,7 +216,11 @@ def pinned_snapshot(seed: int, predicate,
 
 def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int) -> None:
     """Write a snapshot fixture: metadata comments plus one tap per line
-    as full-precision real/imag pairs."""
+    as full-precision real/imag pairs.  A fixture holds one channel, so a
+    stacked realization is refused (ValueError) before anything is written."""
+    if ch.taps.ndim != 1:
+        raise ValueError(f"a snapshot holds one channel; this realization stacks "
+                         f"{ch.taps.shape[0]} channels")
     lines = [
         "# uw-ofdm channel snapshot fixture",
         f"# seed = {seed}",

@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("optimize-placement",
                         help="search redundant-carrier placements")
     _add_flags(p)
-    p.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy",
-                   help="search strategy (default: greedy)")
 
     p = subs.add_parser("ber-sweep", help="run a Monte-Carlo BER sweep")
     _add_flags(p, writes=True, channel=True)
@@ -96,9 +94,8 @@ def cmd_derive(args) -> int:
 
 def cmd_optimize_placement(args) -> int:
     config = harness.system_config_from(_load_values(args))
-    indices, metric = frame.optimize_placement(config, args.strategy)
+    indices, metric = frame.optimize_placement(config)
     reference = frame.derive_generator(config)
-    print(f"strategy: {args.strategy}")
     print(f"indices: {list(indices)}")
     print(f"metric trace(T T^H): {metric:.10g}")
     print(f"configured placement metric: "

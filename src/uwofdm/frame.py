@@ -16,8 +16,8 @@ codeword whose "syndrome" positions are consecutive time samples.
 
 The energy the redundant carriers spend, ``trace(T @ T^H)`` per unit
 data variance, depends strongly on where the redundant carriers sit, so
-this module also provides the placement metric plus exhaustive and
-greedy placement searches.
+this module also provides the placement metric and a placement search,
+exhaustive up to EXHAUSTIVE_LIMIT subsets and greedy beyond.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def check_positive(name: str, value: float) -> None:
 class OfdmSystemConfig:
     """All static parameters of one UW-OFDM system (data: unit-energy QPSK).
     The index sets fix the carrier layout, and with it ``data_count`` and
-    ``uw_length``."""
+    ``uw_length``; they are stored as tuples, so a config built from lists
+    hashes (and caches) as the one built from tuples."""
 
     dft_size: int
     zero_indices: tuple
@@ -63,6 +64,8 @@ class OfdmSystemConfig:
     uw_energy_ratio: float = 4.0 / 52.0
 
     def __post_init__(self):
+        object.__setattr__(self, "zero_indices", tuple(self.zero_indices))
+        object.__setattr__(self, "redundant_indices", tuple(self.redundant_indices))
         n = self.dft_size
         zeros = frozenset(self.zero_indices)
         redundant = frozenset(self.redundant_indices)
@@ -134,6 +137,19 @@ class RedundancyGenerator:
         return self.code_matrix @ self.code_matrix.conj().T
 
 
+def _solve_tail(tail: np.ndarray, active: np.ndarray,
+                redundant_carriers) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Solve the system that zeroes the last k = len(redundant_carriers)
+    samples: ``tail`` holds those rows of the inverse DFT matrix, and the
+    carriers lie in the ascending ``active``.  Returns the data and redundant
+    positions within ``active``, T and the condition number."""
+    is_redundant = np.zeros(len(active), dtype=bool)
+    is_redundant[np.searchsorted(active, redundant_carriers)] = True
+    data, redundant = np.flatnonzero(~is_redundant), np.flatnonzero(is_redundant)
+    solution, cond = solve_linear(tail[:, active[redundant]], tail[:, active[data]])
+    return data, redundant, -solution, cond
+
+
 def derive_generator(config: OfdmSystemConfig) -> RedundancyGenerator:
     """Derive the redundancy matrices for a configuration.
 
@@ -142,17 +158,13 @@ def derive_generator(config: OfdmSystemConfig) -> RedundancyGenerator:
     """
     n, nd, l = config.dft_size, config.data_count, config.uw_length
     active = config.active_indices
-    is_redundant = np.isin(active, config.redundant_indices)
-    data, redundant = np.flatnonzero(~is_redundant), np.flatnonzero(is_redundant)
-
-    tail = inverse_dft(np.eye(n)[n - l:])
     try:
-        solution, cond = solve_linear(tail[:, active[redundant]], tail[:, active[data]])
+        data, redundant, redundancy, cond = _solve_tail(
+            inverse_dft(np.eye(n)[n - l:]), active, config.redundant_indices)
     except NumericallySingularError as exc:
         raise PlacementInfeasibleError(
             "tail-zeroing system is singular for this redundant placement",
             exc.condition) from exc
-    redundancy = -solution
 
     code_matrix = np.zeros((nd + l, nd), dtype=complex)
     code_matrix[data, range(nd)] = 1.0
@@ -177,74 +189,42 @@ def redundant_energy_metric(gen: RedundancyGenerator) -> float:
 # ---------------------------------------------------------------------------
 # Placement search
 
-#: Largest subset count the exhaustive search will enumerate.
+#: Largest subset count the search enumerates; beyond it, it is greedy.
 EXHAUSTIVE_LIMIT = 10 ** 6
 
 
-def _tail_metric(tail_rows: np.ndarray, active: np.ndarray, subset: tuple) -> float:
-    """trace(T T^H) for redundant carriers ``subset``; inf when singular.
-
-    ``tail_rows`` are the last k rows of the inverse DFT matrix, where k
-    is the subset size (the partially constrained system zeroes only as
-    many tail samples as there are redundant carriers).
-    """
-    chosen = set(subset)
-    data_cols = [c for c in active if c not in chosen]
-    try:
-        t, _ = solve_linear(tail_rows[:, list(subset)], tail_rows[:, data_cols])
-    except NumericallySingularError:
-        return math.inf
-    return float(np.sum(np.abs(t) ** 2))
-
-
-def optimize_placement(config: OfdmSystemConfig, strategy: str = "greedy"
-                       ) -> tuple[tuple, float]:
+def optimize_placement(config: OfdmSystemConfig) -> tuple[tuple, float]:
     """Search for a redundant-index set minimizing trace(T T^H).
 
-    ``config.redundant_indices`` only fixes the candidate pool size; the
-    search runs over all size-l subsets of the active carriers.
-    ``exhaustive`` enumerates every subset and is refused (with the
-    count) beyond EXHAUSTIVE_LIMIT; ``greedy`` grows the set one index
-    at a time, at each step adding the candidate that minimizes the
-    metric of the partially constrained system, ties going to the
-    lowest index.
+    ``config.redundant_indices`` only fixes the set size l.  Up to
+    EXHAUSTIVE_LIMIT size-l subsets of the active carriers, the search
+    enumerates them all; beyond, it grows the set one carrier at a time,
+    adding the one that minimizes the metric of the smaller set's own
+    generator system.  Ties go to the lowest subset or carrier; a step
+    whose every choice is singular raises PlacementInfeasibleError.
     """
     n, l = config.dft_size, config.uw_length
     active = config.active_indices
     candidates = active.tolist()
     inv = inverse_dft(np.eye(n))
 
-    if strategy == "exhaustive":
-        count = math.comb(len(candidates), l)
-        if count > EXHAUSTIVE_LIMIT:
-            raise ConfigError(
-                f"exhaustive search refused: {count} subsets exceed limit {EXHAUSTIVE_LIMIT}")
-        tail_rows = inv[n - l:, :]
-        best, best_metric = None, math.inf
-        for subset in itertools.combinations(candidates, l):
-            metric = _tail_metric(tail_rows, active, subset)
-            if metric < best_metric:
-                best, best_metric = subset, metric
-        if best is None:
+    def score(subset: tuple) -> tuple[float, tuple]:
+        try:
+            _, _, t, _ = _solve_tail(inv[n - len(subset):], active, subset)
+        except NumericallySingularError:
+            return math.inf, subset
+        return float(np.sum(np.abs(t) ** 2)), subset
+
+    def best_of(subsets) -> tuple[tuple, float]:
+        metric, subset = min(map(score, subsets))
+        if metric == math.inf:
             raise PlacementInfeasibleError("no feasible placement found", math.inf)
-        return best, best_metric
+        return subset, metric
 
-    if strategy == "greedy":
-        chosen: list[int] = []
-        for step in range(1, l + 1):
-            tail_rows = inv[n - step:, :]
-            best, best_metric = None, math.inf
-            for cand in candidates:
-                if cand in chosen:
-                    continue
-                metric = _tail_metric(tail_rows, active, tuple(sorted(chosen + [cand])))
-                if metric < best_metric:  # ties keep the first (lowest) candidate
-                    best, best_metric = cand, metric
-            if best is None:
-                raise PlacementInfeasibleError(
-                    f"greedy search stuck at step {step}", math.inf)
-            chosen.append(best)
-        final = tuple(sorted(chosen))
-        return final, _tail_metric(inv[n - l:, :], active, final)
-
-    raise ValueError(f"unknown strategy {strategy!r} (use 'exhaustive' or 'greedy')")
+    if math.comb(len(candidates), l) <= EXHAUSTIVE_LIMIT:
+        return best_of(itertools.combinations(candidates, l))
+    chosen = ()
+    for _ in range(l):
+        chosen, metric = best_of(tuple(sorted(chosen + (c,)))
+                                 for c in candidates if c not in chosen)
+    return chosen, metric

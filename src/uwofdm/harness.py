@@ -89,8 +89,8 @@ def _keep_freed_memory() -> bool:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Complete description of one BER sweep (everything that affects
-    the output bytes)."""
+    """Complete description of one BER sweep (everything that affects the
+    output bytes); ``ebn0_db`` is kept as a tuple, as the spec keys a cache."""
 
     config: frame.OfdmSystemConfig
     system: str
@@ -105,6 +105,7 @@ class SweepSpec:
     rms_delay_spread_s: float = chan.DEFAULT_RMS_DELAY_SPREAD_S
 
     def __post_init__(self):
+        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         if self.code_rate not in CODE_RATES:
@@ -323,8 +324,8 @@ def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
 
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)
-    variances = np.maximum(chan.per_symbol(variances), 1e-300)
-    blocks = fec.qpsk_soft_demap(estimates, variances).reshape(n_frames, f_sym, width)
+    blocks = fec.qpsk_soft_demap(estimates, chan.per_symbol(variances)) \
+        .reshape(n_frames, f_sym, width)
     stream = fec.deinterleave(blocks, ctx.interleaver).reshape(n_frames, -1)
     return fec.depuncture(stream, spec.code_rate)
 

@@ -61,8 +61,6 @@ def build_unique_word(gen: RedundancyGenerator, target_ratio: float) -> UniqueWo
     # ratio = e_uw / (e_data + e_uw)  =>  e_uw = ratio/(1-ratio) * e_data
     uw_energy = target_ratio / (1.0 - target_ratio) * data_energy
     samples = shape * np.sqrt(uw_energy / uw_length)
-    if target_ratio == 0:
-        samples = np.zeros(uw_length, dtype=complex)
 
     padded = np.concatenate([np.zeros(n - uw_length, dtype=complex), samples])
     return UniqueWord(samples=samples, spectrum=forward_dft(padded),

@@ -72,7 +72,7 @@ def test_criterion_2_generator_oracle(toy_config, toy_gen):
            f"max |T - T_oracle| = {worst:.2e}")
 
 
-def test_criterion_3_placement(ref_config, ref_gen):
+def test_criterion_3_placement(ref_config, ref_gen, monkeypatch):
     start = time.perf_counter()
     toy = uw.OfdmSystemConfig(dft_size=16, zero_indices=(0, 8, 9, 15),
                               redundant_indices=(1, 2, 3, 4))
@@ -89,8 +89,9 @@ def test_criterion_3_placement(ref_config, ref_gen):
             continue
         if metric < best_metric:
             best_metric, best_set = metric, subset
-    found_set, found_metric = optimize_placement(toy, "exhaustive")
-    greedy_set, greedy_metric = optimize_placement(toy, "greedy")
+    found_set, found_metric = optimize_placement(toy)  # C(12, 4) subsets: exhaustive
+    monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 0)
+    greedy_set, greedy_metric = optimize_placement(toy)
     exhaustive_ok = (set(found_set) == set(best_set)
                      and found_metric == pytest.approx(best_metric, rel=1e-9)
                      and greedy_metric >= best_metric - 1e-12)

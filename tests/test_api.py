@@ -84,8 +84,10 @@ def test_build_unique_word_takes_the_generators_length():
 
 
 def test_one_placement_strategy_setting():
-    """``optimize-placement --strategy`` is the only way to set it."""
+    """The search picks exhaustive or greedy from its size: no setting
+    chooses it."""
     assert "placement_strategy" not in harness.KNOWN_KEYS
+    assert list(inspect.signature(frame.optimize_placement).parameters) == ["config"]
 
 
 def test_build_equalizer_has_no_floor_knob():

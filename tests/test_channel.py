@@ -314,6 +314,15 @@ class TestPinnedSnapshot:
         assert loaded.sample_rate_hz == ch.sample_rate_hz
         assert loaded.rms_delay_spread_s == ch.rms_delay_spread_s
 
+    def test_save_refuses_a_stacked_realization(self, tmp_path):
+        """A fixture holds one channel.  Before, a stack died in numpy's
+        "only 0-dimensional arrays can be converted to Python scalars"."""
+        ch = uw.sample_channel(np.random.default_rng(43), channels=3)
+        path = tmp_path / "snap.txt"
+        with pytest.raises(ValueError, match="stacks 3 channels"):
+            uw.save_snapshot(path, ch, seed=43, draw=0)
+        assert not path.exists()
+
     def test_repository_fixture_matches_recorded_seed(self, notch_channel):
         """The committed fixture must regenerate bit-for-bit from its
         recorded (seed, draw)."""

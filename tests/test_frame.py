@@ -2,6 +2,10 @@
 placement search, checked against the dense placement-matrix oracles,
 index bookkeeping and per-column linear solves."""
 
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,22 +236,71 @@ class TestRedundantEnergyMetric:
         assert uw.redundant_energy_metric(toy_gen) == pytest.approx(expect, rel=1e-12)
 
 
-class TestOptimizePlacement:
-    def test_toy_exhaustive_vs_greedy(self):
-        cfg = uw.OfdmSystemConfig(dft_size=16, zero_indices=(0, 8, 9, 15),
-                                  redundant_indices=(1, 2, 3, 4))
-        best, best_metric = optimize_placement(cfg, "exhaustive")
-        greedy, greedy_metric = optimize_placement(cfg, "greedy")
-        assert len(best) == 4
-        assert greedy_metric >= best_metric - 1e-12
-        # exhaustive optimum must agree with a from-scratch derivation
-        refit = uw.derive_generator(uw.OfdmSystemConfig(
-            dft_size=16, zero_indices=(0, 8, 9, 15), redundant_indices=tuple(best)))
-        assert uw.redundant_energy_metric(refit) == pytest.approx(best_metric, rel=1e-9)
+TOY = uw.OfdmSystemConfig(dft_size=16, zero_indices=(0, 8, 9, 15),
+                          redundant_indices=(1, 2, 3, 4))
 
-    def test_exhaustive_refused_on_large_space(self, ref_config):
-        with pytest.raises(ValueError, match="exhaustive search refused"):
-            optimize_placement(ref_config, "exhaustive")
+
+def placement_metric(cfg, subset):
+    """trace(T T^H) of ``subset``, through the full generator derivation."""
+    return uw.redundant_energy_metric(
+        uw.derive_generator(dataclasses.replace(cfg, redundant_indices=subset)))
+
+
+def brute_force_placement(cfg):
+    """(metric, subset) of least trace(T T^H) over every size-l subset;
+    (inf, None) if none is feasible."""
+    best = (math.inf, None)
+    for subset in itertools.combinations(cfg.active_indices.tolist(), cfg.uw_length):
+        try:
+            best = min(best, (placement_metric(cfg, subset), subset))
+        except uw.PlacementInfeasibleError:
+            continue
+    return best
+
+
+@st.composite
+def small_layouts(draw):
+    """A 6- to 12-point layout with up to a third of its carriers zero and
+    one to four redundant carriers: at most C(12, 4) = 495 subsets."""
+    n = draw(st.integers(6, 12))
+    zeros = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 3)))
+    active = [i for i in range(n) if i not in zeros]
+    l = draw(st.integers(1, min(4, len(active) - 1)))
+    return uw.OfdmSystemConfig(dft_size=n, zero_indices=tuple(zeros),
+                               redundant_indices=tuple(active[:l]))
+
+
+class TestOptimizePlacement:
+    def test_toy_exhaustive_vs_greedy(self, monkeypatch):
+        """C(12, 4) = 495 subsets: at a limit of 495 the search enumerates
+        them, at 494 it is greedy, and greedy misses the toy's optimum."""
+        monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 495)
+        best, best_metric = optimize_placement(TOY)
+        monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 494)
+        greedy, greedy_metric = optimize_placement(TOY)
+        assert best == (2, 6, 10, 14) and best_metric == pytest.approx(8.0, rel=1e-12)
+        assert len(greedy) == 4 and greedy_metric > best_metric + 0.1
+        # exhaustive optimum must agree with a from-scratch derivation
+        assert placement_metric(TOY, best) == pytest.approx(best_metric, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_layouts())
+    def test_both_paths_against_brute_force(self, cfg):
+        """Exhaustive finds the brute-force optimum; greedy is no better."""
+        best_metric, best = brute_force_placement(cfg)
+        if best is None:
+            with pytest.raises(uw.PlacementInfeasibleError):
+                optimize_placement(cfg)
+            return
+        found, found_metric = optimize_placement(cfg)
+        assert found_metric == pytest.approx(best_metric, rel=1e-9)
+        assert placement_metric(cfg, found) == pytest.approx(best_metric, rel=1e-9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 0)
+            greedy, greedy_metric = optimize_placement(cfg)
+        assert len(greedy) == cfg.uw_length
+        assert greedy_metric >= best_metric * (1 - 1e-9)
+        assert placement_metric(cfg, greedy) == pytest.approx(greedy_metric, rel=1e-9)
 
     def test_reference_beats_random_samples(self, ref_config, ref_gen):
         """Published placement should beat random admissible ones; the
@@ -263,13 +316,15 @@ class TestOptimizePlacement:
             assert uw.redundant_energy_metric(gen) > reference_metric
 
     def test_greedy_on_reference_runs(self, ref_config, ref_gen):
-        indices, metric = optimize_placement(ref_config, "greedy")
+        indices, metric = optimize_placement(ref_config)
         assert len(indices) == 16
         assert metric > 0
         # informational: how close greedy gets to the published placement
         print(f"greedy metric {metric:.3f} vs published "
               f"{uw.redundant_energy_metric(ref_gen):.3f}")
 
-    def test_unknown_strategy_rejected(self, ref_config):
-        with pytest.raises(ValueError):
-            optimize_placement(ref_config, "anneal")
+    def test_reference_result_is_pinned(self, ref_config):
+        """C(52, 16) ~ 1.0e13 subsets: the reference takes the greedy path."""
+        indices, metric = optimize_placement(ref_config)
+        assert indices == (3, 7, 10, 13, 16, 20, 24, 26, 38, 41, 45, 49, 51, 54, 58, 63)
+        assert metric == pytest.approx(57.730690625176855, rel=1e-12)

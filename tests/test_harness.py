@@ -81,6 +81,19 @@ class TestSweepSpecValidation:
                 small_spec(system=system, channel="ensemble", channel_taps=taps)
             small_spec(system=system, channel_taps=taps)
 
+    def test_list_built_spec_reports_as_tuple_built(self):
+        """Lists are stored as tuples.  Before, a list-built spec or config
+        died in ``_context``'s cache: "unhashable type: 'list'"."""
+        config = uw.OfdmSystemConfig(
+            dft_size=64, zero_indices=list(uw.frame.REFERENCE_ZERO_INDICES),
+            redundant_indices=list(uw.frame.REFERENCE_REDUNDANT_INDICES))
+        assert config == uw.reference_config()
+        assert harness.config_hash(config) == harness.config_hash(uw.reference_config())
+        listed = dataclasses.replace(small_spec(), config=config, ebn0_db=[10.0, 14.0])
+        assert listed.ebn0_db == (10.0, 14.0)
+        assert harness.run_ber_sweep(listed) == \
+            harness.run_ber_sweep(small_spec(grid=(10.0, 14.0)))
+
     def test_missing_fixture_fails_fast(self):
         spec = small_spec(channel="fixed:/nonexistent/chan.txt")
         with pytest.raises(ConfigError, match="fixture not found"):
@@ -104,14 +117,34 @@ class TestStoppingAndLimits:
     @pytest.mark.parametrize("rate", ["1/2", "3/4"])
     @pytest.mark.parametrize("system", harness.SYSTEMS)
     def test_noiseless_coded_point(self, flat_fixture, system, rate):
-        """At 300 dB the variances clamp to 1e-300 and the LLRs reach
-        ~1e300, far beyond float32; the decoder must still make no error."""
+        """At 300 dB the variances are about 1e-30 and the LLRs about 1e30,
+        beyond float32; the decoder must still make no error."""
         spec = small_spec(system=system, rate=rate, grid=(300.0,),
                           channel=f"fixed:{flat_fixture}",
                           min_error_events=1, max_bits_per_point=100_000)
         point = harness.run_ber_sweep(spec).points[0]
         assert point.bits >= 100_000
         assert point.bit_errors == 0
+
+    @pytest.mark.parametrize("channel", [f"fixed:{NOTCH_FIXTURE}", "ensemble"])
+    @pytest.mark.parametrize("system", harness.SYSTEMS)
+    def test_variances_positive_at_the_ebn0_limits(self, system, channel, monkeypatch):
+        """At +-1000 dB the demapper's variances, of the fixed channel and of
+        one ensemble group, stay finite and positive with no clamp (the
+        smallest is about 1e-101)."""
+        seen = []
+
+        def demap(estimates, variances):
+            seen.append(np.asarray(variances))
+            return uw.qpsk_soft_demap(estimates, variances)
+
+        monkeypatch.setattr(fec, "qpsk_soft_demap", demap)
+        spec = small_spec(system=system, rate="1/2", grid=(-1000.0, 1000.0), channel=channel)
+        for point in range(2):
+            harness._run_batch(spec, point, 0, n_frames=harness.ENSEMBLE_GROUP_FRAMES)
+        assert len(seen) == 2
+        for variances in seen:
+            assert np.all(np.isfinite(variances)) and np.all(variances > 0)
 
     def test_noiseless_longest_coded_frame(self, flat_fixture):
         """One rate-1/2 frame of MAX_FRAME_SYMBOLS symbols: the longest
@@ -227,7 +260,7 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
         if rate == "none":
             decided[i] = fec.qpsk_hard_bits(estimates).reshape(-1)
         else:
-            llrs = uw.qpsk_soft_demap(estimates, np.maximum(variances, 1e-300))
+            llrs = uw.qpsk_soft_demap(estimates, variances)
             stream = fec.deinterleave(llrs, ctx.interleaver).reshape(-1)
             decided[i] = fec.viterbi_decode(fec.depuncture(stream, rate), ctx.n_info)
     wrong = decided != bits
@@ -539,17 +572,18 @@ class TestCli:
         path = tmp_path / "toy.cfg"
         path.write_text(
             "dft_size = 16\nzero_indices = [0, 8, 9, 15]\nredundant_indices = [1, 2, 3, 4]\n")
-        assert cli.main(["optimize-placement", "--config", str(path),
-                         "--strategy", "exhaustive"]) == 0
+        assert cli.main(["optimize-placement", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "strategy: exhaustive" in out
-        assert "metric" in out and "indices" in out
+        assert "indices: [2, 6, 10, 14]\n" in out
+        assert "metric trace(T T^H): 8\n" in out
 
-    def test_optimize_placement_exhaustive_refused_exits_2(self, capsys):
-        """Before, the refusal was a plain ValueError: exit 1, traceback."""
-        assert cli.main(["optimize-placement", "--config", str(REFERENCE_CFG_FILE),
-                         "--strategy", "exhaustive"]) == 2
-        assert "10363194502115 subsets exceed limit" in capsys.readouterr().err
+    def test_optimize_placement_reference_exits_0(self, capsys):
+        """C(52, 16) subsets: the search is greedy.  Before, ``--strategy
+        exhaustive`` on this config was refused (exit 2)."""
+        assert cli.main(["optimize-placement", "--config", str(REFERENCE_CFG_FILE)]) == 0
+        out = capsys.readouterr().out
+        assert ("indices: [3, 7, 10, 13, 16, 20, 24, 26, 38, 41, 45, 49, 51, 54, 58, 63]\n"
+                "metric trace(T T^H): 57.73069063\n") in out
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -621,7 +655,7 @@ class TestCli:
         for command, unread in (("derive", ("--seed", "--out", "--channel", "--workers",
                                              "--strategy")),
                                 ("optimize-placement", ("--seed", "--out", "--channel",
-                                                        "--workers")),
+                                                        "--workers", "--strategy")),
                                 ("snapshot", ("--channel", "--workers", "--strategy")),
                                 ("mse-probe", ("--workers", "--strategy")),
                                 ("ber-sweep", ("--strategy",)))
