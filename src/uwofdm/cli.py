@@ -116,20 +116,11 @@ def cmd_ber_sweep(args) -> int:
 def cmd_mse_probe(args) -> int:
     out = _require_out(args)
     values = _load_values(args)
-    config = harness.system_config_from(values)
-    if not args.channel.startswith("fixed:"):
-        raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
-    n_symbols = values.get("mse_symbols", harness.MSE_SYMBOLS)
-    if n_symbols < 1:
-        raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
-    ebn0 = values.get("mse_ebn0_db", harness.MSE_EBN0_DB)
-    harness.check_ebn0("mse_ebn0_db", ebn0)
-    ch = harness.load_fixed_channel(args.channel[len("fixed:"):], config.dft_size,
-                                    config.uw_length)
-    rows = harness.run_mse_probe(config, ch, ebn0_db=ebn0,
-                                 n_symbols=n_symbols, seed=args.seed)
-    harness.write_mse_csv(out, rows, metadata=harness.mse_metadata(
-        args.channel, config, ebn0, n_symbols, args.seed))
+    rows, metadata = harness.run_mse_probe(
+        harness.system_config_from(values), args.channel,
+        ebn0_db=values.get("mse_ebn0_db", harness.MSE_EBN0_DB),
+        n_symbols=values.get("mse_symbols", harness.MSE_SYMBOLS), seed=args.seed)
+    harness.write_mse_csv(out, rows, metadata)
     print(f"wrote {len(rows)} carriers to {out}")
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,9 @@ def check_positive(name: str, value: float) -> None:
 class OfdmSystemConfig:
     """All static parameters of one UW-OFDM system (data: unit-energy QPSK).
     The index sets fix the carrier layout, and with it ``data_count`` and
-    ``uw_length``; they are stored as tuples, so a config built from lists
-    hashes (and caches) as the one built from tuples."""
+    ``uw_length``; they are stored as tuples of Python ints, so a config
+    built from lists or numpy arrays hashes (and caches) as the one built
+    from tuples, and a non-integral index is refused."""
 
     dft_size: int
     zero_indices: tuple
@@ -64,8 +66,13 @@ class OfdmSystemConfig:
     uw_energy_ratio: float = 4.0 / 52.0
 
     def __post_init__(self):
-        object.__setattr__(self, "zero_indices", tuple(self.zero_indices))
-        object.__setattr__(self, "redundant_indices", tuple(self.redundant_indices))
+        for name in ("zero_indices", "redundant_indices"):
+            try:
+                indices = tuple(map(operator.index, getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must hold integers, "
+                                  f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, indices)
         n = self.dft_size
         zeros = frozenset(self.zero_indices)
         redundant = frozenset(self.redundant_indices)

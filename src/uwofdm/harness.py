@@ -13,7 +13,9 @@ stream, so the group size never shows.  A fixed channel carries the
 whole batch as one group, and a coded batch decodes in one Viterbi call.
 The one cache, ``_context``, holds per spec each Eb/N0 point's noise
 variance and, for UW on a fixed channel, its equalizer; a sweep whose
-fixture file has been rewritten since rebuilds it.
+fixture file has been rewritten since rebuilds it.  The MSE probe reads
+the same cache, through the spec of the uncoded uw-lmmse sweep at its
+Eb/N0, and makes its own input checks, so the CLI only parses and writes.
 
 Memory: a batch allocates and frees a dozen 1-2 MB arrays.  Under glibc,
 ``run_ber_sweep``, ``run_mse_probe`` and each worker process set the
@@ -110,6 +112,8 @@ class SweepSpec:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         if self.code_rate not in CODE_RATES:
             raise ConfigError(f"unknown code rate {self.code_rate!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ebn0_db:
             raise ConfigError("Eb/N0 grid must not be empty")
         for value in self.ebn0_db:
@@ -217,13 +221,6 @@ def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
     return symbol_energy / info_bits_per_symbol / 10 ** (ebn0_db / 10.0)
 
 
-def uw_modem(config: frame.OfdmSystemConfig) -> tuple:
-    """The UW modem's generator, unique word and mean energy per symbol."""
-    gen = frame.derive_generator(config)
-    uw = txchain.build_unique_word(gen, config.uw_energy_ratio)
-    return gen, uw, txchain.mean_data_symbol_energy(gen) + uw.energy
-
-
 def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
     """Block interleaver for the UW system: same two-step structure as
     the 802.11a one, column count scaled to the smaller block."""
@@ -233,28 +230,42 @@ def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
     return fec.InterleaverSpec(block_bits=block, columns=columns)
 
 
-def load_fixed_channel(path, dft_size: int, guard: int) -> chan.ChannelRealization:
-    """Load a channel fixture, refusing (ConfigError) a missing or
-    unreadable file, one made for another DFT size than the modem's and
-    one with more taps than its ``guard`` absorbs."""
+def load_fixed_channel(spec: SweepSpec) -> chan.ChannelRealization:
+    """Load the spec's channel fixture, refusing (ConfigError) a missing or
+    unreadable file, one made for another DFT size than the modem's or
+    another sample rate than the config's, and one with more taps than
+    the modem's guard absorbs."""
+    path = spec.channel[len("fixed:"):]
     if not os.path.exists(path):
         raise ConfigError(f"channel fixture not found: {path}")
     try:
         ch = chan.load_snapshot(path)
     except OSError as exc:
         raise ConfigError(f"cannot read channel fixture {path}: {exc}") from exc
-    if ch.freq_response.shape[-1] != dft_size:
+    if ch.freq_response.shape[-1] != spec.dft_size:
         raise ConfigError(f"channel fixture {path} has dft_size = "
                           f"{ch.freq_response.shape[-1]}, the modem has dft_size = "
-                          f"{dft_size}")
-    check_tap_count(f"channel fixture {path}: tap_count", ch.tap_count, guard)
+                          f"{spec.dft_size}")
+    if ch.sample_rate_hz != spec.config.sample_rate_hz:
+        raise ConfigError(f"channel fixture {path} has sample_rate_hz = "
+                          f"{ch.sample_rate_hz!r}, the config has sample_rate_hz = "
+                          f"{spec.config.sample_rate_hz!r}")
+    check_tap_count(f"channel fixture {path}: tap_count", ch.tap_count, spec.guard_length)
     return ch
+
+
+def _current_context(spec: SweepSpec) -> _SystemContext:
+    """``_context(spec)``, rebuilt if its fixture was rewritten since."""
+    ctx = _context(spec)
+    if ctx.fixture_id != _fixture_id(spec.channel):
+        _context.cache_clear()
+        ctx = _context(spec)
+    return ctx
 
 
 @lru_cache(maxsize=8)
 def _context(spec: SweepSpec) -> _SystemContext:
-    fixed = (load_fixed_channel(spec.channel[len("fixed:"):], spec.dft_size, spec.guard_length)
-             if spec.channel.startswith("fixed:") else None)
+    fixed = load_fixed_channel(spec) if spec.channel.startswith("fixed:") else None
 
     if spec.system == "cp":
         gen = uw = None
@@ -262,7 +273,9 @@ def _context(spec: SweepSpec) -> _SystemContext:
         interleaver = fec.InterleaverSpec(block_bits=bits_per_symbol, columns=16)
         symbol_energy = cpref.mean_symbol_energy()
     else:
-        gen, uw, symbol_energy = uw_modem(spec.config)
+        gen = frame.derive_generator(spec.config)
+        uw = txchain.build_unique_word(gen, spec.config.uw_energy_ratio)
+        symbol_energy = txchain.mean_data_symbol_energy(gen) + uw.energy
         bits_per_symbol = 2 * spec.config.data_count
         interleaver = uw_interleaver(spec.config.data_count)
     n_info = _frame_info_bits(spec, bits_per_symbol)
@@ -384,10 +397,7 @@ def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
     if workers > MAX_WORKERS:
         raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     _keep_freed_memory()
-    ctx = _context(spec)  # fail fast on config/fixture problems
-    if ctx.fixture_id != _fixture_id(spec.channel):  # the fixture was rewritten
-        _context.cache_clear()
-        ctx = _context(spec)
+    ctx = _current_context(spec)  # fail fast on config/fixture problems
     points = []
     executor = ProcessPoolExecutor(
         max_workers=workers, initializer=_keep_freed_memory) if workers > 1 else None
@@ -442,39 +452,36 @@ def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
 # ---------------------------------------------------------------------------
 # MSE probe
 
-def run_mse_probe(config: frame.OfdmSystemConfig, ch: chan.ChannelRealization,
+def run_mse_probe(config: frame.OfdmSystemConfig, channel: str,
                   ebn0_db: float = MSE_EBN0_DB, n_symbols: int = MSE_SYMBOLS,
-                  seed: int = 1) -> list:
+                  seed: int = 1) -> tuple:
     """Empirical and analytic per-carrier error statistics before and
-    after smoothing on one channel realization.
+    after smoothing on ``channel`` ("fixed:<fixture path>"), read from the
+    ``_context`` of the uncoded uw-lmmse sweep at ``ebn0_db``.
 
-    Returns one row per active carrier:
+    Returns (rows, metadata): one row per active carrier,
     (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post),
-    both empirical columns measured on the same symbols.  Eb follows the
-    uncoded convention of the sweep (total mean symbol energy over
-    2 * data_count bits).  The analytic columns are diag(C_vv) and
+    both empirical columns measured on the same symbols, and the
+    ``write_mse_csv`` header.  The analytic columns are diag(C_vv) and
     diag(G C_ee G^H), the smoother's error on every active carrier.
     """
+    if not channel.startswith("fixed:"):
+        raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
+    if n_symbols < 1:
+        raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
+    check_ebn0("mse_ebn0_db", ebn0_db)
     _keep_freed_memory()
-    gen, uw, symbol_energy = uw_modem(config)
-    eq = rxchain.build_equalizer(
-        ch, gen, noise_variance(symbol_energy, 2 * config.data_count, ebn0_db))
-
+    ctx = _current_context(SweepSpec(config, "uw-lmmse", (ebn0_db,), seed, channel=channel))
+    eq = ctx.equalizers[0]
     mse_pre, mse_post = rxchain.measure_subcarrier_mse(
-        gen, eq, uw, ch, np.random.default_rng([seed, 0]), n_symbols)
-    g = gen.code_matrix
+        eq, ctx.uw, ctx.fixed_channel, np.random.default_rng([seed, 0]), n_symbols)
+    g = ctx.gen.code_matrix
     post_var = np.real(np.einsum("ij,jk,ik->i", g, eq.error_covariance, g.conj()))
-    return [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),
+    rows = [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),
              float(post_var[i])) for i in range(len(mse_pre))]
-
-
-def mse_metadata(channel: str, config: frame.OfdmSystemConfig, ebn0_db: float,
-                 n_symbols: int, seed: int) -> tuple:
-    """The ``write_mse_csv`` header of a ``run_mse_probe`` run: every input
-    that affects its bytes, plus the package version."""
-    return (
+    return rows, (
         ("channel", channel),
-        ("channel_fixture_id", _fixture_id(channel)),
+        ("channel_fixture_id", ctx.fixture_id),
         ("ebn0_db", _fmt(float(ebn0_db))),
         ("symbols", str(n_symbols)),
         ("seed", str(seed)),
@@ -512,7 +519,7 @@ def write_ber_csv(path, report: BerReport) -> None:
                ([getattr(p, f) for f in BER_FIELDS] for p in report.points))
 
 
-def write_mse_csv(path, rows, metadata=()) -> None:
+def write_mse_csv(path, rows, metadata) -> None:
     _write_csv(path, metadata, MSE_FIELDS, rows)
 
 

@@ -150,13 +150,13 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
 MSE_BATCH_SYMBOLS = 4096
 
 
-def measure_subcarrier_mse(gen: RedundancyGenerator, eq: WienerEqualizer,
-                           uw: UniqueWord, ch: ChannelRealization,
+def measure_subcarrier_mse(eq: WienerEqualizer, uw: UniqueWord, ch: ChannelRealization,
                            rng: np.random.Generator,
                            n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical per-carrier squared error against the matched transmit
     word, (before, after) smoothing with ``W = G E``, both from the same
     received symbols."""
+    gen = eq.gen
     smoother_t = (gen.code_matrix @ eq.estimator).T
     nd = gen.config.data_count
     pre = np.zeros(len(gen.active_carriers))

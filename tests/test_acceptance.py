@@ -138,10 +138,10 @@ def test_criterion_4_stream_cyclicity(ref_gen, ref_uw):
 
 
 @pytest.fixture(scope="module")
-def probe_rows(ref_config, notch_channel):
+def probe_rows(ref_config):
     start = time.perf_counter()
-    rows = harness.run_mse_probe(ref_config, notch_channel, ebn0_db=15.0,
-                                 n_symbols=100_000, seed=104)
+    rows, _ = harness.run_mse_probe(ref_config, FIXTURE, ebn0_db=15.0,
+                                    n_symbols=100_000, seed=104)
     return rows, time.perf_counter() - start
 
 

@@ -51,6 +51,7 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (frame, "SubcarrierMap"), (frame, "build_subcarrier_map"),
     (uwofdm, "SubcarrierMap"), (uwofdm, "build_subcarrier_map"),
     (frame.RedundancyGenerator, "map"), (rxchain.WienerEqualizer, "map"),
+    (harness, "mse_metadata"), (harness, "uw_modem"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -62,7 +63,8 @@ def test_removed_knobs_are_gone(owner, name):
     noise variance (no full smoother, no clamp to a noiseless point).
     The carrier layout is stored once, as the config's index sets and
     the generator's carrier and position arrays (no subcarrier map).
-    A dataclass field counts as an attribute."""
+    The MSE probe reads the sweep's context, so no helper builds its
+    header or its modem.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
@@ -108,3 +110,15 @@ def test_encode_batch_takes_the_generators_map():
 def test_notch_predicate_has_no_threshold_knobs():
     """The pinned fixture's notch rule is ``NOTCH_DEPTH_DB`` and ``NOTCH_MIN_COUNT``."""
     assert list(inspect.signature(channel.notch_predicate).parameters) == ["active_indices"]
+
+
+def test_mse_probe_reads_the_sweeps_context():
+    """The probe takes the sweep's channel string and returns its CSV
+    header, which ``write_mse_csv`` requires; the equalizer holds the
+    generator the MSE measurement reads."""
+    assert list(inspect.signature(harness.run_mse_probe).parameters) == [
+        "config", "channel", "ebn0_db", "n_symbols", "seed"]
+    metadata = inspect.signature(harness.write_mse_csv).parameters["metadata"]
+    assert metadata.default is inspect.Parameter.empty
+    assert list(inspect.signature(rxchain.measure_subcarrier_mse).parameters) == [
+        "eq", "uw", "ch", "rng", "n_symbols"]

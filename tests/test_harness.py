@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -93,6 +94,28 @@ class TestSweepSpecValidation:
         assert listed.ebn0_db == (10.0, 14.0)
         assert harness.run_ber_sweep(listed) == \
             harness.run_ber_sweep(small_spec(grid=(10.0, 14.0)))
+
+    def test_numpy_and_float_index_sets(self):
+        """Index sets are stored as Python ints.  Before, a config built
+        from numpy arrays equalled the reference but hashed 6a6d1201d7a2,
+        and float indices were accepted and hashed b23044a2967b."""
+        config = uw.OfdmSystemConfig(
+            dft_size=64, zero_indices=np.array(uw.frame.REFERENCE_ZERO_INDICES),
+            redundant_indices=np.array(uw.frame.REFERENCE_REDUNDANT_INDICES))
+        assert config == uw.reference_config()
+        assert harness.config_hash(config) == "f4b1facf5141"
+        assert all(type(i) is int for i in config.zero_indices + config.redundant_indices)
+        floats = tuple(float(i) for i in uw.frame.REFERENCE_REDUNDANT_INDICES)
+        with pytest.raises(ConfigError, match=r"redundant_indices must hold integers, "
+                                              r"got \(2\.0, 6\.0"):
+            uw.OfdmSystemConfig(dft_size=64, zero_indices=uw.frame.REFERENCE_ZERO_INDICES,
+                                redundant_indices=floats)
+
+    def test_negative_seed(self):
+        """Before, the spec was accepted and the first batch raised
+        numpy's ValueError in ``default_rng``."""
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            small_spec(seed=-1)
 
     def test_missing_fixture_fails_fast(self):
         spec = small_spec(channel="fixed:/nonexistent/chan.txt")
@@ -471,23 +494,56 @@ class TestCsvFormat:
 
 
 class TestMseProbe:
-    def test_rows_and_analytic_columns(self, notch_channel, ref_config):
-        rows = harness.run_mse_probe(ref_config, notch_channel,
-                                     ebn0_db=15.0, n_symbols=20_000, seed=2)
+    def test_rows_and_analytic_columns(self, ref_config):
+        rows, _ = harness.run_mse_probe(ref_config, f"fixed:{NOTCH_FIXTURE}",
+                                        ebn0_db=15.0, n_symbols=20_000, seed=2)
         assert len(rows) == 52
         for idx, pre, post, a_pre, a_post in rows:
             assert post < pre
             assert pre == pytest.approx(a_pre, rel=0.08)
             assert post == pytest.approx(a_post, rel=0.08)
 
-    def test_noiseless_point_has_no_negative_variance(self, notch_channel, ref_config):
+    def test_noiseless_point_has_no_negative_variance(self, ref_config):
         """At 300 dB (σ² about 1e-32, unclamped) no analytic column is
         negative: analytic_post is diag(G C_ee G^H) with C_ee = σ² A^-1,
         a positive semi-definite form.  The full smoother's
         diag(C_ss - W C_ss) left a rounding residue of about -2e-16."""
-        rows = harness.run_mse_probe(ref_config, notch_channel,
-                                     ebn0_db=300.0, n_symbols=200, seed=2)
+        rows, _ = harness.run_mse_probe(ref_config, f"fixed:{NOTCH_FIXTURE}",
+                                        ebn0_db=300.0, n_symbols=200, seed=2)
         assert all(a_pre >= 0 and a_post >= 0 for _, _, _, a_pre, a_post in rows)
+
+    def test_reads_the_sweeps_context(self, ref_config):
+        """The probe's equalizer is the one the uncoded uw-lmmse sweep at
+        its Eb/N0 caches, and its header names every input."""
+        channel = f"fixed:{NOTCH_FIXTURE}"
+        rows, metadata = harness.run_mse_probe(ref_config, channel, ebn0_db=15.0,
+                                               n_symbols=200, seed=2)
+        ctx = harness._context(harness.SweepSpec(ref_config, "uw-lmmse", (15.0,), 2,
+                                                 channel=channel))
+        assert [r[3] for r in rows] == ctx.equalizers[0].noise_covariance.tolist()
+        assert dict(metadata) == {
+            "channel": channel, "channel_fixture_id": harness._fixture_id(channel),
+            "ebn0_db": "15", "symbols": "200", "seed": "2",
+            "config_hash": harness.config_hash(ref_config), "uwofdm_version": uw.__version__}
+
+    def test_refuses_bad_inputs(self, ref_config, tmp_path):
+        """Before, the library probe gave NaN rows (with RuntimeWarnings)
+        for zero symbols and for a NaN Eb/N0, and rows of an invalid
+        channel model for a 40-tap channel on the 16-sample guard."""
+        fixed = f"fixed:{NOTCH_FIXTURE}"
+        long = tmp_path / "long.txt"
+        taps = np.random.default_rng(5).standard_normal(40) + 0j
+        chan.save_snapshot(long, chan._realization_from_taps(taps, 20e6, 1e-7, 64),
+                           seed=0, draw=0)
+        for channel, kwargs, message in [
+                (fixed, {"n_symbols": 0}, "mse_symbols must be >= 1, got 0"),
+                (fixed, {"ebn0_db": float("nan")}, "mse_ebn0_db must lie between "
+                 "-1000 and 1000 dB and be finite, got nan"),
+                ("ensemble", {}, "mse-probe needs --channel fixed:<fixture path>"),
+                (f"fixed:{long}", {}, "tap_count = 40 does not fit the 16-sample guard"),
+                (fixed, {"seed": -1}, "seed must be a non-negative integer, got -1")]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                harness.run_mse_probe(ref_config, channel, **kwargs)
 
 
 class TestConfigFile:
@@ -760,6 +816,20 @@ class TestCli:
         assert code == 2
         assert (f"channel fixture {fixture}: dft_size = {size} must be >= 1 and "
                 ">= its 16 taps") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe"])
+    def test_fixture_sample_rate_mismatch_exits_2(self, command, tmp_path, capsys):
+        """A 40 MHz config on the 20 MHz notch fixture: before, it ran
+        silently, counting the 20 MHz errors under the 40 MHz config's hash."""
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("sample_rate_hz = 40e6\nebn0_db = [10]\nmse_symbols = 200\n")
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{NOTCH_FIXTURE}"])
+        assert code == 2
+        assert (f"channel fixture {NOTCH_FIXTURE} has sample_rate_hz = 20000000.0, "
+                "the config has sample_rate_hz = 40000000.0") in capsys.readouterr().err
         assert not out.exists()
 
     def test_mse_symbols_below_one_exits_2(self, tmp_path, capsys):

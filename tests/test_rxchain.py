@@ -298,14 +298,13 @@ class TestErrorStatistics:
     def test_measure_mse_noiseless(self, ref_gen, ref_uw, notch_channel):
         eq = uw.build_equalizer(notch_channel, ref_gen, 0.0)
         rng = np.random.default_rng(81)
-        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
-                                              rng, 200)
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel, rng, 200)
         assert max(pre.max(), post.max()) <= 1e-16
 
     def test_measure_mse_matches_analytic(self, ref_gen, ref_uw, notch_channel):
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel,
                                               np.random.default_rng(82), 60_000)
         np.testing.assert_allclose(pre, eq.noise_covariance, rtol=0.03)
         np.testing.assert_allclose(post, carrier_error_variances(ref_gen, eq), rtol=0.03)
@@ -316,7 +315,7 @@ class TestErrorStatistics:
         column."""
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        pre, post = uw.measure_subcarrier_mse(ref_gen, eq, ref_uw, notch_channel,
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel,
                                               np.random.default_rng(86), 300)
         _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2, 300, seed=86)
         zf = uw.zf_only_symbol(y, eq, ref_uw)
