@@ -3,10 +3,11 @@ power profile, Rayleigh tap magnitudes and uniform phases.
 
 ``apply_channel_cyclic`` is the per-symbol receive model (cyclic
 convolution plus white noise) that the receiver algebra of both modems
-assumes.  It applies the channel as one product with its circulant
+assumes.  It applies one channel as one product with its circulant
 matrix (``convolution_matrix``), ``y = x @ M`` over the last axis; a
-*stacked* realization, taps (channels, taps), gives one matrix per
-channel and applies channel c to slice c of a (channels, ..., N) signal.
+*stacked* realization, taps (channels, taps), applies channel c to slice
+c of a (channels, ..., N) signal by FFT, as that channel's response
+times the slice's spectrum.
 The cyclic model stands for the physical symbol stream because the guard
 absorbs the channel: every UW symbol ends in the same unique word, and a
 cyclic prefix repeats the symbol's tail.  The tests check it against a
@@ -138,15 +139,21 @@ def per_symbol(values: np.ndarray) -> np.ndarray:
 def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Cyclic convolution of the rows of ``x`` (over the last axis) with
     one channel, or with channel c for slice c of a (channels, ..., N)
-    ``x`` when ``taps`` is stacked (channels, taps): one product with the
-    circulant channel matrix (the frequency-domain identity and the
-    per-tap form are left to the tests)."""
+    ``x`` when ``taps`` is stacked (channels, taps).  One channel is one
+    product with its circulant matrix, which serves a whole fixed-channel
+    batch; a stack multiplies each channel's rows' FFT by that channel's
+    response and transforms back, so no (channels, N, N) matrices are
+    built (the per-tap form is left to the tests)."""
     x = np.asarray(x)
     taps = np.asarray(taps)
-    m = convolution_matrix(taps, x.shape[-1])
+    size = x.shape[-1]
     if taps.ndim == 1:
-        return x @ m
-    return (x.reshape(taps.shape[0], -1, x.shape[-1]) @ m).reshape(x.shape)
+        return x @ convolution_matrix(taps, size)
+    if not 1 <= taps.shape[-1] <= size:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit a {size}-sample convolution")
+    spectra = np.fft.fft(x.reshape(taps.shape[0], -1, size))
+    spectra *= np.fft.fft(taps, size)[:, None, :]
+    return np.fft.ifft(spectra, out=spectra).reshape(x.shape)
 
 
 def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,

@@ -17,13 +17,14 @@ codeword whose "syndrome" positions are consecutive time samples.
 The energy the redundant carriers spend, ``trace(T @ T^H)`` per unit
 data variance, depends strongly on where the redundant carriers sit, so
 this module also provides the placement metric and a placement search,
-exhaustive up to EXHAUSTIVE_LIMIT subsets and greedy beyond.
+exhaustive up to a cost of EXHAUSTIVE_LIMIT unit solves and greedy beyond.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,6 +45,25 @@ REFERENCE_REDUNDANT_INDICES = (2, 6, 10, 14, 17, 21, 24, 26,
 MAX_DFT_SIZE = 1024
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int (``operator.index``); a bool or a value
+    that is not an integer is refused (ConfigError naming ``name``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as a Python float; a bool or a value that is not a real
+    number is refused (ConfigError naming ``name``)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def check_positive(name: str, value: float) -> None:
     """Refuse (ConfigError) a physical quantity that is not a finite
     positive number."""
@@ -55,9 +75,11 @@ def check_positive(name: str, value: float) -> None:
 class OfdmSystemConfig:
     """All static parameters of one UW-OFDM system (data: unit-energy QPSK).
     The index sets fix the carrier layout, and with it ``data_count`` and
-    ``uw_length``; they are stored as tuples of Python ints, so a config
-    built from lists or numpy arrays hashes (and caches) as the one built
-    from tuples, and a non-integral index is refused."""
+    ``uw_length``.  Every field is stored as Python numbers (the index sets
+    as tuples of ints), so a config built from lists, numpy values or an
+    int rate hashes (and caches) as the one built from tuples, ints and
+    floats; a bool, a non-integral size or index, or a non-real float
+    field is refused."""
 
     dft_size: int
     zero_indices: tuple
@@ -66,10 +88,13 @@ class OfdmSystemConfig:
     uw_energy_ratio: float = 4.0 / 52.0
 
     def __post_init__(self):
+        object.__setattr__(self, "dft_size", as_int("dft_size", self.dft_size))
+        for name in ("sample_rate_hz", "uw_energy_ratio"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         for name in ("zero_indices", "redundant_indices"):
             try:
-                indices = tuple(map(operator.index, getattr(self, name)))
-            except TypeError:
+                indices = tuple(as_int(name, i) for i in getattr(self, name))
+            except (ConfigError, TypeError):
                 raise ConfigError(f"{name} must hold integers, "
                                   f"got {getattr(self, name)!r}") from None
             object.__setattr__(self, name, indices)
@@ -196,18 +221,22 @@ def redundant_energy_metric(gen: RedundancyGenerator) -> float:
 # ---------------------------------------------------------------------------
 # Placement search
 
-#: Largest subset count the search enumerates; beyond it, it is greedy.
+#: Largest search the placement enumerates, in tail solves of up to
+#: ``SOLVE_UNIT`` carriers; beyond it, the search is greedy.  A size-l
+#: subset counts as max(1, (l / SOLVE_UNIT)^3) such solves: call overhead
+#: dominates a smaller solve, and a larger one grows as l^3.
 EXHAUSTIVE_LIMIT = 10 ** 6
+SOLVE_UNIT = 8
 
 
 def optimize_placement(config: OfdmSystemConfig) -> tuple[tuple, float]:
     """Search for a redundant-index set minimizing trace(T T^H).
 
-    ``config.redundant_indices`` only fixes the set size l.  Up to
-    EXHAUSTIVE_LIMIT size-l subsets of the active carriers, the search
-    enumerates them all; beyond, it grows the set one carrier at a time,
-    adding the one that minimizes the metric of the smaller set's own
-    generator system.  Ties go to the lowest subset or carrier; a step
+    ``config.redundant_indices`` only fixes the set size l.  While its
+    size-l subsets of the active carriers cost at most EXHAUSTIVE_LIMIT
+    unit solves, the search enumerates them all; beyond, it grows the set
+    one carrier at a time, adding the one that minimizes the metric of
+    the smaller set's own generator system.  Ties go to the lowest subset or carrier; a step
     whose every choice is singular raises PlacementInfeasibleError.
     """
     n, l = config.dft_size, config.uw_length
@@ -228,7 +257,8 @@ def optimize_placement(config: OfdmSystemConfig) -> tuple[tuple, float]:
             raise PlacementInfeasibleError("no feasible placement found", math.inf)
         return subset, metric
 
-    if math.comb(len(candidates), l) <= EXHAUSTIVE_LIMIT:
+    if math.comb(len(candidates), l) * max(l, SOLVE_UNIT) ** 3 \
+            <= EXHAUSTIVE_LIMIT * SOLVE_UNIT ** 3:
         return best_of(itertools.combinations(candidates, l))
     chosen = ()
     for _ in range(l):

@@ -17,7 +17,10 @@ fixture file has been rewritten since rebuilds it.  The MSE probe reads
 the same cache, through the spec of the uncoded uw-lmmse sweep at its
 Eb/N0, and makes its own input checks, so the CLI only parses and writes.
 
-Memory: a batch allocates and frees a dozen 1-2 MB arrays.  Under glibc,
+Memory: a batch allocates and frees a dozen 1-2 MB arrays; an ensemble
+group's arrays are (64, frame_symbols, N) at most, 0.5 MB at the
+reference size, since neither its convolution (FFT) nor its equalizer
+(a 36 x 16 gain per frame) builds a matrix per frame.  Under glibc,
 ``run_ber_sweep``, ``run_mse_probe`` and each worker process set the
 allocator's mmap threshold to 32 MiB and its trim threshold to 64 MiB
 (``mallopt``, once per process), so freed arrays stay in the heap and
@@ -61,8 +64,9 @@ MAX_FRAME_SYMBOLS = 1024
 MAX_WORKERS = 64
 
 #: Ensemble frames per group (one stacked channel draw and equalizer
-#: build); bounds memory, never changes the output.
-ENSEMBLE_GROUP_FRAMES = 16
+#: build); bounds memory, never changes the output.  64 frames amortize
+#: the group's calls, while its largest arrays stay (64, frame_symbols, N).
+ENSEMBLE_GROUP_FRAMES = 64
 
 #: Largest accepted |Eb/N0| in dB.
 EBN0_LIMIT_DB = 1000.0
@@ -92,7 +96,9 @@ def _keep_freed_memory() -> bool:
 @dataclass(frozen=True)
 class SweepSpec:
     """Complete description of one BER sweep (everything that affects the
-    output bytes); ``ebn0_db`` is kept as a tuple, as the spec keys a cache."""
+    output bytes).  Its numbers are stored as Python ints and floats, and
+    ``ebn0_db`` as a tuple, as the spec keys a cache and its metadata; a
+    bool, or a value of another type, is a ConfigError naming the field."""
 
     config: frame.OfdmSystemConfig
     system: str
@@ -107,7 +113,19 @@ class SweepSpec:
     rms_delay_spread_s: float = chan.DEFAULT_RMS_DELAY_SPREAD_S
 
     def __post_init__(self):
-        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
+        if not isinstance(self.config, frame.OfdmSystemConfig):
+            raise ConfigError(f"config must be an OfdmSystemConfig, got {self.config!r}")
+        for name in ("seed", "min_error_events", "max_bits_per_point", "frame_symbols",
+                     "channel_taps"):
+            object.__setattr__(self, name, frame.as_int(name, getattr(self, name)))
+        object.__setattr__(self, "rms_delay_spread_s",
+                           frame.as_float("rms_delay_spread_s", self.rms_delay_spread_s))
+        try:
+            grid = tuple(frame.as_float("ebn0_db", value) for value in self.ebn0_db)
+        except TypeError:
+            raise ConfigError(f"ebn0_db must be a sequence of real numbers, "
+                              f"got {self.ebn0_db!r}") from None
+        object.__setattr__(self, "ebn0_db", grid)
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         if self.code_rate not in CODE_RATES:
@@ -117,8 +135,9 @@ class SweepSpec:
         if not self.ebn0_db:
             raise ConfigError("Eb/N0 grid must not be empty")
         for value in self.ebn0_db:
-            check_ebn0("Eb/N0 values", value)
-        if not (self.channel == "ensemble" or self.channel.startswith("fixed:")):
+            check_ebn0("ebn0_db", value)
+        if not (self.channel == "ensemble"
+                or isinstance(self.channel, str) and self.channel.startswith("fixed:")):
             raise ConfigError(
                 f"channel must be 'ensemble' or 'fixed:<path>', got {self.channel!r}")
         if self.min_error_events < 1 or self.max_bits_per_point < 1:
@@ -465,8 +484,10 @@ def run_mse_probe(config: frame.OfdmSystemConfig, channel: str,
     ``write_mse_csv`` header.  The analytic columns are diag(C_vv) and
     diag(G C_ee G^H), the smoother's error on every active carrier.
     """
-    if not channel.startswith("fixed:"):
+    if not (isinstance(channel, str) and channel.startswith("fixed:")):
         raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
+    n_symbols = frame.as_int("mse_symbols", n_symbols)
+    ebn0_db = frame.as_float("mse_ebn0_db", ebn0_db)
     if n_symbols < 1:
         raise ConfigError(f"mse_symbols must be >= 1, got {n_symbols}")
     check_ebn0("mse_ebn0_db", ebn0_db)

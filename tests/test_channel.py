@@ -98,17 +98,23 @@ class TestApplyChannelCyclic:
                                    atol=1e-9)
 
     def test_stacked_channel_equals_per_channel_application(self):
-        """Convolution and noise per channel, bit for bit: a stacked draw of
-        noise takes each channel's real, then imaginary, parts in turn."""
+        """Convolution and noise per channel, bit for bit against the same
+        channels applied as one-channel stacks: a stacked draw of noise
+        takes each channel's real, then imaginary, parts in turn, and no
+        channel reads its neighbours' samples.  The stack's FFT agrees
+        with the one-channel circulant product to rounding."""
         rng = np.random.default_rng(45)
         stacked = uw.sample_channel(rng, channels=3)
         x = rng.standard_normal((3, 4, 64)) + 1j * rng.standard_normal((3, 4, 64))
         y = uw.apply_channel_cyclic(x, stacked, 0.1, np.random.default_rng(46))
-        noise_rng = np.random.default_rng(46)
+        stack_rng, single_rng = np.random.default_rng(46), np.random.default_rng(46)
         for c in range(3):
-            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
+            one = chan._realization_from_taps(stacked.taps[c:c + 1], 20e6, 1e-7, 64)
             np.testing.assert_array_equal(
-                y[c], uw.apply_channel_cyclic(x[c], ch, 0.1, noise_rng))
+                y[c], uw.apply_channel_cyclic(x[c:c + 1], one, 0.1, stack_rng)[0])
+            ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
+            np.testing.assert_allclose(
+                y[c], uw.apply_channel_cyclic(x[c], ch, 0.1, single_rng), rtol=0, atol=1e-13)
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(37)

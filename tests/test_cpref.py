@@ -136,18 +136,24 @@ class TestLoopback:
         assert variances[null] == pytest.approx(64 * 0.01 / floor ** 2, rel=1e-12)
 
     def test_stacked_channels_match_per_channel(self):
+        """The stacked window is each channel's one-channel stack bit for
+        bit, and the one-channel circulant path's to rounding; decoding
+        per channel gives the stack's estimates and variances."""
         rng = np.random.default_rng(98)
         stacked = uw.sample_channel(rng, channels=3)
         x = cpref.cp_encode_symbol(uw.qpsk_map(rng.integers(0, 2, (3, 5, 96))))
         y = cpref.cp_apply_channel(x, stacked, 0.05, np.random.default_rng(99))
         est, variances = cpref.cp_decode_symbol(y, stacked, 0.05)
         assert est.shape == (3, 5, 48) and variances.shape == (3, 48)
-        noise_rng = np.random.default_rng(99)
+        stack_rng, single_rng = np.random.default_rng(99), np.random.default_rng(99)
         for c in range(3):
+            one = chan._realization_from_taps(stacked.taps[c:c + 1], 20e6, 1e-7, 64)
+            np.testing.assert_array_equal(
+                y[c], cpref.cp_apply_channel(x[c:c + 1], one, 0.05, stack_rng)[0])
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
-            y_c = cpref.cp_apply_channel(x[c], ch, 0.05, noise_rng)
-            np.testing.assert_array_equal(y[c], y_c)
-            est_c, var_c = cpref.cp_decode_symbol(y_c, ch, 0.05)
+            y_c = cpref.cp_apply_channel(x[c], ch, 0.05, single_rng)
+            np.testing.assert_allclose(y[c], y_c, rtol=0, atol=1e-13)
+            est_c, var_c = cpref.cp_decode_symbol(y[c], ch, 0.05)
             np.testing.assert_allclose(est[c], est_c, rtol=1e-12)
             np.testing.assert_allclose(variances[c], var_c, rtol=1e-12)
 

@@ -323,6 +323,25 @@ class TestOptimizePlacement:
         print(f"greedy metric {metric:.3f} vs published "
               f"{uw.redundant_energy_metric(ref_gen):.3f}")
 
+    def test_large_subsets_take_the_greedy_path(self, ref_config, monkeypatch):
+        """uw_length = 48 on the reference zero set: C(52, 48) = 270,725
+        subsets are within the subset limit, but each is a 48x48 solve,
+        216 unit solves, so the search is greedy: 52 + 51 + ... + 5 =
+        1,368 solves, where enumerating them took minutes."""
+        cfg = dataclasses.replace(
+            ref_config, redundant_indices=tuple(ref_config.active_indices[:48].tolist()))
+        assert math.comb(52, 48) <= uw.frame.EXHAUSTIVE_LIMIT
+        solve_tail, solves = uw.frame._solve_tail, []
+
+        def counted(*args):
+            solves.append(1)
+            assert len(solves) <= 1368, "the search enumerates"
+            return solve_tail(*args)
+
+        monkeypatch.setattr(uw.frame, "_solve_tail", counted)
+        indices, metric = optimize_placement(cfg)
+        assert len(solves) == 1368 and len(indices) == 48 and metric > 0
+
     def test_reference_result_is_pinned(self, ref_config):
         """C(52, 16) ~ 1.0e13 subsets: the reference takes the greedy path."""
         indices, metric = optimize_placement(ref_config)

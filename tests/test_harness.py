@@ -117,6 +117,63 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
             small_spec(seed=-1)
 
+    @pytest.mark.parametrize("field, value, before", [
+        ("dft_size", np.int64(64), "34722f5b3be4"),
+        ("sample_rate_hz", np.float64(20e6), "25b781dc1745"),
+        ("sample_rate_hz", 20_000_000, "241d59cb9819")])
+    def test_numpy_and_int_scalars_hash_as_the_reference(self, field, value, before):
+        """The config's numbers are stored as Python ints and floats.
+        Before, each of these configs equalled the reference but hashed
+        ``before`` instead of f4b1facf5141."""
+        config = dataclasses.replace(uw.reference_config(), **{field: value})
+        assert config == uw.reference_config()
+        assert harness.config_hash(config) == "f4b1facf5141" != before
+        assert type(getattr(config, field)) is type(getattr(uw.reference_config(), field))
+
+    def test_float32_ratio_is_its_python_float(self):
+        """Before, a float32 ratio compared equal to the reference (NEP 50
+        compares in float32), hashed cf47ac15a153 and ran at the float32
+        ratio.  It is now that ratio as a Python float, which it equals,
+        and it differs from the reference openly."""
+        ratio = np.float32(4.0 / 52.0)
+        config = dataclasses.replace(uw.reference_config(), uw_energy_ratio=ratio)
+        python = dataclasses.replace(uw.reference_config(), uw_energy_ratio=float(ratio))
+        assert type(config.uw_energy_ratio) is float
+        assert config == python != uw.reference_config()
+        assert harness.config_hash(config) == harness.config_hash(python) != "f4b1facf5141"
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("seed", 1.5), ("seed", "1"), ("min_error_events", 1.5),
+        ("max_bits_per_point", None), ("frame_symbols", 2.0), ("channel_taps", 4.0),
+        ("channel_taps", np.True_), ("rms_delay_spread_s", "1e-7"),
+        ("rms_delay_spread_s", False), ("ebn0_db", ("10",)), ("ebn0_db", 10.0),
+        ("channel", None), ("config", None)])
+    def test_spec_refuses_bools_and_other_types(self, field, value):
+        """Before, ``seed=True`` was written as ``seed = True``,
+        ``min_error_events=1.5`` and ``channel_taps=np.True_`` were
+        accepted, and most others ended in a numpy or Python TypeError or
+        AttributeError."""
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            dataclasses.replace(small_spec(channel="ensemble"), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("dft_size", 64.0), ("dft_size", True), ("sample_rate_hz", "20e6"),
+        ("sample_rate_hz", True), ("uw_energy_ratio", None)])
+    def test_config_refuses_bools_and_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            dataclasses.replace(uw.reference_config(), **{field: value})
+
+    def test_numpy_spec_fields_are_stored_as_python_numbers(self):
+        spec = small_spec(seed=np.int64(3), grid=np.array([10.0, 14.0]),
+                          frame_symbols=np.int32(8), channel="ensemble",
+                          channel_taps=np.uint8(4), rms_delay_spread_s=np.float32(1e-7))
+        python = small_spec(seed=3, grid=(10.0, 14.0), channel="ensemble", channel_taps=4,
+                            rms_delay_spread_s=float(np.float32(1e-7)))
+        assert spec == python and hash(spec) == hash(python)
+        assert [type(getattr(spec, f.name)) for f in dataclasses.fields(spec)] == \
+            [type(getattr(python, f.name)) for f in dataclasses.fields(python)]
+        assert all(type(v) is float for v in spec.ebn0_db)
+
     def test_missing_fixture_fails_fast(self):
         spec = small_spec(channel="fixed:/nonexistent/chan.txt")
         with pytest.raises(ConfigError, match="fixture not found"):
@@ -294,11 +351,12 @@ class TestEnsembleGroups:
     @pytest.mark.parametrize("system", harness.SYSTEMS)
     @pytest.mark.parametrize("rate, ebn0", [("none", 10.0), ("1/2", 6.0)])
     def test_matches_per_frame_loop(self, system, rate, ebn0):
-        """40 frames: two full groups of 16 and a partial one."""
+        """150 frames: two full groups of 64 and a partial one of 22."""
+        assert 2 * harness.ENSEMBLE_GROUP_FRAMES < 150 < 3 * harness.ENSEMBLE_GROUP_FRAMES
         spec = small_spec(system=system, rate=rate, grid=(ebn0,), seed=7,
                           channel="ensemble")
-        batched = harness._run_batch(spec, 0, 3, n_frames=40)
-        assert batched == per_frame_batch(spec, 0, 3, n_frames=40)
+        batched = harness._run_batch(spec, 0, 3, n_frames=150)
+        assert batched == per_frame_batch(spec, 0, 3, n_frames=150)
         assert batched[1] > 0
 
     def test_group_size_does_not_change_report(self, monkeypatch):
@@ -529,7 +587,8 @@ class TestMseProbe:
     def test_refuses_bad_inputs(self, ref_config, tmp_path):
         """Before, the library probe gave NaN rows (with RuntimeWarnings)
         for zero symbols and for a NaN Eb/N0, and rows of an invalid
-        channel model for a 40-tap channel on the 16-sample guard."""
+        channel model for a 40-tap channel on the 16-sample guard; 2.5
+        symbols ended in Python's TypeError from ``range``."""
         fixed = f"fixed:{NOTCH_FIXTURE}"
         long = tmp_path / "long.txt"
         taps = np.random.default_rng(5).standard_normal(40) + 0j
@@ -541,7 +600,11 @@ class TestMseProbe:
                  "-1000 and 1000 dB and be finite, got nan"),
                 ("ensemble", {}, "mse-probe needs --channel fixed:<fixture path>"),
                 (f"fixed:{long}", {}, "tap_count = 40 does not fit the 16-sample guard"),
-                (fixed, {"seed": -1}, "seed must be a non-negative integer, got -1")]:
+                (fixed, {"seed": -1}, "seed must be a non-negative integer, got -1"),
+                (fixed, {"n_symbols": 2.5}, "mse_symbols must be an integer, got 2.5"),
+                (fixed, {"n_symbols": True}, "mse_symbols must be an integer, got True"),
+                (fixed, {"ebn0_db": "15"}, "mse_ebn0_db must be a real number, got '15'"),
+                (None, {}, "mse-probe needs --channel fixed:<fixture path>")]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 harness.run_mse_probe(ref_config, channel, **kwargs)
 
@@ -1121,3 +1184,66 @@ def test_config_text_runs_or_is_refused(config_dir, lines, system, code_rate, ch
     except (ConfigError, NumericallySingularError):
         return
     assert frames == 2 and 0 <= errors <= bits
+
+
+#: A valid value of each numeric library field, keyed by (owner, field).
+LIBRARY_FIELDS = {("config", "dft_size"): 64, ("config", "sample_rate_hz"): 20e6,
+                  ("config", "uw_energy_ratio"): 4.0 / 52.0, ("spec", "seed"): 3,
+                  ("spec", "min_error_events"): 50, ("spec", "max_bits_per_point"): 200_000,
+                  ("spec", "frame_symbols"): 8, ("spec", "channel_taps"): 4,
+                  ("spec", "rms_delay_spread_s"): 1e-7, ("spec", "ebn0_db"): 10.0,
+                  ("probe", "n_symbols"): 20, ("probe", "ebn0_db"): 15.0}
+#: Numeric forms, each turning a Python number into its type.
+NUMERIC_FORMS = (int, float, np.int16, np.int32, np.int64, np.uint32, np.float16,
+                 np.float32, np.float64)
+#: Forms no numeric field takes.
+FOREIGN_FORMS = (bool, np.bool_, str, lambda value: None)
+
+
+def build_library_object(owner, field, value):
+    """The reference config, a small ensemble spec or an MSE probe's
+    (rows, metadata) with ``field`` set to ``value``."""
+    if owner == "config":
+        return dataclasses.replace(uw.reference_config(), **{field: value})
+    if owner == "spec":
+        value = (value,) if field == "ebn0_db" else value
+        return dataclasses.replace(small_spec(channel="ensemble"), **{field: value})
+    return harness.run_mse_probe(uw.reference_config(), f"fixed:{NOTCH_FIXTURE}",
+                                 **{"n_symbols": 20, field: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LIBRARY_FIELDS)),
+       st.sampled_from(NUMERIC_FORMS + FOREIGN_FORMS), st.booleans())
+def test_library_fields_are_normalized_or_refused(key, form, nan):
+    """A field given as a numpy or Python number of any width acts as its
+    Python value (``.item()``): it builds an object equal to, and hashing
+    like, the one built from that value, or both are a ConfigError.  A
+    bool, a str or None is a ConfigError naming the field.  NaN stands in
+    for the field's valid value half the time."""
+    owner, field = key
+    name = {"n_symbols": "mse_symbols", "ebn0_db": "mse_ebn0_db"}[field] \
+        if owner == "probe" else field
+    try:
+        with np.errstate(over="ignore"):  # float16 holds 20e6 as inf
+            value = form(math.nan if nan else LIBRARY_FIELDS[key])
+    except (ValueError, OverflowError):  # NaN has no integer form, 20e6 no int16
+        return
+    if form in FOREIGN_FORMS:
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            build_library_object(owner, field, value)
+        return
+    python = value.item() if isinstance(value, np.generic) else value
+    try:
+        expected = build_library_object(owner, field, python)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{name} must")
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            build_library_object(owner, field, value)
+        return
+    got = build_library_object(owner, field, value)
+    assert got == expected
+    if owner == "config":
+        assert harness.config_hash(got) == harness.config_hash(expected)
+    elif owner == "spec":
+        assert hash(got) == hash(expected)

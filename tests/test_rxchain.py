@@ -185,6 +185,52 @@ class TestBuildEqualizer:
             assert drift <= 1e-6 * np.abs(word).max()
 
 
+def notch_like_stack(notch_channel):
+    """Three stacked 16-tap channels: the notch fixture, a 2-tap channel
+    46 dB down on data carrier 13, and one with an exact null, floored by
+    zero forcing, on redundant carrier 14."""
+    taps = np.zeros((3, 16), dtype=complex)
+    taps[0] = notch_channel.taps
+    for c, carrier, depth in ((1, 13, 0.495), (2, 14, 0.5)):
+        taps[c, :2] = 0.5, -depth * np.exp(2j * np.pi * carrier / 64)
+    return chan._realization_from_taps(taps, 20e6, 1e-7, 64)
+
+
+class TestFactoredStack:
+    """A stacked build keeps the gain M and the shrink c and applies
+    ``c z_d + M (z_r - T c z_d)``; a one-channel build forms E and applies
+    it in one product.  Frame by frame the two agree on the same words.
+    (A data carrier on the zero-forcing floor is left out: at σ² = 0 its
+    weight of about 1e-12 leaves the least-squares estimate itself
+    uncertain to a few 1e-7, in either form.)"""
+
+    @pytest.fixture(params=["rayleigh", "notch-like"])
+    def stack(self, request, notch_channel):
+        if request.param == "rayleigh":
+            return uw.sample_channel(np.random.default_rng(94), channels=6)
+        return notch_like_stack(notch_channel)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.03])
+    def test_factored_apply_equals_formed_estimator(self, ref_gen, ref_uw, stack, sigma2):
+        channels = stack.taps.shape[0]
+        rng = np.random.default_rng(95)
+        data = uw.qpsk_map(rng.integers(0, 2, (channels, 8, 72)))
+        y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), stack, sigma2, rng)
+        eq = uw.build_equalizer(stack, ref_gen, sigma2)
+        assert eq.formed is None
+        estimates = rxchain.equalize_batch(y, eq, ref_uw)
+        for c in range(channels):
+            ch = chan._realization_from_taps(stack.taps[c], 20e6, 1e-7, 64)
+            single = uw.build_equalizer(ch, ref_gen, sigma2)
+            assert single.formed is not None
+            formed = uw.zf_only_symbol(y[c], single, ref_uw) @ single.estimator.T
+            np.testing.assert_allclose(estimates[c], formed, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
+                                       rtol=1e-12, atol=1e-12)
+        if sigma2 == 0.0:  # least squares returns the sent data
+            np.testing.assert_allclose(estimates, data, rtol=0, atol=1e-9)
+
+
 class TestEqualizeSymbol:
     def test_noiseless_flat_recovery(self, ref_gen, ref_uw):
         rng = np.random.default_rng(73)
