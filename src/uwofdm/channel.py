@@ -258,25 +258,29 @@ def load_snapshot(path) -> ChannelRealization:
     """Load a snapshot fixture written by ``save_snapshot``; a tap line
     that is not two finite numbers, or a metadata value of the wrong type
     (or a rate or delay spread that is not finite and positive), raises
-    ``ConfigError`` naming its line, and a ``dft_size`` below one or below
-    the tap count raises it naming the file."""
+    ``ConfigError`` naming its line, and a file that is not UTF-8, or a
+    ``dft_size`` below one or below the tap count, raises it naming the file."""
     meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
             "dft_size": 64}
     taps = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            try:
-                if line.startswith("#"):
-                    key, _, value = line.lstrip("#").partition("=")
-                    if key.strip() in _SNAPSHOT_FIELDS:
-                        meta[key.strip()] = _SNAPSHOT_FIELDS[key.strip()](value)
-                elif line:
-                    re_part, im_part = line.split()
-                    taps.append(complex(_finite(re_part), _finite(im_part)))
-            except ValueError as exc:
-                raise ConfigError(f"channel fixture {path}:{lineno}: "
-                                  f"cannot read {line!r}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"channel fixture {path} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                key, _, value = line.lstrip("#").partition("=")
+                if key.strip() in _SNAPSHOT_FIELDS:
+                    meta[key.strip()] = _SNAPSHOT_FIELDS[key.strip()](value)
+            elif line:
+                re_part, im_part = line.split()
+                taps.append(complex(_finite(re_part), _finite(im_part)))
+        except ValueError as exc:
+            raise ConfigError(f"channel fixture {path}:{lineno}: "
+                              f"cannot read {line!r}: {exc}") from None
     if meta["dft_size"] < max(len(taps), 1):
         raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
                           f"must be >= 1 and >= its {len(taps)} taps")

@@ -410,7 +410,8 @@ def _make_point(ebn0_db, bits, errors, frames, frame_errors, min_errors) -> BerP
 
 def run_ber_sweep(spec: SweepSpec, workers: int = 1) -> BerReport:
     """Run the sweep; results depend only on (spec, seed), never on the
-    worker count, which must lie between 1 and ``MAX_WORKERS``."""
+    worker count, an integer between 1 and ``MAX_WORKERS``."""
+    workers = frame.as_int("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
@@ -561,13 +562,13 @@ def parse_config_file(path) -> dict:
     """Parse the flat key/value (+ bracketed array) config format.
 
     Unknown keys are rejected so typos cannot silently fall back to
-    defaults.
+    defaults.  A file that cannot be read, or is not UTF-8, is refused.
     """
     values: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -11,17 +11,16 @@ carriers' correction ``M (z_r - T d0)``, whose gain needs only a
 uw_length x uw_length inverse.  It is ``E z``, ``E = A^-1 G^H D^-1``,
 ``A = G^H D^-1 G + σ² I``, with error covariance ``C_ee = σ² A^-1``; at
 σ² = 0 it is least squares (``E G = I``, ``C_ee = 0``).  ``W = G E`` is
-the MSE probe's smoother ``C_ss (C_ss + C_vv)^-1``.  A one-channel build
-forms E, which a fixed channel's batch applies in one product; a stacked
-build (one channel per frame) keeps M and the shrink and applies the two
-steps, never forming E.  The receive functions take (symbols, dft_size)
-samples, or (channels, symbols, dft_size) on a stacked equalizer; one
-symbol is a one-row batch.
+the MSE probe's smoother ``C_ss (C_ss + C_vv)^-1``.  A build keeps M and
+the shrink; E is formed from them when first read.  The receive
+functions take (symbols, dft_size) samples, or (channels, symbols,
+dft_size) on a stacked equalizer; one symbol is a one-row batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +44,7 @@ class WienerEqualizer:
     gain, no ``estimator`` and no ``error_covariance``; its error is the
     noise, so ``error_variances`` is ``noise_covariance`` on the data
     carriers.  With smoothing, the build keeps the smoother's gain M and
-    the data shrink c; a one-channel build also holds E, which a
-    fixed-channel batch applies in one product, while a stacked build
-    is applied in factored form and forms E only when it is read.
+    the data shrink c.
     """
 
     gen: RedundancyGenerator              # the generator it was built from
@@ -57,15 +54,18 @@ class WienerEqualizer:
     error_variances: np.ndarray           # diagonal of C_ee (real), data carriers
     gain: np.ndarray | None = None        # M, data x redundant; None on a ZF-only build
     shrink: np.ndarray | None = None      # c = 1 / (1 + σ² D_d), data carriers
-    formed: np.ndarray | None = None      # E on a one-channel build, else None
 
-    @property
+    @cached_property
     def estimator(self) -> np.ndarray | None:
         """E = (J + M·parity_check)·diag(c), data x active (c is 1 on the
-        redundant carriers); None on a ZF-only build."""
-        if self.gain is None or self.formed is not None:
-            return self.formed
-        return _form_estimator(self.gen, self.gain, self.shrink)
+        redundant carriers), formed when first read; None on a ZF-only build."""
+        if self.gain is None:
+            return None
+        data = self.gen.data_positions
+        estimator = self.gain @ self.gen.parity_check
+        estimator[..., range(len(data)), data] += 1.0
+        estimator[..., data] *= self.shrink[..., None, :]
+        return estimator
 
     @property
     def error_covariance(self) -> np.ndarray | None:
@@ -110,13 +110,10 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     Zero forcing gives 1/H and D, and C_vv = σ²·D.  With ``smoothing``, the
     gain ``M = K S^-1`` (``K = Λ^-1 T^H``, ``Λ^-1 = D_d / (1 + σ² D_d)``) needs
     one inverse per channel of the Hermitian positive-definite
-    ``S = D_r + T K``; c is 1 / (1 + σ² D_d).  One formula serves every
-    σ² >= 0 (least squares at σ² = 0).  One channel also gets
-    ``E = (J + M·parity_check) diag(c)``, J selecting the data carriers,
-    and its error variances are E's data diagonal times σ² D_d.  A stack
-    never forms E: its S is one product of λ^-1 with the (data, l·l)
-    table of T's column outer products, and its error variances are
-    ``Re(c (1 - diag(M T))) σ² D_d``.
+    ``S = D_r + T K``, whose ``T K`` is one product of λ^-1 with the
+    (data, l·l) table of T's column outer products; c is 1 / (1 + σ² D_d).
+    One formula serves every σ² >= 0 (least squares at σ² = 0).  The error
+    variances are ``Re(c (1 - diag(M T))) σ² D_d``.
     """
     inv_h, d = zero_forcing(ch, gen.active_carriers, 1.0)
     cvv_diag = noise_variance * d
@@ -130,30 +127,14 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     d_data = d[..., data]
     shrink = 1.0 / (1.0 + noise_variance * d_data)
     lam_inv = d_data * shrink
-    k = lam_inv[..., None] * t.conj().T
-    d_red = np.eye(l) * d[..., gen.redundant_positions, None]
-    if d.ndim == 1:
-        gain = k @ np.linalg.inv(t @ k + d_red)
-        formed = _form_estimator(gen, gain, shrink)
-        error_var = np.real(formed[range(nd), data]) * cvv_diag[data]
-    else:
-        outer = (t.T[:, :, None] * t.conj().T[:, None, :]).reshape(nd, l * l)
-        gain = k @ np.linalg.inv((lam_inv @ outer).reshape(-1, l, l) + d_red)
-        formed = None
-        error_var = np.real(shrink * (1.0 - np.sum(gain * t.T, axis=-1))) * cvv_diag[..., data]
+    outer = (t.T[:, :, None] * t.conj().T[:, None, :]).reshape(nd, l * l)
+    s = (lam_inv @ outer).reshape(lam_inv.shape[:-1] + (l, l)) \
+        + np.eye(l) * d[..., gen.redundant_positions, None]
+    gain = (lam_inv[..., None] * t.conj().T) @ np.linalg.inv(s)
+    error_var = np.real(shrink * (1.0 - np.sum(gain * t.T, axis=-1))) * cvv_diag[..., data]
     return WienerEqualizer(gen=gen, noise_variance=noise_variance, inv_response=inv_h,
                            noise_covariance=cvv_diag, error_variances=error_var,
-                           gain=gain, shrink=shrink, formed=formed)
-
-
-def _form_estimator(gen: RedundancyGenerator, gain: np.ndarray,
-                    shrink: np.ndarray) -> np.ndarray:
-    """E = (J + M·parity_check)·diag(c), per stacked channel."""
-    data = gen.data_positions
-    estimator = gain @ gen.parity_check
-    estimator[..., range(len(data)), data] += 1.0
-    estimator[..., data] *= shrink[..., None, :]
-    return estimator
+                           gain=gain, shrink=shrink)
 
 
 def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
@@ -161,9 +142,8 @@ def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
     """Data estimates for (batch, dft_size) samples, or (channels, batch,
     dft_size) on a stacked equalizer: zero forcing, then the LMMSE
     estimate if ``eq`` has a gain, else the data carriers of the
-    zero-forced word.  A one-channel build applies its E in one product;
-    a stack applies ``c z_d + M (z_r - T (c z_d))`` per channel, which
-    costs less than forming E for a frame's few symbols.
+    zero-forced word.  One channel applies E in one product; a stack
+    applies ``c z_d + M (z_r - T (c z_d))`` and never forms E.
 
     The UW spectrum is subtracted after zero forcing; removing it before
     (scaled by the channel) is algebraically identical, which the tests
@@ -173,8 +153,8 @@ def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
     gen = eq.gen
     if eq.gain is None:
         return words[..., gen.data_positions]
-    if eq.formed is not None:
-        return words @ eq.formed.T
+    if eq.gain.ndim == 2:
+        return words @ eq.estimator.T
     estimates = words[..., gen.data_positions] * eq.shrink[:, None, :]
     residual = words[..., gen.redundant_positions] - matmul_rows(estimates, gen.redundancy.T)
     estimates += residual @ eq.gain.swapaxes(-1, -2)

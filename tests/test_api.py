@@ -52,6 +52,7 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (uwofdm, "SubcarrierMap"), (uwofdm, "build_subcarrier_map"),
     (frame.RedundancyGenerator, "map"), (rxchain.WienerEqualizer, "map"),
     (harness, "mse_metadata"), (harness, "uw_modem"),
+    (rxchain.WienerEqualizer, "formed"), (rxchain, "_form_estimator"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -64,7 +65,8 @@ def test_removed_knobs_are_gone(owner, name):
     The carrier layout is stored once, as the config's index sets and
     the generator's carrier and position arrays (no subcarrier map).
     The MSE probe reads the sweep's context, so no helper builds its
-    header or its modem.  A dataclass field counts as an attribute."""
+    header or its modem.  An equalizer forms E from its gain when E is
+    read, so it stores no E.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields

@@ -769,6 +769,19 @@ class TestCli:
         with pytest.raises(_PoolRequested, match="max_workers=64"):
             harness.run_ber_sweep(small_spec(), workers=harness.MAX_WORKERS)
 
+    @pytest.mark.parametrize("workers", [2.5, "2", True])
+    def test_workers_not_an_integer_refused(self, workers, monkeypatch):
+        """Refused before any pool exists.  Before, 2.5 and "2" ended in a
+        TypeError and True ran as one worker."""
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+        with pytest.raises(ConfigError, match=f"workers must be an integer, got {workers!r}"):
+            harness.run_ber_sweep(small_spec(), workers=workers)
+
+    def test_numpy_integer_workers_run(self):
+        spec = small_spec(max_bits_per_point=20_000)
+        assert harness.run_ber_sweep(spec, workers=np.int64(1)) == \
+            harness.run_ber_sweep(spec, workers=1)
+
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
         for command, unread in (("derive", ("--seed", "--out", "--channel", "--workers",
@@ -835,6 +848,25 @@ class TestCli:
         assert code == 2
         assert f"{fixture}:{lineno}: cannot read {bad!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe"])
+    def test_fixture_not_utf8_exits_2(self, command, tmp_path, capsys):
+        """Before, the decode error escaped the per-line check (exit 1)."""
+        fixture = tmp_path / "latin.txt"
+        fixture.write_bytes(b"# uw\n\xff\xfe 0.1 0.2\n")
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--out", str(out), "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert f"channel fixture {fixture} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        """Before, the decode error escaped the unreadable-file check (exit 1)."""
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"dft_size = 64\n\xff = 3\n")
+        assert cli.main(["derive", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {cfg}" in err and "utf-8" in err
 
     @pytest.mark.parametrize("frame_symbols", [1, 3])
     def test_rate_3_4_with_odd_slots_exits_2(self, frame_symbols, tmp_path, capsys):

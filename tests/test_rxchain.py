@@ -2,6 +2,8 @@
 error statistics against Monte-Carlo oracles and the full-smoother
 reference form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,9 +199,9 @@ def notch_like_stack(notch_channel):
 
 
 class TestFactoredStack:
-    """A stacked build keeps the gain M and the shrink c and applies
-    ``c z_d + M (z_r - T c z_d)``; a one-channel build forms E and applies
-    it in one product.  Frame by frame the two agree on the same words.
+    """A stacked build applies ``c z_d + M (z_r - T c z_d)`` and never
+    forms E; a one-channel build applies E in one product.  Frame by
+    frame the two agree on the same words.
     (A data carrier on the zero-forcing floor is left out: at σ² = 0 its
     weight of about 1e-12 leaves the least-squares estimate itself
     uncertain to a few 1e-7, in either form.)"""
@@ -217,18 +219,30 @@ class TestFactoredStack:
         data = uw.qpsk_map(rng.integers(0, 2, (channels, 8, 72)))
         y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), stack, sigma2, rng)
         eq = uw.build_equalizer(stack, ref_gen, sigma2)
-        assert eq.formed is None
         estimates = rxchain.equalize_batch(y, eq, ref_uw)
+        assert "estimator" not in vars(eq)
         for c in range(channels):
             ch = chan._realization_from_taps(stack.taps[c], 20e6, 1e-7, 64)
             single = uw.build_equalizer(ch, ref_gen, sigma2)
-            assert single.formed is not None
             formed = uw.zf_only_symbol(y[c], single, ref_uw) @ single.estimator.T
             np.testing.assert_allclose(estimates[c], formed, rtol=0, atol=1e-12)
             np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
                                        rtol=1e-12, atol=1e-12)
         if sigma2 == 0.0:  # least squares returns the sent data
             np.testing.assert_allclose(estimates, data, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.03])
+def test_one_channel_equals_its_one_frame_stack(ref_gen, notch_channel, sigma2):
+    """One build path: a channel built alone gives bit for bit the arrays
+    of the same channel as a one-frame stack, and E is formed once."""
+    stack = dataclasses.replace(notch_channel, taps=notch_channel.taps[None],
+                                freq_response=notch_channel.freq_response[None])
+    single = uw.build_equalizer(notch_channel, ref_gen, sigma2)
+    stacked = uw.build_equalizer(stack, ref_gen, sigma2)
+    for name in ("gain", "error_variances", "estimator"):
+        np.testing.assert_array_equal(getattr(single, name), getattr(stacked, name)[0])
+    assert single.estimator is single.estimator
 
 
 class TestEqualizeSymbol:
