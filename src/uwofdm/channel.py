@@ -3,16 +3,20 @@ power profile, Rayleigh tap magnitudes and uniform phases.
 
 ``apply_channel_cyclic`` is the per-symbol receive model (cyclic
 convolution plus white noise) that the receiver algebra of both modems
-assumes.  It applies one channel as one product with its circulant
-matrix (``convolution_matrix``), ``y = x @ M`` over the last axis; a
-*stacked* realization, taps (channels, taps), applies channel c to slice
-c of a (channels, ..., N) signal by FFT, as that channel's response
-times the slice's spectrum.
+assumes, and the MSE probe's channel.  It applies one channel as one
+product with its circulant matrix (``convolution_matrix``), ``y = x @ M``
+over the last axis; a *stacked* realization, taps (channels, taps),
+applies channel c to slice c of a (channels, ..., N) signal by FFT, as
+that channel's response times the slice's spectrum.
 The cyclic model stands for the physical symbol stream because the guard
 absorbs the channel: every UW symbol ends in the same unique word, and a
 cyclic prefix repeats the symbol's tail.  The tests check it against a
 linear convolution of the whole stream (UW) and of each prefixed symbol
 (cp).  A noise variance is a float per complex sample.
+
+A sweep draws its noise in the frequency domain instead (``bin_noise``):
+the DFT of white time-domain noise is white, of variance N·σ² per bin,
+so it is drawn on the used bins alone, and both modems add it there.
 """
 
 from __future__ import annotations
@@ -172,6 +176,21 @@ def apply_channel_cyclic(x: np.ndarray, ch: ChannelRealization,
         blocks.real += draw[:, 0]
         blocks.imag += draw[:, 1]
     return y
+
+
+def bin_noise(rng: np.random.Generator, shape: tuple, noise_variance: float,
+              dft_size: int) -> np.ndarray:
+    """Noise of ``noise_variance`` per time sample as the sweep's receivers
+    see it, on ``shape[-1]`` bins of a ``dft_size``-point DFT: complex white
+    noise of variance dft_size·σ² per bin.  Each bin's real and imaginary
+    parts are drawn in turn, symbol by symbol, in one call, and viewed as
+    complex without a copy, so a stack of frames draws what the same
+    frames draw one by one."""
+    if noise_variance < 0:
+        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
+    draw = rng.standard_normal(tuple(shape[:-1]) + (2 * shape[-1],))
+    draw *= math.sqrt(dft_size * noise_variance / 2.0)
+    return draw.view(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,22 @@ per-carrier zero forcing.  Pilots are transmitted (so the energy split
 matches the standard) but ignored at the receiver since channel
 knowledge is perfect.  The prefix is never built: a channel that fits
 it leaves the decoded window the cyclic convolution of the 64-sample
-body, so cp runs on UW's circulant receive model; ``mean_symbol_energy``
-still counts the prefix in Eb.  Neither side runs a full transform per
-symbol: the transmitter multiplies the data by the inverse-DFT rows of
-the data bins and adds the fixed pilot waveform, and the receiver
-multiplies the window by the DFT columns of the data bins.
+body, so cp runs on UW's circulant channel model (``cp_apply_channel``,
+noiseless); ``mean_symbol_energy`` still counts the prefix in Eb.  The
+receiver adds the noise in the frequency domain: the sweep's bin noise
+on the 52 used bins (``channel.bin_noise``), of which it reads the 48
+data bins.  On the reference layout the used bins are UW's active
+carriers, so every system sees the same noise there.  Neither side runs
+a full transform per symbol: the transmitter multiplies the data by the
+inverse-DFT rows of the data bins and adds the fixed pilot waveform, and
+the receiver multiplies the window by the DFT columns of the data bins.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
+from .channel import ChannelRealization, cyclic_convolve, per_symbol
 from .numerics import dft_columns, inverse_dft, matmul_rows
 from .rxchain import zero_forcing
 
@@ -23,16 +27,19 @@ from .rxchain import zero_forcing
 class CpConfig:
     """The fixed 802.11a layout in FFT-bin terms: DC and bins 27..37 are
     zero, pilots sit at logical carriers -21, -7, 7, 21 with fixed signs
-    1, 1, 1, -1, and the other 48 bins carry unit-energy QPSK data.
-    Every field is a class constant; nothing follows the swept system's
-    config."""
+    1, 1, 1, -1, and the other 48 bins carry unit-energy QPSK data.  The
+    52 used bins are the pilot and data bins; ``data_positions`` places
+    the data bins among them.  Every field is a class constant; nothing
+    follows the swept system's config."""
 
     dft_size = 64
     cp_length = 16
     pilot_bins = (7, 21, 43, 57)
     pilot_values = (1.0, -1.0, 1.0, 1.0)
     zero_bins = (0,) + tuple(range(27, 38))
-    data_bins = np.setdiff1d(np.arange(dft_size), zero_bins + pilot_bins)
+    used_bins = np.setdiff1d(np.arange(dft_size), zero_bins)
+    data_bins = np.setdiff1d(used_bins, pilot_bins)
+    data_positions = np.searchsorted(used_bins, data_bins)
     data_count = len(data_bins)
 
 
@@ -70,19 +77,20 @@ def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
     return body
 
 
-def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization,
-                     noise_variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Each symbol's decoded window: ``apply_channel_cyclic`` on its
-    body, exact while the channel fits the prefix (spill from the
-    previous symbol stays in the dropped prefix).  A stacked realization
-    needs (channels, ..., 64) symbols and draws noise per channel."""
-    return apply_channel_cyclic(symbols, ch, noise_variance, rng)
+def cp_apply_channel(symbols: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+    """Each symbol's noiseless decoded window: the cyclic convolution of
+    its body (``channel.cyclic_convolve``), exact while the channel fits
+    the prefix (spill from the previous symbol stays in the dropped
+    prefix).  A stacked realization needs (channels, ..., 64) symbols."""
+    return cyclic_convolve(symbols, ch.taps)
 
 
-def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
-                     noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization, noise_variance: float,
+                     noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transform the 64-sample window on the data bins only (one product
-    with those DFT columns) and zero-force them.
+    with those DFT columns), add ``noise``'s data bins, and zero-force
+    them.  ``noise`` is the noise's DFT on the 52 used bins, (..., 52)
+    (``channel.bin_noise``).
 
     Returns (data estimates, per-carrier noise variances) with shapes
     (..., data_count) and (data_count,); a stacked realization takes
@@ -97,7 +105,8 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization,
     if ch.tap_count > CpConfig.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
-    inv_h, variances = zero_forcing(ch, CpConfig.data_bins, noise_variance)
+    inv_h, variances, _ = zero_forcing(ch, CpConfig.data_bins, noise_variance)
     estimates = matmul_rows(received, dft_columns(CpConfig.dft_size, CpConfig.data_bins))
+    estimates += noise[..., CpConfig.data_positions]
     estimates *= per_symbol(inv_h)
     return estimates, variances

@@ -178,28 +178,26 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
 
 
 def qpsk_hard_bits(symbols: np.ndarray) -> np.ndarray:
-    """Minimum-distance bit decisions, inverse of ``qpsk_map``."""
-    symbols = np.asarray(symbols)
-    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
-    bits[..., 0::2] = symbols.real < 0
-    bits[..., 1::2] = symbols.imag < 0
-    return bits
+    """Minimum-distance bit decisions, inverse of ``qpsk_map``: one sign
+    test on the symbols' interleaved real and imaginary parts."""
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return (symbols.view(float) < 0).view(np.uint8)
 
 
 def qpsk_soft_demap(symbols: np.ndarray, variances: np.ndarray | float) -> np.ndarray:
     """Per-component LLRs 4*sqrt(1/2)*Re{s}/sigma_i^2 (Im for the
     quadrature bit), with per-symbol noise variances broadcast over the
     last axis.  An LLR's sign > 0 means bit 0; its magnitude is the
-    reliability the Viterbi path metric weighs."""
-    symbols = np.asarray(symbols)
+    reliability the Viterbi path metric weighs.  One product of the
+    interleaved real and imaginary parts with each scale written twice."""
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
     variances = np.asarray(variances, dtype=float)
     if np.any(variances <= 0):
         raise ValueError("noise variances must be positive")
     scale = 4.0 * QPSK_SCALE / variances
-    llrs = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
-    llrs[..., 0::2] = symbols.real * scale
-    llrs[..., 1::2] = symbols.imag * scale
-    return llrs
+    if scale.ndim and scale.shape[-1] > 1:
+        scale = np.repeat(scale, 2, axis=-1)
+    return symbols.view(float) * scale
 
 
 # ---------------------------------------------------------------------------

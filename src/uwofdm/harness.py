@@ -4,23 +4,33 @@ Reproducibility model: every random quantity is drawn from a stream
 derived as ``default_rng([master_seed, point_index, batch_index,
 stream_id])``, with a fixed number of frames per batch and stopping
 decided on the ordered batch sequence.  Results are therefore byte
-identical for any worker count, and two systems swept with the same
-seed and grid consume the same underlying draws at each point (paired
-comparison).  Ensemble mode runs a batch in groups of
-``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw and
-equalizer build, drawing channels and noise frame by frame in each
+identical for any worker count.  Ensemble mode runs a batch in groups
+of ``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw
+and equalizer build, drawing channels and noise frame by frame in each
 stream, so the group size never shows.  A fixed channel carries the
 whole batch as one group, and a coded batch decodes in one Viterbi call.
+The noise is drawn once per group in the frequency domain, on the used
+bins (``channel.bin_noise``): for UW its active carriers, for cp its 52
+pilot and data bins, which are UW's active carriers on the reference
+layout.  So two systems swept with the same seed and grid consume the
+same bits, channels and noise draws at each point (paired comparison),
+each scaled to its own noise variance.  UW forms its zero-forced words
+from the data and that noise (``rxchain.received_words``), with no
+time-domain symbol; cp sends its symbols through the circulant channel
+noiseless and adds the noise on its data bins in ``cp_decode_symbol``.
 The one cache, ``_context``, holds per spec each Eb/N0 point's noise
 variance and, for UW on a fixed channel, its equalizer; a sweep whose
 fixture file has been rewritten since rebuilds it.  The MSE probe reads
 the same cache, through the spec of the uncoded uw-lmmse sweep at its
 Eb/N0, and makes its own input checks, so the CLI only parses and writes.
+It keeps the time-domain chain (transmit, circulant channel with
+time-domain noise, receive DFT), against which the tests hold UW's words.
 
-Memory: a batch allocates and frees a dozen 1-2 MB arrays; an ensemble
+Memory: a batch allocates and frees several 1-2 MB arrays; an ensemble
 group's arrays are (64, frame_symbols, N) at most, 0.5 MB at the
-reference size, since neither its convolution (FFT) nor its equalizer
-(a 36 x 16 gain per frame) builds a matrix per frame.  Under glibc,
+reference size, since neither cp's convolution (FFT) nor a UW
+equalizer (a 36 x 16 gain per frame) builds a matrix per frame, and UW
+holds only words on its active carriers.  Under glibc,
 ``run_ber_sweep``, ``run_mse_probe`` and each worker process set the
 allocator's mmap threshold to 32 MiB and its trim threshold to 64 MiB
 (``mallopt``, once per process), so freed arrays stay in the heap and
@@ -341,18 +351,19 @@ def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
         bits = fec.interleave(blocks, ctx.interleaver)
     channels = ch.taps.shape[0] if ch.taps.ndim > 1 else 1
     data = fec.qpsk_map(bits.reshape(channels, -1, width))
+    # The noise on the used bins, frame by frame: the same draws for every system.
+    bins = len(cpref.CpConfig.used_bins) if spec.system == "cp" else \
+        len(ctx.gen.active_carriers)
+    noise = chan.bin_noise(rng_noise, data.shape[:-1] + (bins,), sigma2, spec.dft_size)
 
     if spec.system == "cp":
-        x = cpref.cp_encode_symbol(data)
-        y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2)
+        y = cpref.cp_apply_channel(cpref.cp_encode_symbol(data), ch)
+        estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, noise)
     else:
-        gen, uw = ctx.gen, ctx.uw
-        x = txchain.encode_batch(data, gen, uw)
-        y = chan.apply_channel_cyclic(x, ch, sigma2, rng_noise)
         eq = ctx.equalizers[point_idx] if ctx.equalizers else \
-            rxchain.build_equalizer(ch, gen, sigma2, smoothing=ctx.smoothing)
-        estimates, variances = rxchain.equalize_batch(y, eq, uw), eq.error_variances
+            rxchain.build_equalizer(ch, ctx.gen, sigma2, smoothing=ctx.smoothing)
+        words = rxchain.received_words(data, eq, ctx.uw, noise)
+        estimates, variances = rxchain.equalize_batch(words, eq), eq.error_variances
 
     if not coded:
         return fec.qpsk_hard_bits(estimates).reshape(n_frames, -1)

@@ -5,8 +5,9 @@ The whole package is pinned to the unnormalized DFT convention
     F[m, n] = w**(m*n),   w = exp(-2j*pi/N),
     forward(v) = F @ v,   inverse(v) = F.conj().T @ v / N.
 
-The factor N it puts in the noise variance after zero forcing enters in
-one place, ``rxchain.zero_forcing``.  A transform takes its size from the
+The factor N it puts in a noise variance enters in two places: the
+per-bin noise (``channel.bin_noise``) and the variance after zero
+forcing (``rxchain.zero_forcing``).  A transform takes its size from the
 last axis of its input (up to ``frame.MAX_DFT_SIZE``, 1024) and uses the
 dense matrix cached for that size.  The modems transform only their used
 carriers, through ``dft_columns``, and apply one matrix to a stack of

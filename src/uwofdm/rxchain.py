@@ -1,5 +1,6 @@
-"""UW-OFDM receiver: DFT on the active carriers, unique-word removal,
-zero-forcing equalization and the LMMSE data estimator.
+"""UW-OFDM receiver: zero-forcing equalization and the LMMSE data
+estimator, fed by the sweep's frequency-domain link or by a DFT on the
+active carriers with unique-word removal.
 
 Zero forcing (``zero_forcing``, also the cp baseline's) whitens the
 channel but multiplies the noise on carrier i by 1/|H(f_i)|^2, which is
@@ -12,9 +13,18 @@ uw_length x uw_length inverse.  It is ``E z``, ``E = A^-1 G^H D^-1``,
 ``A = G^H D^-1 G + σ² I``, with error covariance ``C_ee = σ² A^-1``; at
 σ² = 0 it is least squares (``E G = I``, ``C_ee = 0``).  ``W = G E`` is
 the MSE probe's smoother ``C_ss (C_ss + C_vv)^-1``.  A build keeps M and
-the shrink; E is formed from them when first read.  The receive
-functions take (symbols, dft_size) samples, or (channels, symbols,
-dft_size) on a stacked equalizer; one symbol is a one-row batch.
+the shrink; E is formed from them when first read.
+
+With the channel known and made cyclic by the unique word, the
+zero-forced word needs no time-domain symbol: on the active carriers it
+is ``z = g (G d) + (g - 1) u + w / H_f`` (``received_words``), with H_f
+the floored response, g = H / H_f (1 except on a floored carrier), u the
+UW spectrum and w the noise's DFT on those carriers (``channel.bin_noise``).
+The sweep forms z so; the MSE probe keeps the time-domain chain
+(``encode_batch``, ``apply_channel_cyclic``, ``zf_only_symbol``), which
+the tests hold z to.  The receive functions take (symbols, ...) arrays,
+or (channels, symbols, ...) on a stacked equalizer; one symbol is a
+one-row batch.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ class WienerEqualizer:
 
     gen: RedundancyGenerator              # the generator it was built from
     noise_variance: float
-    inv_response: np.ndarray              # diagonal of the ZF operator
+    inv_response: np.ndarray              # diagonal of the ZF operator, 1 / H_f
+    response_gain: np.ndarray             # g = H / H_f (real): 1 but on a floored carrier
     noise_covariance: np.ndarray          # diagonal of C_vv (real), active carriers
     error_variances: np.ndarray           # diagonal of C_ee (real), data carriers
     gain: np.ndarray | None = None        # M, data x redundant; None on a ZF-only build
@@ -77,11 +88,12 @@ class WienerEqualizer:
 
 
 def zero_forcing(ch: ChannelRealization, carriers,
-                 noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+                 noise_variance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both modems' zero forcing on ``carriers``, per stacked channel:
-    (1/H, noise variances N·σ²·|1/H|², N from the DFT convention of
-    ``numerics``).  A carrier below ``ZF_REL_FLOOR`` times its channel's
-    strongest is floored there, keeping its phase; a response that is not
+    (1/H_f, noise variances N·σ²·|1/H_f|², g = H / H_f), N from the DFT
+    convention of ``numerics``.  A carrier below ``ZF_REL_FLOOR`` times its
+    channel's strongest is floored there, keeping its phase, so g is
+    |H| / floor there and exactly 1 elsewhere; a response that is not
     finite or peaks below ``ZF_ABS_FLOOR`` raises NearSingularChannelError."""
     h = ch.active_response(carriers)
     mags = np.abs(h)
@@ -93,13 +105,15 @@ def zero_forcing(ch: ChannelRealization, carriers,
             f"lies below {ZF_ABS_FLOOR}; zero forcing undefined")
     floor = np.broadcast_to(ZF_REL_FLOOR * peak[..., None], h.shape)
     weak = mags < floor
+    gain = np.ones(h.shape)
     if np.any(weak):
         # keep the phase; an exactly-zero entry gets a real floor
         mag = mags[weak]
         phases = np.divide(h[weak], mag, out=np.ones(mag.shape, complex), where=mag > 0)
         h[weak] = phases * floor[weak]
+        gain[weak] = mag / floor[weak]
     inv_h = 1.0 / h
-    return inv_h, ch.freq_response.shape[-1] * noise_variance * np.abs(inv_h) ** 2
+    return inv_h, ch.freq_response.shape[-1] * noise_variance * np.abs(inv_h) ** 2, gain
 
 
 def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
@@ -115,12 +129,13 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     One formula serves every σ² >= 0 (least squares at σ² = 0).  The error
     variances are ``Re(c (1 - diag(M T))) σ² D_d``.
     """
-    inv_h, d = zero_forcing(ch, gen.active_carriers, 1.0)
+    inv_h, d, g = zero_forcing(ch, gen.active_carriers, 1.0)
     cvv_diag = noise_variance * d
     data = gen.data_positions
     if not smoothing:
         return WienerEqualizer(gen=gen, noise_variance=noise_variance, inv_response=inv_h,
-                               noise_covariance=cvv_diag, error_variances=cvv_diag[..., data])
+                               response_gain=g, noise_covariance=cvv_diag,
+                               error_variances=cvv_diag[..., data])
 
     t = gen.redundancy
     l, nd = t.shape
@@ -133,23 +148,35 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     gain = (lam_inv[..., None] * t.conj().T) @ np.linalg.inv(s)
     error_var = np.real(shrink * (1.0 - np.sum(gain * t.T, axis=-1))) * cvv_diag[..., data]
     return WienerEqualizer(gen=gen, noise_variance=noise_variance, inv_response=inv_h,
-                           noise_covariance=cvv_diag, error_variances=error_var,
-                           gain=gain, shrink=shrink)
+                           response_gain=g, noise_covariance=cvv_diag,
+                           error_variances=error_var, gain=gain, shrink=shrink)
 
 
-def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
-                   uw: UniqueWord) -> np.ndarray:
-    """Data estimates for (batch, dft_size) samples, or (channels, batch,
-    dft_size) on a stacked equalizer: zero forcing, then the LMMSE
-    estimate if ``eq`` has a gain, else the data carriers of the
-    zero-forced word.  One channel applies E in one product; a stack
-    applies ``c z_d + M (z_r - T (c z_d))`` and never forms E.
+def received_words(data: np.ndarray, eq: WienerEqualizer, uw: UniqueWord,
+                   noise: np.ndarray) -> np.ndarray:
+    """The zero-forced, UW-free words of data symbols (..., data_count) sent
+    over ``eq``'s channel, (channels, symbols, data_count) on a stacked
+    one: ``z = g (G d) + (g - 1) u + w / H_f`` on the active carriers, with
+    ``noise`` the noise's DFT w on them (``channel.bin_noise``).  No time
+    symbol, channel product or DFT is formed; with w the DFT of time-domain
+    noise n, z is ``zf_only_symbol`` of ``encode_batch(data)`` sent through
+    ``apply_channel_cyclic`` with n, to rounding."""
+    gen = eq.gen
+    words = matmul_rows(data, gen.code_matrix.T)
+    if np.any(eq.response_gain != 1.0):  # a floored carrier; g = 1 changes nothing
+        g = per_symbol(eq.response_gain)
+        words *= g
+        words += (g - 1.0) * uw.spectrum[gen.active_carriers]
+    words += noise * per_symbol(eq.inv_response)
+    return words
 
-    The UW spectrum is subtracted after zero forcing; removing it before
-    (scaled by the channel) is algebraically identical, which the tests
-    check against that order-exchanged form.
-    """
-    words = zf_only_symbol(y_time, eq, uw)
+
+def equalize_batch(words: np.ndarray, eq: WienerEqualizer) -> np.ndarray:
+    """Data estimates from zero-forced, UW-free words (batch, active), or
+    (channels, batch, active) on a stacked equalizer: the LMMSE estimate
+    if ``eq`` has a gain, else the words' data carriers.  One channel
+    applies E in one product; a stack applies ``c z_d + M (z_r - T (c z_d))``
+    and never forms E."""
     gen = eq.gen
     if eq.gain is None:
         return words[..., gen.data_positions]
@@ -163,12 +190,14 @@ def equalize_batch(y_time: np.ndarray, eq: WienerEqualizer,
 
 def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
-    """Zero-forced, UW-free word(s) without smoothing: the transmitted
-    active word plus enhanced noise.  The first stage of
-    ``equalize_batch`` and the pre-smoothing error probe.  The DFT is
+    """Zero-forced, UW-free word(s) of received time samples, without
+    smoothing: the transmitted active word plus enhanced noise.  The MSE
+    probe's first stage and the oracle of ``received_words``.  The DFT is
     computed on the active carriers only, one product with those columns
-    of the DFT matrix.  A stacked equalizer takes (channels, symbols,
-    dft_size) samples."""
+    of the DFT matrix.  The UW spectrum is subtracted after zero forcing;
+    removing it before (scaled by the channel) is algebraically
+    identical, which the tests check against that order-exchanged form.
+    A stacked equalizer takes (channels, symbols, dft_size) samples."""
     active = eq.gen.active_carriers
     words = matmul_rows(y_time, dft_columns(np.shape(y_time)[-1], active))
     words *= per_symbol(eq.inv_response)

@@ -7,8 +7,8 @@ cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
 closed form of the cyclic-prefix baseline, the closed form of uncoded
 zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
 extended precision, the semi-analytic BER of uncoded uw-lmmse built
-on it, the frame-major float32 Viterbi butterfly, and the
-batch-innermost Viterbi with a full branch table and a gather
+on it, the frame-major float32 Viterbi butterfly, QPSK hard decisions and
+LLRs written slice by slice, and the batch-innermost Viterbi with a full branch table and a gather
 traceback.  The simulator itself never calls them."""
 
 import math
@@ -140,6 +140,27 @@ def arithmetic_qpsk_map(bits: np.ndarray) -> np.ndarray:
     component, scaled to unit energy."""
     pairs = np.asarray(bits).reshape(np.shape(bits)[:-1] + (-1, 2))
     return QPSK_SCALE * ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1]))
+
+
+def two_slice_hard_bits(symbols: np.ndarray) -> np.ndarray:
+    """QPSK hard decisions written into the even (real part) and odd
+    (imaginary part) slices of a fresh bit array."""
+    symbols = np.asarray(symbols)
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
+    return bits
+
+
+def two_slice_soft_demap(symbols: np.ndarray, variances) -> np.ndarray:
+    """QPSK LLRs 4·sqrt(1/2)·Re{s}/σ² (Im for the odd bit) written into
+    the even and odd slices of a fresh array."""
+    symbols = np.asarray(symbols)
+    scale = 4.0 * QPSK_SCALE / np.asarray(variances, dtype=float)
+    llrs = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
+    llrs[..., 0::2] = symbols.real * scale
+    llrs[..., 1::2] = symbols.imag * scale
+    return llrs
 
 
 # ---------------------------------------------------------------------------

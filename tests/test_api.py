@@ -57,9 +57,9 @@ def test_test_only_forms_are_not_in_the_package(module, name):
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
     worker-count setting, no data-variance key (every data symbol is
-    unit-energy QPSK), one channel model (both modems use the circulant
-    product on 64-sample windows, with no linear convolution and no
-    80-sample cp symbol), one sweep cache (the context holds each
+    unit-energy QPSK), one channel model (both modems' receive model is
+    the circulant product on 64-sample windows, with no linear
+    convolution and no 80-sample cp symbol), one sweep cache (the context holds each
     point's fixed-channel equalizer) and one data estimator for every
     noise variance (no full smoother, no clamp to a noiseless point).
     The carrier layout is stored once, as the config's index sets and
@@ -124,3 +124,11 @@ def test_mse_probe_reads_the_sweeps_context():
     assert metadata.default is inspect.Parameter.empty
     assert list(inspect.signature(rxchain.measure_subcarrier_mse).parameters) == [
         "eq", "uw", "ch", "rng", "n_symbols"]
+
+
+def test_receivers_take_words_and_noiseless_windows():
+    """``equalize_batch`` takes zero-forced words, not time samples, so it
+    needs no unique word; ``cp_apply_channel`` draws no noise, since the
+    sweep adds it on the bins."""
+    assert list(inspect.signature(rxchain.equalize_batch).parameters) == ["words", "eq"]
+    assert list(inspect.signature(cpref.cp_apply_channel).parameters) == ["symbols", "ch"]

@@ -1,5 +1,5 @@
 """Channel model: power profile, normalization, the cyclic model against
-the stream oracle, and pinned snapshot fixtures."""
+the stream oracle, the per-bin noise draw, and pinned snapshot fixtures."""
 
 import numpy as np
 import pytest
@@ -145,14 +145,53 @@ class TestApplyChannelCyclic:
         assert rng.bit_generator.state == state
         np.testing.assert_array_equal(y, chan.cyclic_convolve(x, ch.taps))
 
-    @pytest.mark.parametrize("apply", [uw.apply_channel_cyclic, cpref.cp_apply_channel])
-    def test_negative_noise_variance_rejected(self, apply):
-        """Both modems draw their noise in ``apply_channel_cyclic``, which
-        refuses a negative variance."""
-        rng = np.random.default_rng(47)
-        ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
+    @pytest.mark.parametrize("draw", [
+        lambda rng: uw.apply_channel_cyclic(
+            np.zeros((2, 64), dtype=complex),
+            chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64), -0.1, rng),
+        lambda rng: chan.bin_noise(rng, (2, 52), -0.1, 64)],
+        ids=["apply_channel_cyclic", "bin_noise"])
+    def test_negative_noise_variance_rejected(self, draw):
+        """Both noise draws, the time-domain one of the MSE probe and the
+        per-bin one of the sweep, refuse a negative variance."""
         with pytest.raises(ValueError, match="noise variance must be >= 0, got -0.1"):
-            apply(np.zeros((2, 64), dtype=complex), ch, -0.1, rng)
+            draw(np.random.default_rng(47))
+
+
+class TestBinNoise:
+    """``bin_noise``: white noise of variance N·σ² per bin, the DFT of
+    σ² time-domain noise in distribution, drawn bin by bin, real part
+    first, so a stack of frames draws what its frames draw in turn."""
+
+    def test_stream_order(self):
+        draw = chan.bin_noise(np.random.default_rng(51), (3, 4, 52), 0.2, 64)
+        normals = np.random.default_rng(51).standard_normal(3 * 4 * 104)
+        expect = np.sqrt(64 * 0.2 / 2) * (normals[0::2] + 1j * normals[1::2])
+        assert draw.shape == (3, 4, 52) and draw.dtype == complex
+        np.testing.assert_array_equal(draw.reshape(-1), expect)
+
+    def test_stack_is_its_frames_in_turn(self):
+        stack_rng, frame_rng = np.random.default_rng(52), np.random.default_rng(52)
+        stack = chan.bin_noise(stack_rng, (5, 8, 52), 0.3, 64)
+        for f in range(5):
+            np.testing.assert_array_equal(stack[f], chan.bin_noise(frame_rng, (8, 52), 0.3, 64))
+        np.testing.assert_array_equal(stack.reshape(40, 52),
+                                      chan.bin_noise(np.random.default_rng(52), (40, 52),
+                                                     0.3, 64))
+
+    def test_matches_dft_of_time_noise_in_distribution(self):
+        """Per-bin variance and the correlation between bins against the
+        DFT of time-domain noise, over 2^14 symbols."""
+        sigma2, count = 0.25, 2 ** 14
+        bins = cpref.CpConfig.used_bins
+        time = complex_noise(np.random.default_rng(53), (count, 64), sigma2)
+        for w in (forward_dft(time)[:, bins],
+                  chan.bin_noise(np.random.default_rng(54), (count, len(bins)), sigma2, 64)):
+            covariance = w.T @ w.conj() / count
+            np.testing.assert_allclose(np.diag(covariance).real, 64 * sigma2, rtol=0.05)
+            off = covariance - np.diag(np.diag(covariance))
+            assert np.abs(off).max() <= 0.05 * 64 * sigma2
+            assert np.abs(np.mean(w * w, axis=0)).max() <= 0.05 * 64 * sigma2  # circular
 
 
 def roll_convolve(x, taps):

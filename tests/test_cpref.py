@@ -19,6 +19,12 @@ def cp_cfg():
     return cpref.CpConfig()
 
 
+def decode_noiseless(received, ch, noise_variance):
+    """``cp_decode_symbol`` with zero bin noise."""
+    noise = np.zeros(np.shape(received)[:-1] + (len(cpref.CpConfig.used_bins),), complex)
+    return cpref.cp_decode_symbol(received, ch, noise_variance, noise)
+
+
 class TestStructure:
     def test_carrier_counts(self, cp_cfg):
         assert cp_cfg.data_count == 48
@@ -79,14 +85,27 @@ class TestUsedBinTransforms:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_decode_matches_full_dft_then_cut(self, stacked):
+        """The window's DFT on the data bins, plus the bin noise there,
+        zero-forced; the noise is the same array on all 52 used bins."""
         rng = np.random.default_rng(94)
         ch = uw.sample_channel(rng, channels=4 if stacked else None)
         shape = (4, 5, 64) if stacked else (5, 64)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        inv_h, _ = rxchain.zero_forcing(ch, cpref.CpConfig.data_bins, 1.0)
-        expect = uw.forward_dft(y)[..., cpref.CpConfig.data_bins] * chan.per_symbol(inv_h)
-        got, _ = cpref.cp_decode_symbol(y, ch, 0.01)
+        noise = chan.bin_noise(rng, shape[:-1] + (52,), 0.01, 64)
+        inv_h, _, _ = rxchain.zero_forcing(ch, cpref.CpConfig.data_bins, 1.0)
+        spectrum = uw.forward_dft(y)
+        spectrum[..., cpref.CpConfig.used_bins] += noise
+        expect = spectrum[..., cpref.CpConfig.data_bins] * chan.per_symbol(inv_h)
+        got, _ = cpref.cp_decode_symbol(y, ch, 0.01, noise)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    def test_used_bins_are_the_reference_active_carriers(self, ref_gen):
+        """cp's 52 used bins are UW's active carriers on the reference
+        layout, so one bin-noise array serves both modems, and
+        ``data_positions`` places the data bins among them."""
+        np.testing.assert_array_equal(cpref.CpConfig.used_bins, ref_gen.active_carriers)
+        np.testing.assert_array_equal(
+            cpref.CpConfig.used_bins[cpref.CpConfig.data_positions], cpref.CpConfig.data_bins)
 
 
 class TestLoopback:
@@ -95,8 +114,8 @@ class TestLoopback:
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         d = uw.qpsk_map(rng.integers(0, 2, 96))
         x = cpref.cp_encode_symbol(d)
-        y = cpref.cp_apply_channel(x, ch, 0.0, rng)
-        est, _ = cpref.cp_decode_symbol(y, ch, 0.0)
+        y = cpref.cp_apply_channel(x, ch)
+        est, _ = decode_noiseless(y, ch, 0.0)
         np.testing.assert_allclose(est, d, atol=1e-9)
 
     def test_multipath_noiseless_recovery(self):
@@ -105,22 +124,21 @@ class TestLoopback:
         ch = uw.sample_channel(rng, tap_count=17)
         d = uw.qpsk_map(rng.integers(0, 2, (10, 96)))
         x = cpref.cp_encode_symbol(d)
-        y = cpref.cp_apply_channel(x, ch, 0.0, rng)
-        est, _ = cpref.cp_decode_symbol(y, ch, 0.0)
+        y = cpref.cp_apply_channel(x, ch)
+        est, _ = decode_noiseless(y, ch, 0.0)
         np.testing.assert_allclose(est, d, atol=1e-8)
 
     def test_channel_longer_than_prefix_rejected(self):
         rng = np.random.default_rng(94)
         ch = uw.sample_channel(rng, tap_count=18)
         with pytest.raises(ValueError, match="exceeds"):
-            cpref.cp_decode_symbol(np.zeros(64, dtype=complex), ch, 0.0)
+            decode_noiseless(np.zeros(64, dtype=complex), ch, 0.0)
 
     def test_variances_match_formula(self, cp_cfg):
         rng = np.random.default_rng(95)
         ch = uw.sample_channel(rng)
         sigma2 = 0.03
-        _, variances = cpref.cp_decode_symbol(
-            np.zeros(64, dtype=complex), ch, sigma2)
+        _, variances = decode_noiseless(np.zeros(64, dtype=complex), ch, sigma2)
         h = ch.freq_response[cp_cfg.data_bins]
         np.testing.assert_allclose(variances, 64 * sigma2 / np.abs(h) ** 2,
                                    rtol=1e-12)
@@ -130,7 +148,7 @@ class TestLoopback:
         largest response on the data carriers, as in the UW receiver."""
         taps = np.array([0.5, -0.5 * np.exp(2j * np.pi * 13 / 64)])
         ch = chan._realization_from_taps(taps, 20e6, 1e-7, 64)
-        _, variances = cpref.cp_decode_symbol(np.zeros(64, dtype=complex), ch, 0.01)
+        _, variances = decode_noiseless(np.zeros(64, dtype=complex), ch, 0.01)
         floor = rxchain.ZF_REL_FLOOR * np.abs(ch.freq_response[cp_cfg.data_bins]).max()
         null = list(cp_cfg.data_bins).index(13)
         assert variances[null] == pytest.approx(64 * 0.01 / floor ** 2, rel=1e-12)
@@ -138,22 +156,22 @@ class TestLoopback:
     def test_stacked_channels_match_per_channel(self):
         """The stacked window is each channel's one-channel stack bit for
         bit, and the one-channel circulant path's to rounding; decoding
-        per channel gives the stack's estimates and variances."""
+        per channel, with that channel's noise, gives the stack's
+        estimates and variances."""
         rng = np.random.default_rng(98)
         stacked = uw.sample_channel(rng, channels=3)
         x = cpref.cp_encode_symbol(uw.qpsk_map(rng.integers(0, 2, (3, 5, 96))))
-        y = cpref.cp_apply_channel(x, stacked, 0.05, np.random.default_rng(99))
-        est, variances = cpref.cp_decode_symbol(y, stacked, 0.05)
+        noise = chan.bin_noise(np.random.default_rng(99), (3, 5, 52), 0.05, 64)
+        y = cpref.cp_apply_channel(x, stacked)
+        est, variances = cpref.cp_decode_symbol(y, stacked, 0.05, noise)
         assert est.shape == (3, 5, 48) and variances.shape == (3, 48)
-        stack_rng, single_rng = np.random.default_rng(99), np.random.default_rng(99)
         for c in range(3):
             one = chan._realization_from_taps(stacked.taps[c:c + 1], 20e6, 1e-7, 64)
-            np.testing.assert_array_equal(
-                y[c], cpref.cp_apply_channel(x[c:c + 1], one, 0.05, stack_rng)[0])
+            np.testing.assert_array_equal(y[c], cpref.cp_apply_channel(x[c:c + 1], one)[0])
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
-            y_c = cpref.cp_apply_channel(x[c], ch, 0.05, single_rng)
+            y_c = cpref.cp_apply_channel(x[c], ch)
             np.testing.assert_allclose(y[c], y_c, rtol=0, atol=1e-13)
-            est_c, var_c = cpref.cp_decode_symbol(y[c], ch, 0.05)
+            est_c, var_c = cpref.cp_decode_symbol(y[c], ch, 0.05, noise[c])
             np.testing.assert_allclose(est[c], est_c, rtol=1e-12)
             np.testing.assert_allclose(variances[c], var_c, rtol=1e-12)
 
@@ -161,9 +179,8 @@ class TestLoopback:
         """Pilots must never reach the bit decisions."""
         rng = np.random.default_rng(96)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
-        est, variances = cpref.cp_decode_symbol(
-            cpref.cp_encode_symbol(np.zeros(48, dtype=complex)),
-            ch, 0.0)
+        est, variances = decode_noiseless(
+            cpref.cp_encode_symbol(np.zeros(48, dtype=complex)), ch, 0.0)
         assert est.shape == (48,)
         assert variances.shape == (48,)
         # pilots were transmitted, data estimate is still all-zero
@@ -184,9 +201,9 @@ class TestChannelMatrix:
         return ch, x
 
     @staticmethod
-    def _relative_gap(ch, x, rng):
+    def _relative_gap(ch, x):
         physical = cp_physical_window(x, ch.taps)
-        gap = np.abs(cpref.cp_apply_channel(x, ch, 0.0, rng) - physical).max()
+        gap = np.abs(cpref.cp_apply_channel(x, ch) - physical).max()
         return gap / np.abs(physical).max()
 
     @pytest.mark.parametrize("count", [1, 16, 17])
@@ -196,14 +213,14 @@ class TestChannelMatrix:
         """Taps inside the prefix: the circulant model is exact."""
         rng = np.random.default_rng(100)
         ch, x = self._case(rng, count, shape, channels)
-        assert self._relative_gap(ch, x, rng) <= 1e-12
+        assert self._relative_gap(ch, x) <= 1e-12
 
     @pytest.mark.parametrize("shape, channels", [((9, 64), None), ((3, 9, 64), 3)])
     def test_18_taps_break_equivalence(self, shape, channels):
         """One tap past the prefix: the mismatch must be visible."""
         rng = np.random.default_rng(101)
         ch, x = self._case(rng, 18, shape, channels)
-        assert self._relative_gap(ch, x, rng) > 1e-6
+        assert self._relative_gap(ch, x) > 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 17), st.one_of(st.none(), st.integers(1, 4)),
@@ -212,7 +229,7 @@ class TestChannelMatrix:
         rng = np.random.default_rng(seed)
         shape = ((channels,) if channels else ()) + (symbols, 64)
         ch, x = self._case(rng, count, shape, channels)
-        assert self._relative_gap(ch, x, rng) <= 1e-12
+        assert self._relative_gap(ch, x) <= 1e-12
 
 
 def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
@@ -224,9 +241,9 @@ def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
         eb = cpref.mean_symbol_energy() / 96
         sigma2 = eb / 10 ** (ebn0_db / 10)
         bits = rng.integers(0, 2, (30_000, 96)).astype(np.uint8)
-        x = cpref.cp_encode_symbol(fec.qpsk_map(bits))
-        y = cpref.cp_apply_channel(x, flat, sigma2, rng)
-        est, _ = cpref.cp_decode_symbol(y, flat, sigma2)
+        y = cpref.cp_apply_channel(cpref.cp_encode_symbol(fec.qpsk_map(bits)), flat)
+        noise = chan.bin_noise(rng, (30_000, 52), sigma2, 64)
+        est, _ = cpref.cp_decode_symbol(y, flat, sigma2, noise)
         ber = float(np.mean(fec.qpsk_hard_bits(est) != bits))
         expect = analytic_cp_uncoded_ber(ebn0_db, cp_cfg)
         assert ber == pytest.approx(expect, rel=0.08)

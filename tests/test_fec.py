@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from uwofdm import fec
 
 from oracles import (BUTTERFLY_W0, BUTTERFLY_W1, arithmetic_qpsk_map, batch_innermost_viterbi,
-                     butterfly_viterbi)
+                     butterfly_viterbi, two_slice_hard_bits, two_slice_soft_demap)
+
+#: Components that the sign tests and scales must pass through unchanged.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
 
 
 def awgn_llrs(bits, sigma2, rng):
@@ -142,6 +145,31 @@ class TestQpskMapping:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             fec.qpsk_soft_demap(np.array([1.0 + 0j]), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.sampled_from([(5,), (3, 4), (2, 3, 6)]),
+           st.sampled_from(["scalar", "carrier", "column", "per_symbol"]),
+           st.lists(SPECIAL_FLOATS, max_size=6), st.booleans())
+    def test_demap_and_decisions_match_two_slice_forms(self, seed, shape, layout, special,
+                                                       strided):
+        """The float-view forms give the slice-by-slice oracles' bytes,
+        on −0.0, NaN, ±inf and subnormal components too, for variances
+        that are scalar, per carrier, per symbol (a last axis of one) and
+        per channel and carrier, and on a strided view."""
+        rng = np.random.default_rng(seed)
+        symbols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = symbols.reshape(-1).view(float)
+        flat[rng.choice(flat.size, len(special), replace=False)] = special
+        if strided:
+            symbols = np.repeat(symbols, 2, axis=-1)[..., ::2]
+        variances = 0.3 if layout == "scalar" else rng.uniform(0.1, 2.0, {
+            "carrier": shape[-1:], "column": shape[:-1] + (1,),
+            "per_symbol": shape[:-2] + (1,) * (len(shape) > 1) + shape[-1:]}[layout])
+        for got, expect in ((fec.qpsk_hard_bits(symbols), two_slice_hard_bits(symbols)),
+                            (fec.qpsk_soft_demap(symbols, variances),
+                             two_slice_soft_demap(symbols, variances))):
+            assert got.shape == expect.shape and got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2 ** 31))

@@ -306,7 +306,10 @@ class TestDeterminism:
 def per_frame_batch(spec, point_idx, batch_idx, n_frames):
     """Reference ensemble batch: the per-frame loop, one channel draw,
     equalizer build and decoder call per frame, with the same streams as
-    ``harness._run_batch``."""
+    ``harness._run_batch``.  Each frame's noise is drawn on the 52 used
+    bins; UW adds it, zero-forced, to the words of the time-domain chain
+    (transmit, noiseless channel, receive DFT), and cp adds it in
+    ``cp_decode_symbol``."""
     ctx = harness._context(spec)
     cfg, rate = spec.config, spec.code_rate
     f_sym, width = spec.frame_symbols, ctx.bits_per_symbol
@@ -323,20 +326,21 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
             tx = fec.interleave(fec.puncture(fec.conv_encode(tx), rate)
                                 .reshape(f_sym, width), ctx.interleaver)
         data = uw.qpsk_map(tx.reshape(f_sym, width))
+        noise = chan.bin_noise(rng_noise, (f_sym, 52), sigma2, 64)
         if spec.system != "cp":
             eq = uw.build_equalizer(ch, ctx.gen, sigma2)
-            x = txchain.encode_batch(data, ctx.gen, ctx.uw)
-            y = uw.apply_channel_cyclic(x, ch, sigma2, rng_noise)
+            y = uw.apply_channel_cyclic(txchain.encode_batch(data, ctx.gen, ctx.uw), ch, 0.0,
+                                        rng_noise)
+            words = rxchain.zf_only_symbol(y, eq, ctx.uw) + noise * eq.inv_response
             if ctx.smoothing:
-                estimates, variances = rxchain.equalize_batch(y, eq, ctx.uw), eq.error_variances
+                estimates, variances = rxchain.equalize_batch(words, eq), eq.error_variances
             else:
                 positions = ctx.gen.data_positions
-                estimates = rxchain.zf_only_symbol(y, eq, ctx.uw)[:, positions]
+                estimates = words[:, positions]
                 variances = eq.noise_covariance[positions]
         else:
-            x = cpref.cp_encode_symbol(data)
-            y = cpref.cp_apply_channel(x, ch, sigma2, rng_noise)
-            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2)
+            y = cpref.cp_apply_channel(cpref.cp_encode_symbol(data), ch)
+            estimates, variances = cpref.cp_decode_symbol(y, ch, sigma2, noise)
         if rate == "none":
             decided[i] = fec.qpsk_hard_bits(estimates).reshape(-1)
         else:
@@ -345,6 +349,73 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
             decided[i] = fec.viterbi_decode(fec.depuncture(stream, rate), ctx.n_info)
     wrong = decided != bits
     return (bits.size, int(wrong.sum()), n_frames, int(wrong.any(axis=1).sum()))
+
+
+class TestFrequencyDomainLink:
+    """UW batches form the zero-forced words from the data and the bin
+    noise; every system draws that noise alike at one (seed, point,
+    batch), so the comparison stays paired."""
+
+    @pytest.mark.parametrize("channel", ["fixed", "ensemble"])
+    def test_noise_is_paired_across_systems(self, channel, monkeypatch):
+        """uw-lmmse and uw-zf see the same w on all 52 active bins, and cp
+        adds UW's w on its 48 data bins, scaled to its own σ² (Eb/N0 fixes
+        a noise variance per modem): on the fixed channel (one batch group)
+        and on a 64-frame stack."""
+        uw_noise, cp_noise = {}, []
+        received_words, cp_decode = rxchain.received_words, cpref.cp_decode_symbol
+
+        def record_uw(data, eq, word, noise):
+            uw_noise["smoothing" if eq.gain is not None else "zf"] = \
+                noise / np.sqrt(eq.noise_variance)
+            return received_words(data, eq, word, noise)
+
+        def record_cp(received, ch, sigma2, noise):
+            estimates, variances = cp_decode(received, ch, sigma2, noise)
+            clean, _ = cp_decode(received, ch, sigma2, np.zeros_like(noise))
+            inv_h = rxchain.zero_forcing(ch, cpref.CpConfig.data_bins, sigma2)[0]
+            added = (estimates - clean) / chan.per_symbol(inv_h)
+            cp_noise.append((noise / np.sqrt(sigma2), added / np.sqrt(sigma2)))
+            return estimates, variances
+
+        monkeypatch.setattr(rxchain, "received_words", record_uw)
+        monkeypatch.setattr(cpref, "cp_decode_symbol", record_cp)
+        for system in harness.SYSTEMS:
+            spec = small_spec(system=system, grid=(8.0,), seed=9,
+                              channel=None if channel == "fixed" else "ensemble")
+            harness._run_batch(spec, 0, 2, n_frames=harness.ENSEMBLE_GROUP_FRAMES)
+        (noise, added), = cp_noise
+        w = uw_noise["smoothing"]
+        assert w.shape == ((1, 64 * 8, 52) if channel == "fixed" else (64, 8, 52))
+        np.testing.assert_array_equal(uw_noise["zf"], w)
+        np.testing.assert_allclose(noise, w, rtol=1e-14)
+        uw_spec = dataclasses.replace(spec, system="uw-lmmse")
+        active = harness._context(uw_spec).gen.active_carriers
+        assert np.isin(cpref.CpConfig.data_bins, active).all()
+        np.testing.assert_allclose(
+            added, w[..., np.searchsorted(active, cpref.CpConfig.data_bins)], rtol=1e-9)
+
+    @pytest.mark.parametrize("channel", ["fixed", "ensemble"])
+    @pytest.mark.parametrize("rate", harness.CODE_RATES)
+    def test_uw_batches_form_no_time_domain_symbol(self, channel, rate, monkeypatch):
+        """No uw-lmmse or uw-zf batch calls the transmitter, the channel
+        products or the receive DFT, under any binding in the package."""
+        forbidden = {txchain.encode_batch, chan.apply_channel_cyclic, chan.cyclic_convolve,
+                     rxchain.zf_only_symbol}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("time-domain call in a UW batch")
+
+        for name, module in list(sys.modules.items()):
+            if name == "uwofdm" or name.startswith("uwofdm."):
+                for key, value in list(vars(module).items()):
+                    if any(value is f for f in forbidden):
+                        monkeypatch.setattr(module, key, refuse)
+        for system in ("uw-lmmse", "uw-zf"):
+            spec = small_spec(system=system, rate=rate, grid=(8.0,),
+                              channel=None if channel == "fixed" else "ensemble")
+            bits, errors, _, _ = harness._run_batch(spec, 0, 0, n_frames=70)
+            assert 0 < errors < bits
 
 
 class TestEnsembleGroups:

@@ -15,7 +15,7 @@ from uwofdm import rxchain
 from uwofdm.errors import NearSingularChannelError
 from uwofdm.txchain import encode_batch
 
-from oracles import permutation, wiener_smoother
+from oracles import complex_noise, permutation, wiener_smoother
 
 
 def flat_channel(gain=1.0 + 0j):
@@ -47,10 +47,16 @@ def encode_one(data, gen, uword):
     return encode_batch(np.asarray(data)[None, :], gen, uword)[0]
 
 
+def equalize_time(y_time, eq, uword):
+    """Data estimates of received time samples: ``equalize_batch`` on
+    their zero-forced words."""
+    return rxchain.equalize_batch(uw.zf_only_symbol(y_time, eq, uword), eq)
+
+
 def equalize_one(y_time, eq, uword):
-    """Data estimates of one symbol: ``equalize_batch`` on a one-row
+    """Data estimates of one symbol: ``equalize_time`` on a one-row
     batch."""
-    return rxchain.equalize_batch(np.asarray(y_time)[None, :], eq, uword)[0]
+    return equalize_time(np.asarray(y_time)[None, :], eq, uword)[0]
 
 
 def send_batch(gen, uword, ch, sigma2, count, seed):
@@ -133,14 +139,14 @@ class TestBuildEqualizer:
         stacked = uw.sample_channel(rng, channels=4)
         eq = uw.build_equalizer(stacked, ref_gen, sigma2, smoothing=smoothing)
         y = rng.standard_normal((4, 3, 64)) + 1j * rng.standard_normal((4, 3, 64))
-        words = (rxchain.equalize_batch if smoothing else uw.zf_only_symbol)(y, eq, ref_uw)
+        words = (equalize_time if smoothing else uw.zf_only_symbol)(y, eq, ref_uw)
         for c in range(4):
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             single = uw.build_equalizer(ch, ref_gen, sigma2, smoothing=smoothing)
             np.testing.assert_allclose(eq.inv_response[c], single.inv_response, rtol=1e-12)
             np.testing.assert_allclose(eq.noise_covariance[c], single.noise_covariance,
                                        rtol=1e-12)
-            single_words = (rxchain.equalize_batch if smoothing
+            single_words = (equalize_time if smoothing
                             else uw.zf_only_symbol)(y[c], single, ref_uw)
             np.testing.assert_allclose(words[c], single_words, rtol=1e-12, atol=1e-12)
             if smoothing:
@@ -162,11 +168,11 @@ class TestBuildEqualizer:
         loud = chan._realization_from_taps(np.array([10.0, 0.0]), 20e6, 1e-7, 64)
         stacked = chan._realization_from_taps(np.stack([null.taps, loud.taps]),
                                               20e6, 1e-7, 64)
-        inv_h, variances = rxchain.zero_forcing(stacked, ref_gen.active_carriers, 0.01)
+        stack = rxchain.zero_forcing(stacked, ref_gen.active_carriers, 0.01)
         for c, ch in enumerate((null, loud)):
             single = rxchain.zero_forcing(ch, ref_gen.active_carriers, 0.01)
-            np.testing.assert_array_equal(inv_h[c], single[0])
-            np.testing.assert_array_equal(variances[c], single[1])
+            for stacked_part, single_part in zip(stack, single):
+                np.testing.assert_array_equal(stacked_part[c], single_part)
         dead = chan._realization_from_taps(np.stack([loud.taps, np.zeros(2)]),
                                            20e6, 1e-7, 64)
         with pytest.raises(NearSingularChannelError, match=r"\[0\.0\]"):
@@ -219,7 +225,7 @@ class TestFactoredStack:
         data = uw.qpsk_map(rng.integers(0, 2, (channels, 8, 72)))
         y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), stack, sigma2, rng)
         eq = uw.build_equalizer(stack, ref_gen, sigma2)
-        estimates = rxchain.equalize_batch(y, eq, ref_uw)
+        estimates = equalize_time(y, eq, ref_uw)
         assert "estimator" not in vars(eq)
         for c in range(channels):
             ch = chan._realization_from_taps(stack.taps[c], 20e6, 1e-7, 64)
@@ -230,6 +236,72 @@ class TestFactoredStack:
                                        rtol=1e-12, atol=1e-12)
         if sigma2 == 0.0:  # least squares returns the sent data
             np.testing.assert_allclose(estimates, data, rtol=0, atol=1e-9)
+
+
+def null_channel(carriers, channels=None):
+    """Two-tap channels with an exact null on each of ``carriers`` (one
+    channel per carrier when stacked), floored by zero forcing."""
+    taps = [[0.5, -0.5 * np.exp(2j * np.pi * k / 64)] for k in carriers]
+    return chan._realization_from_taps(np.array(taps if channels else taps[0]),
+                                       20e6, 1e-7, 64)
+
+
+class TestFrequencyDomainLink:
+    """``received_words`` against the time-domain chain it replaces in the
+    sweep: with w the DFT of the same time-domain noise on the active
+    carriers, z equals ``zf_only_symbol`` of ``encode_batch`` sent through
+    ``apply_channel_cyclic``, per carrier within 1e-12 of its largest
+    value, on a fixed channel, a stack and channels with floored carriers."""
+
+    @pytest.fixture(params=["notch", "stack", "floored", "floored-stack"])
+    def channel(self, request, notch_channel):
+        if request.param == "notch":
+            return notch_channel
+        if request.param == "stack":
+            return uw.sample_channel(np.random.default_rng(60), channels=8)
+        if request.param == "floored":
+            return null_channel([13])  # data carrier 13 of the reference layout
+        return notch_like_stack(notch_channel)  # its channel 2 floors carrier 14
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.02])
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_link_equals_time_domain_chain(self, ref_gen, ref_uw, channel, sigma2,
+                                           smoothing):
+        stacked = channel.taps.ndim > 1
+        lead = (channel.taps.shape[0],) if stacked else ()
+        rng = np.random.default_rng(61)
+        data = uw.qpsk_map(rng.integers(0, 2, lead + (8, 72)))
+        eq = uw.build_equalizer(channel, ref_gen, sigma2, smoothing=smoothing)
+        y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), channel, sigma2,
+                                    np.random.default_rng(62))
+        noise = complex_noise(np.random.default_rng(62), lead + (8, 64), sigma2, stacked)
+        w = uw.forward_dft(noise)[..., ref_gen.active_carriers]
+        chain = uw.zf_only_symbol(y, eq, ref_uw)
+        link = rxchain.received_words(data, eq, ref_uw, w)
+        if sigma2 > 0.0:
+            np.testing.assert_allclose(rxchain.equalize_batch(link, eq),
+                                       rxchain.equalize_batch(chain, eq),
+                                       rtol=0, atol=1e-9 * np.abs(link).max())
+        else:  # a floored carrier's rounding is amplified a millionfold
+            keep = np.all(eq.response_gain == 1.0, axis=tuple(range(eq.response_gain.ndim - 1)))
+            chain, link = chain[..., keep], link[..., keep]
+        scale = np.abs(chain).max(axis=-2, keepdims=True)
+        assert np.all(np.abs(link - chain) <= 1e-12 * scale)
+
+    def test_response_gain_is_one_off_the_floor(self, ref_gen, notch_channel):
+        """g = H / H_f is exactly 1 on every carrier left unfloored, and
+        |H| / floor on the floored one, from zero forcing's floor mask."""
+        assert np.all(uw.build_equalizer(notch_channel, ref_gen, 0.01).response_gain == 1.0)
+        floored = null_channel([13, 14, 40], channels=3)
+        eq = uw.build_equalizer(floored, ref_gen, 0.01)
+        h = floored.active_response(ref_gen.active_carriers)
+        floor = rxchain.ZF_REL_FLOOR * np.abs(h).max(axis=-1, keepdims=True)
+        on_floor = np.abs(h) < floor
+        assert on_floor.sum(axis=-1).tolist() == [1, 1, 1]
+        np.testing.assert_array_equal(eq.response_gain[~on_floor], 1.0)
+        np.testing.assert_array_equal(eq.response_gain[on_floor], (np.abs(h) / floor)[on_floor])
+        np.testing.assert_allclose(eq.response_gain, np.real(h * eq.inv_response),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.03])
@@ -339,7 +411,7 @@ class TestErrorStatistics:
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
         data, _, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
                                 100_000, seed=79)
-        est = rxchain.equalize_batch(y, eq, ref_uw)
+        est = equalize_time(y, eq, ref_uw)
         err = est - data
         np.testing.assert_allclose(np.mean(np.abs(err) ** 2, axis=0),
                                    eq.error_variances, rtol=0.03)
@@ -349,7 +421,7 @@ class TestErrorStatistics:
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
         data, _, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2,
                                 100_000, seed=80)
-        err = rxchain.equalize_batch(y, eq, ref_uw) - data
+        err = equalize_time(y, eq, ref_uw) - data
         mean = err.mean(axis=0)
         bound = 3 * np.sqrt(eq.error_variances / err.shape[0])
         assert (np.abs(mean.real) <= bound).all()
@@ -402,7 +474,7 @@ def test_ber_invariant_under_uw_choice(ref_gen, ref_uw, zero_uw, notch_channel):
         noise_rng = np.random.default_rng(85)  # identical draws per word
         y = uw.apply_channel_cyclic(x, notch_channel, sigma2,
                                     noise_rng)
-        est = rxchain.equalize_batch(y, eq, word)
+        est = equalize_time(y, eq, word)
         decisions[id(word)] = uw.fec.qpsk_hard_bits(est)
 
     a, b = decisions.values()
