@@ -7,12 +7,13 @@ it leaves the decoded window the cyclic convolution of the 64-sample
 body, so cp runs on UW's circulant channel model (``cp_apply_channel``,
 noiseless); ``mean_symbol_energy`` still counts the prefix in Eb.  The
 receiver adds the noise in the frequency domain: the sweep's bin noise
-on the 52 used bins (``channel.bin_noise``), of which it reads the 48
-data bins.  On the reference layout the used bins are UW's active
-carriers, so every system sees the same noise there.  Neither side runs
-a full transform per symbol: the transmitter multiplies the data by the
-inverse-DFT rows of the data bins and adds the fixed pilot waveform, and
-the receiver multiplies the window by the DFT columns of the data bins.
+on the 52 used bins (``channel.bin_noise``, Box–Muller from one pair of
+uniforms per bin), of which it reads the 48 data bins.  On the reference
+layout the used bins are UW's active carriers, so every system sees the
+same noise there.  Neither side runs a full transform per symbol: the
+transmitter multiplies the data by the inverse-DFT rows of the data bins
+and adds the fixed pilot waveform, and the receiver multiplies the
+window by the DFT columns of the data bins.
 """
 
 from __future__ import annotations

@@ -139,21 +139,20 @@ class InterleaverSpec:
 
 
 def interleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
+    """Bit k of each block goes to position ``forward[k]``: one gather,
+    position j reading bit ``backward[j]``."""
     bits = np.asarray(bits)
     if bits.shape[-1] != spec.block_bits:
         raise ValueError(f"expected {spec.block_bits} bits, got {bits.shape[-1]}")
-    out = np.empty_like(bits)
-    out[..., spec.forward] = bits
-    return out
+    return bits[..., spec.backward]
 
 
 def deinterleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
+    """Inverse of ``interleave``: position k reads ``bits[forward[k]]``."""
     bits = np.asarray(bits)
     if bits.shape[-1] != spec.block_bits:
         raise ValueError(f"expected {spec.block_bits} bits, got {bits.shape[-1]}")
-    out = np.empty_like(bits)
-    out[..., spec.backward] = bits
-    return out
+    return bits[..., spec.forward]
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +160,19 @@ def deinterleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
 
 QPSK_SCALE = np.sqrt(0.5)
 
-#: The four Gray points, indexed by 2·b_I + b_Q.
-_QPSK_POINTS = QPSK_SCALE * ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
-                             + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1])))
-
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Gray QPSK, unit average energy: bit pair (b_I, b_Q) = 00 maps to
-    (+1+1j)/sqrt(2), a set bit flips the sign of its component.  One
-    lookup into the four points."""
+    (+1+1j)/sqrt(2), a set bit flips the sign of its component.  Each bit
+    becomes its component, sqrt(1/2) − 2·sqrt(1/2)·b (exactly ±sqrt(1/2)
+    for a 0/1 bit), written into one float array that is viewed as
+    complex, so no index array or other temporary is made."""
     bits = np.asarray(bits)
     if bits.shape[-1] % 2:
         raise ValueError("QPSK needs an even number of bits")
-    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    return _QPSK_POINTS[2 * pairs[..., 0] + pairs[..., 1]]
+    components = np.multiply(bits, -2.0 * QPSK_SCALE, out=np.empty(bits.shape))
+    components += QPSK_SCALE
+    return components.view(complex)
 
 
 def qpsk_hard_bits(symbols: np.ndarray) -> np.ndarray:

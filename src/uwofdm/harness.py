@@ -9,15 +9,18 @@ of ``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw
 and equalizer build, drawing channels and noise frame by frame in each
 stream, so the group size never shows.  A fixed channel carries the
 whole batch as one group, and a coded batch decodes in one Viterbi call.
-The noise is drawn once per group in the frequency domain, on the used
-bins (``channel.bin_noise``): for UW its active carriers, for cp its 52
-pilot and data bins, which are UW's active carriers on the reference
-layout.  So two systems swept with the same seed and grid consume the
-same bits, channels and noise draws at each point (paired comparison),
-each scaled to its own noise variance.  UW forms its zero-forced words
-from the data and that noise (``rxchain.received_words``), with no
-time-domain symbol; cp sends its symbols through the circulant channel
-noiseless and adds the noise on its data bins in ``cp_decode_symbol``.
+A batch's information bits are unpacked, most significant bit first,
+from raw bytes of its bit stream (``_info_bits``).  The noise is drawn
+once per group in the frequency domain, on the used bins
+(``channel.bin_noise``, one Box–Muller pair of uniforms per bin): for
+UW its active carriers, for cp its 52 pilot and data bins, which are
+UW's active carriers on the reference layout.  So two systems swept
+with the same seed and grid consume the same bits, channels and noise
+draws at each point (paired comparison), each scaled to its own noise
+variance.  UW forms its zero-forced words from the data and that noise
+(``rxchain.received_words``), with no time-domain symbol; cp sends its
+symbols through the circulant channel noiseless and adds the noise on
+its data bins in ``cp_decode_symbol``.
 The one cache, ``_context``, holds per spec each Eb/N0 point's noise
 variance and, for UW on a fixed channel, its equalizer; a sweep whose
 fixture file has been rewritten since rebuilds it.  The MSE probe reads
@@ -373,6 +376,15 @@ def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
     return fec.depuncture(stream, spec.code_rate)
 
 
+def _info_bits(rng: np.random.Generator, n_frames: int, n_info: int) -> np.ndarray:
+    """(n_frames, n_info) uniform uint8 bits: the first n_frames·n_info
+    bits of ⌈n_frames·n_info / 8⌉ raw bytes of ``rng``, most significant
+    bit first, so each random byte gives eight bits."""
+    count = n_frames * n_info
+    raw = np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=count).reshape(n_frames, n_info)
+
+
 def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
                n_frames: int = BATCH_FRAMES) -> tuple:
     """Simulate one batch of frames; returns (bits, errors, frames,
@@ -382,7 +394,7 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
     rng_bits, rng_ch, rng_noise = (
         np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
 
-    bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
+    bits = _info_bits(rng_bits, n_frames, ctx.n_info)
 
     # A fixed channel carries the batch as one group; the ensemble draws a
     # channel per frame, group by group.  The groups fill one batch array

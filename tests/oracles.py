@@ -1,8 +1,9 @@
 """Reference forms that the tests compare the package against: the
 dense 0/1 carrier-placement matrices and the generator derived through
 them, the physical symbol-stream channel and its noise as a fresh draw,
-the circulant channel matrix as one gather, QPSK mapping as arithmetic,
-the zero-tail time symbol, an explicit inverse DFT matrix, the scattered
+the circulant channel matrix as one gather, QPSK mapping as arithmetic
+and as a four-point lookup, interleaving as a scatter, the zero-tail
+time symbol, an explicit inverse DFT matrix, the scattered
 cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
 closed form of the cyclic-prefix baseline, the closed form of uncoded
 zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
@@ -17,7 +18,8 @@ import numpy as np
 
 from uwofdm import cpref
 from uwofdm.channel import ChannelRealization
-from uwofdm.fec import G0_OCTAL, G1_OCTAL, NEG_INF, QPSK_SCALE, TAIL_BITS, qpsk_map
+from uwofdm.fec import (G0_OCTAL, G1_OCTAL, NEG_INF, QPSK_SCALE, TAIL_BITS, InterleaverSpec,
+                        qpsk_map)
 from uwofdm.frame import OfdmSystemConfig, RedundancyGenerator, derive_generator
 from uwofdm.numerics import inverse_dft, solve_linear
 from uwofdm.txchain import build_unique_word
@@ -140,6 +142,30 @@ def arithmetic_qpsk_map(bits: np.ndarray) -> np.ndarray:
     component, scaled to unit energy."""
     pairs = np.asarray(bits).reshape(np.shape(bits)[:-1] + (-1, 2))
     return QPSK_SCALE * ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1]))
+
+
+def four_point_qpsk_map(bits: np.ndarray) -> np.ndarray:
+    """Gray QPSK as a lookup into the four points at 2·b_I + b_Q."""
+    points = QPSK_SCALE * ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
+                           + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1])))
+    pairs = np.asarray(bits).reshape(np.shape(bits)[:-1] + (-1, 2))
+    return points[2 * pairs[..., 0] + pairs[..., 1]]
+
+
+def scatter_interleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
+    """Block interleaving as a scatter: bit k to position ``forward[k]``."""
+    bits = np.asarray(bits)
+    out = np.empty_like(bits)
+    out[..., spec.forward] = bits
+    return out
+
+
+def scatter_deinterleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
+    """Block deinterleaving as a scatter: bit k to position ``backward[k]``."""
+    bits = np.asarray(bits)
+    out = np.empty_like(bits)
+    out[..., spec.backward] = bits
+    return out
 
 
 def two_slice_hard_bits(symbols: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Channel model: power profile, normalization, the cyclic model against
 the stream oracle, the per-bin noise draw, and pinned snapshot fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,13 +162,16 @@ class TestApplyChannelCyclic:
 
 class TestBinNoise:
     """``bin_noise``: white noise of variance N·σ² per bin, the DFT of
-    σ² time-domain noise in distribution, drawn bin by bin, real part
-    first, so a stack of frames draws what its frames draw in turn."""
+    σ² time-domain noise in distribution, drawn by Box–Muller from one
+    (radius, angle) pair of uniforms per bin, bin by bin, so a stack of
+    frames draws what its frames draw in turn."""
 
     def test_stream_order(self):
         draw = chan.bin_noise(np.random.default_rng(51), (3, 4, 52), 0.2, 64)
-        normals = np.random.default_rng(51).standard_normal(3 * 4 * 104)
-        expect = np.sqrt(64 * 0.2 / 2) * (normals[0::2] + 1j * normals[1::2])
+        u = np.random.default_rng(51).random(3 * 4 * 52 * 2).reshape(-1, 2)
+        radius = np.sqrt(-64 * 0.2 * np.log1p(-u[:, 0]))
+        angle = (u[:, 1].astype(np.float32) * np.float32(2 * np.pi))
+        expect = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
         assert draw.shape == (3, 4, 52) and draw.dtype == complex
         np.testing.assert_array_equal(draw.reshape(-1), expect)
 
@@ -192,6 +197,49 @@ class TestBinNoise:
             off = covariance - np.diag(np.diag(covariance))
             assert np.abs(off).max() <= 0.05 * 64 * sigma2
             assert np.abs(np.mean(w * w, axis=0)).max() <= 0.05 * 64 * sigma2  # circular
+
+    def test_component_moments_and_tails(self):
+        """Each component, scaled to unit variance, over 2^22 draws in four
+        calls: mean 0, variance 1 and kurtosis 3, and P(|x| > k) against
+        erfc(k/√2) for k = 1…4, each within 4 standard errors."""
+        rng, sigma2 = np.random.default_rng(55), 0.3
+        scale = math.sqrt(64 * sigma2 / 2)
+        count = 2 ** 22
+        sums = np.zeros((2, 3))
+        tails = np.zeros((2, 4))
+        for _ in range(4):
+            w = chan.bin_noise(rng, (count // 4 // 64, 64), sigma2, 64).reshape(-1) / scale
+            for c, x in enumerate((w.real, w.imag)):
+                sums[c] += [x.sum(), (x * x).sum(), (x ** 4).sum()]
+                tails[c] += [(np.abs(x) > k).sum() for k in range(1, 5)]
+        for c in range(2):
+            mean, second, fourth = sums[c] / count
+            assert abs(mean) <= 4 / math.sqrt(count)
+            assert abs(second - 1) <= 4 * math.sqrt(2 / count)  # Var x² = 2
+            assert abs(fourth - 3) <= 4 * math.sqrt(96 / count)  # Var x⁴ = 105 − 9
+            for k in range(1, 5):
+                p = math.erfc(k / math.sqrt(2))
+                assert abs(tails[c, k - 1] / count - p) <= 4 * math.sqrt(p * (1 - p) / count)
+
+    def test_edge_uniforms(self):
+        """u = 0 gives a zero radius and the largest uniform a finite one,
+        about 8.6 standard deviations; σ² = 0 gives exact zeros."""
+        class Fixed:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, shape):
+                return np.full(shape, self.value)
+
+        zero = chan.bin_noise(Fixed(0.0), (2, 3), 0.5, 64)
+        np.testing.assert_array_equal(zero, 0)
+        largest = chan.bin_noise(Fixed(1 - 2 ** -53), (2, 3), 0.5, 64)
+        assert np.isfinite(largest).all()
+        np.testing.assert_allclose(np.abs(largest) / math.sqrt(64 * 0.5 / 2),
+                                   math.sqrt(2 * 53 * math.log(2)))
+        silent = chan.bin_noise(np.random.default_rng(56), (4, 52), 0.0, 64)
+        np.testing.assert_array_equal(silent, 0)
+        assert silent.dtype == complex
 
 
 def roll_convolve(x, taps):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from uwofdm import fec
 
 from oracles import (BUTTERFLY_W0, BUTTERFLY_W1, arithmetic_qpsk_map, batch_innermost_viterbi,
-                     butterfly_viterbi, two_slice_hard_bits, two_slice_soft_demap)
+                     butterfly_viterbi, four_point_qpsk_map, scatter_deinterleave,
+                     scatter_interleave, two_slice_hard_bits, two_slice_soft_demap)
 
 #: Components that the sign tests and scales must pass through unchanged.
 SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
@@ -170,6 +171,37 @@ class TestQpskMapping:
                              two_slice_soft_demap(symbols, variances))):
             assert got.shape == expect.shape and got.dtype == expect.dtype
             assert got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.sampled_from([(2,), (3, 8), (2, 3, 72), (4, 96)]),
+           st.sampled_from([np.uint8, np.int8, np.int64, np.uint16, np.int32, bool]),
+           st.sampled_from(["contiguous", "strided", "transposed", "fortran"]))
+    def test_gathers_match_today_forms(self, seed, shape, dtype, layout):
+        """The float-view QPSK map and the gather (de)interleavers give the
+        four-point lookup's and the scatters' arrays, for 0/1 bits of any
+        integer dtype, contiguous or not."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, shape).astype(dtype)
+        if layout == "strided":
+            bits = np.repeat(bits, 2, axis=-1)[..., ::2]
+        elif layout == "transposed":
+            bits = np.ascontiguousarray(np.swapaxes(bits, 0, -1)).swapaxes(0, -1)
+        elif layout == "fortran":
+            bits = np.asfortranarray(bits)
+        symbols = fec.qpsk_map(bits)
+        assert symbols.dtype == complex
+        assert np.array_equal(symbols, four_point_qpsk_map(bits))
+        block = shape[-1]
+        if block > 2:
+            spec = fec.InterleaverSpec(block_bits=block, columns=block // 6 if block > 8 else 4)
+            llrs = rng.standard_normal(shape)[..., ::-1]
+            for values in (bits, llrs):
+                for got, expect in ((fec.interleave(values, spec),
+                                     scatter_interleave(values, spec)),
+                                    (fec.deinterleave(values, spec),
+                                     scatter_deinterleave(values, spec))):
+                    assert got.dtype == expect.dtype
+                    assert np.array_equal(got, expect)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2 ** 31))

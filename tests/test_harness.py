@@ -316,7 +316,9 @@ def per_frame_batch(spec, point_idx, batch_idx, n_frames):
     sigma2 = ctx.sigma2[point_idx]
     rng_bits, rng_ch, rng_noise = (
         np.random.default_rng([spec.seed, point_idx, batch_idx, role]) for role in range(3))
-    bits = rng_bits.integers(0, 2, size=(n_frames, ctx.n_info)).astype(np.uint8)
+    count = n_frames * ctx.n_info
+    bits = np.unpackbits(np.frombuffer(rng_bits.bytes((count + 7) // 8), dtype=np.uint8),
+                         count=count).reshape(n_frames, ctx.n_info)
     decided = np.empty_like(bits)
     for i in range(n_frames):
         ch = uw.sample_channel(rng_ch, spec.rms_delay_spread_s, cfg.sample_rate_hz,
@@ -416,6 +418,26 @@ class TestFrequencyDomainLink:
                               channel=None if channel == "fixed" else "ensemble")
             bits, errors, _, _ = harness._run_batch(spec, 0, 0, n_frames=70)
             assert 0 < errors < bits
+
+
+class TestInfoBits:
+    """The bit source: raw bytes of the bit stream, unpacked MSB first."""
+
+    def test_bits_are_bytes_msb_first(self):
+        bits = harness._info_bits(np.random.default_rng(61), 4, 288)
+        raw = np.random.default_rng(61).bytes(4 * 288 // 8)
+        expect = [(byte >> (7 - i)) & 1 for byte in raw for i in range(8)]
+        assert bits.shape == (4, 288) and bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits.reshape(-1), expect)
+
+    def test_partial_byte_consumes_whole_bytes(self):
+        """3 × 282 = 846 bits take ⌈846/8⌉ = 106 bytes: the stream is left
+        where drawing 106 bytes leaves it."""
+        rng, ref = np.random.default_rng(62), np.random.default_rng(62)
+        bits = harness._info_bits(rng, 3, 282)
+        raw = np.frombuffer(ref.bytes(106), dtype=np.uint8)
+        np.testing.assert_array_equal(bits.reshape(-1), np.unpackbits(raw)[:846])
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestEnsembleGroups:
