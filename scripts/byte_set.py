@@ -12,9 +12,11 @@ reproduces its parent's set (``diff -r``); the set is the same at any
 ``--workers``, which ``tests/test_harness.py`` checks on every cell.
 
 Each sweep's wall seconds go to stderr, and at ``--workers 1`` (where
-the batches run in this process) its minor page faults per batch, read
-with ``resource.getrusage`` where that exists.  These figures never go
-into a CSV.
+the batches run in this process) the minor page faults per batch of its
+eight batches, read with ``resource.getrusage`` where that exists.  The
+count starts after the one-batch sweep and the full sweep's context
+build, so it holds the batches alone.  These figures never go into a
+CSV.
 """
 
 import argparse
@@ -40,15 +42,14 @@ SEED = 3
 EBN0_DB = (4.0, 8.0, 12.0, 16.0)
 
 
-def sweep(system: str, rate: str, channel: str, workers: int) -> harness.BerReport:
+def sweep_spec(system: str, rate: str, channel: str) -> harness.SweepSpec:
     """Two batches per point: a one-batch sweep at the first Eb/N0 gives
     the bits of one batch, and twice that stops the real sweep."""
     spec = harness.SweepSpec(config=reference_config(), system=system, ebn0_db=EBN0_DB[:1],
                              seed=SEED, code_rate=rate, channel=channel,
                              min_error_events=10 ** 12, max_bits_per_point=1)
     batch_bits = harness.run_ber_sweep(spec).points[0].bits
-    return harness.run_ber_sweep(dataclasses.replace(
-        spec, ebn0_db=EBN0_DB, max_bits_per_point=2 * batch_bits), workers=workers)
+    return dataclasses.replace(spec, ebn0_db=EBN0_DB, max_bits_per_point=2 * batch_bits)
 
 
 def minor_faults() -> int:
@@ -68,11 +69,14 @@ def main(argv=None) -> int:
         for system in harness.SYSTEMS:
             for rate in harness.CODE_RATES:
                 path = outdir / f"{system}_{rate.replace('/', '')}_{tag}.csv"
-                start, faults = time.perf_counter(), minor_faults()
-                report = sweep(system, rate, channel, args.workers)
+                start = time.perf_counter()
+                spec = sweep_spec(system, rate, channel)
+                harness._context(spec)  # built here, so the faults below are the batches'
+                faults = minor_faults()
+                report = harness.run_ber_sweep(spec, workers=args.workers)
                 cost = f"{path.name}: {time.perf_counter() - start:.2f} s"
                 if resource and args.workers == 1:
-                    batches = 1 + sum(p.frames for p in report.points) // harness.BATCH_FRAMES
+                    batches = sum(p.frames for p in report.points) // harness.BATCH_FRAMES
                     cost += f", {(minor_faults() - faults) / batches:.0f} minor faults per batch"
                 print(cost, file=sys.stderr)
                 harness.write_ber_csv(path, report)

@@ -3,24 +3,24 @@ power profile, Rayleigh tap magnitudes and uniform phases.
 
 ``apply_channel_cyclic`` is the per-symbol receive model (cyclic
 convolution plus white noise) that the receiver algebra of both modems
-assumes, and the MSE probe's channel.  It applies one channel as one
-product with its circulant matrix (``convolution_matrix``), ``y = x @ M``
-over the last axis; a *stacked* realization, taps (channels, taps),
-applies channel c to slice c of a (channels, ..., N) signal by FFT, as
-that channel's response times the slice's spectrum.
+assumes; the tests hold UW's link to it, and no sweep or probe calls it.
+``cyclic_convolve`` (cp's channel) applies one channel as one product
+with its circulant matrix (``convolution_matrix``), ``y = x @ M`` over
+the last axis; a *stacked* realization, taps (channels, taps), applies
+channel c to slice c of a (channels, ..., N) signal by FFT, as that
+channel's response times the slice's spectrum.
 The cyclic model stands for the physical symbol stream because the guard
 absorbs the channel: every UW symbol ends in the same unique word, and a
 cyclic prefix repeats the symbol's tail.  The tests check it against a
 linear convolution of the whole stream (UW) and of each prefixed symbol
 (cp).  A noise variance is a float per complex sample.
 
-A sweep draws its noise in the frequency domain instead (``bin_noise``):
-the DFT of white time-domain noise is white, of variance N·σ² per bin,
-so it is drawn on the used bins alone, and both modems add it there.
-Each bin is one Box–Muller pair (a float64 radius from one uniform, a
-float32 angle from the next), which costs a fraction of two ziggurat
-normals; ``apply_channel_cyclic`` keeps its normals, so the MSE probe's
-draws do not change.
+A sweep and the MSE probe draw their noise in the frequency domain
+instead (``bin_noise``): the DFT of white time-domain noise is white, of
+variance N·σ² per bin, so it is drawn on the used bins alone, and both
+modems add it there.  Each bin is one Box–Muller pair (a float64 radius
+from one uniform, a float32 angle from the next), which costs a fraction
+of two ziggurat normals.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ matrix on the data and on the redundant carriers,
     T = -M22^-1 @ M21.
 
 Equivalently the active-carrier word is a complex-field Reed-Solomon-style
-codeword whose "syndrome" positions are consecutive time samples.
+codeword whose "syndrome" positions are consecutive time samples.  The
+generator stores T and the code matrix, and nothing formed from them.
 
 The energy the redundant carriers spend, ``trace(T @ T^H)`` per unit
 data variance, depends strongly on where the redundant carriers sit, so
@@ -145,11 +146,9 @@ class RedundancyGenerator:
 
     A word lists the active carriers in ascending order; data fills the
     non-redundant ones in ascending order, at ``data_positions``.
-    ``redundancy`` maps a data vector to the redundant symbols,
-    ``code_matrix`` maps it to the full word, ``parity_check`` ([-T, I]
-    in carrier order) annihilates it, and ``modulator`` maps it to the
-    zero-tail time symbol in one product: row i is the symbol of the unit
-    data vector e_i, and its last ``uw_length`` columns vanish to rounding.
+    ``redundancy`` maps a data vector to the redundant symbols, and
+    ``code_matrix`` maps it to the full word, whose inverse DFT (scattered
+    onto the active carriers) has ``uw_length`` zero tail samples.
     """
 
     config: OfdmSystemConfig
@@ -158,8 +157,6 @@ class RedundancyGenerator:
     redundant_positions: np.ndarray  # positions of redundant symbols within it
     redundancy: np.ndarray          # uw_length x data_count
     code_matrix: np.ndarray         # (data_count + uw_length) x data_count
-    parity_check: np.ndarray        # uw_length x (data_count + uw_length), zero on words
-    modulator: np.ndarray           # data_count x dft_size, the words' inverse DFTs
     tail_condition: float           # condition number of the tail system
 
     @property
@@ -201,16 +198,10 @@ def derive_generator(config: OfdmSystemConfig) -> RedundancyGenerator:
     code_matrix = np.zeros((nd + l, nd), dtype=complex)
     code_matrix[data, range(nd)] = 1.0
     code_matrix[redundant] = redundancy
-    parity_check = np.zeros((l, nd + l), dtype=complex)
-    parity_check[:, data] = -redundancy
-    parity_check[range(l), redundant] = 1.0
-    spectrum = np.zeros((nd, n), dtype=complex)
-    spectrum[:, active] = code_matrix.T
-
     return RedundancyGenerator(
         config=config, active_carriers=active, data_positions=data,
         redundant_positions=redundant, redundancy=redundancy, code_matrix=code_matrix,
-        parity_check=parity_check, modulator=inverse_dft(spectrum), tail_condition=cond)
+        tail_condition=cond)
 
 
 def redundant_energy_metric(gen: RedundancyGenerator) -> float:

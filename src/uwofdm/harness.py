@@ -26,8 +26,8 @@ variance and, for UW on a fixed channel, its equalizer; a sweep whose
 fixture file has been rewritten since rebuilds it.  The MSE probe reads
 the same cache, through the spec of the uncoded uw-lmmse sweep at its
 Eb/N0, and makes its own input checks, so the CLI only parses and writes.
-It keeps the time-domain chain (transmit, circulant channel with
-time-domain noise, receive DFT), against which the tests hold UW's words.
+It forms its words on the sweep's link with the sweep's bin noise
+(``rxchain.measure_subcarrier_mse``).
 
 Memory: a batch allocates and frees several 1-2 MB arrays; an ensemble
 group's arrays are (64, frame_symbols, N) at most, 0.5 MB at the
@@ -422,8 +422,8 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
 # Sweep driver
 
 def _make_point(ebn0_db, bits, errors, frames, frame_errors, min_errors) -> BerPoint:
-    ber = errors / bits if bits else 0.0
-    half = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits) if bits else 0.0
+    ber = errors / bits
+    half = 1.96 * math.sqrt(ber * (1.0 - ber) / bits)
     return BerPoint(
         ebn0_db=float(ebn0_db), bits=bits, bit_errors=errors, ber=ber,
         ci_low=max(0.0, ber - half), ci_high=min(1.0, ber + half),
@@ -519,7 +519,7 @@ def run_mse_probe(config: frame.OfdmSystemConfig, channel: str,
     ctx = _current_context(SweepSpec(config, "uw-lmmse", (ebn0_db,), seed, channel=channel))
     eq = ctx.equalizers[0]
     mse_pre, mse_post = rxchain.measure_subcarrier_mse(
-        eq, ctx.uw, ctx.fixed_channel, np.random.default_rng([seed, 0]), n_symbols)
+        eq, ctx.uw, np.random.default_rng([seed, 0]), n_symbols)
     g = ctx.gen.code_matrix
     post_var = np.real(np.einsum("ij,jk,ik->i", g, eq.error_covariance, g.conj()))
     rows = [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),

@@ -20,11 +20,10 @@ zero-forced word needs no time-domain symbol: on the active carriers it
 is ``z = g (G d) + (g - 1) u + w / H_f`` (``received_words``), with H_f
 the floored response, g = H / H_f (1 except on a floored carrier), u the
 UW spectrum and w the noise's DFT on those carriers (``channel.bin_noise``).
-The sweep forms z so; the MSE probe keeps the time-domain chain
-(``encode_batch``, ``apply_channel_cyclic``, ``zf_only_symbol``), which
-the tests hold z to.  The receive functions take (symbols, ...) arrays,
-or (channels, symbols, ...) on a stacked equalizer; one symbol is a
-one-row batch.
+The sweep and the MSE probe both form z so; ``zf_only_symbol`` ends the
+time-domain chain the tests hold z to, and runs in neither.  The receive
+functions take (symbols, ...) arrays, or (channels, symbols, ...) on a
+stacked equalizer; one symbol is a one-row batch.
 """
 
 from __future__ import annotations
@@ -34,12 +33,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, apply_channel_cyclic, per_symbol
+from .channel import ChannelRealization, bin_noise, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator
 from .fec import qpsk_map
 from .numerics import dft_columns, matmul_rows
-from .txchain import UniqueWord, encode_batch
+from .txchain import UniqueWord
 
 #: A channel whose strongest carrier lies below this has no zero forcing.
 ZF_ABS_FLOOR = 1e-9
@@ -68,14 +67,17 @@ class WienerEqualizer:
 
     @cached_property
     def estimator(self) -> np.ndarray | None:
-        """E = (J + M·parity_check)·diag(c), data x active (c is 1 on the
-        redundant carriers), formed when first read; None on a ZF-only build."""
+        """E, data x active, formed when first read: M in its redundant
+        columns and (I - M T)·diag(c) in its data columns; None on a
+        ZF-only build."""
         if self.gain is None:
             return None
-        data = self.gen.data_positions
-        estimator = self.gain @ self.gen.parity_check
-        estimator[..., range(len(data)), data] += 1.0
-        estimator[..., data] *= self.shrink[..., None, :]
+        gen, gain = self.gen, self.gain
+        estimator = np.empty(gain.shape[:-1] + gen.active_carriers.shape, complex)
+        estimator[..., gen.redundant_positions] = gain
+        identity = np.eye(len(gen.data_positions))
+        estimator[..., gen.data_positions] = \
+            (identity - gain @ gen.redundancy) * self.shrink[..., None, :]
         return estimator
 
     @property
@@ -191,8 +193,8 @@ def equalize_batch(words: np.ndarray, eq: WienerEqualizer) -> np.ndarray:
 def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Zero-forced, UW-free word(s) of received time samples, without
-    smoothing: the transmitted active word plus enhanced noise.  The MSE
-    probe's first stage and the oracle of ``received_words``.  The DFT is
+    smoothing: the transmitted active word plus enhanced noise.  The
+    oracle of ``received_words``, which no sweep or probe calls.  The DFT is
     computed on the active carriers only, one product with those columns
     of the DFT matrix.  The UW spectrum is subtracted after zero forcing;
     removing it before (scaled by the channel) is algebraically
@@ -209,12 +211,12 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
 MSE_BATCH_SYMBOLS = 4096
 
 
-def measure_subcarrier_mse(eq: WienerEqualizer, uw: UniqueWord, ch: ChannelRealization,
-                           rng: np.random.Generator,
+def measure_subcarrier_mse(eq: WienerEqualizer, uw: UniqueWord, rng: np.random.Generator,
                            n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical per-carrier squared error against the matched transmit
     word, (before, after) smoothing with ``W = G E``, both from the same
-    received symbols."""
+    zero-forced words: the sweep's link (``received_words``) and bin
+    noise, each pass drawing its data, then its noise, from ``rng``."""
     gen = eq.gen
     smoother_t = (gen.code_matrix @ eq.estimator).T
     nd = gen.config.data_count
@@ -224,9 +226,8 @@ def measure_subcarrier_mse(eq: WienerEqualizer, uw: UniqueWord, ch: ChannelReali
         count = min(MSE_BATCH_SYMBOLS, n_symbols - done)
         data = qpsk_map(rng.integers(0, 2, size=(count, 2 * nd)))
         sent = data @ gen.code_matrix.T
-        y = apply_channel_cyclic(encode_batch(data, gen, uw), ch,
-                                 eq.noise_variance, rng)
-        zf = zf_only_symbol(y, eq, uw)
+        zf = received_words(data, eq, uw, bin_noise(rng, sent.shape, eq.noise_variance,
+                                                    gen.config.dft_size))
         pre += np.sum(np.abs(zf - sent) ** 2, axis=0)
         post += np.sum(np.abs(zf @ smoother_t - sent) ** 2, axis=0)
     return pre / n_symbols, post / n_symbols

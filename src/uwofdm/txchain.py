@@ -3,11 +3,10 @@
 A transmit symbol is built in two steps: first a zero-tail symbol (the
 redundant carriers force the last ``uw_length`` time samples to zero),
 then the deterministic unique word is added on top of that zero tail.
-The zero-tail symbol is one product of the data with the generator's
-``modulator``, the encoding, carrier scatter and inverse DFT folded into
-one data_count x dft_size matrix.  The tests keep the three-step form
-(encode, scatter, inverse transform) and the frequency-domain UW addition
-as oracles.
+The zero-tail symbol is the code-matrix word scattered onto the active
+carriers and inverse-transformed.  No sweep or probe forms a time symbol
+(``rxchain.received_words``): the tests hold that link to ``encode_batch``
+and keep the frequency-domain UW addition as its oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import RedundancyGenerator
-from .numerics import forward_dft, matmul_rows
+from .numerics import forward_dft, inverse_dft, matmul_rows
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,15 @@ def build_unique_word(gen: RedundancyGenerator, target_ratio: float) -> UniqueWo
 def encode_batch(data: np.ndarray, gen: RedundancyGenerator,
                  uw: UniqueWord) -> np.ndarray:
     """Time-domain symbols for data vectors on the last axis, (...,
-    data_count) to (..., dft_size): one product with the generator's
-    modulator, then the unique word added on the zero tail."""
+    data_count) to (..., dft_size): the code-matrix words scattered onto
+    the active carriers and inverse-transformed, then the unique word
+    added on the zero tail."""
     data = np.asarray(data)
     if data.shape[-1] != gen.config.data_count:
         raise ValueError(
             f"data length {data.shape[-1]} != data_count {gen.config.data_count}")
-    time = matmul_rows(data, gen.modulator)
+    spectrum = np.zeros(data.shape[:-1] + (gen.config.dft_size,), dtype=complex)
+    spectrum[..., gen.active_carriers] = matmul_rows(data, gen.code_matrix.T)
+    time = inverse_dft(spectrum)
     time[..., -len(uw.samples):] += uw.samples
     return time

@@ -53,6 +53,7 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (frame.RedundancyGenerator, "map"), (rxchain.WienerEqualizer, "map"),
     (harness, "mse_metadata"), (harness, "uw_modem"),
     (rxchain.WienerEqualizer, "formed"), (rxchain, "_form_estimator"),
+    (frame.RedundancyGenerator, "modulator"), (frame.RedundancyGenerator, "parity_check"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -66,7 +67,9 @@ def test_removed_knobs_are_gone(owner, name):
     the generator's carrier and position arrays (no subcarrier map).
     The MSE probe reads the sweep's context, so no helper builds its
     header or its modem.  An equalizer forms E from its gain when E is
-    read, so it stores no E.  A dataclass field counts as an attribute."""
+    read, so it stores no E, and the generator stores neither the
+    time-domain modulator nor the parity check, which nothing at run time
+    reads.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
@@ -117,13 +120,14 @@ def test_notch_predicate_has_no_threshold_knobs():
 def test_mse_probe_reads_the_sweeps_context():
     """The probe takes the sweep's channel string and returns its CSV
     header, which ``write_mse_csv`` requires; the equalizer holds the
-    generator the MSE measurement reads."""
+    generator and the noise variance the MSE measurement reads, and the
+    measurement takes no channel, since it runs the sweep's link."""
     assert list(inspect.signature(harness.run_mse_probe).parameters) == [
         "config", "channel", "ebn0_db", "n_symbols", "seed"]
     metadata = inspect.signature(harness.write_mse_csv).parameters["metadata"]
     assert metadata.default is inspect.Parameter.empty
     assert list(inspect.signature(rxchain.measure_subcarrier_mse).parameters) == [
-        "eq", "uw", "ch", "rng", "n_symbols"]
+        "eq", "uw", "rng", "n_symbols"]
 
 
 def test_receivers_take_words_and_noiseless_windows():

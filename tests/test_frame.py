@@ -115,11 +115,11 @@ class TestSubcarrierMap:
 class TestDeriveGenerator:
     @pytest.mark.parametrize("n, zeros, redundant", LAYOUTS, ids=["reference", "n8", "n16"])
     def test_matches_dense_oracle(self, n, zeros, redundant):
-        """Filled by index, the four arrays equal the dense-matrix products."""
+        """Filled by index, T and the code matrix equal the dense-matrix products."""
         gen = uw.derive_generator(uw.OfdmSystemConfig(
             dft_size=n, zero_indices=zeros, redundant_indices=redundant))
-        for got, expect in zip((gen.redundancy, gen.code_matrix, gen.parity_check,
-                                gen.modulator), dense_generator(gen.config)):
+        for got, expect in zip((gen.redundancy, gen.code_matrix),
+                               dense_generator(gen.config)):
             np.testing.assert_array_equal(got, expect)
 
     def test_reference_shape_and_zero_uw(self, ref_gen):
@@ -171,9 +171,9 @@ class TestDeriveGenerator:
         assert lhs == pytest.approx(36 + uw.redundant_energy_metric(ref_gen), rel=1e-13)
 
     def test_parity_check_annihilates_words(self, ref_gen):
-        """parity_check is [-T, I] in carrier order: zero on every code
-        word, the identity on the redundant carriers, -T on the data."""
-        h = ref_gen.parity_check
+        """The dense parity check [-T, I] P^T is zero on every code word,
+        the identity on the redundant carriers and -T on the data."""
+        h = dense_generator(ref_gen.config)[2]
         np.testing.assert_allclose(h @ ref_gen.code_matrix, 0, atol=1e-12)
         np.testing.assert_array_equal(h[:, ref_gen.redundant_positions], np.eye(16))
         np.testing.assert_array_equal(h[:, ref_gen.data_positions], -ref_gen.redundancy)

@@ -397,11 +397,13 @@ class TestFrequencyDomainLink:
         np.testing.assert_allclose(
             added, w[..., np.searchsorted(active, cpref.CpConfig.data_bins)], rtol=1e-9)
 
-    @pytest.mark.parametrize("channel", ["fixed", "ensemble"])
-    @pytest.mark.parametrize("rate", harness.CODE_RATES)
-    def test_uw_batches_form_no_time_domain_symbol(self, channel, rate, monkeypatch):
-        """No uw-lmmse or uw-zf batch calls the transmitter, the channel
-        products or the receive DFT, under any binding in the package."""
+    @pytest.mark.parametrize("rate, channel", [
+        *((rate, channel) for channel in ("fixed", "ensemble") for rate in harness.CODE_RATES),
+        pytest.param(None, "fixed", id="mse-probe")])
+    def test_uw_batches_form_no_time_domain_symbol(self, rate, channel, monkeypatch):
+        """No uw-lmmse or uw-zf batch, and no MSE probe (rate None), calls
+        the transmitter, the channel products or the receive DFT, under
+        any binding in the package."""
         forbidden = {txchain.encode_batch, chan.apply_channel_cyclic, chan.cyclic_convolve,
                      rxchain.zf_only_symbol}
 
@@ -413,6 +415,11 @@ class TestFrequencyDomainLink:
                 for key, value in list(vars(module).items()):
                     if any(value is f for f in forbidden):
                         monkeypatch.setattr(module, key, refuse)
+        if rate is None:
+            rows, _ = harness.run_mse_probe(uw.reference_config(), f"fixed:{NOTCH_FIXTURE}",
+                                            n_symbols=300, seed=3)
+            assert all(0 < post < pre for _, pre, post, _, _ in rows)
+            return
         for system in ("uw-lmmse", "uw-zf"):
             spec = small_spec(system=system, rate=rate, grid=(8.0,),
                               channel=None if channel == "fixed" else "ensemble")

@@ -430,27 +430,27 @@ class TestErrorStatistics:
     def test_measure_mse_noiseless(self, ref_gen, ref_uw, notch_channel):
         eq = uw.build_equalizer(notch_channel, ref_gen, 0.0)
         rng = np.random.default_rng(81)
-        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel, rng, 200)
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, rng, 200)
         assert max(pre.max(), post.max()) <= 1e-16
 
     def test_measure_mse_matches_analytic(self, ref_gen, ref_uw, notch_channel):
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel,
-                                              np.random.default_rng(82), 60_000)
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, np.random.default_rng(82), 60_000)
         np.testing.assert_allclose(pre, eq.noise_covariance, rtol=0.03)
         np.testing.assert_allclose(post, carrier_error_variances(ref_gen, eq), rtol=0.03)
 
     def test_measure_mse_one_pass(self, ref_gen, ref_uw, notch_channel):
-        """Both columns come from the same symbols: smoothing the
-        zero-forced words of one draw with W = G E reproduces the post
-        column."""
+        """Both columns come from the same words: the sweep's link on the
+        data, then the bin noise, drawn from the probe's stream.  Smoothing
+        those words with W = G E reproduces the post column."""
         sigma2 = 0.02
         eq = uw.build_equalizer(notch_channel, ref_gen, sigma2)
-        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, notch_channel,
-                                              np.random.default_rng(86), 300)
-        _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, sigma2, 300, seed=86)
-        zf = uw.zf_only_symbol(y, eq, ref_uw)
+        pre, post = uw.measure_subcarrier_mse(eq, ref_uw, np.random.default_rng(86), 300)
+        rng = np.random.default_rng(86)
+        data = uw.qpsk_map(rng.integers(0, 2, (300, 72)))
+        sent = data @ ref_gen.code_matrix.T
+        zf = rxchain.received_words(data, eq, ref_uw, chan.bin_noise(rng, (300, 52), sigma2, 64))
         np.testing.assert_allclose(pre, np.mean(np.abs(zf - sent) ** 2, axis=0),
                                    rtol=1e-12)
         smoother = ref_gen.code_matrix @ eq.estimator

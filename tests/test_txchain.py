@@ -93,8 +93,8 @@ class TestEncodeSymbol:
 
 
 class TestModulator:
-    """``encode_batch`` is one product with the folded modulator; the
-    oracle is the three-step form: encode, scatter, inverse DFT."""
+    """``encode_batch`` against the three-step oracle: encode, scatter
+    with the dense selection matrix, inverse DFT."""
 
     @pytest.mark.parametrize("shape", [(36,), (7, 36), (4, 3, 36)])
     def test_matches_three_step_form(self, ref_gen, ref_uw, shape):
@@ -107,11 +107,15 @@ class TestModulator:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
     def test_tail_columns_vanish(self, ref_gen, toy_gen):
+        """The symbols of the unit data vectors, with the all-zero word,
+        match the oracle's, and their last uw_length samples vanish."""
         for gen in (ref_gen, toy_gen):
-            mod = gen.modulator
-            assert mod.shape == (gen.config.data_count, gen.config.dft_size)
-            tail = mod[:, -gen.config.uw_length:]
-            assert np.abs(tail).max() <= 1e-13 * np.abs(mod).max()
+            units = np.eye(gen.config.data_count, dtype=complex)
+            symbols = encode_batch(units, gen, uw.build_unique_word(gen, 0.0))
+            assert symbols.shape == (gen.config.data_count, gen.config.dft_size)
+            np.testing.assert_allclose(symbols, time_symbol(gen, units), rtol=0, atol=1e-13)
+            tail = symbols[:, -gen.config.uw_length:]
+            assert np.abs(tail).max() <= 1e-13 * np.abs(symbols).max()
 
 
 def test_mean_transmit_energy_matches_analytic(ref_gen, ref_uw):
