@@ -7,8 +7,8 @@ assumes; the tests hold UW's link to it, and no sweep or probe calls it.
 ``cyclic_convolve`` (cp's channel) applies one channel as one product
 with its circulant matrix (``convolution_matrix``), ``y = x @ M`` over
 the last axis; a *stacked* realization, taps (channels, taps), applies
-channel c to slice c of a (channels, ..., N) signal by FFT, as that
-channel's response times the slice's spectrum.
+channel c to slice c of a (channels, ..., N) signal by the package's DFT
+(``numpy.fft``), as that channel's response times the slice's spectrum.
 The cyclic model stands for the physical symbol stream because the guard
 absorbs the channel: every UW symbol ends in the same unique word, and a
 cyclic prefix repeats the symbol's tail.  The tests check it against a
@@ -151,9 +151,9 @@ def cyclic_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     one channel, or with channel c for slice c of a (channels, ..., N)
     ``x`` when ``taps`` is stacked (channels, taps).  One channel is one
     product with its circulant matrix, which serves a whole fixed-channel
-    batch; a stack multiplies each channel's rows' FFT by that channel's
-    response and transforms back, so no (channels, N, N) matrices are
-    built (the per-tap form is left to the tests)."""
+    batch; a stack multiplies each channel's rows' DFT (``numpy.fft``) by
+    that channel's response and transforms back, so no (channels, N, N)
+    matrices are built (the per-tap form is left to the tests)."""
     x = np.asarray(x)
     taps = np.asarray(taps)
     size = x.shape[-1]

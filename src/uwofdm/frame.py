@@ -41,8 +41,8 @@ REFERENCE_ZERO_INDICES = (0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37)
 REFERENCE_REDUNDANT_INDICES = (2, 6, 10, 14, 17, 21, 24, 26,
                                38, 40, 43, 47, 50, 54, 58, 62)
 
-#: Largest accepted ``dft_size``: the generator and the receivers use
-#: dense N x N DFT matrices, 16 MiB each at 1024 points.
+#: Largest accepted ``dft_size``: the placement search's inverse DFT and the
+#: DFT matrix cached for ``numerics.dft_columns`` are N x N, 16 MiB at 1024.
 MAX_DFT_SIZE = 1024
 
 
@@ -219,6 +219,10 @@ def redundant_energy_metric(gen: RedundancyGenerator) -> float:
 EXHAUSTIVE_LIMIT = 10 ** 6
 SOLVE_UNIT = 8
 
+#: Relative metric gap within which placements tie: rounding spreads equal
+#: metrics about 3e-13 apart, the reference search's closest choices 5.7e-5.
+TIE_TOLERANCE = 1e-9
+
 
 def optimize_placement(config: OfdmSystemConfig) -> tuple[tuple, float]:
     """Search for a redundant-index set minimizing trace(T T^H).
@@ -227,26 +231,32 @@ def optimize_placement(config: OfdmSystemConfig) -> tuple[tuple, float]:
     size-l subsets of the active carriers cost at most EXHAUSTIVE_LIMIT
     unit solves, the search enumerates them all; beyond, it grows the set
     one carrier at a time, adding the one that minimizes the metric of
-    the smaller set's own generator system.  Ties go to the lowest subset or carrier; a step
-    whose every choice is singular raises PlacementInfeasibleError.
+    the smaller set's own generator system.  Ties (within TIE_TOLERANCE of
+    the least metric) go to the lowest subset or carrier; a step whose
+    every choice is singular raises PlacementInfeasibleError.
     """
     n, l = config.dft_size, config.uw_length
     active = config.active_indices
     candidates = active.tolist()
     inv = inverse_dft(np.eye(n))
 
-    def score(subset: tuple) -> tuple[float, tuple]:
+    def score(subset: tuple) -> float:
         try:
             _, _, t, _ = _solve_tail(inv[n - len(subset):], active, subset)
         except NumericallySingularError:
-            return math.inf, subset
-        return float(np.sum(np.abs(t) ** 2)), subset
+            return math.inf
+        return float(np.sum(np.abs(t) ** 2))
 
     def best_of(subsets) -> tuple[tuple, float]:
-        metric, subset = min(map(score, subsets))
-        if metric == math.inf:
+        least, near = math.inf, []  # near: finite (subset, metric) pairs tying with least
+        for subset in subsets:
+            metric = score(subset)
+            least = min(least, metric)
+            bound = least * (1 + TIE_TOLERANCE)
+            near = [p for p in near + [(subset, metric)] if p[1] <= bound < math.inf]
+        if least == math.inf:
             raise PlacementInfeasibleError("no feasible placement found", math.inf)
-        return subset, metric
+        return min(near)
 
     if math.comb(len(candidates), l) * max(l, SOLVE_UNIT) ** 3 \
             <= EXHAUSTIVE_LIMIT * SOLVE_UNIT ** 3:

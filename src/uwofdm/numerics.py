@@ -1,20 +1,17 @@
-"""Dense complex DFT and linear-algebra kernels.
+"""DFT and linear-algebra kernels.
 
 The whole package is pinned to the unnormalized DFT convention
 
-    F[m, n] = w**(m*n),   w = exp(-2j*pi/N),
-    forward(v) = F @ v,   inverse(v) = F.conj().T @ v / N.
+    F[m, n] = exp(-2j*pi*m*n/N),
+    forward(v) = F @ v,   inverse(v) = F.conj().T @ v / N,
 
-The factor N it puts in a noise variance enters in two places: the
-per-bin noise (``channel.bin_noise``) and the variance after zero
-forcing (``rxchain.zero_forcing``).  A transform takes its size from the
-last axis of its input (up to ``frame.MAX_DFT_SIZE``, 1024) and uses the
-dense matrix cached for that size.  The modems transform only their used
-carriers, through ``dft_columns``, and apply one matrix to a stack of
-symbol blocks with ``matmul_rows``.  ``channel.cyclic_convolve`` filters
-a stack of channels with ``numpy.fft`` instead, in the same convention:
-the matrix's ``w**(m*n)`` entries are off by up to 1.7e-13 at N = 64,
-too much for a convolution's round trip.
+which is ``numpy.fft``'s: the transforms are ``numpy.fft.fft`` and
+``ifft`` over the last axis, the calls ``channel.cyclic_convolve`` makes
+too.  The factor N it puts in a noise variance enters in two places: the
+per-bin noise (``channel.bin_noise``) and the variance after zero forcing
+(``rxchain.zero_forcing``).  The modems transform only their used
+carriers, one product with those columns of F (``dft_columns``), and
+apply one matrix to a stack of symbol blocks with ``matmul_rows``.
 """
 
 from __future__ import annotations
@@ -31,24 +28,19 @@ RCOND_FLOOR = 1e-12
 
 @lru_cache(maxsize=32)
 def _dft_matrix(size: int) -> np.ndarray:
-    n = np.arange(size)
-    w = np.exp(-2j * np.pi / size)
-    matrix = w ** np.outer(n, n)
+    matrix = np.fft.fft(np.eye(size))  # row n is F e_n: F is symmetric
     matrix.flags.writeable = False
     return matrix
 
 
 def forward_dft(v: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT over the last axis of ``v``."""
-    v = np.asarray(v)
-    return v @ _dft_matrix(v.shape[-1])  # F is symmetric
+    return np.fft.fft(v)
 
 
 def inverse_dft(v: np.ndarray) -> np.ndarray:
     """Inverse DFT over the last axis, i.e. ``F^H v / N``."""
-    v = np.asarray(v)
-    n = v.shape[-1]
-    return v @ _dft_matrix(n).conj() / n
+    return np.fft.ifft(v)
 
 
 def dft_columns(size: int, bins) -> np.ndarray:

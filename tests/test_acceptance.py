@@ -128,7 +128,7 @@ def test_criterion_4_stream_cyclicity(ref_gen, ref_uw):
         stream = apply_channel_stream(symbols, ch, 0.0,
                                       rng, uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
+        cyclic = chan.apply_channel_cyclic(symbols, ch, 0.0, rng)
         scale = float(np.sqrt(np.mean(np.abs(cyclic[1:]) ** 2)))
         results[taps] = float(np.abs(windows[1:] - cyclic[1:]).max()) / scale
     ok = results[16] <= 1e-9 and results[20] > 1e-6

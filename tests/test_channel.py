@@ -85,7 +85,7 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(35)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.0, rng)
         np.testing.assert_array_equal(y, x)
 
     def test_convolution_theorem(self):
@@ -94,7 +94,7 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(36)
         ch = uw.sample_channel(rng)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.0, rng)
         np.testing.assert_allclose(forward_dft(y),
                                    ch.freq_response * forward_dft(x),
                                    atol=1e-9)
@@ -108,21 +108,21 @@ class TestApplyChannelCyclic:
         rng = np.random.default_rng(45)
         stacked = uw.sample_channel(rng, channels=3)
         x = rng.standard_normal((3, 4, 64)) + 1j * rng.standard_normal((3, 4, 64))
-        y = uw.apply_channel_cyclic(x, stacked, 0.1, np.random.default_rng(46))
+        y = chan.apply_channel_cyclic(x, stacked, 0.1, np.random.default_rng(46))
         stack_rng, single_rng = np.random.default_rng(46), np.random.default_rng(46)
         for c in range(3):
             one = chan._realization_from_taps(stacked.taps[c:c + 1], 20e6, 1e-7, 64)
             np.testing.assert_array_equal(
-                y[c], uw.apply_channel_cyclic(x[c:c + 1], one, 0.1, stack_rng)[0])
+                y[c], chan.apply_channel_cyclic(x[c:c + 1], one, 0.1, stack_rng)[0])
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             np.testing.assert_allclose(
-                y[c], uw.apply_channel_cyclic(x[c], ch, 0.1, single_rng), rtol=0, atol=1e-13)
+                y[c], chan.apply_channel_cyclic(x[c], ch, 0.1, single_rng), rtol=0, atol=1e-13)
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(37)
         ch = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
         x = np.zeros((2 ** 14, 64), dtype=complex)  # ~1e6 samples
-        y = uw.apply_channel_cyclic(x, ch, 0.25, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.25, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.02)
 
     @pytest.mark.parametrize("channels", [None, 3])
@@ -133,7 +133,7 @@ class TestApplyChannelCyclic:
         ch = uw.sample_channel(rng, channels=channels)
         shape = (4, 64) if channels is None else (channels, 4, 64)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = uw.apply_channel_cyclic(x, ch, 0.3, np.random.default_rng(49))
+        y = chan.apply_channel_cyclic(x, ch, 0.3, np.random.default_rng(49))
         expected = chan.cyclic_convolve(x, ch.taps) + complex_noise(
             np.random.default_rng(49), shape, 0.3, stacked=channels is not None)
         np.testing.assert_array_equal(y, expected)
@@ -143,12 +143,12 @@ class TestApplyChannelCyclic:
         ch = uw.sample_channel(rng, channels=2)
         x = rng.standard_normal((2, 3, 64)) + 0j
         state = rng.bit_generator.state
-        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.0, rng)
         assert rng.bit_generator.state == state
         np.testing.assert_array_equal(y, chan.cyclic_convolve(x, ch.taps))
 
     @pytest.mark.parametrize("draw", [
-        lambda rng: uw.apply_channel_cyclic(
+        lambda rng: chan.apply_channel_cyclic(
             np.zeros((2, 64), dtype=complex),
             chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64), -0.1, rng),
         lambda rng: chan.bin_noise(rng, (2, 52), -0.1, 64)],
@@ -326,7 +326,7 @@ class TestApplyChannelStream:
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
+        cyclic = chan.apply_channel_cyclic(symbols, ch, 0.0, rng)
         np.testing.assert_allclose(windows, cyclic, atol=1e-12)
 
     def test_steady_state_matches_cyclic_16_taps(self, ref_gen, ref_uw):
@@ -339,7 +339,7 @@ class TestApplyChannelStream:
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
+        cyclic = chan.apply_channel_cyclic(symbols, ch, 0.0, rng)
         scale = np.sqrt(np.mean(np.abs(cyclic[1:]) ** 2))
         assert np.abs(windows[1:] - cyclic[1:]).max() <= 1e-9 * scale
 
@@ -351,7 +351,7 @@ class TestApplyChannelStream:
         stream = apply_channel_stream(symbols, ch, 0.0, rng,
                                       uw_samples=ref_uw.samples)
         windows = stream_symbol_windows(stream, 64)
-        cyclic = uw.apply_channel_cyclic(symbols, ch, 0.0, rng)
+        cyclic = chan.apply_channel_cyclic(symbols, ch, 0.0, rng)
         assert np.abs(windows[1:] - cyclic[1:]).max() > 1e-6
 
     def test_mixed_uw_rejected(self, ref_gen, ref_uw):

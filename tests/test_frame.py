@@ -345,5 +345,13 @@ class TestOptimizePlacement:
     def test_reference_result_is_pinned(self, ref_config):
         """C(52, 16) ~ 1.0e13 subsets: the reference takes the greedy path."""
         indices, metric = optimize_placement(ref_config)
-        assert indices == (3, 7, 10, 13, 16, 20, 24, 26, 38, 41, 45, 49, 51, 54, 58, 63)
+        assert indices == (1, 6, 10, 13, 15, 19, 23, 26, 38, 40, 44, 48, 51, 54, 57, 61)
         assert metric == pytest.approx(57.730690625176855, rel=1e-12)
+
+    def test_rounding_ties_go_to_the_lowest_carrier(self, ref_config):
+        """One redundant carrier: all 52 singletons score 51 up to rounding
+        (about 3e-13 apart), so the tie goes to the lowest carrier, 1."""
+        cfg = dataclasses.replace(ref_config, redundant_indices=(2,))
+        indices, metric = optimize_placement(cfg)
+        assert indices == (1,)
+        assert metric == pytest.approx(51.0, rel=1e-12)

@@ -85,6 +85,15 @@ def test_unitary_up_to_size(n):
     np.testing.assert_allclose(product, n * np.eye(n), atol=n * 1e-10)
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_transform_matrices_are_exact_to_rounding(n):
+    """Entries exp(-2j*pi*(m*n mod N)/N): powers w**(m*n) of one rounded
+    root drift to 1.7e-13, 1.9e-12 and 3.5e-11 at these sizes."""
+    exact = np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    assert np.abs(forward_dft(np.eye(n)) - exact).max() <= 1e-14
+    assert np.abs(n * inverse_dft(np.eye(n)) - exact.conj()).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_parseval(n):
     rng = np.random.default_rng(n)

@@ -50,7 +50,7 @@ def encode_one(data, gen, uword):
 def equalize_time(y_time, eq, uword):
     """Data estimates of received time samples: ``equalize_batch`` on
     their zero-forced words."""
-    return rxchain.equalize_batch(uw.zf_only_symbol(y_time, eq, uword), eq)
+    return rxchain.equalize_batch(rxchain.zf_only_symbol(y_time, eq, uword), eq)
 
 
 def equalize_one(y_time, eq, uword):
@@ -66,7 +66,7 @@ def send_batch(gen, uword, ch, sigma2, count, seed):
     data = uw.qpsk_map(rng.integers(0, 2, (count, 72)))
     sent = data @ gen.code_matrix.T
     x = encode_batch(data, gen, uword)
-    y = uw.apply_channel_cyclic(x, ch, sigma2, rng)
+    y = chan.apply_channel_cyclic(x, ch, sigma2, rng)
     return data, sent, y
 
 
@@ -139,7 +139,7 @@ class TestBuildEqualizer:
         stacked = uw.sample_channel(rng, channels=4)
         eq = uw.build_equalizer(stacked, ref_gen, sigma2, smoothing=smoothing)
         y = rng.standard_normal((4, 3, 64)) + 1j * rng.standard_normal((4, 3, 64))
-        words = (equalize_time if smoothing else uw.zf_only_symbol)(y, eq, ref_uw)
+        words = (equalize_time if smoothing else rxchain.zf_only_symbol)(y, eq, ref_uw)
         for c in range(4):
             ch = chan._realization_from_taps(stacked.taps[c], 20e6, 1e-7, 64)
             single = uw.build_equalizer(ch, ref_gen, sigma2, smoothing=smoothing)
@@ -147,7 +147,7 @@ class TestBuildEqualizer:
             np.testing.assert_allclose(eq.noise_covariance[c], single.noise_covariance,
                                        rtol=1e-12)
             single_words = (equalize_time if smoothing
-                            else uw.zf_only_symbol)(y[c], single, ref_uw)
+                            else rxchain.zf_only_symbol)(y[c], single, ref_uw)
             np.testing.assert_allclose(words[c], single_words, rtol=1e-12, atol=1e-12)
             if smoothing:
                 np.testing.assert_allclose(eq.estimator[c], single.estimator,
@@ -223,14 +223,14 @@ class TestFactoredStack:
         channels = stack.taps.shape[0]
         rng = np.random.default_rng(95)
         data = uw.qpsk_map(rng.integers(0, 2, (channels, 8, 72)))
-        y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), stack, sigma2, rng)
+        y = chan.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), stack, sigma2, rng)
         eq = uw.build_equalizer(stack, ref_gen, sigma2)
         estimates = equalize_time(y, eq, ref_uw)
         assert "estimator" not in vars(eq)
         for c in range(channels):
             ch = chan._realization_from_taps(stack.taps[c], 20e6, 1e-7, 64)
             single = uw.build_equalizer(ch, ref_gen, sigma2)
-            formed = uw.zf_only_symbol(y[c], single, ref_uw) @ single.estimator.T
+            formed = rxchain.zf_only_symbol(y[c], single, ref_uw) @ single.estimator.T
             np.testing.assert_allclose(estimates[c], formed, rtol=0, atol=1e-12)
             np.testing.assert_allclose(eq.error_variances[c], single.error_variances,
                                        rtol=1e-12, atol=1e-12)
@@ -272,11 +272,11 @@ class TestFrequencyDomainLink:
         rng = np.random.default_rng(61)
         data = uw.qpsk_map(rng.integers(0, 2, lead + (8, 72)))
         eq = uw.build_equalizer(channel, ref_gen, sigma2, smoothing=smoothing)
-        y = uw.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), channel, sigma2,
-                                    np.random.default_rng(62))
+        y = chan.apply_channel_cyclic(encode_batch(data, ref_gen, ref_uw), channel, sigma2,
+                                      np.random.default_rng(62))
         noise = complex_noise(np.random.default_rng(62), lead + (8, 64), sigma2, stacked)
         w = uw.forward_dft(noise)[..., ref_gen.active_carriers]
-        chain = uw.zf_only_symbol(y, eq, ref_uw)
+        chain = rxchain.zf_only_symbol(y, eq, ref_uw)
         link = rxchain.received_words(data, eq, ref_uw, w)
         if sigma2 > 0.0:
             np.testing.assert_allclose(rxchain.equalize_batch(link, eq),
@@ -323,7 +323,7 @@ class TestEqualizeSymbol:
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
         eq = uw.build_equalizer(flat_channel(0.7 + 0.3j), ref_gen, 0.0)
-        y = uw.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), 0.0, rng)
+        y = chan.apply_channel_cyclic(x, flat_channel(0.7 + 0.3j), 0.0, rng)
         np.testing.assert_allclose(equalize_one(y, eq, ref_uw), d, atol=1e-9)
 
     def test_noiseless_multipath_recovery(self, ref_gen, ref_uw):
@@ -332,7 +332,7 @@ class TestEqualizeSymbol:
         eq = uw.build_equalizer(ch, ref_gen, 0.0)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
-        y = uw.apply_channel_cyclic(x, ch, 0.0, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.0, rng)
         np.testing.assert_allclose(equalize_one(y, eq, ref_uw), d, atol=1e-8)
 
     def test_uw_removal_order_exchange(self, ref_gen, ref_uw):
@@ -343,7 +343,7 @@ class TestEqualizeSymbol:
         eq = uw.build_equalizer(ch, ref_gen, 0.02)
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
-        y = uw.apply_channel_cyclic(x, ch, 0.02, rng)
+        y = chan.apply_channel_cyclic(x, ch, 0.02, rng)
         after = equalize_one(y, eq, ref_uw)
         before = equalize_symbol_uw_first(y, eq, ref_uw)
         np.testing.assert_allclose(after, before, atol=1e-10)
@@ -355,7 +355,7 @@ class TestEqualizeSymbol:
         d = uw.qpsk_map(rng.integers(0, 2, 72))
         x = encode_one(d, ref_gen, ref_uw)
         eq = uw.build_equalizer(flat_channel(), ref_gen, 0.0, smoothing=False)
-        stacked = permutation(ref_gen.config).T @ uw.zf_only_symbol(x[None, :], eq, ref_uw)[0]
+        stacked = permutation(ref_gen.config).T @ rxchain.zf_only_symbol(x[None, :], eq, ref_uw)[0]
         np.testing.assert_allclose(equalize_one(x, eq, ref_uw), stacked[:36], atol=1e-12)
 
 
@@ -363,7 +363,7 @@ class TestZfOnly:
     def test_noiseless_returns_sent_word(self, ref_gen, ref_uw, notch_channel):
         _, sent, y = send_batch(ref_gen, ref_uw, notch_channel, 0.0, 20, seed=77)
         eq = uw.build_equalizer(notch_channel, ref_gen, 0.0)
-        out = uw.zf_only_symbol(y, eq, ref_uw)
+        out = rxchain.zf_only_symbol(y, eq, ref_uw)
         assert np.abs(out - sent).max() <= 1e-9 * np.abs(sent).max()
 
     def test_flat_channel_mse_matches_analytic(self, ref_gen, ref_uw):
@@ -371,7 +371,7 @@ class TestZfOnly:
         ch = flat_channel()
         _, sent, y = send_batch(ref_gen, ref_uw, ch, sigma2, 50_000, seed=78)
         eq = uw.build_equalizer(ch, ref_gen, sigma2)
-        out = uw.zf_only_symbol(y, eq, ref_uw)
+        out = rxchain.zf_only_symbol(y, eq, ref_uw)
         mse = np.mean(np.abs(out - sent) ** 2, axis=0)
         np.testing.assert_allclose(mse, 64 * sigma2, rtol=0.03)
 
@@ -399,7 +399,7 @@ class TestActiveCarrierDft:
         active = ref_gen.active_carriers
         inv_h = eq.inv_response[:, None, :] if stacked else eq.inv_response
         expect = uw.forward_dft(y)[..., active] * inv_h - ref_uw.spectrum[active]
-        got = uw.zf_only_symbol(y, eq, ref_uw)
+        got = rxchain.zf_only_symbol(y, eq, ref_uw)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
@@ -472,7 +472,7 @@ def test_ber_invariant_under_uw_choice(ref_gen, ref_uw, zero_uw, notch_channel):
     for word in (ref_uw, zero_uw):
         x = encode_batch(data, ref_gen, word)
         noise_rng = np.random.default_rng(85)  # identical draws per word
-        y = uw.apply_channel_cyclic(x, notch_channel, sigma2,
+        y = chan.apply_channel_cyclic(x, notch_channel, sigma2,
                                     noise_rng)
         est = equalize_time(y, eq, word)
         decisions[id(word)] = uw.fec.qpsk_hard_bits(est)
