@@ -9,7 +9,7 @@ cyclic-prefix baseline over multipath channels.
 # Set before the submodules import, since the sweep metadata records it.
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, load_snapshot, notch_predicate,
+from .channel import (ChannelRealization, is_notched, load_snapshot,
                       pinned_snapshot, sample_channel, save_snapshot)
 from .cpref import CpConfig, cp_decode_symbol, cp_encode_symbol
 from .errors import (ConfigError, NearSingularChannelError,
@@ -31,8 +31,8 @@ __all__ = [
     "SweepSpec", "UniqueWord", "WienerEqualizer", "build_equalizer",
     "build_unique_word", "conv_encode", "cp_decode_symbol", "cp_encode_symbol",
     "deinterleave", "depuncture", "derive_generator", "forward_dft",
-    "interleave", "inverse_dft", "load_snapshot", "measure_subcarrier_mse",
-    "notch_predicate", "optimize_placement", "pinned_snapshot", "puncture",
+    "interleave", "inverse_dft", "is_notched", "load_snapshot",
+    "measure_subcarrier_mse", "optimize_placement", "pinned_snapshot", "puncture",
     "qpsk_map", "qpsk_soft_demap", "redundant_energy_metric",
     "reference_config", "run_ber_sweep", "run_mse_probe", "sample_channel",
     "save_snapshot", "viterbi_decode", "write_ber_csv", "write_mse_csv",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .frame import check_positive
+from .frame import OfdmSystemConfig, as_int, check_positive
 from .numerics import forward_dft
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
@@ -46,8 +46,8 @@ class ChannelRealization:
 
     ``freq_response`` is the unnormalized DFT of the zero-padded taps;
     tap spacing is one sample at ``sample_rate_hz``.  Whether the taps
-    fit a modem's guard is checked where a sweep is specified
-    (``harness.check_tap_count``), not here.
+    fit a modem's guard is checked where a sweep is specified or a
+    snapshot searched (``check_tap_count``), not here.
     """
 
     taps: np.ndarray
@@ -75,6 +75,14 @@ def power_delay_profile(tap_count: int, rms_delay_spread_s: float,
     k = np.arange(tap_count)
     profile = np.exp(-k / (rms_delay_spread_s * sample_rate_hz))
     return profile / profile.sum()
+
+
+def check_tap_count(name: str, taps: int, guard: int) -> None:
+    """Refuse (ConfigError) a channel the guard cannot absorb: the cyclic
+    receive model needs 1 <= taps <= guard + 1."""
+    if not 1 <= taps <= guard + 1:
+        raise ConfigError(f"{name} = {taps} does not fit the {guard}-sample guard: "
+                          f"need 1 <= taps <= {guard + 1}")
 
 
 def check_delay_spread(rms_delay_spread_s: float, sample_rate_hz: float,
@@ -216,46 +224,43 @@ def bin_noise(rng: np.random.Generator, shape: tuple, noise_variance: float,
 
 #: The fixture's notch rule: ``snapshot --seed 396`` rebuilds the fixture from it.
 NOTCH_DEPTH_DB, NOTCH_MIN_COUNT = -15.0, 2
+NOTCH_RULE = (f"the notch rule (at least {NOTCH_MIN_COUNT} active carriers "
+              f"{-NOTCH_DEPTH_DB:g} dB or more below the active-carrier mean)")
 
 
-def notch_predicate(active_indices: np.ndarray):
-    """Predicate matching realizations with at least ``NOTCH_MIN_COUNT`` active
-    carriers whose power lies ``NOTCH_DEPTH_DB`` below the active-carrier mean;
-    its ``__doc__`` states that rule."""
-    active = np.asarray(active_indices, dtype=int)
-
-    def predicate(ch: ChannelRealization) -> bool:
-        power = np.abs(ch.active_response(active)) ** 2
-        notches = power <= power.mean() * 10 ** (NOTCH_DEPTH_DB / 10.0)
-        return int(np.sum(notches)) >= NOTCH_MIN_COUNT
-
-    predicate.__doc__ = (f"the notch rule (at least {NOTCH_MIN_COUNT} active carriers "
-                         f"{-NOTCH_DEPTH_DB:g} dB or more below the active-carrier mean)")
-    return predicate
+def is_notched(ch: ChannelRealization, active_indices: np.ndarray) -> bool:
+    """Whether ``ch`` meets ``NOTCH_RULE`` on the given active carriers."""
+    power = np.abs(ch.active_response(active_indices)) ** 2
+    notches = power <= power.mean() * 10 ** (NOTCH_DEPTH_DB / 10.0)
+    return int(np.sum(notches)) >= NOTCH_MIN_COUNT
 
 
-def pinned_snapshot(seed: int, predicate,
-                    rms_delay_spread_s: float = DEFAULT_RMS_DELAY_SPREAD_S,
-                    sample_rate_hz: float = 20e6,
+def pinned_snapshot(config: OfdmSystemConfig, seed: int,
                     tap_count: int = DEFAULT_TAP_COUNT,
-                    dft_size: int = 64,
-                    max_draws: int = 100_000
-                    ) -> tuple[ChannelRealization, int]:
-    """Deterministically search seeded draws until ``predicate`` holds.
-
-    Each draw uses its own counter-derived stream, so (seed, draw index)
-    pins the realization bit-for-bit regardless of search history.
-    Returns (realization, draw_index); refuses (ConfigError) a search
-    that exhausts ``max_draws``, naming the rule of ``predicate.__doc__``.
-    """
+                    rms_delay_spread_s: float = DEFAULT_RMS_DELAY_SPREAD_S,
+                    max_draws: int = 100_000) -> tuple[ChannelRealization, int]:
+    """Search seeded draws at the config's sample rate and DFT size until
+    one meets ``NOTCH_RULE`` on its active carriers; return (realization,
+    draw index).  Draw d uses ``default_rng([seed, d])``, so (seed, d) pins
+    it bit for bit.  Before any draw, ConfigError naming the input by its
+    config key refuses a seed below 0, a tap count that is not an integer,
+    is one (a flat channel) or overruns the UW guard, and a bad delay
+    spread; after ``max_draws`` draws it refuses the search, naming the rule."""
+    seed, taps = as_int("seed", seed), as_int("channel_taps", tap_count)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    check_tap_count("channel_taps", taps, config.uw_length)
+    if taps < 2:
+        raise ConfigError(f"channel_taps = {taps}: a channel of tap_count = 1 is flat and "
+                          f"never satisfies {NOTCH_RULE}; need channel_taps >= 2")
+    check_delay_spread(rms_delay_spread_s, config.sample_rate_hz, taps)
     for draw in range(max_draws):
         rng = np.random.default_rng([seed, draw])
-        ch = sample_channel(rng, rms_delay_spread_s, sample_rate_hz, tap_count, dft_size)
-        if predicate(ch):
+        ch = sample_channel(rng, rms_delay_spread_s, config.sample_rate_hz, taps, config.dft_size)
+        if is_notched(ch, config.active_indices):
             return ch, draw
-    raise ConfigError(
-        f"none of {max_draws} channel draws (seed {seed}, tap_count = {tap_count}) satisfied "
-        f"{predicate.__doc__ or 'the predicate'}")
+    raise ConfigError(f"none of {max_draws} channel draws (seed {seed}, tap_count = {taps}) "
+                      f"satisfied {NOTCH_RULE}")
 
 
 def save_snapshot(path, ch: ChannelRealization, seed: int, draw: int) -> None:
@@ -288,15 +293,17 @@ def _finite(text: str, positive: bool = False) -> float:
 
 #: Metadata a fixture load reads, with its parser; other ``#`` lines are notes.
 _SNAPSHOT_FIELDS = {"sample_rate_hz": lambda v: _finite(v, True),
-                    "rms_delay_spread_s": lambda v: _finite(v, True), "dft_size": int}
+                    "rms_delay_spread_s": lambda v: _finite(v, True), "dft_size": int,
+                    "tap_count": int}
 
 
 def load_snapshot(path) -> ChannelRealization:
     """Load a snapshot fixture written by ``save_snapshot``; a tap line
     that is not two finite numbers, or a metadata value of the wrong type
     (or a rate or delay spread that is not finite and positive), raises
-    ``ConfigError`` naming its line, and a file that is not UTF-8, or a
-    ``dft_size`` below one or below the tap count, raises it naming the file."""
+    ``ConfigError`` naming its line, and a file that is not UTF-8, a
+    ``dft_size`` below one or below the tap count, or a ``tap_count`` line
+    that differs from the number of tap lines raises it naming the file."""
     meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
             "dft_size": 64}
     taps = []
@@ -318,6 +325,10 @@ def load_snapshot(path) -> ChannelRealization:
         except ValueError as exc:
             raise ConfigError(f"channel fixture {path}:{lineno}: "
                               f"cannot read {line!r}: {exc}") from None
+    recorded = meta.pop("tap_count", len(taps))
+    if recorded != len(taps):
+        raise ConfigError(f"channel fixture {path}: tap_count = {recorded} but it holds "
+                          f"{len(taps)} tap lines")
     if meta["dft_size"] < max(len(taps), 1):
         raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
                           f"must be >= 1 and >= its {len(taps)} taps")

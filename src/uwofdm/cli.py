@@ -126,20 +126,13 @@ def cmd_mse_probe(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
+    """Parse, search (``channel.pinned_snapshot`` checks), write, print."""
     out = _require_out(args)
     values = _load_values(args)
     config = harness.system_config_from(values)
-    predicate = chan.notch_predicate(config.active_indices)
-    taps = values.get("channel_taps", chan.DEFAULT_TAP_COUNT)
-    harness.check_tap_count("channel_taps", taps, config.uw_length)
-    if taps < 2:
-        raise ConfigError(f"channel_taps = {taps}: a channel of tap_count = 1 is flat and "
-                          f"never satisfies {predicate.__doc__}; need channel_taps >= 2")
-    tau = values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S)
-    chan.check_delay_spread(tau, config.sample_rate_hz, taps)
     ch, draw = chan.pinned_snapshot(
-        args.seed, predicate, rms_delay_spread_s=tau,
-        sample_rate_hz=config.sample_rate_hz, tap_count=taps, dft_size=config.dft_size)
+        config, args.seed, values.get("channel_taps", chan.DEFAULT_TAP_COUNT),
+        values.get("rms_delay_spread_s", chan.DEFAULT_RMS_DELAY_SPREAD_S))
     chan.save_snapshot(out, ch, seed=args.seed, draw=draw)
     power = np.abs(ch.active_response(config.active_indices)) ** 2
     depth = 10 * np.log10(power / power.mean())

@@ -159,7 +159,7 @@ class SweepSpec:
             raise ConfigError(f"frame_symbols must lie between 1 and "
                               f"{MAX_FRAME_SYMBOLS}, got {self.frame_symbols}")
         if self.channel == "ensemble":
-            check_tap_count("channel_taps", self.channel_taps, self.guard_length)
+            chan.check_tap_count("channel_taps", self.channel_taps, self.guard_length)
             chan.check_delay_spread(self.rms_delay_spread_s, self.config.sample_rate_hz,
                                     self.channel_taps)
 
@@ -182,14 +182,6 @@ def check_ebn0(name: str, value: float) -> None:
     if not abs(value) <= EBN0_LIMIT_DB:
         raise ConfigError(f"{name} must lie between -{EBN0_LIMIT_DB:g} and "
                           f"{EBN0_LIMIT_DB:g} dB and be finite, got {value}")
-
-
-def check_tap_count(name: str, taps: int, guard: int) -> None:
-    """Refuse (ConfigError) a channel the guard cannot absorb: the cyclic
-    receive model needs 1 <= taps <= guard + 1."""
-    if not 1 <= taps <= guard + 1:
-        raise ConfigError(f"{name} = {taps} does not fit the {guard}-sample guard: "
-                          f"need 1 <= taps <= {guard + 1}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ def load_fixed_channel(spec: SweepSpec) -> chan.ChannelRealization:
         raise ConfigError(f"channel fixture {path} has sample_rate_hz = "
                           f"{ch.sample_rate_hz!r}, the config has sample_rate_hz = "
                           f"{spec.config.sample_rate_hz!r}")
-    check_tap_count(f"channel fixture {path}: tap_count", ch.tap_count, spec.guard_length)
+    chan.check_tap_count(f"channel fixture {path}: tap_count", ch.tap_count, spec.guard_length)
     return ch
 
 
@@ -615,7 +607,10 @@ def parse_config_file(path) -> dict:
             else:
                 if not (value.startswith("[") and value.endswith("]")):
                     raise ValueError("expected a bracketed array")
-                items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
+                inner = value[1:-1].strip()
+                items = [v.strip() for v in inner.split(",")] if inner else []
+                if "" in items:
+                    raise ValueError("empty array item")
                 cast = int if key in _INT_LIST_KEYS else float
                 values[key] = tuple(cast(v) for v in items)
         except ValueError as exc:

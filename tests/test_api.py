@@ -113,9 +113,13 @@ def test_encode_batch_takes_the_generators_map():
     assert list(inspect.signature(txchain.encode_batch).parameters) == ["data", "gen", "uw"]
 
 
-def test_notch_predicate_has_no_threshold_knobs():
-    """The pinned fixture's notch rule is ``NOTCH_DEPTH_DB`` and ``NOTCH_MIN_COUNT``."""
-    assert list(inspect.signature(channel.notch_predicate).parameters) == ["active_indices"]
+def test_notch_rule_has_no_threshold_knobs():
+    """The pinned fixture's notch rule is ``NOTCH_DEPTH_DB`` and
+    ``NOTCH_MIN_COUNT``; the search reads the carriers, guard, sample rate
+    and DFT size from the config."""
+    assert list(inspect.signature(channel.is_notched).parameters) == ["ch", "active_indices"]
+    assert list(inspect.signature(channel.pinned_snapshot).parameters) == [
+        "config", "seed", "tap_count", "rms_delay_spread_s", "max_draws"]
 
 
 def test_mse_probe_reads_the_sweeps_context():

@@ -15,6 +15,7 @@ from uwofdm.errors import ConfigError
 from uwofdm.numerics import forward_dft
 from uwofdm.txchain import encode_batch
 
+from conftest import NOTCH_FIXTURE
 from oracles import (apply_channel_stream, complex_noise, gather_convolution_matrix,
                      stream_symbol_windows)
 
@@ -365,37 +366,70 @@ class TestApplyChannelStream:
 
 
 class TestPinnedSnapshot:
-    def test_trivial_predicate_first_draw(self):
-        ch, draw = uw.pinned_snapshot(5, lambda c: True)
-        assert draw == 0
+    def test_seed_396_returns_the_fixture_draw(self, ref_config, notch_channel):
+        """The committed fixture is draw 4 of seed 396 under the notch rule."""
+        ch, draw = uw.pinned_snapshot(ref_config, 396)
+        assert draw == 4
+        np.testing.assert_array_equal(ch.taps, notch_channel.taps)
+        assert uw.is_notched(ch, ref_config.active_indices)
 
-    def test_default_predicate_self_checking(self, ref_config):
-        predicate = uw.notch_predicate(ref_config.active_indices)
-        ch, draw = uw.pinned_snapshot(5, predicate)
+    def test_result_meets_the_notch_rule(self, ref_config):
+        ch, draw = uw.pinned_snapshot(ref_config, 5)
         power = np.abs(ch.active_response(ref_config.active_indices)) ** 2
         assert np.sum(power <= power.mean() * 10 ** (-1.5)) >= 2
 
     def test_determinism(self, ref_config):
-        predicate = uw.notch_predicate(ref_config.active_indices)
-        a, draw_a = uw.pinned_snapshot(9, predicate)
-        b, draw_b = uw.pinned_snapshot(9, predicate)
+        a, draw_a = uw.pinned_snapshot(ref_config, 9)
+        b, draw_b = uw.pinned_snapshot(ref_config, 9)
         assert draw_a == draw_b
         np.testing.assert_array_equal(a.taps, b.taps)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(ConfigError, match="none of 10 channel draws"):
-            uw.pinned_snapshot(1, lambda c: False, max_draws=10)
+    def test_budget_exhaustion(self, ref_config):
+        """Draws 0-3 of seed 396 fail the notch rule, so four draws do not
+        reach the fixture's draw 4."""
+        assert not any(uw.is_notched(uw.sample_channel(np.random.default_rng([396, d])),
+                                     ref_config.active_indices) for d in range(4))
+        with pytest.raises(ConfigError) as info:
+            uw.pinned_snapshot(ref_config, 396, max_draws=4)
+        assert str(info.value) == (
+            f"none of 4 channel draws (seed 396, tap_count = 16) satisfied {chan.NOTCH_RULE}")
 
     def test_flat_channel_has_no_notch(self, ref_config):
         """A one-tap channel is flat, so no draw meets the notch rule: the
-        search ends in ConfigError naming the draw count, the tap count and
-        the rule.  Before, it raised RuntimeError (a traceback, exit 1)."""
-        predicate = uw.notch_predicate(ref_config.active_indices)
+        search is refused before its first draw, naming the tap count and
+        the rule."""
         with pytest.raises(ConfigError) as info:
-            uw.pinned_snapshot(3, predicate, tap_count=1, max_draws=50)
+            uw.pinned_snapshot(ref_config, 3, tap_count=1)
         assert str(info.value) == (
-            "none of 50 channel draws (seed 3, tap_count = 1) satisfied the notch rule (at least "
-            "2 active carriers 15 dB or more below the active-carrier mean)")
+            "channel_taps = 1: a channel of tap_count = 1 is flat and never satisfies the "
+            "notch rule (at least 2 active carriers 15 dB or more below the active-carrier "
+            "mean); need channel_taps >= 2")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tap_count": 17.5}, "channel_taps must be an integer, got 17.5"),
+        ({"tap_count": 100}, "channel_taps = 100 does not fit the 16-sample guard: "
+                             "need 1 <= taps <= 17"),
+        ({"tap_count": 1}, "channel_taps = 1: a channel of tap_count = 1 is flat"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"rms_delay_spread_s": 0.0}, "rms_delay_spread_s must be finite and positive, "
+                                      "got 0.0"),
+        ({"rms_delay_spread_s": -1e-7}, "rms_delay_spread_s must be finite and positive, "
+                                        "got -1e-07"),
+        ({"rms_delay_spread_s": 1e-320}, "rms_delay_spread_s = 1e-320 times "
+                                         "sample_rate_hz = 20000000.0 is")],
+        ids=["17.5-taps", "100-taps", "one-tap", "seed-minus-1", "zero-spread",
+             "negative-spread", "spread-too-short-in-samples"])
+    def test_refused_before_any_draw(self, kwargs, message, ref_config, monkeypatch):
+        """The library call makes the checks the ``snapshot`` command made
+        for it.  Before, 100 taps died in numpy's broadcast, 17.5 taps in a
+        TypeError and seed -1 in ``default_rng``'s "expected non-negative
+        integer"."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a channel for a refused input")
+        monkeypatch.setattr(chan, "sample_channel", no_draw)
+        with pytest.raises(ConfigError) as info:
+            uw.pinned_snapshot(ref_config, **{"seed": 1, **kwargs})
+        assert str(info.value).startswith(message)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -406,6 +440,14 @@ class TestPinnedSnapshot:
         np.testing.assert_array_equal(loaded.taps, ch.taps)
         assert loaded.sample_rate_hz == ch.sample_rate_hz
         assert loaded.rms_delay_spread_s == ch.rms_delay_spread_s
+
+    def test_fixture_without_tap_count_line_loads(self, tmp_path, notch_channel):
+        """The ``# tap_count`` line is checked when present; a hand-written
+        fixture may leave it out."""
+        path = tmp_path / "hand.txt"
+        path.write_text("".join(line for line in NOTCH_FIXTURE.read_text().splitlines(True)
+                                if not line.startswith("# tap_count")))
+        np.testing.assert_array_equal(uw.load_snapshot(path).taps, notch_channel.taps)
 
     def test_save_refuses_a_stacked_realization(self, tmp_path):
         """A fixture holds one channel.  Before, a stack died in numpy's

@@ -741,10 +741,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="duplicate"):
             harness.parse_config_file(path)
 
-    def test_bad_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "dft_size = sixty-four", "ebn0_db = [10,,12]", "ebn0_db = [, 2, 4]",
+        "zero_indices = [0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,]", "ebn0_db = [,]"],
+        ids=["not-a-number", "empty-middle-item", "leading-comma", "trailing-comma",
+             "only-a-comma"])
+    def test_bad_value_rejected(self, text, tmp_path):
+        """An empty array item is refused too: before, ``[10,,12]`` read as
+        (10.0, 12.0) and a leading or trailing comma was dropped."""
         path = tmp_path / "bad.cfg"
-        path.write_text("dft_size = sixty-four\n")
-        with pytest.raises(ConfigError, match="bad value"):
+        path.write_text(text + "\n")
+        key = text.partition(" =")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"bad.cfg:1: bad value for {key!r}")):
             harness.parse_config_file(path)
 
     def test_missing_file_rejected(self):
@@ -1011,6 +1019,25 @@ class TestCli:
         assert code == 2
         assert (f"channel fixture {fixture}: dft_size = {size} must be >= 1 and "
                 ">= its 16 taps") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, held", [("append", 17), ("drop", 14)])
+    def test_fixture_tap_count_line_checked_exits_2(self, edit, held, tmp_path, capsys):
+        """Before, the ``# tap_count`` line went unread: the notch fixture
+        with one tap line more loaded as 17 taps, with two fewer as 14,
+        and the sweep wrote a CSV."""
+        lines = NOTCH_FIXTURE.read_text().splitlines()
+        lines = lines + lines[-1:] if edit == "append" else lines[:-2]
+        fixture = tmp_path / "edited.txt"
+        fixture.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("ebn0_db = [10]\nmax_bits_per_point = 1000\n")
+        out = tmp_path / "run.csv"
+        code = cli.main(["ber-sweep", "--config", str(cfg), "--out", str(out),
+                         "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert (f"channel fixture {fixture}: tap_count = 16 but it holds {held} tap lines"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe"])
