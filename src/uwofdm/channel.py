@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .frame import OfdmSystemConfig, as_int, check_positive
+from .frame import MAX_DFT_SIZE, OfdmSystemConfig, as_int, check_positive
 from .numerics import forward_dft
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
@@ -302,8 +302,9 @@ def load_snapshot(path) -> ChannelRealization:
     that is not two finite numbers, or a metadata value of the wrong type
     (or a rate or delay spread that is not finite and positive), raises
     ``ConfigError`` naming its line, and a file that is not UTF-8, a
-    ``dft_size`` below one or below the tap count, or a ``tap_count`` line
-    that differs from the number of tap lines raises it naming the file."""
+    ``dft_size`` below one or the tap count or above ``frame.MAX_DFT_SIZE``,
+    or a ``tap_count`` line that differs from the number of tap lines
+    raises it naming the file, before any array of that size is made."""
     meta = {"sample_rate_hz": 20e6, "rms_delay_spread_s": DEFAULT_RMS_DELAY_SPREAD_S,
             "dft_size": 64}
     taps = []
@@ -329,7 +330,7 @@ def load_snapshot(path) -> ChannelRealization:
     if recorded != len(taps):
         raise ConfigError(f"channel fixture {path}: tap_count = {recorded} but it holds "
                           f"{len(taps)} tap lines")
-    if meta["dft_size"] < max(len(taps), 1):
+    if not max(len(taps), 1) <= meta["dft_size"] <= MAX_DFT_SIZE:
         raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
-                          f"must be >= 1 and >= its {len(taps)} taps")
+                          f"must be >= 1 and >= its {len(taps)} taps, and at most {MAX_DFT_SIZE}")
     return _realization_from_taps(np.array(taps, dtype=complex), **meta)

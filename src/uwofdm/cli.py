@@ -158,8 +158,6 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return code
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

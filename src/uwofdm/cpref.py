@@ -21,23 +21,24 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization, cyclic_convolve, per_symbol
+from .frame import REFERENCE_ZERO_INDICES
 from .numerics import dft_columns, inverse_dft, matmul_rows
 from .rxchain import zero_forcing
 
 
 class CpConfig:
     """The fixed 802.11a layout in FFT-bin terms: DC and bins 27..37 are
-    zero, pilots sit at logical carriers -21, -7, 7, 21 with fixed signs
-    1, 1, 1, -1, and the other 48 bins carry unit-energy QPSK data.  The
-    52 used bins are the pilot and data bins; ``data_positions`` places
-    the data bins among them.  Every field is a class constant; nothing
-    follows the swept system's config."""
+    zero (UW's reference zero set), pilots sit at logical carriers -21,
+    -7, 7, 21 with fixed signs 1, 1, 1, -1, and the other 48 bins carry
+    unit-energy QPSK data.  The 52 used bins are the pilot and data bins;
+    ``data_positions`` places the data bins among them.  Every field is a
+    class constant; nothing follows the swept system's config."""
 
     dft_size = 64
     cp_length = 16
     pilot_bins = (7, 21, 43, 57)
     pilot_values = (1.0, -1.0, 1.0, 1.0)
-    zero_bins = (0,) + tuple(range(27, 38))
+    zero_bins = REFERENCE_ZERO_INDICES
     used_bins = np.setdiff1d(np.arange(dft_size), zero_bins)
     data_bins = np.setdiff1d(used_bins, pilot_bins)
     data_positions = np.searchsorted(used_bins, data_bins)

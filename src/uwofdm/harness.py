@@ -68,8 +68,8 @@ RATE_VALUE = {"none": 1.0, "1/2": 0.5, "3/4": 0.75}
 #: therefore output bytes) never depend on the worker count.
 BATCH_FRAMES = 256
 
-#: Largest accepted ``frame_symbols``: at the reference 64-point DFT one
-#: complex (BATCH_FRAMES, frame_symbols, 64) batch array is then 256 MiB.
+#: Largest accepted ``frame_symbols``, and times 64 the largest frame_symbols x
+#: dft_size: one complex (BATCH_FRAMES, frame_symbols, dft_size) array is then <= 256 MiB.
 MAX_FRAME_SYMBOLS = 1024
 
 #: Largest accepted worker count: a pool starts all its processes at
@@ -158,6 +158,9 @@ class SweepSpec:
         if not 1 <= self.frame_symbols <= MAX_FRAME_SYMBOLS:
             raise ConfigError(f"frame_symbols must lie between 1 and "
                               f"{MAX_FRAME_SYMBOLS}, got {self.frame_symbols}")
+        if self.frame_symbols * self.dft_size > MAX_FRAME_SYMBOLS * 64:
+            raise ConfigError(f"frame_symbols = {self.frame_symbols} x dft_size = {self.dft_size}"
+                              f" exceeds {MAX_FRAME_SYMBOLS * 64} samples per frame")
         if self.channel == "ensemble":
             chan.check_tap_count("channel_taps", self.channel_taps, self.guard_length)
             chan.check_delay_spread(self.rms_delay_spread_s, self.config.sample_rate_hz,
@@ -298,7 +301,7 @@ def _context(spec: SweepSpec) -> _SystemContext:
         symbol_energy = cpref.mean_symbol_energy()
     else:
         gen = frame.derive_generator(spec.config)
-        uw = txchain.build_unique_word(gen, spec.config.uw_energy_ratio)
+        uw = txchain.build_unique_word(gen)
         symbol_energy = txchain.mean_data_symbol_energy(gen) + uw.energy
         bits_per_symbol = 2 * spec.config.data_count
         interleaver = uw_interleaver(spec.config.data_count)
@@ -497,8 +500,8 @@ def run_mse_probe(config: frame.OfdmSystemConfig, channel: str,
     Returns (rows, metadata): one row per active carrier,
     (carrier_position, mse_pre, mse_post, analytic_pre, analytic_post),
     both empirical columns measured on the same symbols, and the
-    ``write_mse_csv`` header.  The analytic columns are diag(C_vv) and
-    diag(G C_ee G^H), the smoother's error on every active carrier.
+    ``write_mse_csv`` header.  The analytic columns are diag(C_vv) and the
+    smoother's error Re(diag(G E))·diag(C_vv) = diag(G C_ee G^H).
     """
     if not (isinstance(channel, str) and channel.startswith("fixed:")):
         raise ConfigError("mse-probe needs --channel fixed:<fixture path>")
@@ -512,8 +515,8 @@ def run_mse_probe(config: frame.OfdmSystemConfig, channel: str,
     eq = ctx.equalizers[0]
     mse_pre, mse_post = rxchain.measure_subcarrier_mse(
         eq, ctx.uw, np.random.default_rng([seed, 0]), n_symbols)
-    g = ctx.gen.code_matrix
-    post_var = np.real(np.einsum("ij,jk,ik->i", g, eq.error_covariance, g.conj()))
+    post_var = np.real(np.einsum("ij,ji->i", ctx.gen.code_matrix, eq.estimator)) \
+        * eq.noise_covariance
     rows = [(i, float(mse_pre[i]), float(mse_post[i]), float(eq.noise_covariance[i]),
              float(post_var[i])) for i in range(len(mse_pre))]
     return rows, (

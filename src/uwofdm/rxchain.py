@@ -50,10 +50,10 @@ ZF_REL_FLOOR = 1e-6
 class WienerEqualizer:
     """Per-(channel, noise variance) receive operator.  A stacked channel
     adds a leading channel axis to each array.  A ZF-only build has no
-    gain, no ``estimator`` and no ``error_covariance``; its error is the
-    noise, so ``error_variances`` is ``noise_covariance`` on the data
-    carriers.  With smoothing, the build keeps the smoother's gain M and
-    the data shrink c.
+    gain and no ``estimator``; its error is the noise, so
+    ``error_variances`` is ``noise_covariance`` on the data carriers.
+    With smoothing, the build keeps the smoother's gain M and the data
+    shrink c; the smoother W = G E has error covariance G C_ee G^H = W C_vv.
     """
 
     gen: RedundancyGenerator              # the generator it was built from
@@ -79,14 +79,6 @@ class WienerEqualizer:
         estimator[..., gen.data_positions] = \
             (identity - gain @ gen.redundancy) * self.shrink[..., None, :]
         return estimator
-
-    @property
-    def error_covariance(self) -> np.ndarray | None:
-        """C_ee = σ² A^-1, data x data: E's data columns times their noise variances."""
-        data = self.gen.data_positions
-        estimator = self.estimator
-        return None if estimator is None else \
-            estimator[..., data] * self.noise_covariance[..., None, data]
 
 
 def zero_forcing(ch: ChannelRealization, carriers,

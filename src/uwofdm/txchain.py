@@ -41,24 +41,19 @@ def mean_data_symbol_energy(gen: RedundancyGenerator) -> float:
     return float(np.real(np.trace(gen.symbol_covariance))) / gen.config.dft_size
 
 
-def build_unique_word(gen: RedundancyGenerator, target_ratio: float) -> UniqueWord:
+def build_unique_word(gen: RedundancyGenerator) -> UniqueWord:
     """Constant-magnitude polyphase word on the generator's zero tail,
-    scaled to a fixed share of the mean transmit-symbol energy.
-
-    ``target_ratio`` is UW energy over total mean symbol energy (data +
-    redundant + UW); 0 yields the all-zero word used for receiver
-    equivalence checks.
+    scaled to the share of the mean transmit-symbol energy (data +
+    redundant + UW) that the config's ``uw_energy_ratio`` sets; a share
+    of 0 yields the all-zero word of the receiver equivalence checks.
     """
-    if target_ratio < 0 or target_ratio >= 1:
-        raise ValueError(f"target_ratio must lie in [0, 1), got {target_ratio}")
-
-    n, uw_length = gen.config.dft_size, gen.config.uw_length
+    n, uw_length, ratio = gen.config.dft_size, gen.config.uw_length, gen.config.uw_energy_ratio
     k = np.arange(uw_length)
     shape = np.exp(1j * np.pi * k ** 2 / uw_length)
 
     data_energy = mean_data_symbol_energy(gen)
     # ratio = e_uw / (e_data + e_uw)  =>  e_uw = ratio/(1-ratio) * e_data
-    uw_energy = target_ratio / (1.0 - target_ratio) * data_energy
+    uw_energy = ratio / (1.0 - ratio) * data_energy
     samples = shape * np.sqrt(uw_energy / uw_length)
 
     padded = np.concatenate([np.zeros(n - uw_length, dtype=complex), samples])

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -19,14 +20,21 @@ def ref_gen(ref_config):
     return uw.derive_generator(ref_config)
 
 
+def zero_word(config):
+    """The all-zero unique word: the word of ``config`` with
+    ``uw_energy_ratio = 0``."""
+    return uw.build_unique_word(
+        uw.derive_generator(dataclasses.replace(config, uw_energy_ratio=0.0)))
+
+
 @pytest.fixture(scope="session")
 def ref_uw(ref_gen):
-    return uw.build_unique_word(ref_gen, 4.0 / 52.0)
+    return uw.build_unique_word(ref_gen)
 
 
 @pytest.fixture(scope="session")
-def zero_uw(ref_gen):
-    return uw.build_unique_word(ref_gen, 0.0)
+def zero_uw(ref_config):
+    return zero_word(ref_config)
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,12 @@ time symbol, an explicit inverse DFT matrix, the scattered
 cyclic-prefix body and its 80-sample prefixed symbol, the flat-channel
 closed form of the cyclic-prefix baseline, the closed form of uncoded
 zero forcing on a fixed channel, the full 52-carrier Wiener smoother in
-extended precision, the semi-analytic BER of uncoded uw-lmmse built
-on it, the frame-major float32 Viterbi butterfly, QPSK hard decisions and
-LLRs written slice by slice, and the batch-innermost Viterbi with a full branch table and a gather
-traceback.  The simulator itself never calls them."""
+extended precision, the data estimator's error covariance, the
+semi-analytic BER of uncoded uw-lmmse built on the smoother, the
+frame-major float32 Viterbi butterfly, QPSK hard decisions and LLRs
+written slice by slice, and the batch-innermost Viterbi with a full
+branch table and a gather traceback.  The simulator itself never calls
+them."""
 
 import math
 
@@ -304,7 +306,7 @@ def _noise_variance(es: float, data_carriers: int, ebn0_db: float) -> float:
 def _uw_noise_variance(config: OfdmSystemConfig, ebn0_db: float) -> tuple:
     """The UW generator and σ², Es being trace(C_ss)/N plus the UW energy."""
     gen = derive_generator(config)
-    word = build_unique_word(gen, config.uw_energy_ratio)
+    word = build_unique_word(gen)
     es = float(np.real(np.trace(gen.symbol_covariance))) / config.dft_size \
         + float(np.sum(np.abs(word.samples) ** 2))
     return gen, _noise_variance(es, config.data_count, ebn0_db)
@@ -349,6 +351,14 @@ def wiener_smoother(gen: RedundancyGenerator, noise_covariance: np.ndarray) -> t
     w = gauss_solve(a, css).conj().swapaxes(-1, -2)
     variances = np.real(np.diag(css)) - np.real(np.sum(w * css.T, axis=-1))
     return w.astype(complex), variances.astype(float)
+
+
+def error_covariance(eq) -> np.ndarray:
+    """C_ee = σ² A^-1 of a smoothing ``WienerEqualizer``, data x data
+    (leading axes stack channels): E's data columns times their noise
+    variances.  E C_vv = σ² A^-1 G^H, and G's data rows are identity rows."""
+    data = eq.gen.data_positions
+    return eq.estimator[..., data] * eq.noise_covariance[..., None, data]
 
 
 def uncoded_lmmse_ber(config: OfdmSystemConfig, taps: np.ndarray, ebn0_db: float,

@@ -55,6 +55,7 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (harness, "mse_metadata"), (harness, "uw_modem"),
     (rxchain.WienerEqualizer, "formed"), (rxchain, "_form_estimator"),
     (frame.RedundancyGenerator, "modulator"), (frame.RedundancyGenerator, "parity_check"),
+    (rxchain.WienerEqualizer, "error_covariance"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -70,7 +71,8 @@ def test_removed_knobs_are_gone(owner, name):
     header or its modem.  An equalizer forms E from its gain when E is
     read, so it stores no E, and the generator stores neither the
     time-domain modulator nor the parity check, which nothing at run time
-    reads.  A dataclass field counts as an attribute."""
+    reads.  The MSE probe reads the smoother's error from E (W C_vv), so
+    the equalizer has no C_ee.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
@@ -86,9 +88,9 @@ def test_counts_follow_from_the_index_sets():
 
 
 def test_build_unique_word_takes_the_generators_length():
-    """Any other length would put the word off the generator's zero tail."""
-    assert list(inspect.signature(txchain.build_unique_word).parameters) == [
-        "gen", "target_ratio"]
+    """Any other length would put the word off the generator's zero tail,
+    and its energy share is the generator's config's ``uw_energy_ratio``."""
+    assert list(inspect.signature(txchain.build_unique_word).parameters) == ["gen"]
 
 
 def test_one_placement_strategy_setting():

@@ -2,6 +2,7 @@
 the stream oracle, the per-bin noise draw, and pinned snapshot fixtures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,30 @@ class TestPinnedSnapshot:
         path.write_text("".join(line for line in NOTCH_FIXTURE.read_text().splitlines(True)
                                 if not line.startswith("# tap_count")))
         np.testing.assert_array_equal(uw.load_snapshot(path).taps, notch_channel.taps)
+
+    @pytest.mark.parametrize("size", [1025, 1000000000000000])
+    def test_oversized_dft_size_refused_before_allocating(self, tmp_path, monkeypatch, size):
+        """A ``# dft_size`` above ``frame.MAX_DFT_SIZE`` is refused naming the
+        file, before a response array of that size is made.  Before, 1e15
+        ended in numpy's ``_ArrayMemoryError``."""
+        def no_realization(*args, **kwargs):
+            raise AssertionError("built a realization for a refused fixture")
+        monkeypatch.setattr(chan, "_realization_from_taps", no_realization)
+        path = tmp_path / "huge.txt"
+        path.write_text(NOTCH_FIXTURE.read_text().replace("# dft_size = 64",
+                                                          f"# dft_size = {size}"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"channel fixture {path}: dft_size = {size} must be >= 1 and >= its 16 "
+                f"taps, and at most {uw.frame.MAX_DFT_SIZE}")):
+            uw.load_snapshot(path)
+
+    def test_largest_dft_size_loads(self, tmp_path, notch_channel):
+        path = tmp_path / "wide.txt"
+        path.write_text(NOTCH_FIXTURE.read_text().replace("# dft_size = 64",
+                                                          "# dft_size = 1024"))
+        loaded = uw.load_snapshot(path)
+        assert loaded.freq_response.shape == (1024,)
+        np.testing.assert_array_equal(loaded.taps, notch_channel.taps)
 
     def test_save_refuses_a_stacked_realization(self, tmp_path):
         """A fixture holds one channel.  Before, a stack died in numpy's

@@ -17,6 +17,7 @@ from uwofdm.frame import optimize_placement
 from uwofdm.numerics import inverse_dft
 from uwofdm.txchain import encode_batch
 
+from conftest import zero_word
 from oracles import dense_generator, permutation, selection, time_symbol
 
 #: The reference, 8-point and 16-point layouts, as (dft_size, zero
@@ -210,9 +211,9 @@ def test_encode_linearity(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     d1 = uw.qpsk_map(rng.integers(0, 2, 72))
     d2 = uw.qpsk_map(rng.integers(0, 2, 72))
-    zero_word = uw.build_unique_word(gen, 0.0)
-    lhs = encode_batch(alpha * d1 + beta * d2, gen, zero_word)
-    rhs = alpha * encode_batch(d1, gen, zero_word) + beta * encode_batch(d2, gen, zero_word)
+    word = zero_word(cfg)
+    lhs = encode_batch(alpha * d1 + beta * d2, gen, word)
+    rhs = alpha * encode_batch(d1, gen, word) + beta * encode_batch(d2, gen, word)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1 + abs(alpha) + abs(beta)))
 
 

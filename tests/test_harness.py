@@ -22,7 +22,7 @@ from uwofdm import cli, cpref, fec, harness, rxchain, txchain
 from uwofdm.errors import ConfigError, NumericallySingularError
 
 from conftest import NOTCH_FIXTURE, REFERENCE_CFG_FILE
-from oracles import analytic_cp_uncoded_ber, uncoded_lmmse_ber, uncoded_zf_ber
+from oracles import analytic_cp_uncoded_ber, error_covariance, uncoded_lmmse_ber, uncoded_zf_ber
 
 #: A 32-point UW system: 16 data carriers, an 8-sample unique word.
 N32_VALUES = {"dft_size": 32, "zero_indices": (0, 13, 14, 15, 16, 17, 18, 19),
@@ -116,6 +116,18 @@ class TestSweepSpecValidation:
         numpy's ValueError in ``default_rng``."""
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
             small_spec(seed=-1)
+
+    def test_samples_per_frame_bounded(self):
+        """``frame_symbols`` x the modem's DFT size is bounded, not
+        ``frame_symbols`` alone: before, a 1024-point modem at 1024 symbols
+        per frame was accepted, and its complex word array alone came to
+        about 4 GiB.  cp's modem stays at 64 points on any config."""
+        wide = dataclasses.replace(uw.reference_config(), dft_size=1024)
+        with pytest.raises(ConfigError, match=re.escape(
+                "frame_symbols = 1024 x dft_size = 1024 exceeds 65536 samples per frame")):
+            harness.SweepSpec(wide, "uw-lmmse", (10.0,), 1, frame_symbols=1024)
+        assert harness.SweepSpec(wide, "uw-lmmse", (10.0,), 1, frame_symbols=64).dft_size == 1024
+        assert harness.SweepSpec(wide, "cp", (10.0,), 1, frame_symbols=1024).dft_size == 64
 
     @pytest.mark.parametrize("field, value, before", [
         ("dft_size", np.int64(64), "34722f5b3be4"),
@@ -670,6 +682,22 @@ class TestMseProbe:
                                         ebn0_db=300.0, n_symbols=200, seed=2)
         assert all(a_pre >= 0 and a_post >= 0 for _, _, _, a_pre, a_post in rows)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-3, 0.02, 3.0])
+    def test_analytic_post_is_the_smoothers_error(self, ref_config, sigma2, monkeypatch):
+        """analytic_post, read from E as Re(diag(G E))·diag(C_vv), is
+        diag(G C_ee G^H) with C_ee built from E's data columns."""
+        channel = f"fixed:{NOTCH_FIXTURE}"
+        ctx = harness._current_context(harness.SweepSpec(ref_config, "uw-lmmse", (15.0,), 2,
+                                                         channel=channel))
+        eq = rxchain.build_equalizer(ctx.fixed_channel, ctx.gen, sigma2)
+        monkeypatch.setattr(harness, "_current_context",
+                            lambda spec: dataclasses.replace(ctx, equalizers=(eq,)))
+        rows, _ = harness.run_mse_probe(ref_config, channel, ebn0_db=15.0, n_symbols=1, seed=2)
+        g = ctx.gen.code_matrix
+        expect = np.real(np.einsum("ij,jk,ik->i", g, error_covariance(eq), g.conj()))
+        np.testing.assert_allclose([row[4] for row in rows], expect, rtol=1e-12, atol=0)
+        assert [row[3] for row in rows] == eq.noise_covariance.tolist()
+
     def test_reads_the_sweeps_context(self, ref_config):
         """The probe's equalizer is the one the uncoded uw-lmmse sweep at
         its Eb/N0 caches, and its header names every input."""
@@ -911,9 +939,22 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe", "snapshot"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        """The command's library call refuses the seed with the library's
+        message (``SweepSpec``, which ``run_mse_probe`` builds, and
+        ``pinned_snapshot``); the CLI has no seed check of its own."""
+        fixed = f"fixed:{NOTCH_FIXTURE}"
+        library = {
+            "ber-sweep": lambda: harness.SweepSpec(uw.reference_config(), "uw-lmmse",
+                                                   (10.0,), -1),
+            "mse-probe": lambda: harness.run_mse_probe(uw.reference_config(), fixed, seed=-1),
+            "snapshot": lambda: chan.pinned_snapshot(uw.reference_config(), -1)}
+        with pytest.raises(ConfigError) as info:
+            library[command]()
+        assert str(info.value) == "seed must be a non-negative integer, got -1"
         out = tmp_path / "out.csv"
-        assert cli.main([command, "--seed", "-1", "--out", str(out)]) == 2
-        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        argv = [command, "--seed", "-1", "--out", str(out)]
+        assert cli.main(argv + (["--channel", fixed] if command == "mse-probe" else [])) == 2
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("system, taps", [("uw-lmmse", 80), ("uw-lmmse", 20),
@@ -1019,6 +1060,20 @@ class TestCli:
         assert code == 2
         assert (f"channel fixture {fixture}: dft_size = {size} must be >= 1 and "
                 ">= its 16 taps") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mse-probe"])
+    def test_fixture_dft_size_above_limit_exits_2(self, command, tmp_path, capsys):
+        """Before, a fixture of ``# dft_size = 1000000000000000`` ended in
+        numpy's ``_ArrayMemoryError`` traceback (exit 1)."""
+        fixture = tmp_path / "huge.txt"
+        fixture.write_text(NOTCH_FIXTURE.read_text().replace(
+            "# dft_size = 64", "# dft_size = 1000000000000000"))
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--out", str(out), "--channel", f"fixed:{fixture}"])
+        assert code == 2
+        assert (f"channel fixture {fixture}: dft_size = 1000000000000000 must be >= 1 and "
+                f">= its 16 taps, and at most {uw.frame.MAX_DFT_SIZE}") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, held", [("append", 17), ("drop", 14)])

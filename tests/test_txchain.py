@@ -1,12 +1,16 @@
 """Unique-word construction and transmit-symbol assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import uwofdm as uw
+from uwofdm.errors import ConfigError
 from uwofdm.numerics import inverse_dft
 from uwofdm.txchain import encode_batch, mean_data_symbol_energy
 
+from conftest import zero_word
 from oracles import selection, time_symbol
 
 
@@ -41,13 +45,20 @@ class TestBuildUniqueWord:
         expect = np.concatenate([np.zeros(48), ref_uw.samples])
         np.testing.assert_allclose(padded, expect, atol=1e-10)
 
-    def test_negative_ratio_rejected(self, ref_gen):
-        with pytest.raises(ValueError):
-            uw.build_unique_word(ref_gen, -0.1)
+    def test_negative_ratio_rejected(self, ref_config):
+        """The word's share is the config's, refused there."""
+        with pytest.raises(ConfigError, match=r"uw_energy_ratio must lie in \[0, 1\)"):
+            dataclasses.replace(ref_config, uw_energy_ratio=-0.1)
 
-    def test_ratio_one_rejected(self, ref_gen):
-        with pytest.raises(ValueError):
-            uw.build_unique_word(ref_gen, 1.0)
+    def test_ratio_one_rejected(self, ref_config):
+        with pytest.raises(ConfigError, match=r"uw_energy_ratio must lie in \[0, 1\)"):
+            dataclasses.replace(ref_config, uw_energy_ratio=1.0)
+
+    def test_share_follows_the_config(self, ref_config):
+        """A generator of a config with another share gets that share."""
+        gen = uw.derive_generator(dataclasses.replace(ref_config, uw_energy_ratio=0.5))
+        word = uw.build_unique_word(gen)
+        assert word.energy == pytest.approx(mean_data_symbol_energy(gen), rel=1e-12)
 
 
 class TestEncodeSymbol:
@@ -111,7 +122,7 @@ class TestModulator:
         match the oracle's, and their last uw_length samples vanish."""
         for gen in (ref_gen, toy_gen):
             units = np.eye(gen.config.data_count, dtype=complex)
-            symbols = encode_batch(units, gen, uw.build_unique_word(gen, 0.0))
+            symbols = encode_batch(units, gen, zero_word(gen.config))
             assert symbols.shape == (gen.config.data_count, gen.config.dft_size)
             np.testing.assert_allclose(symbols, time_symbol(gen, units), rtol=0, atol=1e-13)
             tail = symbols[:, -gen.config.uw_length:]
