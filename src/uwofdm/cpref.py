@@ -5,15 +5,16 @@ matches the standard) but ignored at the receiver since channel
 knowledge is perfect.  The prefix is never built: a channel that fits
 it leaves the decoded window the cyclic convolution of the 64-sample
 body, so cp runs on UW's circulant channel model (``cp_apply_channel``,
-noiseless); ``mean_symbol_energy`` still counts the prefix in Eb.  The
-receiver adds the noise in the frequency domain: the sweep's bin noise
-on the 52 used bins (``channel.bin_noise``, Box–Muller from one pair of
-uniforms per bin), of which it reads the 48 data bins.  On the reference
-layout the used bins are UW's active carriers, so every system sees the
-same noise there.  Neither side runs a full transform per symbol: the
-transmitter multiplies the data by the inverse-DFT rows of the data bins
-and adds the fixed pilot waveform, and the receiver multiplies the
-window by the DFT columns of the data bins.
+noiseless); ``CpConfig.symbol_energy`` still counts the prefix in Eb.
+The receiver adds the noise in the frequency domain: the sweep's bin
+noise on the 52 used bins (``channel.bin_noise``, Box–Muller from one
+pair of uniforms per bin), of which it reads the 48 data bins.  On the
+reference layout the used bins are UW's active carriers, so every
+system sees the same noise there.  Neither side runs a full transform
+per symbol: the transmitter multiplies the data by the inverse-DFT rows
+of the data bins and adds the fixed pilot waveform, and the receiver
+multiplies the window by the DFT columns of the data bins
+(``CpConfig.demodulator``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelRealization, cyclic_convolve, per_symbol
 from .frame import REFERENCE_ZERO_INDICES
-from .numerics import dft_columns, inverse_dft, matmul_rows
+from .numerics import matmul_rows
 from .rxchain import zero_forcing
 
 
@@ -32,7 +33,18 @@ class CpConfig:
     -7, 7, 21 with fixed signs 1, 1, 1, -1, and the other 48 bins carry
     unit-energy QPSK data.  The 52 used bins are the pilot and data bins;
     ``data_positions`` places the data bins among them.  Every field is a
-    class constant; nothing follows the swept system's config."""
+    class constant, built once at import; nothing follows the swept
+    system's config.  The arrays below are read-only:
+
+    * ``demodulator``, the DFT matrix's columns of the data bins (64 x 48):
+      ``y @ demodulator`` is ``forward_dft(y)[..., data_bins]``, and as the
+      DFT matrix is symmetric, ``x @ demodulator.T.conj() / 64`` is the
+      inverse DFT of ``x`` scattered onto the data bins;
+    * ``pilot_waveform``, the inverse DFT of the pilot spectrum.
+
+    ``symbol_energy`` is the expected transmit energy of one 80-sample
+    symbol (window + CP): the data add the same energy to every sample,
+    the pilot waveform its exact window plus CP-tail energy."""
 
     dft_size = 64
     cp_length = 16
@@ -43,26 +55,14 @@ class CpConfig:
     data_bins = np.setdiff1d(used_bins, pilot_bins)
     data_positions = np.searchsorted(used_bins, data_bins)
     data_count = len(data_bins)
-
-
-def pilot_time_signal() -> np.ndarray:
-    spectrum = np.zeros(CpConfig.dft_size, dtype=complex)
-    spectrum[list(CpConfig.pilot_bins)] = CpConfig.pilot_values
-    return inverse_dft(spectrum)
-
-
-def mean_symbol_energy() -> float:
-    """Expected transmit energy of one 80-sample symbol (window + CP).
-
-    The data contribution is uniform per time sample; the deterministic
-    pilot waveform contributes its exact window plus CP-tail energy.
-    """
-    n, cp = CpConfig.dft_size, CpConfig.cp_length
-    data_energy = CpConfig.data_count * (n + cp) / n ** 2
-    pilot = pilot_time_signal()
-    pilot_energy = float(np.sum(np.abs(pilot) ** 2)
-                         + np.sum(np.abs(pilot[n - cp:]) ** 2))
-    return data_energy + pilot_energy
+    demodulator = np.fft.fft(np.eye(dft_size))[:, data_bins]
+    demodulator.flags.writeable = False
+    # bincount places each pilot value on its bin: the pilot spectrum
+    pilot_waveform = np.fft.ifft(np.bincount(pilot_bins, pilot_values, dft_size))
+    pilot_waveform.flags.writeable = False
+    symbol_energy = data_count * (dft_size + cp_length) / dft_size ** 2 + float(
+        np.sum(np.abs(pilot_waveform) ** 2)
+        + np.sum(np.abs(pilot_waveform[dft_size - cp_length:]) ** 2))
 
 
 def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
@@ -73,9 +73,8 @@ def cp_encode_symbol(data: np.ndarray) -> np.ndarray:
     if data.shape[-1] != CpConfig.data_count:
         raise ValueError(
             f"expected {CpConfig.data_count} data symbols, got {data.shape[-1]}")
-    n = CpConfig.dft_size
-    body = matmul_rows(data, dft_columns(n, CpConfig.data_bins).T.conj() / n)
-    body += pilot_time_signal()
+    body = matmul_rows(data, CpConfig.demodulator.T.conj() / CpConfig.dft_size)
+    body += CpConfig.pilot_waveform
     return body
 
 
@@ -107,8 +106,11 @@ def cp_decode_symbol(received: np.ndarray, ch: ChannelRealization, noise_varianc
     if ch.tap_count > CpConfig.cp_length + 1:
         raise ValueError(
             f"channel with {ch.tap_count} taps exceeds the {CpConfig.cp_length}-sample prefix")
+    if ch.freq_response.shape[-1] != CpConfig.dft_size:
+        raise ValueError(f"channel response has {ch.freq_response.shape[-1]} carriers, "
+                         f"expected {CpConfig.dft_size}")
     inv_h, variances, _ = zero_forcing(ch, CpConfig.data_bins, noise_variance)
-    estimates = matmul_rows(received, dft_columns(CpConfig.dft_size, CpConfig.data_bins))
+    estimates = matmul_rows(received, CpConfig.demodulator)
     estimates += noise[..., CpConfig.data_positions]
     estimates *= per_symbol(inv_h)
     return estimates, variances

@@ -41,8 +41,8 @@ REFERENCE_ZERO_INDICES = (0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37)
 REFERENCE_REDUNDANT_INDICES = (2, 6, 10, 14, 17, 21, 24, 26,
                                38, 40, 43, 47, 50, 54, 58, 62)
 
-#: Largest accepted ``dft_size``: the placement search's inverse DFT and the
-#: DFT matrix cached for ``numerics.dft_columns`` are N x N, 16 MiB at 1024.
+#: Largest accepted ``dft_size``: the inverse DFTs of ``derive_generator`` and
+#: of the placement search are up to N x N, 16 MiB at 1024.
 MAX_DFT_SIZE = 1024
 
 

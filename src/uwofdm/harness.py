@@ -298,7 +298,7 @@ def _context(spec: SweepSpec) -> _SystemContext:
         gen = uw = None
         bits_per_symbol = 2 * cpref.CpConfig.data_count
         interleaver = fec.InterleaverSpec(block_bits=bits_per_symbol, columns=16)
-        symbol_energy = cpref.mean_symbol_energy()
+        symbol_energy = cpref.CpConfig.symbol_energy
     else:
         gen = frame.derive_generator(spec.config)
         uw = txchain.build_unique_word(gen)

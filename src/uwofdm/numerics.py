@@ -9,14 +9,12 @@ which is ``numpy.fft``'s: the transforms are ``numpy.fft.fft`` and
 ``ifft`` over the last axis, the calls ``channel.cyclic_convolve`` makes
 too.  The factor N it puts in a noise variance enters in two places: the
 per-bin noise (``channel.bin_noise``) and the variance after zero forcing
-(``rxchain.zero_forcing``).  The modems transform only their used
-carriers, one product with those columns of F (``dft_columns``), and
-apply one matrix to a stack of symbol blocks with ``matmul_rows``.
+(``rxchain.zero_forcing``).  ``matmul_rows`` applies one matrix to a
+stack of symbol blocks, as cp's transforms on its data bins do
+(``cpref.CpConfig.demodulator``).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,13 +22,6 @@ from .errors import NumericallySingularError
 
 #: Reciprocal condition number below which solves are refused.
 RCOND_FLOOR = 1e-12
-
-
-@lru_cache(maxsize=32)
-def _dft_matrix(size: int) -> np.ndarray:
-    matrix = np.fft.fft(np.eye(size))  # row n is F e_n: F is symmetric
-    matrix.flags.writeable = False
-    return matrix
 
 
 def forward_dft(v: np.ndarray) -> np.ndarray:
@@ -41,14 +32,6 @@ def forward_dft(v: np.ndarray) -> np.ndarray:
 def inverse_dft(v: np.ndarray) -> np.ndarray:
     """Inverse DFT over the last axis, i.e. ``F^H v / N``."""
     return np.fft.ifft(v)
-
-
-def dft_columns(size: int, bins) -> np.ndarray:
-    """Columns ``bins`` of the size-point DFT matrix F, a fresh (size, len(bins))
-    array: ``y @ dft_columns(n, bins)`` is ``forward_dft(y)[..., bins]``, and
-    since F is symmetric, ``x @ dft_columns(n, bins).T.conj() / n`` is the
-    inverse DFT of ``x`` scattered onto ``bins``."""
-    return _dft_matrix(size)[:, np.asarray(bins, dtype=int)]
 
 
 def matmul_rows(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:

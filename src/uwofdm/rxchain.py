@@ -37,7 +37,7 @@ from .channel import ChannelRealization, bin_noise, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator
 from .fec import qpsk_map
-from .numerics import dft_columns, matmul_rows
+from .numerics import forward_dft, matmul_rows
 from .txchain import UniqueWord
 
 #: A channel whose strongest carrier lies below this has no zero forcing.
@@ -121,8 +121,12 @@ def build_equalizer(ch: ChannelRealization, gen: RedundancyGenerator,
     ``S = D_r + T K``, whose ``T K`` is one product of λ^-1 with the
     (data, l·l) table of T's column outer products; c is 1 / (1 + σ² D_d).
     One formula serves every σ² >= 0 (least squares at σ² = 0).  The error
-    variances are ``Re(c (1 - diag(M T))) σ² D_d``.
+    variances are ``Re(c (1 - diag(M T))) σ² D_d``.  A channel whose
+    response is not on the generator's DFT grid is a ValueError.
     """
+    if ch.freq_response.shape[-1] != gen.config.dft_size:
+        raise ValueError(f"channel response has {ch.freq_response.shape[-1]} carriers, "
+                         f"the generator's dft_size is {gen.config.dft_size}")
     inv_h, d, g = zero_forcing(ch, gen.active_carriers, 1.0)
     cvv_diag = noise_variance * d
     data = gen.data_positions
@@ -186,14 +190,13 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
                    uw: UniqueWord) -> np.ndarray:
     """Zero-forced, UW-free word(s) of received time samples, without
     smoothing: the transmitted active word plus enhanced noise.  The
-    oracle of ``received_words``, which no sweep or probe calls.  The DFT is
-    computed on the active carriers only, one product with those columns
-    of the DFT matrix.  The UW spectrum is subtracted after zero forcing;
-    removing it before (scaled by the channel) is algebraically
-    identical, which the tests check against that order-exchanged form.
-    A stacked equalizer takes (channels, symbols, dft_size) samples."""
+    oracle of ``received_words``, which no sweep or probe calls.  The UW
+    spectrum is subtracted after zero forcing; removing it before (scaled
+    by the channel) is algebraically identical, which the tests check
+    against that order-exchanged form.  A stacked equalizer takes
+    (channels, symbols, dft_size) samples."""
     active = eq.gen.active_carriers
-    words = matmul_rows(y_time, dft_columns(np.shape(y_time)[-1], active))
+    words = forward_dft(y_time)[..., active]
     words *= per_symbol(eq.inv_response)
     words -= uw.spectrum[active]
     return words
@@ -208,7 +211,11 @@ def measure_subcarrier_mse(eq: WienerEqualizer, uw: UniqueWord, rng: np.random.G
     """Empirical per-carrier squared error against the matched transmit
     word, (before, after) smoothing with ``W = G E``, both from the same
     zero-forced words: the sweep's link (``received_words``) and bin
-    noise, each pass drawing its data, then its noise, from ``rng``."""
+    noise, each pass drawing its data, then its noise, from ``rng``.  ``eq``
+    must be a one-channel build with smoothing, else a ValueError."""
+    if eq.gain is None or eq.gain.ndim != 2:
+        raise ValueError("the MSE probe needs an equalizer built for one channel "
+                         "with smoothing")
     gen = eq.gen
     smoother_t = (gen.code_matrix @ eq.estimator).T
     nd = gen.config.data_count

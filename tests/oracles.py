@@ -249,7 +249,7 @@ def analytic_cp_uncoded_ber(ebn0_db: float, cfg: cpref.CpConfig) -> float:
     """Closed-form flat-channel BER of the CP system versus *total*
     Eb/N0, accounting for the energy spent on prefix and pilots (only
     the data-carrier share steers the decisions)."""
-    eb_total = cpref.mean_symbol_energy() / (2 * cfg.data_count)
+    eb_total = cpref.CpConfig.symbol_energy / (2 * cfg.data_count)
     sigma2 = eb_total / 10 ** (ebn0_db / 10.0)
     eb_used = 1.0 / (2 * cfg.dft_size)  # unit-energy data symbols
     return qpsk_ber(eb_used / sigma2)
@@ -290,7 +290,7 @@ def uncoded_zf_ber(system: str, config: OfdmSystemConfig, taps: np.ndarray,
     """
     if system == "cp":
         n, data = cpref.CpConfig.dft_size, cpref.CpConfig.data_bins
-        sigma2 = _noise_variance(cpref.mean_symbol_energy(), len(data), ebn0_db)
+        sigma2 = _noise_variance(cpref.CpConfig.symbol_energy, len(data), ebn0_db)
     else:
         _, sigma2 = _uw_noise_variance(config, ebn0_db)
         n, data = config.dft_size, carriers(config)[1]

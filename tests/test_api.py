@@ -2,8 +2,10 @@
 listed name exists; reference forms that only the tests use live in
 ``tests/oracles.py``, not in the package."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import pytest
 
@@ -56,6 +58,8 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (rxchain.WienerEqualizer, "formed"), (rxchain, "_form_estimator"),
     (frame.RedundancyGenerator, "modulator"), (frame.RedundancyGenerator, "parity_check"),
     (rxchain.WienerEqualizer, "error_covariance"),
+    (numerics, "dft_columns"), (numerics, "_dft_matrix"),
+    (cpref, "pilot_time_signal"), (cpref, "mean_symbol_energy"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -72,10 +76,31 @@ def test_removed_knobs_are_gone(owner, name):
     read, so it stores no E, and the generator stores neither the
     time-domain modulator nor the parity check, which nothing at run time
     reads.  The MSE probe reads the smoother's error from E (W C_vv), so
-    the equalizer has no C_ee.  A dataclass field counts as an attribute."""
+    the equalizer has no C_ee.  cp's transform, pilot waveform and symbol
+    energy are ``CpConfig`` constants, so no function rebuilds them and
+    no DFT matrix is cached.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
+
+
+def test_context_is_the_one_cache():
+    """The package's only ``functools`` caches are the sweep context and
+    the once-per-process allocator guard; fixed arrays are module or class
+    constants.  (``cached_property`` memoizes per instance and is no
+    process-wide cache.)"""
+    cached = []
+    for path in sorted(pathlib.Path(uwofdm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    cached.append(f"{path.stem}.{node.name}")
+    assert cached == ["harness._keep_freed_memory", "harness._context"]
 
 
 def test_counts_follow_from_the_index_sets():

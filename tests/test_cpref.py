@@ -52,9 +52,28 @@ class TestStructure:
 
     def test_zero_data_leaves_pilot_energy(self):
         x = cp_prefixed(cpref.cp_encode_symbol(np.zeros(48, dtype=complex)))
-        pilot = cpref.pilot_time_signal()
+        pilot = cpref.CpConfig.pilot_waveform
         expect = np.sum(np.abs(pilot) ** 2) + np.sum(np.abs(pilot[-16:]) ** 2)
         assert np.sum(np.abs(x) ** 2) == pytest.approx(expect, rel=1e-12)
+
+    def test_constants_are_their_definitions(self):
+        """The demodulator, pilot waveform and symbol energy are built once,
+        bit for bit their definitions, and the arrays are read-only."""
+        def same_bits(a, b):
+            return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        cfg = cpref.CpConfig
+        assert same_bits(cfg.demodulator, np.fft.fft(np.eye(64))[:, cfg.data_bins])
+        spectrum = np.zeros(64, dtype=complex)
+        spectrum[list(cfg.pilot_bins)] = cfg.pilot_values
+        pilot = np.fft.ifft(spectrum)
+        assert same_bits(cfg.pilot_waveform, pilot)
+        assert cfg.symbol_energy == 48 * 80 / 64 ** 2 + float(
+            np.sum(np.abs(pilot) ** 2) + np.sum(np.abs(pilot[48:]) ** 2))
+        for array in (cfg.demodulator, cfg.pilot_waveform):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_pilot_share_of_window_energy(self, cp_cfg):
         """In the DFT window the pilot share is exactly 4/52 of the mean
@@ -69,7 +88,7 @@ class TestStructure:
         d = uw.qpsk_map(rng.integers(0, 2, (50_000, 96)))
         x = cp_prefixed(cpref.cp_encode_symbol(d))
         measured = float(np.mean(np.sum(np.abs(x) ** 2, axis=1)))
-        assert measured == pytest.approx(cpref.mean_symbol_energy(), rel=0.01)
+        assert measured == pytest.approx(cpref.CpConfig.symbol_energy, rel=0.01)
 
 
 class TestUsedBinTransforms:
@@ -132,6 +151,13 @@ class TestLoopback:
         rng = np.random.default_rng(94)
         ch = uw.sample_channel(rng, tap_count=18)
         with pytest.raises(ValueError, match="exceeds"):
+            decode_noiseless(np.zeros(64, dtype=complex), ch, 0.0)
+
+    def test_response_off_the_64_point_grid_rejected(self):
+        """A 128-point response would be zero-forced at the wrong carriers;
+        it is refused beside the tap-count check."""
+        ch = uw.sample_channel(np.random.default_rng(95), dft_size=128)
+        with pytest.raises(ValueError, match="channel response has 128 carriers, expected 64"):
             decode_noiseless(np.zeros(64, dtype=complex), ch, 0.0)
 
     def test_variances_match_formula(self, cp_cfg):
@@ -238,7 +264,7 @@ def test_uncoded_awgn_tracks_closed_form(cp_cfg, ref_config):
     flat = chan._realization_from_taps(np.array([1.0 + 0j]), 20e6, 1e-7, 64)
     rng = np.random.default_rng(97)
     for ebn0_db in (6.0, 8.0):
-        eb = cpref.mean_symbol_energy() / 96
+        eb = cpref.CpConfig.symbol_energy / 96
         sigma2 = eb / 10 ** (ebn0_db / 10)
         bits = rng.integers(0, 2, (30_000, 96)).astype(np.uint8)
         y = cpref.cp_apply_channel(cpref.cp_encode_symbol(fec.qpsk_map(bits)), flat)

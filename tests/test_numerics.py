@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwofdm import forward_dft, inverse_dft
-from uwofdm.numerics import dft_columns, matmul_rows, solve_linear
+from uwofdm.numerics import matmul_rows, solve_linear
 from uwofdm.errors import NumericallySingularError
 
 
@@ -121,17 +121,6 @@ class TestFoldedProducts:
         assert got.shape == (16, 8, 52)
         for c in range(16):
             np.testing.assert_allclose(got[c], x[c] @ m, rtol=1e-13, atol=1e-12)
-
-    def test_dft_columns_are_the_cut_transform(self):
-        rng = np.random.default_rng(8)
-        y = random_complex(rng, 3 * 5 * 16).reshape(3, 5, 16)
-        bins = [1, 4, 5, 11]
-        np.testing.assert_allclose(y @ dft_columns(16, bins), forward_dft(y)[..., bins],
-                                   rtol=1e-13, atol=1e-12)
-        spectrum = np.zeros((3, 5, 16), dtype=complex)
-        spectrum[..., bins] = y[..., :4]
-        np.testing.assert_allclose(y[..., :4] @ dft_columns(16, bins).T.conj() / 16,
-                                   inverse_dft(spectrum), rtol=1e-13, atol=1e-13)
 
 
 class TestSolveLinear:

@@ -3,6 +3,7 @@ error statistics against Monte-Carlo oracles and the full-smoother
 reference form."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestBuildEqualizer:
         ch = chan._realization_from_taps(
             np.zeros(1, dtype=complex), 20e6, 1e-7, 64)
         with pytest.raises(NearSingularChannelError):
+            uw.build_equalizer(ch, ref_gen, 0.01)
+
+    def test_response_off_the_generators_grid_refused(self, ref_gen):
+        """A 128-point response would be read at carriers 1..63 of the
+        wrong grid and scaled by N = 128; it is refused naming both sizes."""
+        ch = uw.sample_channel(np.random.default_rng(5), dft_size=128)
+        with pytest.raises(ValueError, match=re.escape(
+                "channel response has 128 carriers, the generator's dft_size is 64")):
             uw.build_equalizer(ch, ref_gen, 0.01)
 
     def test_single_null_is_floored(self, ref_gen):
@@ -432,6 +441,17 @@ class TestErrorStatistics:
         rng = np.random.default_rng(81)
         pre, post = uw.measure_subcarrier_mse(eq, ref_uw, rng, 200)
         assert max(pre.max(), post.max()) <= 1e-16
+
+    @pytest.mark.parametrize("smoothing, channels", [(False, None), (True, 10)])
+    def test_measure_mse_refuses_zf_only_and_stacked(self, ref_gen, ref_uw, smoothing,
+                                                     channels):
+        """The probe smooths one channel's words with W = G E: a ZF-only
+        build has no E and a stacked one has one per channel."""
+        ch = uw.sample_channel(np.random.default_rng(6), channels=channels)
+        eq = uw.build_equalizer(ch, ref_gen, 0.02, smoothing=smoothing)
+        with pytest.raises(ValueError, match="needs an equalizer built for one channel "
+                                             "with smoothing"):
+            uw.measure_subcarrier_mse(eq, ref_uw, np.random.default_rng(7), 10)
 
     def test_measure_mse_matches_analytic(self, ref_gen, ref_uw, notch_channel):
         sigma2 = 0.02
