@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelRealization, cyclic_convolve, per_symbol
 from .frame import REFERENCE_ZERO_INDICES
-from .numerics import matmul_rows
+from .numerics import matmul_rows, read_only
 from .rxchain import zero_forcing
 
 
@@ -34,7 +34,7 @@ class CpConfig:
     unit-energy QPSK data.  The 52 used bins are the pilot and data bins;
     ``data_positions`` places the data bins among them.  Every field is a
     class constant, built once at import; nothing follows the swept
-    system's config.  The arrays below are read-only:
+    system's config.  Every array is read-only, among them:
 
     * ``demodulator``, the DFT matrix's columns of the data bins (64 x 48):
       ``y @ demodulator`` is ``forward_dft(y)[..., data_bins]``, and as the
@@ -51,15 +51,13 @@ class CpConfig:
     pilot_bins = (7, 21, 43, 57)
     pilot_values = (1.0, -1.0, 1.0, 1.0)
     zero_bins = REFERENCE_ZERO_INDICES
-    used_bins = np.setdiff1d(np.arange(dft_size), zero_bins)
-    data_bins = np.setdiff1d(used_bins, pilot_bins)
-    data_positions = np.searchsorted(used_bins, data_bins)
+    used_bins = read_only(np.setdiff1d(np.arange(dft_size), zero_bins))
+    data_bins = read_only(np.setdiff1d(used_bins, pilot_bins))
+    data_positions = read_only(np.searchsorted(used_bins, data_bins))
     data_count = len(data_bins)
-    demodulator = np.fft.fft(np.eye(dft_size))[:, data_bins]
-    demodulator.flags.writeable = False
+    demodulator = read_only(np.fft.fft(np.eye(dft_size))[:, data_bins])
     # bincount places each pilot value on its bin: the pilot spectrum
-    pilot_waveform = np.fft.ifft(np.bincount(pilot_bins, pilot_values, dft_size))
-    pilot_waveform.flags.writeable = False
+    pilot_waveform = read_only(np.fft.ifft(np.bincount(pilot_bins, pilot_values, dft_size)))
     symbol_energy = data_count * (dft_size + cp_length) / dft_size ** 2 + float(
         np.sum(np.abs(pilot_waveform) ** 2)
         + np.sum(np.abs(pilot_waveform[dft_size - cp_length:]) ** 2))

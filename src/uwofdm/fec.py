@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import read_only
+
 G0_OCTAL = 0o133
 G1_OCTAL = 0o171
 TAIL_BITS = 6  # constraint length 7 -> 6 zero bits flush the register
@@ -49,9 +51,10 @@ _TAPS1 = [d for d in range(7) if (G1_OCTAL >> (6 - d)) & 1]
 
 # Branch signs (+1 for a 0 output bit) indexed (bit, k, j): input bit
 # ``bit`` moves predecessor state 2j + k to state 32 * bit + j.
-_REGISTER = (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32) + np.arange(2)[:, None])
-BRANCH_W0 = 1.0 - 2.0 * _parity(_REGISTER & G0_OCTAL)
-BRANCH_W1 = 1.0 - 2.0 * _parity(_REGISTER & G1_OCTAL)
+_REGISTER = read_only(
+    (np.arange(2)[:, None, None] << 6) | (2 * np.arange(32) + np.arange(2)[:, None]))
+BRANCH_W0 = read_only(1.0 - 2.0 * _parity(_REGISTER & G0_OCTAL))
+BRANCH_W1 = read_only(1.0 - 2.0 * _parity(_REGISTER & G1_OCTAL))
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -75,7 +78,7 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
 
 # 802.11a rate-3/4 bit stealing: of each group of six mother bits
 # (A1 B1 A2 B2 A3 B3), B2 and A3 are dropped.
-PUNCTURE_KEEP_3_4 = np.array([0, 1, 2, 5])
+PUNCTURE_KEEP_3_4 = read_only(np.array([0, 1, 2, 5]))
 PUNCTURE_GROUP = 6
 
 
@@ -116,9 +119,12 @@ class InterleaverSpec:
     Step one spreads adjacent coded bits across columns,
     ``i = (block_bits/columns) * (k % columns) + k // columns``; step
     two rotates within modulation symbols and is the identity for QPSK,
-    the only mapping here, so it is left out.  802.11a uses 16 columns at
-    block 96; the 72-bit block of the UW system keeps the same structure
-    with 12 columns.
+    the only mapping here, so it is left out.  Both modems take their
+    columns from one rule (``for_block``): 802.11a's 16 where they divide
+    the block, else the most columns below 16 that do, so cp's 96-bit
+    block has 16 and the reference UW system's 72-bit block 12.
+    ``forward`` and ``backward`` are read-only: a sweep's context shares
+    them with every batch.
     """
 
     block_bits: int
@@ -134,8 +140,13 @@ class InterleaverSpec:
         forward = (self.block_bits // self.columns) * (k % self.columns) + k // self.columns
         backward = np.empty(self.block_bits, dtype=np.int64)
         backward[forward] = k
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "backward", backward)
+        object.__setattr__(self, "forward", read_only(forward))
+        object.__setattr__(self, "backward", read_only(backward))
+
+    @classmethod
+    def for_block(cls, block_bits: int) -> InterleaverSpec:
+        """The interleaver of a ``block_bits`` block, columns by the rule above."""
+        return cls(block_bits, max(c for c in range(1, 17) if block_bits % c == 0))
 
 
 def interleave(bits: np.ndarray, spec: InterleaverSpec) -> np.ndarray:
@@ -211,9 +222,10 @@ VITERBI_CHUNK = 8
 # is BRANCH_W*[0, 0, j] when bit == k and its negative otherwise.  Row j
 # of the table holds the two signs of branch (0, 0, j), so one product
 # with a step's (l0, l1) rows gives the butterfly's metric beta[j].
-_BRANCH_TABLE = np.stack([BRANCH_W0[0, 0], BRANCH_W1[0, 0]], axis=1).astype(np.float32)
+_BRANCH_TABLE = read_only(
+    np.stack([BRANCH_W0[0, 0], BRANCH_W1[0, 0]], axis=1).astype(np.float32))
 # Column w packs the decisions of states 16w..16w+15 into word w.
-_PACK = np.kron(np.eye(4), 2.0 ** np.arange(16)[:, None]).astype(np.float32)
+_PACK = read_only(np.kron(np.eye(4), 2.0 ** np.arange(16)[:, None]).astype(np.float32))
 
 
 def viterbi_decode(llrs: np.ndarray, n_info: int) -> np.ndarray:

@@ -207,11 +207,16 @@ class BerReport:
 
 
 def _fixture_id(channel: str) -> str:
-    """Content hash of a channel fixture file ('-' for ensemble mode)."""
+    """Content hash of a channel fixture file ('-' for ensemble mode); a
+    file that cannot be read, deleted since its sweep say, is a ConfigError."""
     if not channel.startswith("fixed:"):
         return "-"
-    with open(channel[len("fixed:"):], "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:12]
+    path = channel[len("fixed:"):]
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()[:12]
+    except OSError as exc:
+        raise ConfigError(f"cannot read channel fixture {path}: {exc}") from exc
 
 
 def config_hash(config: frame.OfdmSystemConfig) -> str:
@@ -232,6 +237,7 @@ class _SystemContext:
     uw: txchain.UniqueWord | None
     interleaver: fec.InterleaverSpec
     bits_per_symbol: int
+    noise_bins: int                 # bins the noise is drawn on: UW's active, cp's used
     n_info: int                     # info bits per frame
     fixed_channel: chan.ChannelRealization | None
     fixture_id: str                 # content hash of the fixture read ('-' for ensemble)
@@ -246,15 +252,6 @@ def noise_variance(symbol_energy: float, info_bits_per_symbol: float,
     It is never clamped: the receivers hold at every σ² >= 0, and
     |Eb/N0| <= EBN0_LIMIT_DB keeps it a positive, finite float."""
     return symbol_energy / info_bits_per_symbol / 10 ** (ebn0_db / 10.0)
-
-
-def uw_interleaver(data_count: int) -> fec.InterleaverSpec:
-    """Block interleaver for the UW system: same two-step structure as
-    the 802.11a one, column count scaled to the smaller block."""
-    block = 2 * data_count
-    columns = 12 if block % 12 == 0 else max(
-        c for c in range(2, block + 1) if block % c == 0 and c <= 16)
-    return fec.InterleaverSpec(block_bits=block, columns=columns)
 
 
 def load_fixed_channel(spec: SweepSpec) -> chan.ChannelRealization:
@@ -293,18 +290,16 @@ def _current_context(spec: SweepSpec) -> _SystemContext:
 @lru_cache(maxsize=8)
 def _context(spec: SweepSpec) -> _SystemContext:
     fixed = load_fixed_channel(spec) if spec.channel.startswith("fixed:") else None
-
+    gen = uw = None
     if spec.system == "cp":
-        gen = uw = None
-        bits_per_symbol = 2 * cpref.CpConfig.data_count
-        interleaver = fec.InterleaverSpec(block_bits=bits_per_symbol, columns=16)
+        data_count, noise_bins = cpref.CpConfig.data_count, len(cpref.CpConfig.used_bins)
         symbol_energy = cpref.CpConfig.symbol_energy
     else:
         gen = frame.derive_generator(spec.config)
         uw = txchain.build_unique_word(gen)
+        data_count, noise_bins = spec.config.data_count, len(gen.active_carriers)
         symbol_energy = txchain.mean_data_symbol_energy(gen) + uw.energy
-        bits_per_symbol = 2 * spec.config.data_count
-        interleaver = uw_interleaver(spec.config.data_count)
+    bits_per_symbol = 2 * data_count
     n_info = _frame_info_bits(spec, bits_per_symbol)
     smoothing = spec.system == "uw-lmmse"
     sigma2 = tuple(noise_variance(symbol_energy, bits_per_symbol * RATE_VALUE[spec.code_rate],
@@ -312,9 +307,11 @@ def _context(spec: SweepSpec) -> _SystemContext:
     equalizers = () if fixed is None or gen is None else tuple(
         rxchain.build_equalizer(fixed, gen, s2, smoothing=smoothing) for s2 in sigma2)
     return _SystemContext(
-        spec=spec, smoothing=smoothing, gen=gen, uw=uw, interleaver=interleaver,
-        bits_per_symbol=bits_per_symbol, n_info=n_info, fixed_channel=fixed,
-        fixture_id=_fixture_id(spec.channel), sigma2=sigma2, equalizers=equalizers)
+        spec=spec, smoothing=smoothing, gen=gen, uw=uw,
+        interleaver=fec.InterleaverSpec.for_block(bits_per_symbol),
+        bits_per_symbol=bits_per_symbol, noise_bins=noise_bins, n_info=n_info,
+        fixed_channel=fixed, fixture_id=_fixture_id(spec.channel), sigma2=sigma2,
+        equalizers=equalizers)
 
 
 def _frame_info_bits(spec: SweepSpec, bits_per_symbol: int) -> int:
@@ -350,9 +347,7 @@ def _frames(ctx: _SystemContext, point_idx: int, bits: np.ndarray,
     channels = ch.taps.shape[0] if ch.taps.ndim > 1 else 1
     data = fec.qpsk_map(bits.reshape(channels, -1, width))
     # The noise on the used bins, frame by frame: the same draws for every system.
-    bins = len(cpref.CpConfig.used_bins) if spec.system == "cp" else \
-        len(ctx.gen.active_carriers)
-    noise = chan.bin_noise(rng_noise, data.shape[:-1] + (bins,), sigma2, spec.dft_size)
+    noise = chan.bin_noise(rng_noise, data.shape[:-1] + (ctx.noise_bins,), sigma2, spec.dft_size)
 
     if spec.system == "cp":
         y = cpref.cp_apply_channel(cpref.cp_encode_symbol(data), ch)

@@ -11,7 +11,8 @@ too.  The factor N it puts in a noise variance enters in two places: the
 per-bin noise (``channel.bin_noise``) and the variance after zero forcing
 (``rxchain.zero_forcing``).  ``matmul_rows`` applies one matrix to a
 stack of symbol blocks, as cp's transforms on its data bins do
-(``cpref.CpConfig.demodulator``).
+(``cpref.CpConfig.demodulator``).  Every array the package shares
+between calls is read-only (``read_only``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def forward_dft(v: np.ndarray) -> np.ndarray:
 def inverse_dft(v: np.ndarray) -> np.ndarray:
     """Inverse DFT over the last axis, i.e. ``F^H v / N``."""
     return np.fft.ifft(v)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, no longer writable: the form of every shared array."""
+    a.flags.writeable = False
+    return a
 
 
 def matmul_rows(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -194,7 +194,11 @@ def zf_only_symbol(y_time: np.ndarray, eq: WienerEqualizer,
     spectrum is subtracted after zero forcing; removing it before (scaled
     by the channel) is algebraically identical, which the tests check
     against that order-exchanged form.  A stacked equalizer takes
-    (channels, symbols, dft_size) samples."""
+    (channels, symbols, dft_size) samples; another last-axis size than the
+    generator's ``dft_size`` is a ValueError."""
+    if np.shape(y_time)[-1] != eq.gen.config.dft_size:
+        raise ValueError(f"samples have {np.shape(y_time)[-1]} points, "
+                         f"the generator's dft_size is {eq.gen.config.dft_size}")
     active = eq.gen.active_carriers
     words = forward_dft(y_time)[..., active]
     words *= per_symbol(eq.inv_response)

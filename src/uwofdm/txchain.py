@@ -36,9 +36,11 @@ def mean_data_symbol_energy(gen: RedundancyGenerator) -> float:
     """Expected energy of the zero-tail time symbol over random data.
 
     Under the unnormalized DFT convention, ||idft(x)||^2 = ||x||^2 / N,
-    so the expectation is trace(symbol_covariance) / N.
+    so for i.i.d. unit-energy data the expectation is trace(G G^H) / N,
+    which is ||G||_F^2 / N for the code matrix G: a sum of squared
+    magnitudes, with no product formed.
     """
-    return float(np.real(np.trace(gen.symbol_covariance))) / gen.config.dft_size
+    return float(np.sum(np.abs(gen.code_matrix) ** 2)) / gen.config.dft_size
 
 
 def build_unique_word(gen: RedundancyGenerator) -> UniqueWord:

@@ -304,10 +304,12 @@ def _noise_variance(es: float, data_carriers: int, ebn0_db: float) -> float:
 
 
 def _uw_noise_variance(config: OfdmSystemConfig, ebn0_db: float) -> tuple:
-    """The UW generator and σ², Es being trace(C_ss)/N plus the UW energy."""
+    """The UW generator and σ², Es being trace(C_ss)/N plus the UW energy,
+    with C_ss = G G^H formed from the code matrix G."""
     gen = derive_generator(config)
     word = build_unique_word(gen)
-    es = float(np.real(np.trace(gen.symbol_covariance))) / config.dft_size \
+    g = gen.code_matrix
+    es = float(np.real(np.trace(g @ g.conj().T))) / config.dft_size \
         + float(np.sum(np.abs(word.samples) ** 2))
     return gen, _noise_variance(es, config.data_count, ebn0_db)
 

@@ -4,9 +4,12 @@ listed name exists; reference forms that only the tests use live in
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import pathlib
+import pkgutil
 
+import numpy as np
 import pytest
 
 import uwofdm
@@ -60,6 +63,7 @@ def test_test_only_forms_are_not_in_the_package(module, name):
     (rxchain.WienerEqualizer, "error_covariance"),
     (numerics, "dft_columns"), (numerics, "_dft_matrix"),
     (cpref, "pilot_time_signal"), (cpref, "mean_symbol_energy"),
+    (frame.RedundancyGenerator, "symbol_covariance"), (harness, "uw_interleaver"),
 ])
 def test_removed_knobs_are_gone(owner, name):
     """One receive call per modem (no second ZF-only variance), one
@@ -78,7 +82,9 @@ def test_removed_knobs_are_gone(owner, name):
     reads.  The MSE probe reads the smoother's error from E (W C_vv), so
     the equalizer has no C_ee.  cp's transform, pilot waveform and symbol
     energy are ``CpConfig`` constants, so no function rebuilds them and
-    no DFT matrix is cached.  A dataclass field counts as an attribute."""
+    no DFT matrix is cached.  UW's symbol energy is ||G||_F^2 / N, so the
+    generator forms no covariance, and both modems take their interleaver
+    from one rule.  A dataclass field counts as an attribute."""
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) \
         else set()
     assert not hasattr(owner, name) and name not in fields
@@ -103,6 +109,27 @@ def test_context_is_the_one_cache():
     assert cached == ["harness._keep_freed_memory", "harness._context"]
 
 
+def test_shared_arrays_are_read_only():
+    """Every ndarray bound at module or class level in any ``uwofdm``
+    module is read-only, so no caller can change it for every later call
+    in the process (cp's bins, the Viterbi tables, the puncturing pattern)."""
+    writable, seen = [], 0
+    for info in pkgutil.iter_modules(uwofdm.__path__):
+        if info.name == "__main__":  # importing it runs the CLI; it binds no array
+            continue
+        module = importlib.import_module(f"uwofdm.{info.name}")
+        owners = [(info.name, module)] + [
+            (f"{info.name}.{name}", cls) for name, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__]
+        for owner, namespace in owners:
+            for name, value in vars(namespace).items():
+                if isinstance(value, np.ndarray):
+                    seen += 1
+                    if value.flags.writeable:
+                        writable.append(f"{owner}.{name}")
+    assert writable == [] and seen >= 11
+
+
 def test_counts_follow_from_the_index_sets():
     """``data_count`` and ``uw_length`` are read-only properties of the
     index sets: neither a config field nor a config key."""
@@ -119,7 +146,7 @@ def test_build_unique_word_takes_the_generators_length():
 
 
 def test_one_placement_strategy_setting():
-    """The search picks exhaustive or greedy from its size: no setting
+    """The search picks exhaustive or descent from its size: no setting
     chooses it."""
     assert "placement_strategy" not in harness.KNOWN_KEYS
     assert list(inspect.signature(frame.optimize_placement).parameters) == ["config"]

@@ -99,6 +99,25 @@ class TestInterleaver:
         carriers = spec.forward // 2
         assert np.abs(np.diff(carriers)).min() >= 3
 
+    def test_one_rule_gives_both_modems_columns(self):
+        """802.11a's 16 columns at cp's 96-bit block, 12 at the reference
+        UW system's 72-bit block."""
+        assert fec.InterleaverSpec.for_block(96).columns == 16
+        assert fec.InterleaverSpec.for_block(72).columns == 12
+
+    def test_rule_takes_the_most_columns_up_to_16(self):
+        for block in range(2, 401):
+            columns = fec.InterleaverSpec.for_block(block).columns
+            assert block % columns == 0 and columns <= 16
+            assert not [c for c in range(columns + 1, 17) if block % c == 0]
+
+    def test_permutations_are_read_only(self):
+        """A sweep's context shares its interleaver with every batch."""
+        spec = fec.InterleaverSpec.for_block(72)
+        for table in (spec.forward, spec.backward):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     def test_length_mismatch_rejected(self):
         spec = fec.InterleaverSpec(block_bits=72, columns=12)
         with pytest.raises(ValueError):

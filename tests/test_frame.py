@@ -179,12 +179,9 @@ class TestDeriveGenerator:
         np.testing.assert_array_equal(h[:, ref_gen.redundant_positions], np.eye(16))
         np.testing.assert_array_equal(h[:, ref_gen.data_positions], -ref_gen.redundancy)
 
-    def test_covariance_is_code_matrix_gram(self, ref_gen):
-        g = ref_gen.code_matrix
-        np.testing.assert_array_equal(ref_gen.symbol_covariance, g @ g.conj().T)
-
     def test_covariance_hermitian_psd(self, ref_gen):
-        css = ref_gen.symbol_covariance
+        g = ref_gen.code_matrix
+        css = g @ g.conj().T
         np.testing.assert_allclose(css, css.conj().T, atol=1e-12)
         eigs = np.linalg.eigvalsh(css)
         assert eigs.min() >= -1e-10
@@ -274,7 +271,8 @@ def small_layouts(draw):
 class TestOptimizePlacement:
     def test_toy_exhaustive_vs_greedy(self, monkeypatch):
         """C(12, 4) = 495 subsets: at a limit of 495 the search enumerates
-        them, at 494 it is greedy, and greedy misses the toy's optimum."""
+        them; at 494 it descends from the configured set, and the descent
+        stops short of the toy's optimum."""
         monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 495)
         best, best_metric = optimize_placement(TOY)
         monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", 494)
@@ -287,7 +285,7 @@ class TestOptimizePlacement:
     @settings(max_examples=25, deadline=None)
     @given(small_layouts())
     def test_both_paths_against_brute_force(self, cfg):
-        """Exhaustive finds the brute-force optimum; greedy is no better."""
+        """Exhaustive finds the brute-force optimum; the descent is no better."""
         best_metric, best = brute_force_placement(cfg)
         if best is None:
             with pytest.raises(uw.PlacementInfeasibleError):
@@ -317,37 +315,61 @@ class TestOptimizePlacement:
             assert uw.redundant_energy_metric(gen) > reference_metric
 
     def test_greedy_on_reference_runs(self, ref_config, ref_gen):
+        """The descent from the published placement keeps it: no swap of
+        one carrier lowers its metric."""
         indices, metric = optimize_placement(ref_config)
-        assert len(indices) == 16
-        assert metric > 0
-        # informational: how close greedy gets to the published placement
-        print(f"greedy metric {metric:.3f} vs published "
-              f"{uw.redundant_energy_metric(ref_gen):.3f}")
+        assert indices == ref_config.redundant_indices
+        assert metric == uw.redundant_energy_metric(ref_gen)
 
     def test_large_subsets_take_the_greedy_path(self, ref_config, monkeypatch):
         """uw_length = 48 on the reference zero set: C(52, 48) = 270,725
         subsets are within the subset limit, but each is a 48x48 solve,
-        216 unit solves, so the search is greedy: 52 + 51 + ... + 5 =
-        1,368 solves, where enumerating them took minutes."""
+        216 unit solves, so the search descends from the configured set:
+        its score, then 48 x 4 = 192 swaps in each of 7 passes, 1,345
+        solves, where enumerating them took minutes."""
         cfg = dataclasses.replace(
             ref_config, redundant_indices=tuple(ref_config.active_indices[:48].tolist()))
         assert math.comb(52, 48) <= uw.frame.EXHAUSTIVE_LIMIT
+        configured = placement_metric(cfg, cfg.redundant_indices)
         solve_tail, solves = uw.frame._solve_tail, []
 
         def counted(*args):
             solves.append(1)
-            assert len(solves) <= 1368, "the search enumerates"
+            assert len(solves) <= 1345, "the search enumerates"
             return solve_tail(*args)
 
         monkeypatch.setattr(uw.frame, "_solve_tail", counted)
         indices, metric = optimize_placement(cfg)
-        assert len(solves) == 1368 and len(indices) == 48 and metric > 0
+        assert len(solves) == 1345 and len(indices) == 48
+        assert metric == pytest.approx(19.011794108225686, rel=1e-12)
+        assert metric < configured
 
     def test_reference_result_is_pinned(self, ref_config):
-        """C(52, 16) ~ 1.0e13 subsets: the reference takes the greedy path."""
+        """C(52, 16) ~ 1.0e13 subsets: the reference descends from the
+        paper's set, a 1-swap local optimum, and returns it."""
         indices, metric = optimize_placement(ref_config)
-        assert indices == (1, 6, 10, 13, 15, 19, 23, 26, 38, 40, 44, 48, 51, 54, 57, 61)
-        assert metric == pytest.approx(57.730690625176855, rel=1e-12)
+        assert indices == (2, 6, 10, 14, 17, 21, 24, 26, 38, 40, 43, 47, 50, 54, 58, 62)
+        assert metric == pytest.approx(36.565574622533504, rel=1e-12)
+
+    @pytest.mark.parametrize("exhaustive_limit", [0, uw.frame.EXHAUSTIVE_LIMIT])
+    @pytest.mark.parametrize("n, zeros, redundant", [
+        (16, (0, 8, 9, 15), (1, 2, 3, 4)),
+        (16, (0,), (1, 2, 3, 4, 5, 6)),
+        (32, (0, 15, 16, 17), (1, 2, 3, 4, 5, 6, 7, 8)),
+        (64, uw.frame.REFERENCE_ZERO_INDICES, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (64, (0, 32), tuple(range(40, 52))),
+        (64, uw.frame.REFERENCE_ZERO_INDICES, uw.frame.REFERENCE_REDUNDANT_INDICES),
+    ])
+    def test_never_worse_than_the_configured_placement(self, n, zeros, redundant,
+                                                       exhaustive_limit, monkeypatch):
+        """On either path, over several zero sets and sizes, the result's
+        metric is at most the configured placement's."""
+        monkeypatch.setattr(uw.frame, "EXHAUSTIVE_LIMIT", exhaustive_limit)
+        cfg = uw.OfdmSystemConfig(dft_size=n, zero_indices=zeros, redundant_indices=redundant)
+        indices, metric = optimize_placement(cfg)
+        assert len(indices) == len(redundant)
+        assert metric <= placement_metric(cfg, redundant)
+        assert placement_metric(cfg, indices) == pytest.approx(metric, rel=1e-9)
 
     def test_rounding_ties_go_to_the_lowest_carrier(self, ref_config):
         """One redundant carrier: all 52 singletons score 51 up to rounding

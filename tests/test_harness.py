@@ -370,6 +370,16 @@ class TestFrequencyDomainLink:
     noise; every system draws that noise alike at one (seed, point,
     batch), so the comparison stays paired."""
 
+    def test_one_frame_rule_for_both_modems(self):
+        """The context frames each modem by one rule: 802.11a's 16
+        interleaver columns for cp's 96-bit block, 12 for the reference UW
+        system's 72, and the noise on cp's 52 used bins or UW's 52 active
+        carriers."""
+        for system, columns, bits in (("cp", 16, 96), ("uw-lmmse", 12, 72), ("uw-zf", 12, 72)):
+            ctx = harness._context(small_spec(system=system, rate="1/2"))
+            assert (ctx.interleaver.block_bits, ctx.interleaver.columns) == (bits, columns)
+            assert ctx.bits_per_symbol == bits and ctx.noise_bins == 52
+
     @pytest.mark.parametrize("channel", ["fixed", "ensemble"])
     def test_noise_is_paired_across_systems(self, channel, monkeypatch):
         """uw-lmmse and uw-zf see the same w on all 52 active bins, and cp
@@ -557,6 +567,22 @@ def test_rewritten_fixture_is_reread(tmp_path, flat_fixture):
     assert rewritten.points != notch.points
     ids = [dict(r.metadata)["channel_fixture_id"] for r in (notch, rewritten)]
     assert ids == [harness._fixture_id(f"fixed:{f}") for f in (NOTCH_FIXTURE, flat_fixture)]
+
+
+def test_deleted_fixture_is_refused(tmp_path):
+    """A fixture deleted after one sweep: the next sweep and the MSE probe
+    on it end in a ConfigError naming the path, not in the hash's
+    FileNotFoundError."""
+    path = tmp_path / "channel.txt"
+    path.write_bytes(NOTCH_FIXTURE.read_bytes())
+    spec = small_spec(channel=f"fixed:{path}", min_error_events=10 ** 9, max_bits_per_point=1)
+    harness.run_ber_sweep(spec)
+    harness.run_mse_probe(spec.config, spec.channel, n_symbols=1)
+    path.unlink()
+    with pytest.raises(ConfigError, match=f"cannot read channel fixture {re.escape(str(path))}"):
+        harness.run_ber_sweep(spec)
+    with pytest.raises(ConfigError, match=f"cannot read channel fixture {re.escape(str(path))}"):
+        harness.run_mse_probe(spec.config, spec.channel, n_symbols=1)
 
 
 def _glibc() -> bool:
@@ -833,12 +859,14 @@ class TestCli:
         assert "metric trace(T T^H): 8\n" in out
 
     def test_optimize_placement_reference_exits_0(self, capsys):
-        """C(52, 16) subsets: the search is greedy.  Before, ``--strategy
+        """C(52, 16) subsets: the search descends from the configured set,
+        the paper's, and prints it at its own metric.  Before, ``--strategy
         exhaustive`` on this config was refused (exit 2)."""
         assert cli.main(["optimize-placement", "--config", str(REFERENCE_CFG_FILE)]) == 0
         out = capsys.readouterr().out
-        assert ("indices: [1, 6, 10, 13, 15, 19, 23, 26, 38, 40, 44, 48, 51, 54, 57, 61]\n"
-                "metric trace(T T^H): 57.73069063\n") in out
+        assert ("indices: [2, 6, 10, 14, 17, 21, 24, 26, 38, 40, 43, 47, 50, 54, 58, 62]\n"
+                "metric trace(T T^H): 36.56557462\n"
+                "configured placement metric: 36.56557462\n") in out
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -88,7 +88,8 @@ class TestBuildEqualizer:
         for _ in range(10):
             ch = uw.sample_channel(rng)
             eq = uw.build_equalizer(ch, ref_gen, 0.05)
-            signal = np.real(np.diag(ref_gen.symbol_covariance))[ref_gen.data_positions]
+            g = ref_gen.code_matrix
+            signal = np.real(np.diag(g @ g.conj().T))[ref_gen.data_positions]
             assert (eq.error_variances >= -1e-12).all()
             assert (eq.error_variances <= signal + 1e-9).all()
 
@@ -384,6 +385,14 @@ class TestZfOnly:
         mse = np.mean(np.abs(out - sent) ** 2, axis=0)
         np.testing.assert_allclose(mse, 64 * sigma2, rtol=0.03)
 
+    def test_samples_off_the_dft_grid_rejected(self, ref_gen, ref_uw):
+        """128 samples on a 64-point equalizer: before, it returned 52
+        carriers of the 128-point grid."""
+        eq = uw.build_equalizer(flat_channel(), ref_gen, 0.01)
+        with pytest.raises(ValueError, match="samples have 128 points, "
+                                             "the generator's dft_size is 64"):
+            rxchain.zf_only_symbol(np.ones((2, 128)), eq, ref_uw)
+
     def test_notch_carriers_dominate_enhancement(self, ref_gen, ref_uw,
                                                  notch_channel, ref_config):
         eq = uw.build_equalizer(notch_channel, ref_gen, 0.01)
@@ -578,8 +587,8 @@ class TestFullSmootherReference:
         w, variances = wiener_smoother(ref_gen, eq.noise_covariance)
         data = ref_gen.data_positions
         w_data = w[..., data, :]
-        cond = np.linalg.cond(ref_gen.symbol_covariance
-                              + eq.noise_covariance[..., None] * np.eye(52))
+        g = ref_gen.code_matrix
+        cond = np.linalg.cond(g @ g.conj().T + eq.noise_covariance[..., None] * np.eye(52))
         error = np.abs(eq.estimator - w_data).max(axis=(-2, -1))
         assert np.all(error <= (1e-12 + 1e-18 * cond) * np.abs(w_data).max(axis=(-2, -1)))
         np.testing.assert_allclose(eq.error_variances, variances[..., data],

@@ -61,6 +61,28 @@ class TestBuildUniqueWord:
         assert word.energy == pytest.approx(mean_data_symbol_energy(gen), rel=1e-12)
 
 
+class TestMeanDataSymbolEnergy:
+    LAYOUTS = [
+        (64, uw.frame.REFERENCE_ZERO_INDICES, (4, 12, 20, 26, 38, 44, 52, 60)),
+        (32, (0, 15, 16, 17), (3, 9, 21, 27)),
+        (16, (0, 8), (2, 5, 11, 14)),
+        (128, (0,) + tuple(range(58, 70)), tuple(range(5, 128, 13))),
+    ]
+
+    def test_reference_equals_the_covariance_trace_bitwise(self, ref_gen):
+        g = ref_gen.code_matrix
+        assert mean_data_symbol_energy(ref_gen) == \
+            float(np.real(np.trace(g @ g.conj().T))) / 64
+
+    @pytest.mark.parametrize("n, zeros, redundant", LAYOUTS)
+    def test_equals_the_covariance_trace(self, n, zeros, redundant):
+        """||G||_F^2 / N is trace(G G^H) / N up to rounding."""
+        gen = uw.derive_generator(uw.OfdmSystemConfig(n, zeros, redundant))
+        g = gen.code_matrix
+        assert mean_data_symbol_energy(gen) == pytest.approx(
+            float(np.real(np.trace(g @ g.conj().T))) / n, rel=1e-15, abs=0)
+
+
 class TestEncodeSymbol:
     def test_zero_data_gives_pure_uw(self, ref_gen, ref_uw):
         x = encode_one(np.zeros(36, dtype=complex), ref_gen, ref_uw)
