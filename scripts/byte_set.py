@@ -15,8 +15,11 @@ Each sweep's wall seconds go to stderr, and at ``--workers 1`` (where
 the batches run in this process) the minor page faults per batch of its
 eight batches, read with ``resource.getrusage`` where that exists.  The
 count starts after the one-batch sweep and the full sweep's context
-build, so it holds the batches alone.  These figures never go into a
-CSV.
+build, so it holds the batches alone.  At ``--workers 1`` one more,
+untimed batch (the first point's first) then runs under ``tracemalloc``,
+and its traced peak follows as MiB per batch: a deterministic figure,
+so two checkouts compare on a shared machine.  These figures never go
+into a CSV.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import os
 import pathlib
 import sys
 import time
+import tracemalloc
 
 try:
     import resource
@@ -56,6 +60,16 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
 
 
+def batch_peak_mib(spec: harness.SweepSpec) -> float:
+    """The traced peak of one warm batch, point 0 and batch 0, in MiB."""
+    tracemalloc.start()
+    try:
+        harness._run_batch(spec, 0, 0)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=pathlib.Path)
@@ -78,6 +92,8 @@ def main(argv=None) -> int:
                 if resource and args.workers == 1:
                     batches = sum(p.frames for p in report.points) // harness.BATCH_FRAMES
                     cost += f", {(minor_faults() - faults) / batches:.0f} minor faults per batch"
+                if args.workers == 1:
+                    cost += f", {batch_peak_mib(spec):.2f} MiB peak per batch"
                 print(cost, file=sys.stderr)
                 harness.write_ber_csv(path, report)
                 print("wrote", path)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .frame import MAX_DFT_SIZE, OfdmSystemConfig, as_int, check_positive
-from .numerics import forward_dft
+from .numerics import forward_dft, read_only
 
 DEFAULT_RMS_DELAY_SPREAD_S = 100e-9
 DEFAULT_TAP_COUNT = 16
@@ -298,7 +298,8 @@ _SNAPSHOT_FIELDS = {"sample_rate_hz": lambda v: _finite(v, True),
 
 
 def load_snapshot(path) -> ChannelRealization:
-    """Load a snapshot fixture written by ``save_snapshot``; a tap line
+    """Load a snapshot fixture written by ``save_snapshot``, its arrays
+    read-only (one fixture serves every batch of a sweep); a tap line
     that is not two finite numbers, or a metadata value of the wrong type
     (or a rate or delay spread that is not finite and positive), raises
     ``ConfigError`` naming its line, and a file that is not UTF-8, a
@@ -333,4 +334,7 @@ def load_snapshot(path) -> ChannelRealization:
     if not max(len(taps), 1) <= meta["dft_size"] <= MAX_DFT_SIZE:
         raise ConfigError(f"channel fixture {path}: dft_size = {meta['dft_size']} "
                           f"must be >= 1 and >= its {len(taps)} taps, and at most {MAX_DFT_SIZE}")
-    return _realization_from_taps(np.array(taps, dtype=complex), **meta)
+    ch = _realization_from_taps(np.array(taps, dtype=complex), **meta)
+    for shared in (ch.taps, ch.freq_response):
+        read_only(shared)
+    return ch

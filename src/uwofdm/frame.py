@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericallySingularError, PlacementInfeasibleError
-from .numerics import inverse_dft, solve_linear
+from .numerics import inverse_dft, read_only, solve_linear
 
 # Reference system parameters: 64-point DFT at 20 MHz with the
 # IEEE-802.11a zero carriers (DC and band edges), 36 data carriers and
@@ -149,7 +149,8 @@ class RedundancyGenerator:
     non-redundant ones in ascending order, at ``data_positions``.
     ``redundancy`` maps a data vector to the redundant symbols, and
     ``code_matrix`` maps it to the full word, whose inverse DFT (scattered
-    onto the active carriers) has ``uw_length`` zero tail samples.
+    onto the active carriers) has ``uw_length`` zero tail samples.  Its
+    arrays are read-only.
     """
 
     config: OfdmSystemConfig
@@ -194,9 +195,9 @@ def derive_generator(config: OfdmSystemConfig) -> RedundancyGenerator:
     code_matrix[data, range(nd)] = 1.0
     code_matrix[redundant] = redundancy
     return RedundancyGenerator(
-        config=config, active_carriers=active, data_positions=data,
-        redundant_positions=redundant, redundancy=redundancy, code_matrix=code_matrix,
-        tail_condition=cond)
+        config=config, active_carriers=read_only(active), data_positions=read_only(data),
+        redundant_positions=read_only(redundant), redundancy=read_only(redundancy),
+        code_matrix=read_only(code_matrix), tail_condition=cond)
 
 
 def redundant_energy_metric(gen: RedundancyGenerator) -> float:

@@ -4,11 +4,12 @@ Reproducibility model: every random quantity is drawn from a stream
 derived as ``default_rng([master_seed, point_index, batch_index,
 stream_id])``, with a fixed number of frames per batch and stopping
 decided on the ordered batch sequence.  Results are therefore byte
-identical for any worker count.  Ensemble mode runs a batch in groups
-of ``ENSEMBLE_GROUP_FRAMES`` frames, each with one stacked channel draw
-and equalizer build, drawing channels and noise frame by frame in each
-stream, so the group size never shows.  A fixed channel carries the
-whole batch as one group, and a coded batch decodes in one Viterbi call.
+identical for any worker count.  A batch runs in groups of
+``GROUP_FRAMES`` frames in either channel mode: an ensemble group makes
+one stacked channel draw and equalizer build, and a fixed channel hands
+its one realization and the point's equalizer to every group.  Channels
+and noise are drawn frame by frame in each stream, so the group size
+never shows, and a coded batch decodes in one Viterbi call.
 A batch's information bits are unpacked, most significant bit first,
 from raw bytes of its bit stream (``_info_bits``).  The noise is drawn
 once per group in the frequency domain, on the used bins
@@ -29,11 +30,13 @@ Eb/N0, and makes its own input checks, so the CLI only parses and writes.
 It forms its words on the sweep's link with the sweep's bin noise
 (``rxchain.measure_subcarrier_mse``).
 
-Memory: a batch allocates and frees several 1-2 MB arrays; an ensemble
-group's arrays are (64, frame_symbols, N) at most, 0.5 MB at the
-reference size, since neither cp's convolution (FFT) nor a UW
+Memory: a group's arrays are (64, frame_symbols, N) at most, 0.5 MB at
+the reference size, since neither cp's convolution (FFT) nor a UW
 equalizer (a 36 x 16 gain per frame) builds a matrix per frame, and UW
-holds only words on its active carriers.  Under glibc,
+holds only words on its active carriers.  Beside them a batch holds its
+bits, its decisions or soft bits and, coded, the Viterbi call's arrays:
+a warm fixed-channel batch peaks at 2-2.6 MiB uncoded and 3.7-6.5 MiB
+coded (``tracemalloc``, reference size).  Under glibc,
 ``run_ber_sweep``, ``run_mse_probe`` and each worker process set the
 allocator's mmap threshold to 32 MiB and its trim threshold to 64 MiB
 (``mallopt``, once per process), so freed arrays stay in the heap and
@@ -76,10 +79,11 @@ MAX_FRAME_SYMBOLS = 1024
 #: the first batch, so a mistyped count must not reach it.
 MAX_WORKERS = 64
 
-#: Ensemble frames per group (one stacked channel draw and equalizer
-#: build); bounds memory, never changes the output.  64 frames amortize
-#: the group's calls, while its largest arrays stay (64, frame_symbols, N).
-ENSEMBLE_GROUP_FRAMES = 64
+#: Frames per group of a batch, in either channel mode (an ensemble group
+#: makes one stacked channel draw and equalizer build); bounds a batch's
+#: memory and never changes the output.  64 frames amortize the group's
+#: calls, while its largest arrays stay (64, frame_symbols, N).
+GROUP_FRAMES = 64
 
 #: Largest accepted |Eb/N0| in dB.
 EBN0_LIMIT_DB = 1000.0
@@ -386,13 +390,12 @@ def _run_batch(spec: SweepSpec, point_idx: int, batch_idx: int,
 
     bits = _info_bits(rng_bits, n_frames, ctx.n_info)
 
-    # A fixed channel carries the batch as one group; the ensemble draws a
-    # channel per frame, group by group.  The groups fill one batch array
-    # (a joined list of parts would hold the batch twice).
-    size = n_frames if ctx.fixed_channel is not None else ENSEMBLE_GROUP_FRAMES
+    # The batch runs group by group on the fixed channel or on one
+    # channel per frame.  The groups fill one batch array (a joined list
+    # of parts would hold the batch twice).
     received = None
-    for start in range(0, n_frames, size):
-        group = bits[start:start + size]
+    for start in range(0, n_frames, GROUP_FRAMES):
+        group = bits[start:start + GROUP_FRAMES]
         ch = ctx.fixed_channel if ctx.fixed_channel is not None else chan.sample_channel(
             rng_ch, spec.rms_delay_spread_s, spec.config.sample_rate_hz, spec.channel_taps,
             spec.dft_size, channels=len(group))

@@ -28,6 +28,7 @@ stacked equalizer; one symbol is a one-row batch.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,7 @@ from .channel import ChannelRealization, bin_noise, per_symbol
 from .errors import NearSingularChannelError
 from .frame import RedundancyGenerator
 from .fec import qpsk_map
-from .numerics import forward_dft, matmul_rows
+from .numerics import forward_dft, matmul_rows, read_only
 from .txchain import UniqueWord
 
 #: A channel whose strongest carrier lies below this has no zero forcing.
@@ -54,6 +55,7 @@ class WienerEqualizer:
     ``error_variances`` is ``noise_covariance`` on the data carriers.
     With smoothing, the build keeps the smoother's gain M and the data
     shrink c; the smoother W = G E has error covariance G C_ee G^H = W C_vv.
+    Every array, E too, is read-only.
     """
 
     gen: RedundancyGenerator              # the generator it was built from
@@ -64,6 +66,12 @@ class WienerEqualizer:
     error_variances: np.ndarray           # diagonal of C_ee (real), data carriers
     gain: np.ndarray | None = None        # M, data x redundant; None on a ZF-only build
     shrink: np.ndarray | None = None      # c = 1 / (1 + σ² D_d), data carriers
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):  # a fixed channel's serves every batch
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                read_only(value)
 
     @cached_property
     def estimator(self) -> np.ndarray | None:
@@ -78,7 +86,7 @@ class WienerEqualizer:
         identity = np.eye(len(gen.data_positions))
         estimator[..., gen.data_positions] = \
             (identity - gain @ gen.redundancy) * self.shrink[..., None, :]
-        return estimator
+        return read_only(estimator)
 
 
 def zero_forcing(ch: ChannelRealization, carriers,

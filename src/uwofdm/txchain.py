@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import RedundancyGenerator
-from .numerics import forward_dft, inverse_dft, matmul_rows
+from .numerics import forward_dft, inverse_dft, matmul_rows, read_only
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,8 @@ class UniqueWord:
     """Deterministic guard sequence occupying the symbol tail.
 
     ``spectrum`` is the full-size DFT of the zero-padded word; the
-    receiver subtracts it on the active carriers.
+    receiver subtracts it on the active carriers.  Both arrays are
+    read-only.
     """
 
     samples: np.ndarray    # length uw_length, time domain
@@ -59,7 +60,7 @@ def build_unique_word(gen: RedundancyGenerator) -> UniqueWord:
     samples = shape * np.sqrt(uw_energy / uw_length)
 
     padded = np.concatenate([np.zeros(n - uw_length, dtype=complex), samples])
-    return UniqueWord(samples=samples, spectrum=forward_dft(padded),
+    return UniqueWord(samples=read_only(samples), spectrum=read_only(forward_dft(padded)),
                       energy=float(np.sum(np.abs(samples) ** 2)))
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ class TestStoppingAndLimits:
         monkeypatch.setattr(fec, "qpsk_soft_demap", demap)
         spec = small_spec(system=system, rate="1/2", grid=(-1000.0, 1000.0), channel=channel)
         for point in range(2):
-            harness._run_batch(spec, point, 0, n_frames=harness.ENSEMBLE_GROUP_FRAMES)
+            harness._run_batch(spec, point, 0, n_frames=harness.GROUP_FRAMES)
         assert len(seen) == 2
         for variances in seen:
             assert np.all(np.isfinite(variances)) and np.all(variances > 0)
@@ -407,7 +408,7 @@ class TestFrequencyDomainLink:
         for system in harness.SYSTEMS:
             spec = small_spec(system=system, grid=(8.0,), seed=9,
                               channel=None if channel == "fixed" else "ensemble")
-            harness._run_batch(spec, 0, 2, n_frames=harness.ENSEMBLE_GROUP_FRAMES)
+            harness._run_batch(spec, 0, 2, n_frames=harness.GROUP_FRAMES)
         (noise, added), = cp_noise
         w = uw_noise["smoothing"]
         assert w.shape == ((1, 64 * 8, 52) if channel == "fixed" else (64, 8, 52))
@@ -474,22 +475,55 @@ class TestEnsembleGroups:
     @pytest.mark.parametrize("rate, ebn0", [("none", 10.0), ("1/2", 6.0)])
     def test_matches_per_frame_loop(self, system, rate, ebn0):
         """150 frames: two full groups of 64 and a partial one of 22."""
-        assert 2 * harness.ENSEMBLE_GROUP_FRAMES < 150 < 3 * harness.ENSEMBLE_GROUP_FRAMES
+        assert 2 * harness.GROUP_FRAMES < 150 < 3 * harness.GROUP_FRAMES
         spec = small_spec(system=system, rate=rate, grid=(ebn0,), seed=7,
                           channel="ensemble")
         batched = harness._run_batch(spec, 0, 3, n_frames=150)
         assert batched == per_frame_batch(spec, 0, 3, n_frames=150)
         assert batched[1] > 0
 
-    def test_group_size_does_not_change_report(self, monkeypatch):
-        specs = [small_spec(system=system, rate="1/2", grid=(6.0,), seed=5,
-                            channel="ensemble", min_error_events=10 ** 9,
+    @pytest.mark.parametrize("rate", ["none", "1/2"])
+    @pytest.mark.parametrize("channel", [f"fixed:{NOTCH_FIXTURE}", "ensemble"])
+    def test_group_size_does_not_change_report(self, channel, rate, monkeypatch):
+        """Groups of 1, 7 and 256 frames (256: the whole batch as one group)
+        report what groups of GROUP_FRAMES do, in either channel mode."""
+        specs = [small_spec(system=system, rate=rate, grid=(6.0,), seed=5,
+                            channel=channel, min_error_events=10 ** 9,
                             max_bits_per_point=1, frame_symbols=2)
                  for system in harness.SYSTEMS]
         expected = [harness.run_ber_sweep(spec) for spec in specs]
+        assert all(report.points[0].bit_errors > 0 for report in expected)
         for group in (1, 7, 256):
-            monkeypatch.setattr(harness, "ENSEMBLE_GROUP_FRAMES", group)
+            monkeypatch.setattr(harness, "GROUP_FRAMES", group)
             assert [harness.run_ber_sweep(spec) for spec in specs] == expected
+
+
+def _reachable_arrays(value, path):
+    """(path, array) for every ndarray reachable from ``value`` through
+    tuples and the attributes of dataclass instances (cached ones too)."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _reachable_arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for name, item in vars(value).items():
+            yield from _reachable_arrays(item, f"{path}.{name}")
+
+
+def test_fixed_context_arrays_are_read_only():
+    """Every array of a fixed-channel uw-lmmse context (the generator, the
+    unique word, the fixture's channel and each point's equalizer, E once
+    a batch has formed it) is read-only: every group of every batch of a
+    point reads them, so none may change them for the next."""
+    spec = small_spec(rate="1/2", grid=(6.0, 10.0))
+    for point in range(2):
+        harness._run_batch(spec, point, 0, n_frames=1)
+    arrays = dict(_reachable_arrays(harness._context(spec), "ctx"))
+    for path in ("ctx.gen.code_matrix", "ctx.uw.spectrum", "ctx.fixed_channel.freq_response",
+                 "ctx.equalizers[1].gain", "ctx.equalizers[1].estimator"):
+        assert path in arrays
+    assert [path for path, array in arrays.items() if array.flags.writeable] == []
 
 
 @pytest.mark.parametrize("channel", ["ensemble", f"fixed:{NOTCH_FIXTURE}"])
@@ -623,6 +657,24 @@ def test_warm_fixed_batches_do_not_fault():
     faults = [line.rsplit(" ", 1) for line in result.stdout.splitlines()]
     assert len(faults) == 8
     assert all(int(count) <= 64 for _, count in faults), faults
+
+
+@pytest.mark.parametrize("system, rate, bound_mib", [
+    ("uw-lmmse", "none", 3.5), ("cp", "none", 3.5), ("cp", "3/4", 8.0)])
+def test_warm_fixed_batch_memory_is_bounded(system, rate, bound_mib):
+    """A warm fixed-channel batch runs in groups of GROUP_FRAMES frames, so
+    its traced peak stays near one group's arrays plus the batch's bits
+    and soft bits: about 2.0, 2.6 and 6.5 MiB here, where the batch as
+    one 256-frame group takes 6.3, 8.4 and 12.2 MiB."""
+    spec = small_spec(system=system, rate=rate, grid=(8.0,))
+    harness._run_batch(spec, 0, 0)
+    tracemalloc.start()
+    try:
+        harness._run_batch(spec, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 @pytest.fixture
